@@ -3,6 +3,14 @@
 Conventions: polylines are (N, 2) float arrays with the closing segment
 implied (last vertex connects back to the first); segment soups are
 (M, 2, 2) arrays of (start, end) pairs. Angles are radians, CCW positive.
+
+The per-step and per-build kernels prune work with an exact broad phase:
+they skip only pairs that provably cannot meet and run the unchanged
+narrow-phase arithmetic on the rest, so they return what the all-pairs
+computation returns. ray_hits tests each segment only against the beams
+inside the angular interval it subtends from the sensor;
+polyline_self_intersects tests only segment pairs whose midpoints are
+within the longest segment length of each other.
 """
 
 from __future__ import annotations
@@ -42,80 +50,83 @@ def cumulative_arclength(verts: np.ndarray, closed: bool = True):
     return table, float(table[-1])
 
 
-_ray_kernel = None
+# Bound, with room to spare, on how far (in radians, per unit of
+# conditioning) rounding moves the edges of the cone in which the float
+# intersection filter of ray_hits accepts a beam: a few eps.
+_ANGLE_SLACK = 64.0 * float(np.finfo(float).eps)
 
 
-def _build_ray_kernel():
-    """JIT the raycast hot loop on first use; fall back to numpy broadcasting
-    when numba is unavailable. Both paths produce identical floats."""
-    global _ray_kernel
-    if _ray_kernel is not None:
-        return _ray_kernel
-    try:
-        from numba import njit
-
-        @njit(cache=True, fastmath=False)
-        def kernel(ox, oy, cos_a, sin_a, seg, max_range, out):
-            for i in range(cos_a.shape[0]):
-                best = max_range
-                dx = cos_a[i]
-                dy = sin_a[i]
-                for m in range(seg.shape[0]):
-                    ax = seg[m, 0, 0]
-                    ay = seg[m, 0, 1]
-                    ex = seg[m, 1, 0] - ax
-                    ey = seg[m, 1, 1] - ay
-                    denom = dx * ey - dy * ex
-                    if abs(denom) <= 1e-12:
-                        continue
-                    aox = ax - ox
-                    aoy = ay - oy
-                    t = (aox * ey - aoy * ex) / denom
-                    if t < 0.0 or t >= best:
-                        continue
-                    u = (aox * dy - aoy * dx) / denom
-                    if u < 0.0 or u > 1.0:
-                        continue
-                    best = t
-                out[i] = best
-
-        _ray_kernel = kernel
-    except ImportError:
-        _ray_kernel = False
-    return _ray_kernel
+def _runs(counts):
+    """Owner index and offset within its run, for runs of the given
+    lengths laid end to end."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def ray_hits(origin, angles, segments, max_range: float) -> np.ndarray:
-    """Minimum hit distance per ray against a segment soup.
+def ray_hits(origin, heading: float, n_beams: int, segments, max_range: float) -> np.ndarray:
+    """Minimum hit distance per beam against a segment soup.
 
-    origin (2,), angles (R,), segments (M, 2, 2). Rays that miss every
-    segment report max_range. Rays exactly parallel to a segment are
-    treated as misses.
+    Beam i points at heading + i * (2*pi / n_beams); origin (2,), segments
+    (M, 2, 2). Beams that miss every segment report max_range. Beams
+    exactly parallel to a segment are treated as misses.
+
+    Exact angular binning: a beam can only hit a segment if its direction
+    lies inside the cone the segment subtends from the origin, so each
+    segment is tested only against the beams of that cone plus one beam of
+    margin on each side. Rounding moves the cone edges the float filter
+    accepts by far less than a beam (see _ANGLE_SLACK). Segments for which
+    that bound fails - the origin on or near the segment's line (a cone of
+    nearly pi, or a sliver whose orientation is in doubt) or near an
+    endpoint - are tested against every beam. Each pair tested goes through
+    the all-pairs arithmetic unchanged and a pair skipped has no valid hit,
+    so the result equals the all-pairs minimum; only the sign of a zero
+    distance (the sensor exactly on a segment) may differ.
     """
-    angles = np.asarray(angles, dtype=float)
     o = np.asarray(origin, dtype=float)
+    step = 2.0 * np.pi / n_beams
+    angles = heading + np.arange(n_beams) * step
+    out = np.full(angles.shape, float(max_range))
     if len(segments) == 0:
-        return np.full(angles.shape, max_range)
-    kernel = _build_ray_kernel()
-    if kernel:
-        out = np.empty(angles.shape[0])
-        kernel(float(o[0]), float(o[1]), np.cos(angles), np.sin(angles),
-               np.ascontiguousarray(segments, dtype=np.float64), float(max_range), out)
         return out
-    d = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (R, 2)
     a = segments[:, 0, :]                                   # (M, 2)
     e = segments[:, 1, :] - a                               # (M, 2)
     ao = a - o                                              # (M, 2)
-    # cross products, broadcast rays x segments
-    denom = d[:, 0:1] * e[None, :, 1] - d[:, 1:2] * e[None, :, 0]   # (R, M)
-    t_num = ao[:, 0] * e[:, 1] - ao[:, 1] * e[:, 0]                 # (M,)
-    u_num = ao[None, :, 0] * d[:, 1:2] - ao[None, :, 1] * d[:, 0:1]  # (R, M)
+    bo = segments[:, 1, :] - o
+    t_num = ao[:, 0] * e[:, 1] - ao[:, 1] * e[:, 0]         # (M,)
+
+    # the cone from the origin: start angle and CCW extent in [0, pi]
+    phi_a = np.arctan2(ao[:, 1], ao[:, 0])
+    phi_b = np.arctan2(bo[:, 1], bo[:, 0])
+    sweep = wrap_angle(phi_b - phi_a)
+    start = np.where(sweep >= 0.0, phi_a, phi_b)
+    span = np.abs(sweep)
+    la, lb, le = (np.hypot(v[:, 0], v[:, 1]) for v in (ao, bo, e))
+    # conditioning: of the cone edges as seen from the origin, and of the
+    # beam angles (their rounding grows with their size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = t_num[None, :] / denom
+        slack = _ANGLE_SLACK * ((la + lb + le) / np.minimum(la, lb) + abs(heading) + 4.0 * np.pi)
+    full = (~(slack <= 0.5 * step)                          # near an endpoint (or NaN)
+            | (span > np.pi - step)                         # nearly pi: origin beside the segment
+            | (np.abs(t_num) <= _ANGLE_SLACK * la * le))    # on or near the segment's line
+    rel = np.mod(start - heading, 2.0 * np.pi)
+    first = np.floor(rel / step) - 1
+    last = np.ceil((rel + span) / step) + 1
+    first = np.where(full, 0, first).astype(np.int64)
+    counts = np.where(full, n_beams, np.minimum(last - first + 1, n_beams)).astype(np.int64)
+
+    seg, offset = _runs(counts)                             # (beam, segment) pairs
+    beam = (first[seg] + offset) % n_beams
+
+    dx, dy = np.cos(angles), np.sin(angles)
+    bx, by = dx[beam], dy[beam]
+    denom = bx * e[seg, 1] - by * e[seg, 0]
+    u_num = ao[seg, 0] * by - ao[seg, 1] * bx
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = t_num[seg] / denom
         u = u_num / denom
     valid = (np.abs(denom) > _EPS) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
-    t = np.where(valid, t, np.inf)
-    return np.minimum(t.min(axis=1), max_range)
+    np.minimum.at(out, beam[valid], t[valid])
+    return out
 
 
 def project_to_polyline(points, verts, arc_table, seg_idx=None):
@@ -210,40 +221,47 @@ def _orient(ax, ay, bx, by, cx, cy):
 
 def polyline_self_intersects(verts: np.ndarray) -> bool:
     """Check whether a closed polyline crosses itself (adjacent segments
-    sharing a vertex are ignored). O(N^2), intended for one-time validation.
+    sharing a vertex are ignored).
+
+    Two segments that touch have midpoints at most the longest segment
+    length apart, so only pairs that close are candidates: midpoints are
+    sorted along a skew direction (1-Lipschitz, and never parallel to an
+    axis-aligned straight), a searchsorted window gives the candidates and
+    a distance check prunes them. The orientation crossing and collinear
+    overlap predicates then run on the candidates only. Near-linear unless
+    a long run of midpoints shares one window.
     """
     segs = polyline_segments(verts, closed=True)
     n = len(segs)
     if n < 4:
         return False
+    mid = segs.mean(axis=1)
+    seg_len = np.hypot(*(segs[:, 1] - segs[:, 0]).T)
+    # slack: rounding in the midpoints, lengths and keys (relative to the
+    # coordinates' size) must not drop a pair that touches exactly
+    reach = float(seg_len.max() + 1e-9 * (seg_len.max() + np.abs(segs).max()))
+    key = mid @ np.array([np.cos(1.0), np.sin(1.0)])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # each unordered pair once: the later ones in key order within reach
+    counts = np.searchsorted(key, key + reach, side="right") - np.arange(n) - 1
+    first, offset = _runs(counts)
+    i, j = order[first], order[first + 1 + offset]
+    d = mid[i] - mid[j]
+    gap = np.abs(i - j)
+    keep = (np.einsum("pi,pi->p", d, d) <= reach * reach) & (gap != 1) & (gap != n - 1)
+    i, j = i[keep], j[keep]
     ax, ay = segs[:, 0, 0], segs[:, 0, 1]
     bx, by = segs[:, 1, 0], segs[:, 1, 1]
-    idx = np.arange(n)
-    block = 256
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        i = idx[lo:hi, None]
-        j = idx[None, :]
-        # only check unordered non-adjacent pairs once
-        adjacent = (j <= i + 1) | ((i == 0) & (j == n - 1))
-        o1 = _orient(ax[lo:hi, None], ay[lo:hi, None], bx[lo:hi, None], by[lo:hi, None], ax[None, :], ay[None, :])
-        o2 = _orient(ax[lo:hi, None], ay[lo:hi, None], bx[lo:hi, None], by[lo:hi, None], bx[None, :], by[None, :])
-        o3 = _orient(ax[None, :], ay[None, :], bx[None, :], by[None, :], ax[lo:hi, None], ay[lo:hi, None])
-        o4 = _orient(ax[None, :], ay[None, :], bx[None, :], by[None, :], bx[lo:hi, None], by[lo:hi, None])
-        crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
-        collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
-        if np.any(crossing & ~adjacent):
-            return True
-        if np.any(collinear & ~adjacent):
-            # collinear pair: overlaps iff 1D bounding intervals overlap
-            ii, jj = np.nonzero(collinear & ~adjacent)
-            ii = ii + lo
-            for k in range(len(ii)):
-                i1, j1 = ii[k], jj[k]
-                lo1 = np.minimum(segs[i1, 0], segs[i1, 1])
-                hi1 = np.maximum(segs[i1, 0], segs[i1, 1])
-                lo2 = np.minimum(segs[j1, 0], segs[j1, 1])
-                hi2 = np.maximum(segs[j1, 0], segs[j1, 1])
-                if np.all(hi1 >= lo2) and np.all(hi2 >= lo1):
-                    return True
-    return False
+    o1 = _orient(ax[i], ay[i], bx[i], by[i], ax[j], ay[j])
+    o2 = _orient(ax[i], ay[i], bx[i], by[i], bx[j], by[j])
+    o3 = _orient(ax[j], ay[j], bx[j], by[j], ax[i], ay[i])
+    o4 = _orient(ax[j], ay[j], bx[j], by[j], bx[i], by[i])
+    if np.any((o1 * o2 < 0) & (o3 * o4 < 0)):
+        return True
+    # collinear pair: overlaps iff the 1D bounding intervals overlap
+    col = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+    si, sj = segs[i[col]], segs[j[col]]
+    lo1, hi1 = si.min(axis=1), si.max(axis=1)
+    lo2, hi2 = sj.min(axis=1), sj.max(axis=1)
+    return bool(np.any(np.all(hi1 >= lo2, axis=1) & np.all(hi2 >= lo1, axis=1)))

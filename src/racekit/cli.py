@@ -375,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="INI config file")
     p.add_argument("--seed", type=int, default=None, help="global seed override")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("E2R_WORKERS", "1")),
-                   help="parallel episode rollouts (env E2R_WORKERS)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="parallel episode rollouts (default: env E2R_WORKERS, "
+                        "then [global] workers)")
     sub = p.add_subparsers(dest="command", required=True)
 
     p_track = sub.add_parser("track", help="track tooling")
@@ -430,8 +430,10 @@ def main(argv=None) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if args.workers is not None:
-        overrides["workers"] = str(args.workers)
+    # --workers > E2R_WORKERS > [global] workers
+    workers = args.workers if args.workers is not None else os.environ.get("E2R_WORKERS")
+    if workers is not None:
+        overrides["workers"] = str(workers)
     try:
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as exc:

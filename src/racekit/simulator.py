@@ -77,19 +77,23 @@ def vehicle_corners(state: VehicleState, cfg: SimConfig) -> np.ndarray:
 
 
 def _near_segment_mask(track: TrackModel, x: float, y: float, reach: float):
-    mids = track.boundary_segments.mean(axis=1)
+    mids = track.segment_midpoints
     d2 = (mids[:, 0] - x) ** 2 + (mids[:, 1] - y) ** 2
     return d2 <= reach * reach
 
 
 def check_collision(world: WorldState, cfg: SimConfig) -> list[bool]:
     """Instantaneous collision events per agent (closed intersection:
-    touching the boundary or the other vehicle counts)."""
+    touching the boundary or the other vehicle counts).
+
+    Broad phase: only segments whose midpoint lies within half the longest
+    segment plus the rectangle's half-diagonal are tested, and the cars'
+    rectangles only when their centres are within two half-diagonals;
+    anything farther apart cannot touch.
+    """
     track = world.track
-    seg_half = float(np.max(np.linalg.norm(
-        track.boundary_segments[:, 1] - track.boundary_segments[:, 0], axis=1))) / 2.0
     rect_half = 0.5 * math.hypot(cfg.veh_length, cfg.veh_width)
-    reach = seg_half + rect_half + 1e-6
+    reach = track.segment_half_max + rect_half + 1e-6
     corners = [vehicle_corners(a, cfg) for a in world.agents]
     hits = []
     for i, a in enumerate(world.agents):
@@ -97,7 +101,9 @@ def check_collision(world: WorldState, cfg: SimConfig) -> list[bool]:
         hit = _geom.obb_hits_segments(corners[i], track.boundary_segments[mask])
         hits.append(hit)
     if len(world.agents) == 2:
-        if _geom.obb_overlap(corners[0], corners[1]):
+        a, b = world.agents
+        if (math.hypot(a.x - b.x, a.y - b.y) <= 2.0 * rect_half + 1e-6
+                and _geom.obb_overlap(corners[0], corners[1])):
             hits[0] = hits[1] = True
     return hits
 
@@ -134,17 +140,19 @@ def scan_lidar(world: WorldState, agent: int, cfg: SimConfig) -> np.ndarray:
     """360-degree range scan: beam i at heading + i * (2*pi / n_beams).
 
     Each beam reports the nearest intersection with either boundary or
-    the other agent's rectangle, capped at lidar_range_max.
+    the other agent's rectangle, capped at lidar_range_max. The raycast
+    tests each segment only against the beams of the angular interval it
+    subtends from the sensor (_geom.ray_hits), with the same floats as an
+    all-pairs test.
     """
     s = world.agents[agent]
-    angles = s.theta + np.arange(cfg.n_beams) * (2.0 * np.pi / cfg.n_beams)
     segments = world.track.boundary_segments
     others = [a for i, a in enumerate(world.agents) if i != agent]
     if others:
         opp = vehicle_corners(others[0], cfg)
         opp_segs = np.stack([opp, np.roll(opp, -1, axis=0)], axis=1)
         segments = np.concatenate([segments, opp_segs])
-    return _geom.ray_hits((s.x, s.y), angles, segments, cfg.lidar_range_max)
+    return _geom.ray_hits((s.x, s.y), s.theta, cfg.n_beams, segments, cfg.lidar_range_max)
 
 
 def apply_noise(scan: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:

@@ -15,6 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,20 @@ class TrackModel:
     def project_many(self, points):
         s, d, _ = _geom.project_to_polyline(points, self.xy, self.arc_table)
         return s, d
+
+    # Collision broad-phase constants, derived once per track on first use.
+    # cached_property stores them in the instance __dict__, so they travel
+    # with the model when it is pickled into pool workers.
+    @cached_property
+    def segment_midpoints(self) -> np.ndarray:
+        """(M, 2) midpoints of boundary_segments."""
+        return self.boundary_segments.mean(axis=1)
+
+    @cached_property
+    def segment_half_max(self) -> float:
+        """Half the length of the longest boundary segment."""
+        seg = self.boundary_segments
+        return float(np.max(np.linalg.norm(seg[:, 1] - seg[:, 0], axis=1))) / 2.0
 
     def widths_at(self, s):
         """Interpolated (w_right, w_left) at arc position(s) s."""

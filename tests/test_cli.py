@@ -99,6 +99,24 @@ class TestCollect:
                 continue
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
+    def test_worker_count_same_bytes(self, tmp_path, track_dir):
+        # six scenarios: the pool hands out chunks of four, so both workers run
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[scenario]\nduration = 1.0\n")
+        outs = {}
+        for workers in (2, 1):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("--config", str(cfgfile), "--out", str(out), "--seed", "3",
+                           "--workers", str(workers), "collect",
+                           "--track", str(track_dir / "track_stadium.csv"),
+                           "--scenarios", "6") == 0
+            outs[workers] = out
+        manifest = json.loads((outs[1] / "dataset.json").read_text())
+        episodes = manifest["episodes"] + manifest["excluded"]
+        assert len(episodes) == 6
+        for f in ["dataset.json"] + episodes:
+            assert (outs[2] / f).read_bytes() == (outs[1] / f).read_bytes(), f
+
     def test_no_valid_spawn_exit_3(self, tmp_path, track_dir, capsys):
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[scenario]\nd_gap = 0.1\n")
@@ -248,6 +266,28 @@ class TestConfig:
         h1 = config_hash(load_config(a))
         h2 = config_hash(load_config(a, {"trainer.epochs": "200"}))
         assert h1 != h2
+
+    @pytest.mark.parametrize("flag, env, expected", [
+        (None, None, "2"),      # [global] workers
+        (None, "3", "3"),       # E2R_WORKERS over the config
+        ("1", "3", "1"),        # --workers over both
+    ])
+    def test_workers_resolution(self, tmp_path, monkeypatch, flag, env, expected):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[global]\nworkers = 2\n")
+        if env is None:
+            monkeypatch.delenv("E2R_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("E2R_WORKERS", env)
+        out = tmp_path / "o"
+        argv = ["--config", str(cfgfile), "--out", str(out)]
+        if flag is not None:
+            argv += ["--workers", flag]
+        assert run_cli(*argv, "track", "gen", "--shape", "circle") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = load_config(cfgfile, {"workers": expected})
+        assert want.workers == int(expected)
+        assert manifest["config_hash"] == config_hash(want)
 
     def test_tuple_field_parsing(self, tmp_path):
         a = tmp_path / "a.ini"

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racekit import _geom, track as rtrack
 from racekit import simulator as sim
 from racekit.simulator import (
     NonFiniteState,
@@ -141,6 +143,68 @@ class TestLidar:
         assert scan_lidar(w, 0, cfg).shape == (8,)
 
 
+def dense_ray_hits(origin, angles, segments, max_range):
+    """Reference raycast: every beam against every segment, broadcast."""
+    angles = np.asarray(angles, dtype=float)
+    o = np.asarray(origin, dtype=float)
+    d = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (R, 2)
+    a = segments[:, 0, :]                                   # (M, 2)
+    e = segments[:, 1, :] - a                               # (M, 2)
+    ao = a - o                                              # (M, 2)
+    denom = d[:, 0:1] * e[None, :, 1] - d[:, 1:2] * e[None, :, 0]   # (R, M)
+    t_num = ao[:, 0] * e[:, 1] - ao[:, 1] * e[:, 0]                 # (M,)
+    u_num = ao[None, :, 0] * d[:, 1:2] - ao[None, :, 1] * d[:, 0:1]  # (R, M)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = t_num[None, :] / denom
+        u = u_num / denom
+    valid = (np.abs(denom) > 1e-12) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
+    t = np.where(valid, t, np.inf)
+    return np.minimum(t.min(axis=1), max_range)
+
+
+@functools.cache
+def ray_track(name):
+    if name == "room":
+        return make_room_track()
+    return rtrack.make_track(name, length=60.0, width=3.0)
+
+
+class TestBinnedRaycast:
+    """The angular-binned ray_hits equals the all-pairs reference exactly."""
+
+    @given(
+        name=st.sampled_from(["room", "stadium", "serpentine"]),
+        n_beams=st.sampled_from([8, 90, 360]),
+        seg_pick=st.floats(0.0, 1.0, exclude_max=True),
+        # fractions 0/0.5/1 put the sensor on a vertex, a midpoint or the
+        # segment's line; the rest near the boundary or off its ends
+        along=st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.5, 1.5]), st.floats(-1.0, 2.0)),
+        off=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-0.8, 0.8)),
+        heading=st.floats(-20.0, 20.0),
+        opp=st.tuples(st.floats(-0.58, 0.58), st.floats(-0.58, 0.58), st.floats(-np.pi, np.pi)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, name, n_beams, seg_pick, along, off, heading, opp):
+        track = ray_track(name)
+        segs = track.boundary_segments
+        a, b = segs[int(seg_pick * len(segs))]
+        e = b - a
+        normal = np.array([-e[1], e[0]]) / np.hypot(*e)
+        x, y = a + along * e + off * normal
+        cfg = SimConfig(n_beams=n_beams)
+        w = WorldState(track, [VehicleState(float(x), float(y), heading, 0.0),
+                               VehicleState(float(x) + opp[0], float(y) + opp[1], opp[2], 0.0)])
+        corners = sim.vehicle_corners(w.agents[1], cfg)
+        soup = np.concatenate([segs, np.stack([corners, np.roll(corners, -1, axis=0)], axis=1)])
+        angles = heading + np.arange(n_beams) * (2.0 * np.pi / n_beams)
+        ref = dense_ray_hits((x, y), angles, soup, cfg.lidar_range_max)
+        assert np.array_equal(scan_lidar(w, 0, cfg), ref)
+
+    def test_empty_soup_reports_max_range(self):
+        out = _geom.ray_hits((0.0, 0.0), 0.3, 16, np.zeros((0, 2, 2)), 30.0)
+        assert np.array_equal(out, np.full(16, 30.0))
+
+
 class TestNoise:
     def test_eta_zero_identity(self):
         rng = np.random.default_rng(0)
@@ -187,6 +251,14 @@ class TestCollision:
         w = WorldState(stadium, [VehicleState(0, -3.82, 0.0, 0), VehicleState(10, 2.8, 0.0, 0)])
         hits = check_collision(w, sim_cfg)
         assert hits == [False, False]
+
+    def test_cars_touching_corner_to_corner(self, room, sim_cfg):
+        # centres exactly two half-diagonals apart: one shared corner point
+        dx, dy = sim_cfg.veh_length, sim_cfg.veh_width
+        w = WorldState(room, [VehicleState(0, 0, 0.0, 0), VehicleState(dx, dy, 0.0, 0)])
+        assert check_collision(w, sim_cfg) == [True, True]
+        w2 = WorldState(room, [VehicleState(0, 0, 0.0, 0), VehicleState(dx + 1e-6, dy, 0.0, 0)])
+        assert check_collision(w2, sim_cfg) == [False, False]
 
     def test_touching_counts(self, room, sim_cfg):
         # corner exactly on the wall segment x = 4

@@ -1,11 +1,13 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racekit import _geom
 from racekit import track as rtrack
 from racekit.track import (
     FarFromRaceline,
@@ -70,6 +72,75 @@ class TestLoadTrack:
         assert np.allclose(np.diff(stadium.arc_table), seg, atol=1e-9)
         assert stadium.arc_table[-1] == pytest.approx(stadium.total_length, abs=1e-12)
         assert np.all(np.diff(stadium.arc_table) > 0)
+
+
+def dense_self_intersects(verts):
+    """Reference: every unordered non-adjacent segment pair, O(N^2)."""
+    segs = _geom.polyline_segments(verts, closed=True)
+    n = len(segs)
+    if n < 4:
+        return False
+    (ax, ay), (bx, by) = segs[:, 0].T, segs[:, 1].T
+    for i in range(n - 2):
+        j = np.arange(i + 2, n - 1 if i == 0 else n)
+        o1 = _geom._orient(ax[i], ay[i], bx[i], by[i], ax[j], ay[j])
+        o2 = _geom._orient(ax[i], ay[i], bx[i], by[i], bx[j], by[j])
+        o3 = _geom._orient(ax[j], ay[j], bx[j], by[j], ax[i], ay[i])
+        o4 = _geom._orient(ax[j], ay[j], bx[j], by[j], bx[i], by[i])
+        if np.any((o1 * o2 < 0) & (o3 * o4 < 0)):
+            return True
+        col = j[(o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)]
+        lo1, hi1 = segs[i].min(axis=0), segs[i].max(axis=0)
+        lo2, hi2 = segs[col].min(axis=1), segs[col].max(axis=1)
+        if np.any(np.all(hi1 >= lo2, axis=1) & np.all(hi2 >= lo1, axis=1)):
+            return True
+    return False
+
+
+class TestSelfIntersection:
+    """The pruned polyline_self_intersects equals the all-pairs reference."""
+
+    @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=3, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_polylines(self, pts):
+        verts = np.array(pts, dtype=float)
+        assert _geom.polyline_self_intersects(verts) == dense_self_intersects(verts)
+
+    # a small integer lattice: exact arithmetic, so collinear overlaps,
+    # touching endpoints and repeated vertices all occur
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_polylines(self, pts):
+        verts = np.array(pts, dtype=float)
+        assert _geom.polyline_self_intersects(verts) == dense_self_intersects(verts)
+
+    def test_collinear_touch_at_full_reach(self):
+        # the two longest segments (length 4) meet end to end on y = 0: their
+        # midpoints are exactly the longest length apart, the farthest a
+        # touching pair can be
+        verts = np.array([(0, 0), (4, 0), (3, 1), (4, 0), (8, 0), (6, -2), (3, -2)], dtype=float)
+        assert _geom.polyline_self_intersects(verts) is dense_self_intersects(verts) is True
+
+    @pytest.mark.parametrize("shape", ["circle", "oval", "stadium", "serpentine"])
+    def test_track_boundaries(self, shape):
+        tm = rtrack.make_track(shape, length=60.0, width=3.0)
+        for bound in (tm.inner_boundary, tm.outer_boundary):
+            assert _geom.polyline_self_intersects(bound) is dense_self_intersects(bound) is False
+
+    def test_folded_boundary(self):
+        # the swallowtail loops of an over-wide oval (see test_self_intersecting_boundary)
+        tm = rtrack.make_oval_track(length=60.0, width=3.0, aspect=0.6)
+        folded = tm.xy + 5.0 * tm.normals
+        assert _geom.polyline_self_intersects(folded) is dense_self_intersects(folded) is True
+
+
+def test_collision_constants_cached_and_pickled(stadium):
+    mids = stadium.segment_midpoints
+    assert mids is stadium.segment_midpoints
+    assert np.array_equal(mids, stadium.boundary_segments.mean(axis=1))
+    clone = pickle.loads(pickle.dumps(stadium))
+    assert np.array_equal(vars(clone)["segment_midpoints"], mids)
+    assert clone.segment_half_max == stadium.segment_half_max
 
 
 class TestRaceline:
