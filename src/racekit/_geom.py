@@ -129,21 +129,39 @@ def ray_hits(origin, heading: float, n_beams: int, segments, max_range: float) -
     return out
 
 
+def arc_window(arc_table, s: float, half_width: float) -> np.ndarray:
+    """Indices, in increasing order, of the closed polyline's segments that
+    overlap the arc interval [s - half_width, s + half_width] (wrapping).
+
+    arc_table (N+1,) is the cumulative arc length; located by arc, not by
+    mean spacing, so the window holds on unevenly spaced polylines."""
+    n = len(arc_table) - 1
+    total = float(arc_table[-1])
+    if 2.0 * half_width >= total:
+        return np.arange(n)
+    # the second mod maps a value that rounded up to `total` back to 0
+    lo_s, hi_s = (s - half_width) % total % total, (s + half_width) % total % total
+    lo, hi = np.searchsorted(arc_table, [lo_s, hi_s], side="right") - 1
+    if lo_s <= hi_s:
+        return np.arange(lo, hi + 1)
+    # wrapped: [0, hi] and [lo, n); one long segment may hold both ends
+    return np.concatenate([np.arange(hi + 1), np.arange(max(lo, hi + 1), n)])
+
+
 def project_to_polyline(points, verts, arc_table, seg_idx=None):
     """Project points onto a closed polyline.
 
     points (P, 2); verts (N, 2) closed; arc_table (N+1,) cumulative arc
-    lengths. seg_idx optionally restricts the candidate segments (window).
-    Returns (s, d, idx): arc position, signed lateral distance (positive
-    left of travel direction) and segment index, each (P,). Ties go to the
-    segment with the smaller arc position.
+    lengths. seg_idx optionally restricts the candidate segments (window,
+    e.g. from arc_window). Returns (s, d, idx): arc position, signed
+    lateral distance (positive left of travel direction) and segment
+    index, each (P,). Ties go to the segment listed first.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    if seg_idx is not None:
-        a = a[seg_idx]
-        b = b[seg_idx]
+    n = len(verts)
+    seg_idx = np.arange(n) if seg_idx is None else np.asarray(seg_idx)
+    a = verts[seg_idx]
+    b = verts[(seg_idx + 1) % n]
     e = b - a                                      # (M, 2)
     ee = np.einsum("ij,ij->i", e, e)
     ee = np.maximum(ee, _EPS)
@@ -152,10 +170,10 @@ def project_to_polyline(points, verts, arc_table, seg_idx=None):
     foot = a[None, :, :] + t[:, :, None] * e[None, :, :]
     diff = points[:, None, :] - foot
     dist2 = np.einsum("pmi,pmi->pm", diff, diff)
-    best = np.argmin(dist2, axis=1)                # first minimum = smaller s
+    best = np.argmin(dist2, axis=1)                # first minimum
     rows = np.arange(len(points))
     tb = t[rows, best]
-    seg = best if seg_idx is None else np.asarray(seg_idx)[best]
+    seg = seg_idx[best]
     seg_len = arc_table[seg + 1] - arc_table[seg]
     s = arc_table[seg] + tb * seg_len
     db = diff[rows, best]

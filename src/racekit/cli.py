@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,41 +76,13 @@ def _build_env(track, cfg: KitConfig) -> RaceEnvironment:
     return RaceEnvironment.build(track, cfg.sim, cfg.expert, cfg.raceline)
 
 
-# ---------------------------------------------------------------------------
-# parallel rollout plumbing: one initializer per worker, tasks by index
-
-_POOL: dict = {}
-
-
-def _pool_init(env, duration, source_kind, source_payload):
-    _POOL["env"] = env
-    _POOL["duration"] = duration
-    _POOL["kind"] = source_kind
-    _POOL["payload"] = source_payload
-
-
-def _pool_rollout(scenario):
-    if _POOL["kind"] == "expert":
-        source = ExpertSource()
-    else:
-        params, pcfg, eta, seed = _POOL["payload"]
-        from .seeding import sub_seed
-        source = reval.PolicySource(params, pcfg, eta,
-                                    sub_seed(seed, f"h2h-noise:{scenario.id}"))
-    record, _ = rscn.rollout(scenario, source, _POOL["env"],
-                             duration=_POOL["duration"])
-    return record
-
-
-def _rollout_many(scenarios, env, workers, duration, source_kind,
-                  source_payload=None):
-    if workers <= 1:
-        _pool_init(env, duration, source_kind, source_payload)
-        return [_pool_rollout(sc) for sc in scenarios]
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init,
-            initargs=(env, duration, source_kind, source_payload)) as pool:
-        return list(pool.map(_pool_rollout, scenarios, chunksize=4))
+def _scenario_pool(args, cfg: KitConfig, env: RaceEnvironment):
+    """The spawn-screened scenarios of the seeded scenario config
+    (--scenarios overrides k_positions) and the number of spawns skipped."""
+    scn_cfg = replace(cfg.scenario, seed=cfg.seed)
+    if args.scenarios:
+        scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
+    return rscn.enumerate_scenarios(scn_cfg, env)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +150,9 @@ def cmd_collect(args, cfg: KitConfig) -> int:
     started = _now()
     track = _load_track_arg(args, cfg)
     env = _build_env(track, cfg)
-    scn_cfg = cfg.scenario
-    if args.scenarios:
-        scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
-    scn_cfg = replace(scn_cfg, seed=cfg.seed)
-    scenarios, skipped = rscn.enumerate_scenarios(scn_cfg, env)
-    records = _rollout_many(scenarios, env, cfg.workers, scn_cfg.duration, "expert")
+    scenarios, skipped = _scenario_pool(args, cfg, env)
+    records = rscn.rollout_many(scenarios, ExpertSource(), env, cfg.scenario.duration,
+                                cfg.workers)
     episodes_dir = out / "episodes"
     episodes_dir.mkdir(exist_ok=True)
     kept_files, excluded_files = [], []
@@ -297,18 +265,10 @@ def cmd_eval(args, cfg: KitConfig) -> int:
               f"mean speed {report.mean_speed:.2f} m/s"
               + (", collided" if report.collided else ""))
     elif args.suite == "h2h":
-        scn_cfg = replace(cfg.scenario, seed=cfg.seed)
-        if args.scenarios:
-            scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
-        scenarios, _ = rscn.enumerate_scenarios(scn_cfg, env)
-        records = _rollout_many(scenarios, env, cfg.workers, scn_cfg.duration,
-                                "policy", (params, pol_cfg, args.eta, cfg.seed))
-        counts = {k: 0 for k in Outcome.ALL}
-        for rec in records:
-            counts[rec.outcome] += 1
-        report = reval.H2HReport(counts[Outcome.CAR_FOLLOWING],
-                                 counts[Outcome.OVERTAKING],
-                                 counts[Outcome.COLLISION], noise_eta=args.eta)
+        scenarios, _ = _scenario_pool(args, cfg, env)
+        report, _ = reval.run_h2h(params, pol_cfg, scenarios, env, noise_eta=args.eta,
+                                  seed=cfg.seed, duration=cfg.scenario.duration,
+                                  workers=cfg.workers)
         (out / "report_h2h.json").write_text(reval.report_json(report))
         reval.write_h2h_csv([("h2h", report)], out / "report_h2h.csv")
         outputs += ["report_h2h.json", "report_h2h.csv"]
@@ -319,13 +279,11 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         levels = [float(x) for x in args.levels.split(",")]
         scenarios = None
         if args.mode in ("h2h", "both"):
-            scn_cfg = replace(cfg.scenario, seed=cfg.seed)
-            if args.scenarios:
-                scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
-            scenarios, _ = rscn.enumerate_scenarios(scn_cfg, env)
+            scenarios, _ = _scenario_pool(args, cfg, env)
         report = reval.run_noise_sweep(params, pol_cfg, env, levels, seed=cfg.seed,
                                        mode=args.mode, scenarios=scenarios,
-                                       laps_target=args.laps, timeout_s=args.timeout)
+                                       laps_target=args.laps, timeout_s=args.timeout,
+                                       duration=cfg.scenario.duration, workers=cfg.workers)
         (out / "report_noise.json").write_text(reval.report_json(report))
         outputs.append("report_noise.json")
         if report.single:

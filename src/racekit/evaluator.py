@@ -3,8 +3,12 @@
 Four experiment families: single-agent laps (speed/lap statistics until a
 lap target, collision, or timeout), head-to-head scenario pools (outcome
 counts and overtake/safety rates), beam-dropout noise sweeps over either
-suite, and a single-step inference latency benchmark. Reports serialize to
-JSON and CSV with stable formatting so equal-seed runs are byte-identical.
+suite, and a single-step inference latency benchmark. The closed-loop
+suites run on the scenario module's episode engine: single-agent laps are
+one `rollout` of a leaderless scenario with a `LapTimer` observer, and a
+head-to-head pool is one `rollout_many` call, serial or pooled. Reports
+serialize to JSON and CSV with stable formatting so equal-seed runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,20 +21,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import simulator as rsim
-from .expert import Role, expert_action
 from .policy import InferenceSession, PolicyConfig, PolicyParameters
-from .scenario import (
-    FRAME_HZ,
-    Outcome,
-    ProgressTracker,
-    RaceEnvironment,
-    Scenario,
-    _spawn_state,
-    classify_outcome,
-    rollout,
-)
+from .scenario import LapTimer, Outcome, RaceEnvironment, Scenario, rollout, rollout_many
 from .seeding import rng_for, sub_seed
-from .simulator import Trace, VehicleCommand, WorldState
+from .simulator import Trace, VehicleCommand
 
 
 @dataclass
@@ -108,22 +102,26 @@ class PolicySource:
 
     The hidden state persists across queries within an episode and resets
     to zero at episode start. Inference runs in double precision for exact
-    reproducibility; dropout uses a per-episode seeded stream.
+    reproducibility. Dropout draws from a per-episode stream,
+    rng_for(sub_seed(noise_seed, stage), f"noise:{id}"), where stage is
+    noise_stage with "{id}" replaced by the scenario id.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
-                 noise_eta: float = 0.0, noise_seed: int = 0):
+                 noise_eta: float = 0.0, noise_seed: int = 0,
+                 noise_stage: str = "h2h-noise:{id}"):
         self.session = InferenceSession(params, cfg, dtype=np.float64)
         self.cfg = cfg
         self.noise_eta = noise_eta
         self.noise_seed = noise_seed
+        self.noise_stage = noise_stage
         self._h = None
         self._rng = None
 
     def reset(self, scenario, env):
         self._h = self.session.zero_hidden()
-        sid = scenario.id if scenario is not None else "single"
-        self._rng = rng_for(self.noise_seed, f"noise:{sid}")
+        stage = self.noise_stage.replace("{id}", scenario.id)
+        self._rng = rng_for(sub_seed(self.noise_seed, stage), f"noise:{scenario.id}")
 
     def act(self, world, agent, scan):
         if self.noise_eta > 0.0:
@@ -141,62 +139,24 @@ def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,
     """Policy alone at 10 Hz on a 100 Hz world until laps_target laps,
     collision, or timeout. Speed statistics sample every sim step; lap
     times interpolate the crossing instant inside the crossing step."""
-    sim_cfg = env.sim
-    raceline = env.racelines[raceline_id]
-    world = WorldState(env.track, [_spawn_state(raceline, start_s)])
-    source = PolicySource(params, policy_cfg, noise_eta, sub_seed(seed, "single-noise"))
-    source.reset(None, env)
-    tracker = ProgressTracker(env.track, start_s)
-    tracker.update(world.agents[0].x, world.agents[0].y)
-    start_progress = tracker.progress
     length = env.track.total_length
     if timeout_s is None:
-        timeout_s = laps_target * length / 1.0 + 60.0
-
-    steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
-    speeds = []
-    lap_times = []
-    next_lap = 1
-    trace = Trace() if record_trace else None
-    if trace is not None:
-        trace.append(world)
-    done = False
-    max_frames = int(round(timeout_s * FRAME_HZ))
-    for _ in range(max_frames):
-        if done:
-            break
-        scan = rsim.scan_lidar(world, 0, sim_cfg)
-        cmd = source.act(world, 0, scan)
-        for _ in range(steps_per_frame):
-            prev_progress = tracker.progress
-            world = rsim.step(world, [cmd], sim_cfg)
-            speeds.append(world.agents[0].v)
-            progress = tracker.update(world.agents[0].x, world.agents[0].y)
-            if trace is not None:
-                trace.append(world)
-            while progress - start_progress >= next_lap * length:
-                covered = progress - prev_progress
-                over = (progress - start_progress) - next_lap * length
-                frac = over / covered if covered > 0 else 0.0
-                lap_times.append(world.t - frac * sim_cfg.dt)
-                next_lap += 1
-            if world.collided[0] or next_lap > laps_target:
-                done = True
-                break
-
-    laps_done = (tracker.progress - start_progress) / length
-    if next_lap > laps_target:
-        laps_done = float(laps_target)
-    per_lap = np.diff(np.concatenate([[0.0], lap_times]))
-    speeds_arr = np.asarray(speeds)
+        timeout_s = laps_target * length + 60.0
+    scenario = Scenario(id="single", ego_raceline=raceline_id, ego_s=start_s, seed=seed)
+    source = PolicySource(params, policy_cfg, noise_eta, seed, noise_stage="single-noise")
+    timer = LapTimer(length, env.sim.dt, laps_target)
+    record, trace = rollout(scenario, source, env, duration=timeout_s,
+                            record_trace=record_trace, observer=timer)
+    per_lap = np.diff(np.concatenate([[0.0], timer.lap_times]))
+    speeds = np.asarray(timer.speeds)
     report = SingleAgentReport(
         track_id=raceline_id,
-        mean_speed=float(speeds_arr.mean()) if len(speeds_arr) else 0.0,
-        speed_variance=float(speeds_arr.var()) if len(speeds_arr) else 0.0,
+        mean_speed=float(speeds.mean()) if len(speeds) else 0.0,
+        speed_variance=float(speeds.var()) if len(speeds) else 0.0,
         mean_laptime=float(per_lap.mean()) if len(per_lap) else None,
         laptime_variance=float(per_lap.var()) if len(per_lap) else None,
-        laps_completed=float(laps_done),
-        collided=bool(world.collided[0]),
+        laps_completed=timer.laps,
+        collided=record.outcome == Outcome.COLLISION,
         noise_eta=noise_eta)
     return report, trace
 
@@ -204,20 +164,15 @@ def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,
 def run_h2h(params: PolicyParameters, policy_cfg: PolicyConfig,
             scenarios: list[Scenario], env: RaceEnvironment,
             noise_eta: float = 0.0, seed: int = 0,
-            duration: float = 8.0) -> tuple[H2HReport, list[str]]:
+            duration: float = 8.0, workers: int = 1) -> tuple[H2HReport, list[str]]:
     """Roll the policy as ego against the expert leader over a scenario
-    pool; returns the aggregate report and per-scenario outcomes."""
-    counts = {k: 0 for k in Outcome.ALL}
-    outcomes = []
-    for sc in scenarios:
-        source = PolicySource(params, policy_cfg, noise_eta,
-                              sub_seed(seed, f"h2h-noise:{sc.id}"))
-        record, _ = rollout(sc, source, env, duration=duration)
-        counts[record.outcome] += 1
-        outcomes.append(record.outcome)
-    report = H2HReport(car_following=counts[Outcome.CAR_FOLLOWING],
-                       overtaking=counts[Outcome.OVERTAKING],
-                       collision=counts[Outcome.COLLISION],
+    pool on `workers` processes; returns the aggregate report and the
+    per-scenario outcomes."""
+    source = PolicySource(params, policy_cfg, noise_eta, seed)
+    outcomes = [r.outcome for r in rollout_many(scenarios, source, env, duration, workers)]
+    report = H2HReport(car_following=outcomes.count(Outcome.CAR_FOLLOWING),
+                       overtaking=outcomes.count(Outcome.OVERTAKING),
+                       collision=outcomes.count(Outcome.COLLISION),
                        noise_eta=noise_eta)
     return report, outcomes
 
@@ -227,7 +182,8 @@ def run_noise_sweep(params: PolicyParameters, policy_cfg: PolicyConfig,
                     seed: int = 0, mode: str = "single",
                     scenarios: list[Scenario] | None = None,
                     laps_target: int = 3,
-                    timeout_s: float | None = None) -> NoiseSweepReport:
+                    timeout_s: float | None = None,
+                    duration: float = 8.0, workers: int = 1) -> NoiseSweepReport:
     levels = sorted(eta_levels)
     report = NoiseSweepReport(eta_levels=list(levels))
     for eta in levels:
@@ -241,7 +197,8 @@ def run_noise_sweep(params: PolicyParameters, policy_cfg: PolicyConfig,
             if scenarios is None:
                 raise ValueError("h2h sweep needs scenarios")
             h2h, _ = run_h2h(params, policy_cfg, scenarios, env,
-                             noise_eta=eta, seed=sub_seed(seed, f"sweep:{eta}"))
+                             noise_eta=eta, seed=sub_seed(seed, f"sweep:{eta}"),
+                             duration=duration, workers=workers)
             report.h2h.append(h2h)
     return report
 

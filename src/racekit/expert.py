@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simulator import VehicleCommand, VehicleState, WorldState
-from .track import FarFromRaceline, Raceline, TrackModel
+from .track import FarFromRaceline, Raceline, TrackModel, curvature_at
 
 
 class ExpertError(Exception):
@@ -65,6 +65,10 @@ class ExpertConfig:
     decel_max: float = -9.51
     speed_preview: float = 0.5    # command the candidate speed this far ahead
     v_floor: float = 0.2          # keeps ln(v) finite when starting near rest
+
+    def __post_init__(self):
+        if not 0.0 < self.leader_speed_discount <= 1.0:
+            raise ExpertError("leader_speed_discount must be in (0, 1]")
 
 
 @dataclass(eq=False)
@@ -178,7 +182,7 @@ def score_candidates(candidates: list[CandidateTrajectory],
         window = float(V.max()) * cfg.horizon_T + 5.0
         s_proj, d_proj = raceline.project_many(XY.reshape(-1, 2), s_hint=s_hint, window=window)
         d_proj = d_proj.reshape(n_c, n_k)
-    kappa = raceline._interp(raceline.kappa, s_proj).reshape(n_c, n_k)
+    kappa = curvature_at(raceline, s_proj).reshape(n_c, n_k)
     term = cfg.lambda_v * np.log(V) - cfg.lambda_p * np.abs(d_proj) \
         - cfg.lambda_kappa * np.abs(kappa) * V
     if opponent_pred is not None:
@@ -214,6 +218,15 @@ def pure_pursuit_steering(wheelbase: float, alpha: float, ell: float) -> float:
     return math.atan2(2.0 * wheelbase * math.sin(alpha), ell)
 
 
+def _steer_toward(state: VehicleState, target, chord: float, cfg: ExpertConfig) -> float:
+    """Pure-pursuit steering toward a target point `chord` meters away,
+    clamped to the steering limit."""
+    alpha = math.atan2(target[1] - state.y, target[0] - state.x) - state.theta
+    alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
+    delta = pure_pursuit_steering(cfg.wheelbase_L, alpha, max(chord, 1e-6))
+    return min(max(delta, -cfg.steer_limit), cfg.steer_limit)
+
+
 def pure_pursuit(state: VehicleState, traj: CandidateTrajectory, cfg: ExpertConfig) -> float:
     """Steer toward the first trajectory sample at least one lookahead
     distance ahead (the farthest sample if the trajectory is shorter)."""
@@ -222,12 +235,7 @@ def pure_pursuit(state: VehicleState, traj: CandidateTrajectory, cfg: ExpertConf
     dist = np.linalg.norm(rel, axis=1)
     ahead = np.nonzero(dist >= ell)[0]
     idx = int(ahead[0]) if len(ahead) else len(traj.xy) - 1
-    target = traj.xy[idx]
-    alpha = math.atan2(target[1] - state.y, target[0] - state.x) - state.theta
-    alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
-    chord = max(float(dist[idx]), 1e-6)
-    delta = pure_pursuit_steering(cfg.wheelbase_L, alpha, chord)
-    return min(max(delta, -cfg.steer_limit), cfg.steer_limit)
+    return _steer_toward(state, traj.xy[idx], float(dist[idx]), cfg)
 
 
 def _leader_command(state: VehicleState, raceline: Raceline, cfg: ExpertConfig) -> VehicleCommand:
@@ -235,12 +243,8 @@ def _leader_command(state: VehicleState, raceline: Raceline, cfg: ExpertConfig) 
     v_cmd = float(raceline.v_ref_at(s_proj)) * cfg.leader_speed_discount
     ell = max(cfg.lookahead_ell, cfg.lookahead_gain * state.v)
     target = raceline.position_at(s_proj + ell)
-    alpha = math.atan2(target[1] - state.y, target[0] - state.x) - state.theta
-    alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
-    chord = max(math.hypot(target[0] - state.x, target[1] - state.y), 1e-6)
-    delta = pure_pursuit_steering(cfg.wheelbase_L, alpha, chord)
-    delta = min(max(delta, -cfg.steer_limit), cfg.steer_limit)
-    return VehicleCommand(v_cmd, delta)
+    chord = math.hypot(target[0] - state.x, target[1] - state.y)
+    return VehicleCommand(v_cmd, _steer_toward(state, target, chord, cfg))
 
 
 def expert_action(world: WorldState, agent: int, role: str, raceline: Raceline,

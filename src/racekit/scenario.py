@@ -1,21 +1,29 @@
-"""Overtaking scenario generation, expert/policy rollouts and dataset assembly.
+"""Overtaking scenario generation, the episode engine, and dataset assembly.
 
-A scenario spawns the ego on one raceline and a non-reactive leader a fixed
-arc distance ahead on its own raceline, both at flying-start speeds. The
-simulation runs at 100 Hz; the ego's action source is queried at 10 Hz with
-commands held in between, and a frame (raw 360-beam scan, ego speed, issued
-action) is recorded at every query instant. Episodes terminate on collision
-or at the time limit, are classified CarFollowing / Overtaking / Collision
-by unwrapped centerline progress, and collision episodes are filtered out
-of the training dataset (they remain valid for evaluation).
+A scenario spawns the ego on one raceline and, when it names one, a
+non-reactive leader a fixed arc distance ahead on its own raceline, both
+at flying-start speeds. Every closed-loop episode in the kit - expert
+collection, head-to-head evaluation, single-agent laps - runs through one
+loop, `rollout`: the simulation steps at 100 Hz, the ego's action source
+is queried at 10 Hz with commands held in between, and a frame (raw scan,
+ego speed, issued action) is recorded at every query instant. An optional
+observer sees the world and the ego's unwrapped progress after every sim
+step and may end the episode; `LapTimer` is the observer of the lap
+harnesses. Episodes terminate on collision, on the observer's word or at
+the time limit, and are classified CarFollowing / Overtaking / Collision
+by unwrapped centerline progress. `rollout_many` is the one pooled runner:
+it rolls a scenario pool in order, serially or across worker processes.
+Collision episodes are filtered out of the training dataset (they remain
+valid for evaluation).
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -57,7 +65,6 @@ class ScenarioConfig:
     leader_racelines: tuple[str, ...] = ("center",)
     k_positions: int = 100
     d_gap: float = 3.0            # initial leader lead along its raceline, m
-    v_ell_discount: float = 0.6
     duration: float = 8.0
     seed: int = 0
     spawn_phase: float = 0.0      # fraction of one spacing; shifts every spawn
@@ -65,20 +72,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.k_positions < 1:
             raise ScenarioError("k_positions must be >= 1")
-        if not 0.0 < self.v_ell_discount <= 1.0:
-            raise ScenarioError("v_ell_discount must be in (0, 1]")
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One episode's start: the ego's raceline and arc position and, when
+    leader_raceline is set, the leader's; without one the ego runs alone."""
+
     id: str
     ego_raceline: str
     ego_s: float
-    leader_raceline: str
-    leader_s: float
     seed: int
+    leader_raceline: str | None = None
+    leader_s: float = 0.0
 
 
 @dataclass
@@ -126,22 +134,17 @@ class RaceEnvironment:
 class ActionSource(Protocol):
     """Queried at 10 Hz; the returned command is held until the next query."""
 
-    def reset(self, scenario: Scenario | None, env: RaceEnvironment) -> None: ...
+    def reset(self, scenario: Scenario, env: RaceEnvironment) -> None: ...
 
     def act(self, world: WorldState, agent: int, scan: np.ndarray) -> VehicleCommand: ...
 
 
 class ExpertSource:
-    """The lattice expert as an ego action source (ignores the scan)."""
-
-    def __init__(self, raceline_id: str = "center"):
-        self.raceline_id = raceline_id
-        self._raceline = None
-        self._cfg = None
+    """The lattice expert on the scenario's ego raceline as an ego action
+    source (ignores the scan)."""
 
     def reset(self, scenario, env):
-        rid = scenario.ego_raceline if scenario is not None else self.raceline_id
-        self._raceline = env.racelines[rid]
+        self._raceline = env.racelines[scenario.ego_raceline]
         self._cfg = env.expert
 
     def act(self, world, agent, scan):
@@ -154,28 +157,34 @@ def _spawn_state(raceline: Raceline, s: float, v_scale: float = 1.0) -> VehicleS
                         float(raceline.v_ref_at(s)) * v_scale, 0.0)
 
 
+def start_world(scenario: Scenario, env: RaceEnvironment) -> WorldState:
+    """The t=0 world: the ego at its raceline's reference speed and, if the
+    scenario has one, the leader at its discounted reference speed."""
+    agents = [_spawn_state(env.racelines[scenario.ego_raceline], scenario.ego_s)]
+    if scenario.leader_raceline is not None:
+        agents.append(_spawn_state(env.racelines[scenario.leader_raceline], scenario.leader_s,
+                                   env.expert.leader_speed_discount))
+    return WorldState(env.track, agents)
+
+
 class ProgressTracker:
     """Unwrapped arc progress along the track centerline.
 
     Projections are windowed around the last known progress; updates must
     be frequent relative to the window (true at the sim rate)."""
 
-    WINDOW = 6.0  # meters of centerline searched around the last position
+    WINDOW = 6.0  # meters of centerline searched on each side of the last position
 
     def __init__(self, track: TrackModel, start_hint: float):
         self.track = track
         self.progress = float(start_hint)
         self._length = track.total_length
-        n = len(track.xy)
-        self._spacing = self._length / n
-        self._n = n
 
     def update(self, x: float, y: float) -> float:
-        half = max(2, int(self.WINDOW / self._spacing))
-        center = int((self.progress % self._length) / self._spacing)
-        idx = np.arange(center - half, center + half + 1) % self._n
-        s, _, _ = _geom.project_to_polyline(
-            np.array([[x, y]]), self.track.xy, self.track.arc_table, seg_idx=np.unique(idx))
+        track = self.track
+        window = _geom.arc_window(track.arc_table, self.progress, self.WINDOW)
+        s, _, _ = _geom.project_to_polyline(np.array([[x, y]]), track.xy, track.arc_table,
+                                            seg_idx=window)
         delta = (float(s[0]) - self.progress) % self._length
         if delta > self._length / 2:
             delta -= self._length
@@ -187,7 +196,6 @@ def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list
     """Spawn grid: k evenly spaced ego arc positions per raceline pair, the
     leader d_gap further along its own raceline. Returns the scenarios and
     the number of spawns skipped because they start in contact."""
-    track = env.track
     used = set(cfg.ego_racelines) | set(cfg.leader_racelines)
     min_len = min(env.racelines[r].length for r in used)
     if cfg.d_gap >= min_len:
@@ -204,16 +212,14 @@ def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list
                 s_e = ((i + cfg.spawn_phase) * ego_rl.length / cfg.k_positions) % ego_rl.length
                 s_l = (s_e + cfg.d_gap) % leader_rl.length
                 sid = f"{ego_rid}:{leader_rid}:{i:04d}"
-                ego = _spawn_state(ego_rl, s_e)
-                leader = _spawn_state(leader_rl, s_l, cfg.v_ell_discount)
-                world = WorldState(track, [ego, leader])
-                if any(rsim.check_collision(world, env.sim)):
+                scenario = Scenario(
+                    id=sid, ego_raceline=ego_rid, ego_s=float(s_e),
+                    seed=sub_seed(cfg.seed, f"scenario:{sid}"),
+                    leader_raceline=leader_rid, leader_s=float(s_l))
+                if any(rsim.check_collision(start_world(scenario, env), env.sim)):
                     skipped += 1
                     continue
-                scenarios.append(Scenario(
-                    id=sid, ego_raceline=ego_rid, ego_s=float(s_e),
-                    leader_raceline=leader_rid, leader_s=float(s_l),
-                    seed=sub_seed(cfg.seed, f"scenario:{sid}")))
+                scenarios.append(scenario)
     if not scenarios:
         raise NoValidSpawn(f"all {skipped} spawn candidates collide at t=0")
     return scenarios, skipped
@@ -230,33 +236,68 @@ def classify_outcome(ego_progress: float, leader_progress: float,
     return Outcome.CAR_FOLLOWING
 
 
+class LapTimer:
+    """Rollout observer of the lap harnesses.
+
+    Samples the ego speed after every sim step, times each lap crossing
+    by interpolating the crossing instant inside the crossing step, and
+    ends the episode once the ego has covered laps_target laps."""
+
+    def __init__(self, length: float, dt: float, laps_target: float):
+        self.length = length
+        self.dt = dt
+        self.laps_target = laps_target
+        self.speeds: list[float] = []
+        self.lap_times: list[float] = []
+        self._start = self._last = None
+
+    def __call__(self, world: WorldState, progress: float) -> bool:
+        if self._start is None:  # the start world
+            self._start = self._last = progress
+            return False
+        self.speeds.append(world.agents[0].v)
+        covered, step = progress - self._start, progress - self._last
+        while covered >= (len(self.lap_times) + 1) * self.length:
+            over = covered - (len(self.lap_times) + 1) * self.length
+            frac = over / step if step > 0 else 0.0
+            self.lap_times.append(world.t - frac * self.dt)
+        self._last = progress
+        return self.done
+
+    @property
+    def done(self) -> bool:
+        return self._last - self._start >= self.laps_target * self.length
+
+    @property
+    def laps(self) -> float:
+        """Laps covered, capped at laps_target."""
+        if self.done:
+            return float(self.laps_target)
+        return (self._last - self._start) / self.length
+
+
 def rollout(scenario: Scenario, ego_source: ActionSource, env: RaceEnvironment,
             duration: float = 8.0, record_trace: bool = False,
-            single_agent: bool = False,
-            stop_progress: float | None = None) -> tuple[EpisodeRecord, Trace | None]:
+            observer: Callable[[WorldState, float], bool] | None = None,
+            ) -> tuple[EpisodeRecord, Trace | None]:
     """Run one scenario at the sim rate with 10 Hz action queries.
 
     Frames are recorded at the query instants before stepping, so an episode
     that collides mid-interval keeps every frame up to and including the
-    interval it died in. stop_progress optionally ends the run once the
-    ego's unwrapped centerline progress passes that arc (lap harnesses)."""
+    interval it died in. The observer, if any, is called with the start
+    world and then after every sim step with the world and the ego's
+    unwrapped centerline progress; a true return ends the episode."""
     sim_cfg = env.sim
-    ego_rl = env.racelines[scenario.ego_raceline]
-    agents = [_spawn_state(ego_rl, scenario.ego_s)]
-    if not single_agent:
-        leader_rl = env.racelines[scenario.leader_raceline]
-        agents.append(_spawn_state(leader_rl, scenario.leader_s,
-                                   env.expert.leader_speed_discount))
-    world = WorldState(env.track, agents)
+    world = start_world(scenario, env)
     ego_source.reset(scenario, env)
-
-    ego_tracker = ProgressTracker(env.track, scenario.ego_s)
-    ego_tracker.update(agents[0].x, agents[0].y)
-    start_progress = ego_tracker.progress
-    if not single_agent:
+    hints = [scenario.ego_s]
+    leader_rl = None
+    if scenario.leader_raceline is not None:
+        leader_rl = env.racelines[scenario.leader_raceline]
         lead = (scenario.leader_s - scenario.ego_s) % env.track.total_length
-        leader_tracker = ProgressTracker(env.track, scenario.ego_s + lead)
-        leader_tracker.update(agents[1].x, agents[1].y)
+        hints.append(scenario.ego_s + lead)
+    trackers = [ProgressTracker(env.track, hint) for hint in hints]
+    progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]
 
     steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
     max_frames = int(round(duration * FRAME_HZ))
@@ -265,7 +306,7 @@ def rollout(scenario: Scenario, ego_source: ActionSource, env: RaceEnvironment,
     if trace is not None:
         trace.append(world)
 
-    done = False
+    done = observer is not None and observer(world, progress[0])
     for _ in range(max_frames):
         if done:
             break
@@ -275,36 +316,54 @@ def rollout(scenario: Scenario, ego_source: ActionSource, env: RaceEnvironment,
         speeds.append(np.float32(world.agents[0].v))
         actions.append(np.array([ego_cmd.v_cmd, ego_cmd.delta_cmd], dtype=np.float32))
         cmds = [ego_cmd]
-        if not single_agent:
-            cmds.append(rexpert.expert_action(
-                world, 1, Role.LEADER, env.racelines[scenario.leader_raceline], env.expert))
+        if leader_rl is not None:
+            cmds.append(rexpert.expert_action(world, 1, Role.LEADER, leader_rl, env.expert))
         for _ in range(steps_per_frame):
             world = rsim.step(world, cmds, sim_cfg)
-            ego_tracker.update(world.agents[0].x, world.agents[0].y)
-            if not single_agent:
-                leader_tracker.update(world.agents[1].x, world.agents[1].y)
+            progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]
             if trace is not None:
                 trace.append(world)
-            if any(world.collided):
-                done = True
-                break
-            if stop_progress is not None and ego_tracker.progress - start_progress >= stop_progress:
+            stop = observer is not None and observer(world, progress[0])
+            if stop or any(world.collided):
                 done = True
                 break
 
-    ego_prog = ego_tracker.progress
-    leader_prog = leader_tracker.progress if not single_agent else float("-inf")
-    outcome = classify_outcome(
-        ego_prog, leader_prog, world.collided[0],
-        world.collided[1] if not single_agent else False)
+    leader_prog = progress[1] if len(progress) > 1 else float("-inf")
+    outcome = classify_outcome(progress[0], leader_prog, world.collided[0],
+                               any(world.collided[1:]))
     record = EpisodeRecord(
         scenario_id=scenario.id, seed=scenario.seed,
         scans=np.stack(scans) if scans else np.zeros((0, sim_cfg.n_beams), dtype=np.float32),
         ego_v=np.asarray(speeds, dtype=np.float32),
         actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
         outcome=outcome, duration_actual=float(world.t),
-        ego_progress=float(ego_prog), leader_progress=float(leader_prog))
+        ego_progress=float(progress[0]), leader_progress=float(leader_prog))
     return record, trace
+
+
+# One pooled runner. Each worker receives the action source and the
+# environment once, through the initializer (a default-size policy is
+# tens of MB); a task carries only its scenario.
+_WORKER: dict = {}
+
+
+def _init_worker(source: ActionSource, env: RaceEnvironment, duration: float) -> None:
+    _WORKER.update(source=source, env=env, duration=duration)
+
+
+def _rollout_in_worker(scenario: Scenario) -> EpisodeRecord:
+    return rollout(scenario, _WORKER["source"], _WORKER["env"], _WORKER["duration"])[0]
+
+
+def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
+                 duration: float, workers: int = 1) -> list[EpisodeRecord]:
+    """Roll every scenario with the same action source, reset per episode;
+    records come back in scenario order and equal for any worker count."""
+    if workers <= 1:
+        return [rollout(sc, source, env, duration)[0] for sc in scenarios]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(source, env, duration)) as pool:
+        return list(pool.map(_rollout_in_worker, scenarios, chunksize=4))
 
 
 def build_dataset(episodes: list[EpisodeRecord]) -> Dataset:
@@ -396,11 +455,9 @@ def drive_expert_laps(track: TrackModel, laps: float = 3.0,
     """Run the expert alone until it covers `laps` laps; returns the laps
     actually completed (fractional) and whether it collided."""
     env = RaceEnvironment.build(track, sim_cfg, expert_cfg, raceline_ids=("center",))
-    scenario = Scenario(id="laps", ego_raceline="center", ego_s=0.0,
-                        leader_raceline="center", leader_s=0.0, seed=0)
+    scenario = Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0)
     if timeout_s is None:
-        timeout_s = laps * track.total_length / 1.0 + 30.0
+        timeout_s = laps * track.total_length + 30.0
     record, _ = rollout(scenario, ExpertSource(), env, duration=timeout_s,
-                        single_agent=True, stop_progress=laps * track.total_length)
-    laps_done = (record.ego_progress - 0.0) / track.total_length
-    return laps_done, record.outcome == Outcome.COLLISION
+                        observer=LapTimer(track.total_length, sim_cfg.dt, laps))
+    return record.ego_progress / track.total_length, record.outcome == Outcome.COLLISION

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -62,14 +61,6 @@ NAMED_OFFSETS = {"left": -0.5, "center": 0.0, "right": 0.5}
 
 
 @dataclass(frozen=True)
-class Waypoint:
-    x: float
-    y: float
-    w_right: float
-    w_left: float
-
-
-@dataclass(frozen=True)
 class SpeedConfig:
     """Reference-speed rule: v_ref = min(v_max, sqrt(a_lat_max / |kappa|))."""
 
@@ -88,18 +79,6 @@ class TrackModel:
     total_length: float
     normals: np.ndarray       # (N, 2) unit left normals of the centerline
     boundary_segments: np.ndarray = field(repr=False)  # (M, 2, 2) both boundaries
-
-    @property
-    def waypoints(self) -> list[Waypoint]:
-        return [
-            Waypoint(float(x), float(y), float(wr), float(wl))
-            for (x, y), wr, wl in zip(self.xy, self.w_right, self.w_left)
-        ]
-
-    def project(self, point) -> tuple[float, float]:
-        """Project a point onto the centerline -> (s, signed lateral d)."""
-        s, d, _ = _geom.project_to_polyline(point, self.xy, self.arc_table)
-        return float(s[0]), float(d[0])
 
     def project_many(self, points):
         s, d, _ = _geom.project_to_polyline(points, self.xy, self.arc_table)
@@ -313,16 +292,10 @@ class Raceline:
         return self._interp(self.w_left_avail, s), self._interp(self.w_right_avail, s)
 
     def project_many(self, points, s_hint=None, window: float = 15.0):
-        """Vectorized projection; optionally restricted to a window of
-        segments around arc position s_hint (cheaper for local queries)."""
-        seg_idx = None
-        if s_hint is not None:
-            n = len(self.s)
-            spacing = self.length / n
-            half = max(2, int(math.ceil(window / spacing)))
-            center = int(np.searchsorted(self.arc_table, s_hint % self.length)) % n
-            seg_idx = (np.arange(center - half, center + half + 1)) % n
-            seg_idx = np.unique(seg_idx)
+        """Vectorized projection; optionally restricted to the segments
+        within `window` meters of arc around s_hint (cheaper for local
+        queries)."""
+        seg_idx = None if s_hint is None else _geom.arc_window(self.arc_table, s_hint, window)
         s, d, _ = _geom.project_to_polyline(points, self.xy, self.arc_table, seg_idx=seg_idx)
         return s, d
 
@@ -388,11 +361,6 @@ def generate_raceline(track: TrackModel, offset, speed_cfg: SpeedConfig = SpeedC
     for arr in (rl.s, rl.xy, rl.heading, rl.kappa, rl.v_ref, rl.arc_table):
         arr.setflags(write=False)
     return rl
-
-
-def project(point, raceline: Raceline) -> tuple[float, float]:
-    """Module-level alias of Raceline.project."""
-    return raceline.project(point)
 
 
 RACELINE_CSV_HEADER = ["s_m", "x_m", "y_m", "psi_rad", "kappa_radpm", "vx_mps"]

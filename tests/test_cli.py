@@ -192,6 +192,25 @@ class TestEval:
         assert (out / "report_single.csv").exists()
         ET.fromstring((out / "single.svg").read_text())
 
+    @pytest.mark.parametrize("suite, extra", [
+        ("h2h", ["--eta", "0.2"]),
+        ("noise", ["--mode", "h2h", "--levels", "0.2"]),
+    ])
+    def test_worker_count_same_report(self, tmp_path, trained, track_dir, suite, extra):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[scenario]\nduration = 1.0\n")
+        reports = {}
+        for workers in (2, 1):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("--config", str(cfgfile), "--out", str(out), "--seed", "5",
+                           "--workers", str(workers), "eval", suite,
+                           "--checkpoint", str(trained / "policy.ckpt"),
+                           "--track", str(track_dir / "track_stadium.csv"),
+                           "--scenarios", "2", *extra) == 0
+            reports[workers] = {p.name: p.read_bytes() for p in out.glob("report_*")}
+        assert len(reports[1]) == 2
+        assert reports[2] == reports[1]
+
     def test_latency_tiny(self, tmp_path, capsys):
         out = tmp_path / "lat"
         cfgfile = tmp_path / "cfg.ini"
@@ -242,6 +261,18 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[trainer]\nlearning_speed = 9\n")
+        from racekit.config import ConfigError
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[expert]\nleader_speed_discount = 0\n",   # outside (0, 1]
+        "[expert]\nleader_speed_discount = 1.5\n",
+        "[scenario]\nv_ell_discount = 0.6\n",      # the second knob is gone
+    ], ids=["discount-zero", "discount-above-one", "v_ell_discount"])
+    def test_leader_speed_discount_is_the_only_knob(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
         from racekit.config import ConfigError
         with pytest.raises(ConfigError):
             load_config(path)

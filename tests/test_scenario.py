@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from racekit import scenario as rscn
+from racekit import track as rtrack
 from racekit.expert import ExpertConfig
 from racekit.scenario import (
     Dataset,
@@ -9,6 +10,7 @@ from racekit.scenario import (
     EpisodeRecord,
     ExpertSource,
     Outcome,
+    ProgressTracker,
     RaceEnvironment,
     Scenario,
     ScenarioConfig,
@@ -94,6 +96,34 @@ class TestClassify:
 
     def test_behind_is_car_following(self):
         assert classify_outcome(45.0, 50.0, False, False) == Outcome.CAR_FOLLOWING
+
+
+def uneven_circle():
+    """A 10 m circle with 200 / 20 / 200 waypoints over its quarter / half /
+    quarter arcs: the spacing jumps twentyfold where the arcs meet."""
+    phi = np.concatenate([
+        np.linspace(0.0, 0.5 * np.pi, 200, endpoint=False),
+        np.linspace(0.5 * np.pi, 1.5 * np.pi, 20, endpoint=False),
+        np.linspace(1.5 * np.pi, 2.0 * np.pi, 200, endpoint=False)])
+    xy = 10.0 * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    half = np.full(len(xy), 1.5)
+    return rtrack.build_track(xy, half, half)
+
+
+class TestProgressTracker:
+    @pytest.mark.parametrize("track_name", ["stadium", "uneven"])
+    def test_follows_the_centerline_for_a_lap(self, stadium, track_name):
+        track = stadium if track_name == "stadium" else uneven_circle()
+        L = track.total_length
+        # a point driven along the centerline in 5 cm steps (one 100 Hz
+        # step at 5 m/s), for a little more than one lap
+        s_true = np.arange(0.0, L + 1.0, 0.05)
+        idx = np.searchsorted(track.arc_table, s_true % L, side="right") - 1
+        frac = (s_true % L - track.arc_table[idx]) / np.diff(track.arc_table)[idx]
+        pts = track.xy[idx] + frac[:, None] * (track.xy[(idx + 1) % len(track.xy)] - track.xy[idx])
+        tracker = ProgressTracker(track, 0.0)
+        got = np.array([tracker.update(x, y) for x, y in pts])
+        assert np.allclose(got, s_true, atol=1e-6)
 
 
 class TestRollout:

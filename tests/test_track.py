@@ -234,6 +234,33 @@ class TestProjection:
         assert abs(d) < 1e-9
 
 
+def window_by_brute_force(arc_table, s, half_width):
+    """Segments [arc[i], arc[i+1]) that meet [s - w, s + w] on the loop,
+    by trying the interval shifted by -L, 0 and +L."""
+    total = arc_table[-1]
+    s = s % total
+    return {i for i in range(len(arc_table) - 1) for k in (-1, 0, 1)
+            if arc_table[i] + k * total <= s + half_width
+            and arc_table[i + 1] + k * total > s - half_width}
+
+
+class TestArcWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.01, 5.0), min_size=3, max_size=40),
+           st.floats(-100.0, 100.0), st.floats(0.0, 60.0))
+    def test_matches_brute_force(self, seg_lengths, s, half_width):
+        arc_table = np.concatenate([[0.0], np.cumsum(seg_lengths)])
+        got = _geom.arc_window(arc_table, s, half_width)
+        assert list(got) == sorted(set(got.tolist()))
+        if 2.0 * half_width >= arc_table[-1]:
+            assert len(got) == len(seg_lengths)
+            return
+        # equal away from rounding at the interval's two ends
+        inner = window_by_brute_force(arc_table, s, max(half_width - 1e-9, 0.0))
+        outer = window_by_brute_force(arc_table, s, half_width + 1e-9)
+        assert inner <= set(got.tolist()) <= outer
+
+
 class TestCurvatureAt:
     def test_circle_any_s(self):
         tm = rtrack.make_circle_track(radius=5.0, width=1.0, n_points=360)
