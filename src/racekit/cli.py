@@ -29,9 +29,7 @@ from . import simulator as rsim
 from . import track as rtrack
 from . import trainer as rtrain
 from .config import ConfigError, KitConfig, config_hash, load_config
-from .expert import ExpertConfig
-from .policy import (PolicyConfig, PolicyError, init_params,
-                     load_checkpoint_file, save_checkpoint_file)
+from .policy import PolicyError, init_params, load_checkpoint_file, save_checkpoint_file
 from .scenario import (EmptyDataset, ExpertSource, NoValidSpawn, Outcome,
                        RaceEnvironment, ScenarioError)
 from .seeding import rng_for

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .expert import ExpertConfig

@@ -5,8 +5,20 @@ Raw LiDAR ranges are squashed into "spatial pressure" tokens in (0, 1]
 lifted to a learnable embedding (replaceable by a learnable mask token
 during training), a single GRU cell carries the temporal state, and a
 two-layer MLP decodes the hidden state into (speed, steering) commands.
-Everything is plain numpy in double precision; a packed single/double
-precision inference session serves the real-time path.
+
+The GRU weights are stored packed: w_x (3H, I), u_h (3H, H) and b_x (3H,)
+stack the update, reset and candidate gates in that row order, and
+b_cand_h (H,) is the candidate's hidden-side bias. `gru_cell` is the only
+GRU update. It takes the input projection px = x W_x^T + b_x, which
+inference forms per step and the trainer for a whole batch of sequences
+in one GEMM, and makes one h U_h^T product. `gru_step`, `forward_step`,
+`InferenceSession` and the trainer's forward pass all call it.
+
+Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
+each of its 17 names to a stored tensor and a gate block, and init, save,
+load and the trainer's Adam step walk that table. Everything is plain
+numpy in double precision; the inference session can also run in single
+precision.
 """
 
 from __future__ import annotations
@@ -56,13 +68,12 @@ class PolicyConfig:
         return self.mlp_hidden if self.mlp_hidden is not None else max(1, self.hidden_dim // 4)
 
 
-# field name -> shape factory; also the fixed checkpoint serialization order
+# stored tensor name -> shape, in TENSOR_ORDER; the GRU tensors are packed
+# with their row blocks in gate order (update, reset, candidate)
 def _tensor_shapes(cfg: PolicyConfig) -> dict[str, tuple[int, ...]]:
     i, h, m, e = cfg.input_dim, cfg.hidden_dim, cfg.mlp_hidden_dim, cfg.embed_dim
     return {
-        "w_upd": (h, i), "u_upd": (h, h), "b_upd": (h,),
-        "w_res": (h, i), "u_res": (h, h), "b_res": (h,),
-        "w_cand": (h, i), "u_cand": (h, h), "b_cand_x": (h,), "b_cand_h": (h,),
+        "w_x": (3 * h, i), "u_h": (3 * h, h), "b_x": (3 * h,), "b_cand_h": (h,),
         "speed_w": (e,), "speed_b": (e,), "mask_embed": (e,),
         "dec_w1": (m, h), "dec_b1": (m,), "dec_w2": (2, m), "dec_b2": (2,),
     }
@@ -70,16 +81,10 @@ def _tensor_shapes(cfg: PolicyConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class PolicyParameters:
-    w_upd: np.ndarray
-    u_upd: np.ndarray
-    b_upd: np.ndarray
-    w_res: np.ndarray
-    u_res: np.ndarray
-    b_res: np.ndarray
-    w_cand: np.ndarray
-    u_cand: np.ndarray
-    b_cand_x: np.ndarray
-    b_cand_h: np.ndarray
+    w_x: np.ndarray        # (3H, I) input weights, gates [update | reset | candidate]
+    u_h: np.ndarray        # (3H, H) hidden weights, same gate order
+    b_x: np.ndarray        # (3H,) input-side biases (b_upd, b_res, b_cand_x)
+    b_cand_h: np.ndarray   # (H,) candidate bias inside the reset product
     speed_w: np.ndarray
     speed_b: np.ndarray
     mask_embed: np.ndarray
@@ -105,13 +110,39 @@ class PolicyParameters:
 
 TENSOR_ORDER = tuple(_tensor_shapes(PolicyConfig()).keys())
 
+# checkpoint (format v1) tensor name -> (stored tensor, gate block, or None
+# for the whole tensor); also the serialization and the init draw order
+CHECKPOINT_LAYOUT = (
+    ("w_upd", "w_x", 0), ("u_upd", "u_h", 0), ("b_upd", "b_x", 0),
+    ("w_res", "w_x", 1), ("u_res", "u_h", 1), ("b_res", "b_x", 1),
+    ("w_cand", "w_x", 2), ("u_cand", "u_h", 2), ("b_cand_x", "b_x", 2),
+    ("b_cand_h", "b_cand_h", None), ("speed_w", "speed_w", None),
+    ("speed_b", "speed_b", None), ("mask_embed", "mask_embed", None),
+    ("dec_w1", "dec_w1", None), ("dec_b1", "dec_b1", None),
+    ("dec_w2", "dec_w2", None), ("dec_b2", "dec_b2", None),
+)
+
+
+def layout_blocks(tensors: dict[str, np.ndarray]) -> list[tuple[str, np.ndarray]]:
+    """(checkpoint name, view) for every CHECKPOINT_LAYOUT entry, in order;
+    a gate block is a row view of its packed tensor."""
+    blocks = []
+    for disk_name, name, gate in CHECKPOINT_LAYOUT:
+        t = tensors[name]
+        if gate is not None:
+            rows = len(t) // 3
+            t = t[gate * rows:(gate + 1) * rows]
+        blocks.append((disk_name, t))
+    return blocks
+
 
 def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> PolicyParameters:
     """Uniform init in [-1/sqrt(hidden_dim), +1/sqrt(hidden_dim)] for every
-    tensor, drawn in the fixed tensor order (deterministic per seed)."""
+    tensor, drawn block by block in checkpoint order (deterministic per seed)."""
     bound = 1.0 / np.sqrt(cfg.hidden_dim)
-    tensors = {name: rng.uniform(-bound, bound, size=shape)
-               for name, shape in _tensor_shapes(cfg).items()}
+    tensors = {name: np.empty(shape) for name, shape in _tensor_shapes(cfg).items()}
+    for _, block in layout_blocks(tensors):
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     return PolicyParameters(**tensors)
 
 
@@ -121,35 +152,56 @@ def normalize_scan(z: np.ndarray, sigmoid_k: float) -> np.ndarray:
     return 2.0 / (1.0 + np.exp(np.minimum(sigmoid_k * z, 700.0)))
 
 
-def normalize_scan_grad(z: np.ndarray, sigmoid_k: float) -> np.ndarray:
-    """Analytic derivative of the pressure token wrt the raw range."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(np.minimum(-sigmoid_k * z, 700.0))
-    return -2.0 * sigmoid_k * e / (1.0 + e) ** 2
+def embed_speed(v, params: PolicyParameters, masked=False) -> np.ndarray:
+    """Affine lift of the speed v (scalar or (...) array) to (..., E), or
+    the mask token where masked."""
+    emb = np.asarray(v)[..., None] * params.speed_w + params.speed_b
+    return np.where(np.asarray(masked)[..., None], params.mask_embed, emb)
 
 
-def embed_speed(v, params: PolicyParameters, masked: bool = False) -> np.ndarray:
-    """Affine lift of the scalar speed, or the mask token when masked."""
-    if masked:
-        return params.mask_embed.copy()
-    return params.speed_w * v + params.speed_b
+def encode_inputs(scan, v, params: PolicyParameters, cfg: PolicyConfig,
+                  masked=False) -> np.ndarray:
+    """Observations -> GRU inputs x (..., I): pressure tokens, then the speed
+    embedding unless the policy is LiDAR-only."""
+    tokens = normalize_scan(scan, cfg.sigmoid_k)
+    if not cfg.use_speed_input:
+        return tokens
+    return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
 
 
 def _logistic(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters):
+    """The GRU update, from the input projection px = x W_x^T + b_x (..., 3H)
+    and the hidden state h (..., H), with one h U_h^T product.
+
+    Returns (h_next, gates, m): the gate activations (..., 3H) =
+    [update | reset | candidate] and m = h U_cand^T + b_cand_h (..., H)
+    are what backpropagation needs. The update and reset pre-activations
+    sum as (x W + b) + h U, the candidate's as
+    (x W_cand + b_cand_x) + r * (h U_cand + b_cand_h); the float64 eval
+    outputs depend on this order bit for bit."""
+    H = h.shape[-1]
+    ph = h @ params.u_h.T
+    gates = np.empty_like(px)
+    u, r, n = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:]
+    u[...] = _logistic(px[..., :H] + ph[..., :H])
+    r[...] = _logistic(px[..., H:2 * H] + ph[..., H:2 * H])
+    m = ph[..., 2 * H:]
+    m += params.b_cand_h
+    n[...] = np.tanh(px[..., 2 * H:] + r * m)
+    return (1.0 - u) * n + u * h, gates, m
+
+
 def gru_step(x: np.ndarray, h: np.ndarray, params: PolicyParameters) -> np.ndarray:
     """One GRU cell update. Supports (I,)/(H,) vectors or (B, I)/(B, H)
     batches. Hidden entries stay inside (-1, 1) for in-range inputs."""
-    if x.shape[-1] != params.w_upd.shape[1] or h.shape[-1] != params.u_upd.shape[1]:
+    if x.shape[-1] != params.w_x.shape[1] or h.shape[-1] != params.u_h.shape[1]:
         raise ShapeMismatch(
-            f"gru_step: x{x.shape} / h{h.shape} vs W{params.w_upd.shape}")
-    u = _logistic(x @ params.w_upd.T + h @ params.u_upd.T + params.b_upd)
-    r = _logistic(x @ params.w_res.T + h @ params.u_res.T + params.b_res)
-    n = np.tanh(x @ params.w_cand.T + params.b_cand_x
-                + r * (h @ params.u_cand.T + params.b_cand_h))
-    return (1.0 - u) * n + u * h
+            f"gru_step: x{x.shape} / h{h.shape} vs W_x{params.w_x.shape}")
+    return gru_cell(x @ params.w_x.T + params.b_x, h, params)[0]
 
 
 def decode(h: np.ndarray, params: PolicyParameters) -> np.ndarray:
@@ -164,12 +216,9 @@ def decode(h: np.ndarray, params: PolicyParameters) -> np.ndarray:
 def forward_step(scan: np.ndarray, v: float, h: np.ndarray,
                  params: PolicyParameters, cfg: PolicyConfig,
                  masked: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """One observation -> (action, next hidden state)."""
-    tokens = normalize_scan(scan, cfg.sigmoid_k)
-    if cfg.use_speed_input:
-        x = np.concatenate([tokens, embed_speed(v, params, masked)])
-    else:
-        x = tokens
+    """One observation -> (action, next hidden state), in the dtype of the
+    parameters."""
+    x = encode_inputs(scan, v, params, cfg, masked).astype(params.w_x.dtype, copy=False)
     h_next = gru_step(x, h, params)
     return decode(h_next, params), h_next
 
@@ -179,67 +228,33 @@ def zero_hidden(cfg: PolicyConfig) -> np.ndarray:
 
 
 class InferenceSession:
-    """Packed weights for low-latency single-step inference.
+    """Single-step inference at a fixed precision.
 
-    The three input matrices (and the three hidden matrices) are stacked so
-    one gemv each serves all gates. dtype float32 halves the memory traffic
-    that bounds per-step latency; float64 reproduces forward_step exactly.
+    float64 uses the parameter arrays as they are, without a copy (so the
+    session sees later in-place changes to them), and is forward_step bit
+    for bit. float32 casts them once; it halves the memory traffic that
+    bounds per-step latency.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
                  dtype=np.float64):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        h = cfg.hidden_dim
-        self._h = h
-        self.wx = np.ascontiguousarray(
-            np.vstack([params.w_upd, params.w_res, params.w_cand]), dtype=dtype)
-        self.uh = np.ascontiguousarray(
-            np.vstack([params.u_upd, params.u_res, params.u_cand]), dtype=dtype)
-        self.bx = np.concatenate([params.b_upd, params.b_res, params.b_cand_x]).astype(dtype)
-        self.b_cand_h = params.b_cand_h.astype(dtype)
-        self.speed_w = params.speed_w.astype(dtype)
-        self.speed_b = params.speed_b.astype(dtype)
-        self.mask_embed = params.mask_embed.astype(dtype)
-        self.dec_w1 = np.ascontiguousarray(params.dec_w1, dtype=dtype)
-        self.dec_b1 = params.dec_b1.astype(dtype)
-        self.dec_w2 = np.ascontiguousarray(params.dec_w2, dtype=dtype)
-        self.dec_b2 = params.dec_b2.astype(dtype)
-        self._x = np.empty(cfg.input_dim, dtype=dtype)
-        self._px = np.empty(3 * h, dtype=dtype)
-        self._ph = np.empty(3 * h, dtype=dtype)
+        self.params = PolicyParameters(**{
+            k: t.astype(self.dtype, copy=False) for k, t in params.tensors().items()})
 
     def step(self, scan: np.ndarray, v: float, h: np.ndarray,
              masked: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
-        x = self._x
-        nb = cfg.n_beams
-        np.minimum(cfg.sigmoid_k * np.asarray(scan, dtype=self.dtype), 700.0, out=x[:nb])
-        np.exp(x[:nb], out=x[:nb])
-        x[:nb] += 1.0
-        np.divide(2.0, x[:nb], out=x[:nb])
-        if cfg.use_speed_input:
-            x[nb:] = self.mask_embed if masked else self.speed_w * v + self.speed_b
-        np.dot(self.wx, x, out=self._px)
-        self._px += self.bx
-        np.dot(self.uh, h, out=self._ph)
-        hd = self._h
-        u = _logistic(self._px[:hd] + self._ph[:hd])
-        r = _logistic(self._px[hd:2 * hd] + self._ph[hd:2 * hd])
-        n = np.tanh(self._px[2 * hd:] + r * (self._ph[2 * hd:] + self.b_cand_h))
-        h_next = (1.0 - u) * n + u * h
-        hidden = np.maximum(self.dec_w1 @ h_next + self.dec_b1, 0.0)
-        action = self.dec_w2 @ hidden + self.dec_b2
-        return action, h_next
+        return forward_step(scan, v, h, self.params, self.cfg, masked)
 
     def zero_hidden(self) -> np.ndarray:
-        return np.zeros(self._h, dtype=self.dtype)
+        return np.zeros(self.cfg.hidden_dim, dtype=self.dtype)
 
 
 # ---------------------------------------------------------------------------
 # checkpoint format: magic 'E2R1', u32 version, u32 config JSON length,
-# config JSON (sorted keys), then tensors as little-endian float64 in
-# TENSOR_ORDER
+# config JSON (sorted keys), then the CHECKPOINT_LAYOUT blocks as
+# little-endian float64
 
 
 CHECKPOINT_MAGIC = b"E2R1"
@@ -254,8 +269,8 @@ def save_checkpoint(params: PolicyParameters, cfg: PolicyConfig) -> bytes:
     blob += struct.pack("<I", CHECKPOINT_VERSION)
     blob += struct.pack("<I", len(cfg_json))
     blob += cfg_json
-    for name in TENSOR_ORDER:
-        blob += np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
+    for _, block in layout_blocks(params.tensors()):
+        blob += np.ascontiguousarray(block, dtype="<f8").tobytes()
     return bytes(blob)
 
 
@@ -273,13 +288,12 @@ def load_checkpoint(data: bytes) -> tuple[PolicyParameters, PolicyConfig]:
     except (ValueError, TypeError) as exc:
         raise CorruptCheckpoint(f"unreadable config block: {exc}") from exc
     offset = 12 + cfg_len
-    tensors = {}
-    for name, shape in _tensor_shapes(cfg).items():
-        count = int(np.prod(shape))
-        nbytes = count * 8
+    tensors = {name: np.empty(shape) for name, shape in _tensor_shapes(cfg).items()}
+    for disk_name, block in layout_blocks(tensors):
+        nbytes = block.size * 8
         if len(data) < offset + nbytes:
-            raise CorruptCheckpoint(f"truncated tensor {name}")
-        tensors[name] = np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
+            raise CorruptCheckpoint(f"truncated tensor {disk_name}")
+        block[...] = np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(block.shape)
         offset += nbytes
     if offset != len(data):
         raise CorruptCheckpoint(f"{len(data) - offset} trailing bytes")

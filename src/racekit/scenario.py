@@ -56,7 +56,7 @@ class Outcome:
 
 
 FRAME_HZ = 10.0
-FRAME_FLOATS = 363  # 360 ranges + ego_v + v_cmd + delta_cmd
+LEGACY_N_BEAMS = 360  # beams per frame of an episode header without "n_beams"
 
 
 @dataclass(frozen=True)
@@ -381,7 +381,8 @@ def build_dataset(episodes: list[EpisodeRecord]) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# episode store: one file per episode, JSON header line + float32 frames
+# episode store: one file per episode, JSON header line + float32 frames of
+# n_beams ranges, ego_v, v_cmd and delta_cmd
 
 
 def save_episode(record: EpisodeRecord, path) -> None:
@@ -390,6 +391,7 @@ def save_episode(record: EpisodeRecord, path) -> None:
         "seed": record.seed,
         "outcome": record.outcome,
         "frame_count": int(record.n_frames),
+        "n_beams": int(record.scans.shape[1]),
         "duration_actual": record.duration_actual,
         "ego_progress": record.ego_progress,
         "leader_progress": record.leader_progress,
@@ -407,15 +409,16 @@ def load_episode(path) -> EpisodeRecord:
         header = json.loads(fh.readline().decode())
         payload = fh.read()
     n = header["frame_count"]
-    expected = n * FRAME_FLOATS * 4
+    nb = header.get("n_beams", LEGACY_N_BEAMS)
+    expected = n * (nb + 3) * 4
     if len(payload) != expected:
         raise ScenarioError(
             f"{path}: corrupt episode payload ({len(payload)} bytes, want {expected})")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(n, FRAME_FLOATS)
+    frames = np.frombuffer(payload, dtype="<f4").reshape(n, nb + 3)
     return EpisodeRecord(
         scenario_id=header["scenario_id"], seed=header["seed"],
-        scans=frames[:, :360].copy(), ego_v=frames[:, 360].copy(),
-        actions=frames[:, 361:363].copy(), outcome=header["outcome"],
+        scans=frames[:, :nb].copy(), ego_v=frames[:, nb].copy(),
+        actions=frames[:, nb + 1:].copy(), outcome=header["outcome"],
         duration_actual=header["duration_actual"],
         ego_progress=header.get("ego_progress", 0.0),
         leader_progress=header.get("leader_progress", 0.0))

@@ -11,6 +11,14 @@ shortcut copying of the current speed into the speed command.
 Episodes inside a batch are padded to a common length and masked out of
 the loss, which reproduces independent per-episode rolls exactly while
 keeping the matmuls batched. Double precision throughout.
+
+The forward pass projects the inputs of all B x T frames through the
+packed w_x in one GEMM before the time loop, then runs `policy.gru_cell`
+once per step, which writes each step's gate activations over its slice
+of that projection. Backpropagation mirrors the packed layout: one GEMM
+with u_h per step for the hidden-state gradient, one each for the w_x
+and u_h gradients, and Adam steps every tensor by the row blocks of
+`policy.CHECKPOINT_LAYOUT`.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import PolicyConfig, PolicyParameters, TENSOR_ORDER, init_params, normalize_scan
+from .policy import (PolicyConfig, PolicyParameters, encode_inputs, gru_cell, init_params,
+                     layout_blocks)
 from .scenario import Dataset, EpisodeRecord
 from .seeding import rng_for
 
@@ -97,10 +106,6 @@ class TrainingEpisode:
         return len(self.speeds)
 
 
-def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _pack_batch(episodes, mask_draws, cfg: PolicyConfig):
     """Pad episodes to the longest length; active[b, t] marks real frames."""
     B = len(episodes)
@@ -126,35 +131,19 @@ def _forward_batch(params: PolicyParameters, cfg: PolicyConfig, scans, speeds, m
     """Roll the batch; returns predictions and the caches backward needs."""
     B, T, _ = scans.shape
     H = cfg.hidden_dim
-    tokens = normalize_scan(scans, cfg.sigmoid_k)            # (B, T, nb)
-    if cfg.use_speed_input:
-        emb = speeds[..., None] * params.speed_w + params.speed_b
-        emb = np.where(masked[..., None], params.mask_embed, emb)
-        x = np.concatenate([tokens, emb], axis=2)            # (B, T, I)
-    else:
-        x = tokens
+    x = encode_inputs(scans, speeds, params, cfg, masked)   # (B, T, I)
+    gates = x.reshape(B * T, -1) @ params.w_x.T              # px, then [u | r | n]
+    gates += params.b_x
+    gates = gates.reshape(B, T, 3 * H)
     hs = np.zeros((B, T + 1, H))
-    u_all = np.empty((B, T, H))
-    r_all = np.empty((B, T, H))
-    n_all = np.empty((B, T, H))
-    m_all = np.empty((B, T, H))   # u_cand @ h_prev + b_cand_h
+    m = np.empty((B, T, H))   # u_cand @ h_prev + b_cand_h
     for t in range(T):
-        h_prev = hs[:, t]
-        u = _logistic(x[:, t] @ params.w_upd.T + h_prev @ params.u_upd.T + params.b_upd)
-        r = _logistic(x[:, t] @ params.w_res.T + h_prev @ params.u_res.T + params.b_res)
-        m = h_prev @ params.u_cand.T + params.b_cand_h
-        n = np.tanh(x[:, t] @ params.w_cand.T + params.b_cand_x + r * m)
-        hs[:, t + 1] = (1.0 - u) * n + u * h_prev
-        u_all[:, t] = u
-        r_all[:, t] = r
-        n_all[:, t] = n
-        m_all[:, t] = m
+        hs[:, t + 1], gates[:, t], m[:, t] = gru_cell(gates[:, t], hs[:, t], params)
     flat_h = hs[:, 1:].reshape(B * T, H)
     pre1 = flat_h @ params.dec_w1.T + params.dec_b1          # (B*T, M)
     relu1 = np.maximum(pre1, 0.0)
     preds = (relu1 @ params.dec_w2.T + params.dec_b2).reshape(B, T, 2)
-    caches = dict(x=x, hs=hs, u=u_all, r=r_all, n=n_all, m=m_all,
-                  relu1=relu1.reshape(B, T, -1))
+    caches = dict(x=x, hs=hs, gates=gates, m=m, relu1=relu1.reshape(B, T, -1))
     return preds, caches
 
 
@@ -201,8 +190,7 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     dpred[..., 0] = 2.0 * speed_weight * err[..., 0] / counts[:, None] / B
     dpred[..., 1] = 2.0 * err[..., 1] / counts[:, None] / B
 
-    x, hs = caches["x"], caches["hs"]
-    u_all, r_all, n_all, m_all = caches["u"], caches["r"], caches["n"], caches["m"]
+    x, hs, gates, m_all = caches["x"], caches["hs"], caches["gates"], caches["m"]
     relu1 = caches["relu1"]
     H = cfg.hidden_dim
 
@@ -216,51 +204,35 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     g_dec_b1 = dz1.sum(axis=0)
     dh_dec = (dz1 @ params.dec_w1).reshape(B, T, H)
 
-    da_u = np.empty((B, T, H))
-    da_r = np.empty((B, T, H))
-    da_n = np.empty((B, T, H))
-    dm = np.empty((B, T, H))
+    # da holds [a_u | a_r | dm] per frame, the gradients that reach u_h;
+    # the candidate pre-activation gradient a_n replaces dm after the u_h
+    # gradient is taken, for the input-side gradients
+    da = np.empty((B, T, 3 * H))
+    a_n_all = np.empty((B, T, H))
     dh_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_dec[:, t] + dh_next
-        u, r, n, m = u_all[:, t], r_all[:, t], n_all[:, t], m_all[:, t]
-        h_prev = hs[:, t]
-        dn = dh * (1.0 - u)
-        du = dh * (h_prev - n)
-        a_n = dn * (1.0 - n * n)
-        a_u = du * u * (1.0 - u)
-        dm_t = a_n * r
-        dr = a_n * m
-        a_r = dr * r * (1.0 - r)
-        da_u[:, t] = a_u
-        da_r[:, t] = a_r
-        da_n[:, t] = a_n
-        dm[:, t] = dm_t
-        dh_next = (dh * u + a_u @ params.u_upd + a_r @ params.u_res
-                   + dm_t @ params.u_cand)
+        g = gates[:, t]
+        u, r, n = g[:, :H], g[:, H:2 * H], g[:, 2 * H:]
+        a_n = dh * (1.0 - u) * (1.0 - n * n)
+        da[:, t, :H] = dh * (hs[:, t] - n) * u * (1.0 - u)
+        da[:, t, H:2 * H] = a_n * m_all[:, t] * r * (1.0 - r)
+        da[:, t, 2 * H:] = a_n * r
+        a_n_all[:, t] = a_n
+        dh_next = dh * u + da[:, t] @ params.u_h
 
-    flat = lambda a: a.reshape(B * T, H)
-    x_flat = x.reshape(B * T, -1)
-    hp_flat = hs[:, :-1].reshape(B * T, H)
+    da_flat = da.reshape(B * T, 3 * H)
     grads = {
-        "w_upd": flat(da_u).T @ x_flat,
-        "u_upd": flat(da_u).T @ hp_flat,
-        "b_upd": flat(da_u).sum(axis=0),
-        "w_res": flat(da_r).T @ x_flat,
-        "u_res": flat(da_r).T @ hp_flat,
-        "b_res": flat(da_r).sum(axis=0),
-        "w_cand": flat(da_n).T @ x_flat,
-        "u_cand": flat(dm).T @ hp_flat,
-        "b_cand_x": flat(da_n).sum(axis=0),
-        "b_cand_h": flat(dm).sum(axis=0),
+        "u_h": da_flat.T @ hs[:, :-1].reshape(B * T, H),
+        "b_cand_h": da_flat[:, 2 * H:].sum(axis=0),
         "dec_w1": g_dec_w1, "dec_b1": g_dec_b1,
         "dec_w2": g_dec_w2, "dec_b2": g_dec_b2,
     }
+    da[..., 2 * H:] = a_n_all
+    grads["w_x"] = da_flat.T @ x.reshape(B * T, -1)
+    grads["b_x"] = da_flat.sum(axis=0)
     if cfg.use_speed_input:
-        nb = cfg.n_beams
-        demb = (flat(da_u) @ params.w_upd[:, nb:]
-                + flat(da_r) @ params.w_res[:, nb:]
-                + flat(da_n) @ params.w_cand[:, nb:])        # (B*T, E)
+        demb = da_flat @ params.w_x[:, cfg.n_beams:]        # (B*T, E)
         masked_flat = masked.reshape(B * T)
         unmasked = ~masked_flat
         v_flat = speeds.reshape(B * T)
@@ -279,21 +251,20 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
 
 def adam_update(state: TrainState, grads: dict[str, np.ndarray],
                 cfg: TrainerConfig) -> TrainState:
-    """Standard bias-corrected Adam step over every parameter tensor."""
+    """Standard bias-corrected Adam step over every parameter tensor, one
+    checkpoint-layout block at a time (elementwise, so blocking only bounds
+    the temporaries)."""
     state.step += 1
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for name in TENSOR_ORDER:
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    blocks = [layout_blocks(d) for d in (state.params.tensors(), grads, state.m, state.v)]
+    for (_, tensor), (_, g), (_, m), (_, v) in zip(*blocks):
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        tensor = getattr(state.params, name)
         tensor -= state.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
     return state
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from racekit.policy import (
     init_params,
     load_checkpoint,
     normalize_scan,
-    normalize_scan_grad,
     save_checkpoint,
     zero_hidden,
 )
@@ -56,14 +56,6 @@ class TestNormalizeScan:
         y = normalize_scan(x, 0.5)
         assert np.all(np.diff(y) < 0)
         assert np.all((y > 0) & (y <= 1.0))
-
-    def test_derivative_matches_finite_difference(self):
-        k = 0.5
-        xs = np.array([0.1, 0.5, 1.0, 3.0, 7.0, 15.0])
-        eps = 1e-7
-        fd = (normalize_scan(xs + eps, k) - normalize_scan(xs - eps, k)) / (2 * eps)
-        ana = normalize_scan_grad(xs, k)
-        assert np.allclose(fd, ana, atol=1e-6)
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.01, max_value=5.0))
     @settings(max_examples=50, deadline=None)
@@ -216,7 +208,7 @@ class TestInitParams:
 
     def test_different_seeds_differ(self):
         a, b = tiny_params(1), tiny_params(2)
-        assert not np.array_equal(a.w_upd, b.w_upd)
+        assert not np.array_equal(a.w_x, b.w_x)
 
 
 class TestInferenceSession:
@@ -233,6 +225,22 @@ class TestInferenceSession:
             a_fast, h_fast = sess.step(scan, v, h_fast)
             assert np.allclose(a_ref, a_fast, atol=1e-12)
             assert np.allclose(h_ref, h_fast, atol=1e-13)
+
+    def test_float64_is_forward_step_bit_for_bit(self):
+        p = tiny_params(9)
+        sess = InferenceSession(p, TINY, dtype=np.float64)
+        assert all(np.shares_memory(a, b) for a, b in
+                   zip(sess.params.tensors().values(), p.tensors().values()))
+        rng = np.random.default_rng(4)
+        h_ref = zero_hidden(TINY)
+        h_fast = sess.zero_hidden()
+        for i in range(10):
+            scan = rng.uniform(0.0, 30.0, TINY.n_beams)
+            v = rng.uniform(0, 8)
+            a_ref, h_ref = forward_step(scan, v, h_ref, p, TINY, masked=i % 3 == 0)
+            a_fast, h_fast = sess.step(scan, v, h_fast, masked=i % 3 == 0)
+            assert np.array_equal(a_ref, a_fast)
+            assert np.array_equal(h_ref, h_fast)
 
     def test_float32_close(self):
         p = tiny_params(9)
@@ -251,6 +259,12 @@ class TestCheckpoint:
         assert cfg2 == TINY
         for name in TENSOR_ORDER:
             assert np.array_equal(getattr(p, name), getattr(p2, name))
+
+    def test_golden_bytes(self):
+        # pins the per-gate v1 tensor layout and the init draw order
+        blob = save_checkpoint(init_params(TINY, np.random.default_rng(0)), TINY)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2602462f8b742f6ea1166f781c8c5c14af9fbc475dfe3dbbc7646287901834d1")
 
     def test_truncated_raises(self):
         blob = save_checkpoint(tiny_params(), TINY)
@@ -278,4 +292,4 @@ class TestCheckpoint:
         p = init_params(cfg, np.random.default_rng(0))
         p2, cfg2 = load_checkpoint(save_checkpoint(p, cfg))
         assert cfg2.hidden_multiplier == 8
-        assert p2.w_upd.shape == (cfg.hidden_dim, cfg.input_dim)
+        assert p2.w_x.shape == (3 * cfg.hidden_dim, cfg.input_dim)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,10 @@ def env(stadium):
     return RaceEnvironment.build(stadium)
 
 
-def fake_record(outcome, frames=5, sid="x", seed=1):
+def fake_record(outcome, frames=5, sid="x", seed=1, n_beams=360):
     return EpisodeRecord(
         scenario_id=sid, seed=seed,
-        scans=np.random.default_rng(seed).uniform(0.1, 30.0, (frames, 360)).astype(np.float32),
+        scans=np.random.default_rng(seed).uniform(0.1, 30.0, (frames, n_beams)).astype(np.float32),
         ego_v=np.linspace(2, 5, frames).astype(np.float32),
         actions=np.stack([np.full(frames, 4.0), np.full(frames, 0.02)], axis=1).astype(np.float32),
         outcome=outcome, duration_actual=frames / 10.0,
@@ -219,6 +221,26 @@ class TestEpisodeIO:
         assert np.array_equal(back.scans, rec.scans)
         assert np.array_equal(back.ego_v, rec.ego_v)
         assert np.array_equal(back.actions, rec.actions)
+
+    def test_roundtrip_any_beam_count(self, tmp_path):
+        rec = fake_record(Outcome.CAR_FOLLOWING, frames=7, n_beams=180)
+        path = tmp_path / "ep.bin"
+        save_episode(rec, path)
+        back = load_episode(path)
+        assert back.scans.shape == (7, 180)
+        assert np.array_equal(back.scans, rec.scans)
+        assert np.array_equal(back.ego_v, rec.ego_v)
+        assert np.array_equal(back.actions, rec.actions)
+
+    def test_header_without_beam_count_holds_360(self, tmp_path):
+        rec = fake_record(Outcome.OVERTAKING, frames=4)
+        path = tmp_path / "ep.bin"
+        save_episode(rec, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        del fields["n_beams"]
+        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        assert np.array_equal(load_episode(path).scans, rec.scans)
 
     def test_truncated_payload_rejected(self, tmp_path):
         rec = fake_record(Outcome.OVERTAKING, frames=13)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from racekit.policy import PolicyConfig, TENSOR_ORDER, init_params
+from racekit.policy import InferenceSession, PolicyConfig, TENSOR_ORDER, init_params
 from racekit.trainer import (
     EmptyDatasetError,
     TrainerConfig,
@@ -91,6 +91,24 @@ class TestSequenceLoss:
         l1, _ = sequence_loss(params, TINY, ep1, draws)
         l2, _ = sequence_loss(params, TINY, ep2, draws)
         assert l1 == l2
+
+
+class TestForwardBatch:
+    def test_matches_step_by_step_inference(self):
+        # teacher-forced training rolls equal the deployed session's rolls
+        from racekit.trainer import _forward_batch, _pack_batch
+        params = init_params(TINY, np.random.default_rng(8))
+        episodes = [tiny_episode(T=7, seed=3), tiny_episode(T=4, seed=4)]
+        draws = [np.array([False, True, False, False, True, False, True]),
+                 np.array([True, False, False, False])]
+        scans, speeds, _, masked, _ = _pack_batch(episodes, draws, TINY)
+        preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
+        session = InferenceSession(params, TINY, dtype=np.float64)
+        for b, (ep, d) in enumerate(zip(episodes, draws)):
+            h = session.zero_hidden()
+            for t in range(len(ep)):
+                action, h = session.step(ep.scans[t], ep.speeds[t], h, masked=d[t])
+                assert np.allclose(preds[b, t], action, rtol=0.0, atol=1e-12)
 
 
 class TestBackward:
