@@ -11,6 +11,14 @@ computation returns. ray_hits tests each segment only against the beams
 inside the angular interval it subtends from the sensor;
 polyline_self_intersects tests only segment pairs whose midpoints are
 within the longest segment length of each other.
+
+project_to_polyline, the one projection kernel, reads a polyline's
+segment_table (start point, edge, floored squared length, start arc and
+arc length per segment), which its owner derives once and caches, instead
+of gathering vertices and recomputing edges on every call. A single point
+is held as scalars, so the 100 Hz progress tracker pays for (M,) arrays
+only; the arithmetic per (point, segment) is that of the all-segments
+broadcast.
 """
 
 from __future__ import annotations
@@ -148,39 +156,51 @@ def arc_window(arc_table, s: float, half_width: float) -> np.ndarray:
     return np.concatenate([np.arange(hi + 1), np.arange(max(lo, hi + 1), n)])
 
 
-def project_to_polyline(points, verts, arc_table, seg_idx=None):
+def segment_table(verts, arc_table) -> np.ndarray:
+    """Per-segment constants of a closed polyline for project_to_polyline,
+    derived once per polyline: a (7, N) read-only array whose rows are the
+    start x and y, the edge x and y, the squared length floored at _EPS,
+    the start arc and the arc length of each segment (the closing segment
+    last). The track's arc lookups locate through the last two rows."""
+    verts = np.asarray(verts, dtype=float)
+    e = np.roll(verts, -1, axis=0) - verts
+    ee = np.maximum(np.einsum("ij,ij->i", e, e), _EPS)
+    table = np.stack([verts[:, 0], verts[:, 1], e[:, 0], e[:, 1], ee,
+                      arc_table[:-1], np.diff(arc_table)])
+    table.setflags(write=False)
+    return table
+
+
+def project_to_polyline(points, table, seg_idx=None):
     """Project points onto a closed polyline.
 
-    points (P, 2); verts (N, 2) closed; arc_table (N+1,) cumulative arc
-    lengths. seg_idx optionally restricts the candidate segments (window,
-    e.g. from arc_window). Returns (s, d, idx): arc position, signed
-    lateral distance (positive left of travel direction) and segment
-    index, each (P,). Ties go to the segment listed first.
+    points (P, 2) or one (2,) point; table the polyline's segment_table.
+    seg_idx optionally restricts the candidate segments (window, e.g. from
+    arc_window). Returns (s, d, idx): arc position, signed lateral distance
+    (positive left of travel direction) and segment index, each (P,). Ties
+    go to the segment listed first.
+
+    One point is held as scalars, so the per-segment arrays are (M,) and
+    the winner is read with scalar indexing; several points broadcast as
+    (P, 1) against (M,). Both run the same arithmetic per (point, segment).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(verts)
-    seg_idx = np.arange(n) if seg_idx is None else np.asarray(seg_idx)
-    a = verts[seg_idx]
-    b = verts[(seg_idx + 1) % n]
-    e = b - a                                      # (M, 2)
-    ee = np.einsum("ij,ij->i", e, e)
-    ee = np.maximum(ee, _EPS)
-    ap = points[:, None, :] - a[None, :, :]        # (P, M, 2)
-    t = np.clip(np.einsum("pmi,mi->pm", ap, e) / ee, 0.0, 1.0)
-    foot = a[None, :, :] + t[:, :, None] * e[None, :, :]
-    diff = points[:, None, :] - foot
-    dist2 = np.einsum("pmi,pmi->pm", diff, diff)
-    best = np.argmin(dist2, axis=1)                # first minimum
-    rows = np.arange(len(points))
-    tb = t[rows, best]
-    seg = seg_idx[best]
-    seg_len = arc_table[seg + 1] - arc_table[seg]
-    s = arc_table[seg] + tb * seg_len
-    db = diff[rows, best]
-    eb = e[best]
-    cross = eb[:, 0] * db[:, 1] - eb[:, 1] * db[:, 0]
-    d = np.sign(cross) * np.sqrt(dist2[rows, best])
-    return s, d, seg
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    one = len(pts) == 1
+    ax, ay, ex, ey, ee, s0, seg_len = table if seg_idx is None else table.take(seg_idx, axis=1)
+    px, py = pts[0] if one else (pts[:, :1], pts[:, 1:])
+    # maximum(0, t) keeps a -0.0 as np.clip(t, 0, 1) does; maximum(t, 0) would not
+    t = np.minimum(np.maximum(0.0, ((px - ax) * ex + (py - ay) * ey) / ee), 1.0)
+    dx = px - (ax + t * ex)
+    dy = py - (ay + t * ey)
+    dist2 = dx * dx + dy * dy
+    best = dist2.argmin(axis=-1)                   # first minimum
+    pick = best if one else (np.arange(len(pts)), best)
+    s = s0[best] + t[pick] * seg_len[best]
+    cross = ex[best] * dy[pick] - ey[best] * dx[pick]
+    d = np.sign(cross) * np.sqrt(dist2[pick])
+    seg = best if seg_idx is None else np.asarray(seg_idx)[best]
+    # reshape turns one point's scalars into (1,) arrays
+    return s.reshape(-1), d.reshape(-1), seg.reshape(-1)
 
 
 def obb_corners(cx, cy, theta, length, width) -> np.ndarray:

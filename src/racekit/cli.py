@@ -16,7 +16,6 @@ import datetime
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from . import scenario as rscn
 from . import simulator as rsim
 from . import track as rtrack
 from . import trainer as rtrain
+from ._atomic import atomic_open
 from .config import ConfigError, KitConfig, config_hash, load_config
 from .policy import PolicyError, init_params, load_checkpoint_file, save_checkpoint_file
 from .scenario import (EmptyDataset, ExpertSource, NoValidSpawn, Outcome,
@@ -52,11 +52,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: KitConfig, outputs: list[s
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(outputs),
     }
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".manifest-")
-    with os.fdopen(fd, "w") as fh:
+    with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, out_dir / "manifest.json")
 
 
 def _now() -> str:
@@ -238,7 +236,8 @@ def cmd_eval(args, cfg: KitConfig) -> int:
     if args.suite == "latency":
         report = reval.bench_latency(params, pol_cfg, n_samples=args.samples,
                                      precision=args.precision, seed=cfg.seed)
-        (out / "report_latency.json").write_text(reval.report_json(report))
+        with atomic_open(out / "report_latency.json") as fh:
+            fh.write(reval.report_json(report))
         outputs.append("report_latency.json")
         print(f"latency: median {report.median_ms:.4f} ms, p99 {report.p99_ms:.4f} ms, "
               f"max {report.max_ms:.4f} ms over {report.samples} samples "
@@ -252,11 +251,12 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         report, trace = reval.run_single_agent(
             params, pol_cfg, env, laps_target=args.laps, noise_eta=args.eta,
             seed=cfg.seed, timeout_s=args.timeout, record_trace=args.render)
-        (out / "report_single.json").write_text(reval.report_json(report))
+        with atomic_open(out / "report_single.json") as fh:
+            fh.write(reval.report_json(report))
         reval.write_single_csv([("single", report)], out / "report_single.csv")
         outputs += ["report_single.json", "report_single.csv"]
         if args.render and trace is not None:
-            svg = reval.render_episode(trace, track)
+            svg = reval.render_episode(trace, track, sim_cfg=cfg.sim)
             (out / "single.svg").write_text(svg)
             outputs.append("single.svg")
         print(f"single-agent: {report.laps_completed:.1f} laps, "
@@ -267,7 +267,8 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         report, _ = reval.run_h2h(params, pol_cfg, scenarios, env, noise_eta=args.eta,
                                   seed=cfg.seed, duration=cfg.scenario.duration,
                                   workers=cfg.workers)
-        (out / "report_h2h.json").write_text(reval.report_json(report))
+        with atomic_open(out / "report_h2h.json") as fh:
+            fh.write(reval.report_json(report))
         reval.write_h2h_csv([("h2h", report)], out / "report_h2h.csv")
         outputs += ["report_h2h.json", "report_h2h.csv"]
         print(f"h2h over {report.n}: {report.car_following} follow / "
@@ -282,7 +283,8 @@ def cmd_eval(args, cfg: KitConfig) -> int:
                                        mode=args.mode, scenarios=scenarios,
                                        laps_target=args.laps, timeout_s=args.timeout,
                                        duration=cfg.scenario.duration, workers=cfg.workers)
-        (out / "report_noise.json").write_text(reval.report_json(report))
+        with atomic_open(out / "report_noise.json") as fh:
+            fh.write(reval.report_json(report))
         outputs.append("report_noise.json")
         if report.single:
             reval.write_single_csv(
@@ -314,7 +316,7 @@ def cmd_render(args, cfg: KitConfig) -> int:
     started = _now()
     track = _load_track_arg(args, cfg)
     trace = rsim.read_trace_csv(args.trace)
-    svg = reval.render_episode(trace, track, outcome=args.outcome)
+    svg = reval.render_episode(trace, track, outcome=args.outcome, sim_cfg=cfg.sim)
     target = out / (Path(args.trace).stem + ".svg")
     target.write_text(svg)
     _write_manifest(out, "render", cfg, [target.name], started)

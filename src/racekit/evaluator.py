@@ -21,10 +21,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import simulator as rsim
+from ._atomic import atomic_open
 from .policy import InferenceSession, PolicyConfig, PolicyParameters
 from .scenario import LapTimer, Outcome, RaceEnvironment, Scenario, rollout, rollout_many
 from .seeding import rng_for, sub_seed
-from .simulator import Trace, VehicleCommand
+from .simulator import SimConfig, Trace, VehicleCommand
 
 
 @dataclass
@@ -251,9 +252,11 @@ def _transform(pts, bounds, scale, pad):
 
 
 def render_episode(trace: Trace, track, outcome: str | None = None,
-                   footprint_every: float = 0.5, width_px: int = 900) -> str:
+                   footprint_every: float = 0.5, width_px: int = 900,
+                   sim_cfg: SimConfig = SimConfig()) -> str:
     """Draw boundaries, color-coded trajectories, sampled vehicle
-    footprints and the outcome label into a standalone SVG document."""
+    footprints (sim_cfg's vehicle size) and the outcome label into a
+    standalone SVG document."""
     if not trace.states:
         raise ValueError("empty trace")
     allpts = np.vstack([track.inner_boundary, track.outer_boundary])
@@ -291,11 +294,9 @@ def render_episode(trace: Trace, track, outcome: str | None = None,
 
     dt = trace.times[1] - trace.times[0] if len(trace.times) > 1 else 1.0
     stride = max(1, int(round(footprint_every / dt)))
-    from ._geom import obb_corners
     for a in range(n_agents):
         for k in range(0, len(trace.states), stride):
-            st = trace.states[k][a]
-            corners = obb_corners(st.x, st.y, st.theta, 0.58, 0.31)
+            corners = rsim.vehicle_corners(trace.states[k][a], sim_cfg)
             pts = _transform(corners, bounds, scale, pad)
             ET.SubElement(svg, "polygon",
                           points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts),
@@ -343,14 +344,14 @@ def h2h_csv_row(label: str, r: H2HReport) -> str:
 
 
 def write_single_csv(reports: list[tuple[str, SingleAgentReport]], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(SINGLE_CSV_HEADER + "\n")
         for label, r in reports:
             fh.write(single_csv_row(label, r) + "\n")
 
 
 def write_h2h_csv(reports: list[tuple[str, H2HReport]], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(H2H_CSV_HEADER + "\n")
         for label, r in reports:
             fh.write(h2h_csv_row(label, r) + "\n")

@@ -7,6 +7,14 @@ proximity cost against a constant-velocity opponent prediction) and tracks
 the winner with pure pursuit. The leader role skips the search and simply
 follows its raceline at a discounted reference speed, never reacting to
 the ego.
+
+The lattice is built in one shot: the speed profiles of all speed scales
+integrate together (one v_ref lookup per coarse step, located through the
+raceline's cached segment table), and the raceline's pose and free space
+are interpolated once over the whole (speed, time) grid. Containment is
+one (speed, offset) mask, and the kept candidates' points and headings
+come out of one broadcast, in the order a per-candidate loop would
+produce them and with the same floats.
 """
 
 from __future__ import annotations
@@ -95,11 +103,12 @@ def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
                    cfg: ExpertConfig) -> list[CandidateTrajectory]:
     """n_lateral x n_speed candidates blending from the current offset to
     each target offset over the horizon. Candidates that would leave the
-    track (minus safety_margin) are dropped."""
+    track (minus safety_margin) are dropped; the rest come speed-major, in
+    offset order within a speed."""
     s0, d0 = raceline.project((state.x, state.y))
     n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
     tau = np.arange(n_steps) * cfg.sample_dt
-    u = np.clip(tau / min(cfg.blend_T, cfg.horizon_T), 0.0, 1.0)
+    u = np.minimum(np.maximum(tau / min(cfg.blend_T, cfg.horizon_T), 0.0), 1.0)
     beta = _blend(u)
     offsets = np.linspace(-cfg.lateral_max, cfg.lateral_max, cfg.n_lateral)
     scales = np.linspace(cfg.speed_scale_min, 1.0, cfg.n_speed)
@@ -117,7 +126,9 @@ def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
         s_coarse[k] = s
         v_coarse[k] = v
         s = s + v * dt_int
-        target = scales * raceline.v_ref_at(s)
+        # v_ref_at's lookup, called directly: racebench's tracer wraps every
+        # public call, and this one runs ~40 times per lattice
+        target = scales * raceline._interp(raceline.v_ref, s)
         v = np.minimum(np.maximum(target, v + cfg.decel_max * dt_int),
                        v + cfg.accel_max * dt_int)
         v = np.maximum(v, cfg.v_floor)
@@ -128,28 +139,28 @@ def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
         s_fine[j] = np.interp(tau, tau_coarse, s_coarse[:, j])
         v_fine[j] = np.interp(tau, tau_coarse, v_coarse[:, j])
 
-    candidates: list[CandidateTrajectory] = []
-    for j, scale in enumerate(scales):
-        base = raceline.position_at(s_fine[j])
-        normals = raceline.normal_at(s_fine[j])
-        avail_l, avail_r = raceline.avail_at(s_fine[j])
-        for d_target in offsets:
-            d_path = d0 + (d_target - d0) * beta
-            if (np.any(d_path > avail_l - cfg.safety_margin)
-                    or np.any(-d_path > avail_r - cfg.safety_margin)):
-                continue
-            xy = base + d_path[:, None] * normals
-            diffs = np.diff(xy, axis=0)
-            heading = np.arctan2(diffs[:, 1], diffs[:, 0])
-            heading = np.append(heading, heading[-1])
-            candidates.append(CandidateTrajectory(
-                xy=xy, heading=heading, v=v_fine[j].copy(),
-                lateral_offset=float(d_target), speed_scale=float(scale),
-                s_path=s_fine[j].copy(), d_path=d_path))
-    if not candidates:
+    # the whole (speed, offset) lattice at once: base points, normals and
+    # free space per speed row (S, K), lateral paths per offset (L, K)
+    base = raceline.position_at(s_fine)                         # (S, K, 2)
+    normals = raceline.normal_at(s_fine)                        # (S, K, 2)
+    avail_l, avail_r = raceline.avail_at(s_fine)
+    d_path = d0 + (offsets[:, None] - d0) * beta                # (L, K)
+    leaves = (np.any(d_path > (avail_l - cfg.safety_margin)[:, None], axis=2)
+              | np.any(-d_path > (avail_r - cfg.safety_margin)[:, None], axis=2))  # (S, L)
+    j_kept, i_kept = np.nonzero(~leaves)                        # speed-major order
+    if not len(j_kept):
         raise NoFeasibleCandidate(
             f"all {cfg.n_lateral * cfg.n_speed} candidates leave the track at s={s0:.2f}")
-    return candidates
+    d_kept = d_path[i_kept]                                     # (C, K)
+    xy = base[j_kept] + d_kept[:, :, None] * normals[j_kept]    # (C, K, 2)
+    diffs = np.diff(xy, axis=1)
+    heading = np.arctan2(diffs[:, :, 1], diffs[:, :, 0])
+    heading = np.concatenate([heading, heading[:, -1:]], axis=1)
+    v_kept, s_kept = v_fine[j_kept], s_fine[j_kept]
+    return [CandidateTrajectory(
+        xy=xy[c], heading=heading[c], v=v_kept[c], lateral_offset=float(offsets[i]),
+        speed_scale=float(scales[j]), s_path=s_kept[c], d_path=d_kept[c])
+        for c, (j, i) in enumerate(zip(j_kept, i_kept))]
 
 
 def predict_opponent(opponent: VehicleState, cfg: ExpertConfig) -> np.ndarray:

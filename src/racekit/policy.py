@@ -29,6 +29,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._atomic import atomic_open
+
 
 class PolicyError(Exception):
     pass
@@ -301,7 +303,7 @@ def load_checkpoint(data: bytes) -> tuple[PolicyParameters, PolicyConfig]:
 
 
 def save_checkpoint_file(params: PolicyParameters, cfg: PolicyConfig, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(save_checkpoint(params, cfg))
 
 

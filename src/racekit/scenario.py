@@ -11,10 +11,13 @@ observer sees the world and the ego's unwrapped progress after every sim
 step and may end the episode; `LapTimer` is the observer of the lap
 harnesses. Episodes terminate on collision, on the observer's word or at
 the time limit, and are classified CarFollowing / Overtaking / Collision
-by unwrapped centerline progress. `rollout_many` is the one pooled runner:
-it rolls a scenario pool in order, serially or across worker processes.
+by unwrapped centerline progress; `ProgressTracker` projects each agent
+onto the centerline every sim step, inside an arc window around its last
+progress, through the track's cached segment table
+(`TrackModel.segment_table`). `rollout_many` is the one pooled runner: it
+rolls a scenario pool in order, serially or across worker processes.
 Collision episodes are filtered out of the training dataset (they remain
-valid for evaluation).
+valid for evaluation). Episode and dataset files are written atomically.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from . import _geom
 from . import expert as rexpert
 from . import simulator as rsim
+from ._atomic import atomic_open
 from .expert import ExpertConfig, Role
 from .seeding import sub_seed
 from .simulator import SimConfig, Trace, VehicleCommand, VehicleState, WorldState
@@ -179,12 +183,12 @@ class ProgressTracker:
         self.track = track
         self.progress = float(start_hint)
         self._length = track.total_length
+        self._arc_table = track.arc_table
+        self._segments = track.segment_table
 
     def update(self, x: float, y: float) -> float:
-        track = self.track
-        window = _geom.arc_window(track.arc_table, self.progress, self.WINDOW)
-        s, _, _ = _geom.project_to_polyline(np.array([[x, y]]), track.xy, track.arc_table,
-                                            seg_idx=window)
+        window = _geom.arc_window(self._arc_table, self.progress, self.WINDOW)
+        s, _, _ = _geom.project_to_polyline((x, y), self._segments, seg_idx=window)
         delta = (float(s[0]) - self.progress) % self._length
         if delta > self._length / 2:
             delta -= self._length
@@ -399,7 +403,7 @@ def save_episode(record: EpisodeRecord, path) -> None:
     frames = np.concatenate(
         [record.scans, record.ego_v[:, None], record.actions], axis=1
     ).astype("<f4")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(frames.tobytes())
 
@@ -434,7 +438,8 @@ def write_manifest(path, episode_files: list[str], excluded_files: list[str],
         "total_samples": total_samples,
         "skipped_spawns": skipped_spawns,
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest_dataset(manifest_path) -> Dataset:

@@ -1,4 +1,4 @@
-"""Deterministic 100 Hz two-agent simulation.
+"""Deterministic 100 Hz simulation of one or two agents.
 
 Kinematic single-track dynamics with a proportional speed tracker and
 rate-limited steering, oriented-rectangle collision detection against the
@@ -60,6 +60,9 @@ class VehicleCommand:
     delta_cmd: float
 
 
+MAX_AGENTS = 2  # LiDAR, the ego expert and the car-car test see one other car
+
+
 @dataclass
 class WorldState:
     track: TrackModel
@@ -68,6 +71,9 @@ class WorldState:
     collided: list[bool] = field(default_factory=list)
 
     def __post_init__(self):
+        if len(self.agents) > MAX_AGENTS:
+            raise SimulationError(
+                f"{len(self.agents)} agents; the simulation supports at most {MAX_AGENTS}")
         if not self.collided:
             self.collided = [False] * len(self.agents)
 

@@ -81,12 +81,18 @@ class TrackModel:
     boundary_segments: np.ndarray = field(repr=False)  # (M, 2, 2) both boundaries
 
     def project_many(self, points):
-        s, d, _ = _geom.project_to_polyline(points, self.xy, self.arc_table)
+        s, d, _ = _geom.project_to_polyline(points, self.segment_table)
         return s, d
 
-    # Collision broad-phase constants, derived once per track on first use.
-    # cached_property stores them in the instance __dict__, so they travel
-    # with the model when it is pickled into pool workers.
+    # Collision broad-phase and centerline projection constants, derived
+    # once per track on first use. cached_property stores them in the
+    # instance __dict__, so they travel with the model when it is pickled
+    # into pool workers.
+    @cached_property
+    def segment_table(self) -> np.ndarray:
+        """Centerline segment constants for _geom.project_to_polyline."""
+        return _geom.segment_table(self.xy, self.arc_table)
+
     @cached_property
     def segment_midpoints(self) -> np.ndarray:
         """(M, 2) midpoints of boundary_segments."""
@@ -100,19 +106,21 @@ class TrackModel:
 
     def widths_at(self, s):
         """Interpolated (w_right, w_left) at arc position(s) s."""
-        idx, frac = _locate(self.arc_table, np.asarray(s, dtype=float) % self.total_length)
+        idx, frac = _locate(self.segment_table, np.asarray(s, dtype=float) % self.total_length)
         nxt = (idx + 1) % len(self.xy)
         wr = self.w_right[idx] * (1 - frac) + self.w_right[nxt] * frac
         wl = self.w_left[idx] * (1 - frac) + self.w_left[nxt] * frac
         return wr, wl
 
 
-def _locate(arc_table, s):
-    """Segment index and fractional position for arc queries."""
-    s = np.asarray(s, dtype=float)
-    idx = np.clip(np.searchsorted(arc_table, s, side="right") - 1, 0, len(arc_table) - 2)
-    seg_len = arc_table[idx + 1] - arc_table[idx]
-    frac = (s - arc_table[idx]) / np.maximum(seg_len, 1e-300)
+def _locate(table, s):
+    """Segment index and fractional position of arc positions s >= 0 on a
+    closed polyline whose last two table rows hold each segment's start
+    arc and arc length (a segment_table's arc rows). An s past the last
+    start falls in the closing segment, so the index needs no clamping."""
+    start, seg_len = table[-2], table[-1]
+    idx = start.searchsorted(s, side="right") - 1
+    frac = (s - start[idx]) / np.maximum(seg_len[idx], 1e-300)
     return idx, frac
 
 
@@ -265,7 +273,7 @@ class Raceline:
         return list(zip(self.s, self.xy[:, 0], self.xy[:, 1], self.heading, self.kappa, self.v_ref))
 
     def _interp(self, values, s, angular=False):
-        idx, frac = _locate(self.arc_table, np.asarray(s, dtype=float) % self.length)
+        idx, frac = _locate(self.segment_table, np.asarray(s, dtype=float) % self.length)
         nxt = (idx + 1) % len(self.s)
         v0 = values[idx]
         v1 = values[nxt]
@@ -274,7 +282,7 @@ class Raceline:
         return v0 * (1 - frac) + v1 * frac
 
     def position_at(self, s):
-        idx, frac = _locate(self.arc_table, np.asarray(s, dtype=float) % self.length)
+        idx, frac = _locate(self.segment_table, np.asarray(s, dtype=float) % self.length)
         nxt = (idx + 1) % len(self.s)
         return self.xy[idx] * (1 - np.expand_dims(frac, -1)) + self.xy[nxt] * np.expand_dims(frac, -1)
 
@@ -291,12 +299,20 @@ class Raceline:
     def avail_at(self, s):
         return self._interp(self.w_left_avail, s), self._interp(self.w_right_avail, s)
 
+    # Derived once on first use (cached_property writes the instance
+    # __dict__, which a frozen dataclass allows and pickling carries along).
+    @cached_property
+    def segment_table(self) -> np.ndarray:
+        """Segment constants for _geom.project_to_polyline; its arc rows
+        also locate every *_at lookup."""
+        return _geom.segment_table(self.xy, self.arc_table)
+
     def project_many(self, points, s_hint=None, window: float = 15.0):
         """Vectorized projection; optionally restricted to the segments
         within `window` meters of arc around s_hint (cheaper for local
         queries)."""
         seg_idx = None if s_hint is None else _geom.arc_window(self.arc_table, s_hint, window)
-        s, d, _ = _geom.project_to_polyline(points, self.xy, self.arc_table, seg_idx=seg_idx)
+        s, d, _ = _geom.project_to_polyline(points, self.segment_table, seg_idx=seg_idx)
         return s, d
 
     def project(self, point) -> tuple[float, float]:
@@ -425,7 +441,7 @@ def make_oval_track(length: float = 60.0, width: float = 3.0, aspect: float = 0.
     xy = xy * (length / total)
     table = table * (length / total)
     s_new = np.linspace(0.0, length, n_points, endpoint=False)
-    idx, frac = _locate(table, s_new)
+    idx, frac = _locate(np.stack([table[:-1], np.diff(table)]), s_new)
     nxt = (idx + 1) % len(xy)
     res = xy[idx] * (1 - frac[:, None]) + xy[nxt] * frac[:, None]
     half = np.full(n_points, width / 2.0)
@@ -442,7 +458,7 @@ def make_serpentine_track(length: float = 60.0, width: float = 3.0, waves: int =
     xy = xy * (length / total)
     table = table * (length / total)
     s_new = np.linspace(0.0, length, n_points, endpoint=False)
-    idx, frac = _locate(table, s_new)
+    idx, frac = _locate(np.stack([table[:-1], np.diff(table)]), s_new)
     nxt = (idx + 1) % len(xy)
     res = xy[idx] * (1 - frac[:, None]) + xy[nxt] * frac[:, None]
     half = np.full(n_points, width / 2.0)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .policy import (PolicyConfig, PolicyParameters, encode_inputs, gru_cell, init_params,
                      layout_blocks)
 from .scenario import Dataset, EpisodeRecord
@@ -334,7 +335,7 @@ def train(dataset, policy_cfg: PolicyConfig, trainer_cfg: TrainerConfig,
 
 
 def write_loss_curve_csv(curve, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write("epoch,mean_loss,lr\n")
         for epoch, loss, lr in curve:
             fh.write(f"{epoch},{repr(float(loss))},{repr(float(lr))}\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -116,6 +117,26 @@ class TestCollect:
         assert len(episodes) == 6
         for f in ["dataset.json"] + episodes:
             assert (outs[2] / f).read_bytes() == (outs[1] / f).read_bytes(), f
+
+    # sha256 over dataset.json and every episode file (name, then bytes), as
+    # written before the one-shot lattice and the cached projection tables;
+    # a change that moves one byte of a collected dataset fails here
+    GOLDEN_DIGEST = "d5a05d859d98856018fbfa89532347ed2c5321a4818cf7e690bf7141cef090d8"
+
+    def test_golden_digest(self, tmp_path, track_dir):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[scenario]\nduration = 1.5\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfgfile), "--out", str(out), "--seed", "7",
+                       "--workers", "1", "collect",
+                       "--track", str(track_dir / "track_stadium.csv"),
+                       "--scenarios", "4") == 0
+        manifest = json.loads((out / "dataset.json").read_text())
+        digest = hashlib.sha256()
+        for f in ["dataset.json"] + sorted(manifest["episodes"] + manifest["excluded"]):
+            digest.update(f.encode())
+            digest.update((out / f).read_bytes())
+        assert digest.hexdigest() == self.GOLDEN_DIGEST
 
     def test_no_valid_spawn_exit_3(self, tmp_path, track_dir, capsys):
         cfgfile = tmp_path / "cfg.ini"

@@ -23,6 +23,7 @@ from racekit.evaluator import (
 from racekit.policy import PolicyConfig, init_params
 from racekit.scenario import (ExpertSource, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout)
+from racekit.simulator import SimConfig, Trace, VehicleState
 
 TINY360 = PolicyConfig(n_beams=360, embed_dim=4, hidden_multiplier=2, mlp_hidden=16)
 
@@ -138,6 +139,22 @@ class TestRender:
         svg = render_episode(trace, env.track, outcome=Outcome.COLLISION)
         root = ET.fromstring(svg)
         assert any(el.tag.endswith("circle") for el in root.iter())
+
+    def test_footprint_follows_sim_config(self, env):
+        trace = Trace(times=[0.0], states=[[VehicleState(0.0, -3.82, 0.0, 0.0)]],
+                      collided=[[False]])
+        svg = render_episode(trace, env.track, sim_cfg=SimConfig(veh_length=1.0, veh_width=0.5))
+        polygons = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("polygon")]
+        assert len(polygons) == 1
+        px = np.array([[float(v) for v in p.split(",")]
+                       for p in polygons[0].get("points").split()])
+        # heading 0: the footprint is axis-aligned; undo the pixel scale
+        polylines = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("polyline")]
+        inner = np.array([[float(v) for v in p.split(",")]
+                          for p in polylines[0].get("points").split()])
+        scale = np.ptp(inner[:, 0]) / np.ptp(env.track.inner_boundary[:, 0])
+        size = np.ptp(px, axis=0) / scale
+        assert size == pytest.approx([1.0, 0.5], abs=0.02)
 
 
 class TestSerialization:

@@ -1,8 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_same_bits, reference_project_to_polyline, uneven_circle
+from racekit import _geom
 from racekit import scenario as rscn
 from racekit import track as rtrack
 from racekit.expert import ExpertConfig
@@ -100,18 +105,6 @@ class TestClassify:
         assert classify_outcome(45.0, 50.0, False, False) == Outcome.CAR_FOLLOWING
 
 
-def uneven_circle():
-    """A 10 m circle with 200 / 20 / 200 waypoints over its quarter / half /
-    quarter arcs: the spacing jumps twentyfold where the arcs meet."""
-    phi = np.concatenate([
-        np.linspace(0.0, 0.5 * np.pi, 200, endpoint=False),
-        np.linspace(0.5 * np.pi, 1.5 * np.pi, 20, endpoint=False),
-        np.linspace(1.5 * np.pi, 2.0 * np.pi, 200, endpoint=False)])
-    xy = 10.0 * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    half = np.full(len(xy), 1.5)
-    return rtrack.build_track(xy, half, half)
-
-
 class TestProgressTracker:
     @pytest.mark.parametrize("track_name", ["stadium", "uneven"])
     def test_follows_the_centerline_for_a_lap(self, stadium, track_name):
@@ -126,6 +119,50 @@ class TestProgressTracker:
         tracker = ProgressTracker(track, 0.0)
         got = np.array([tracker.update(x, y) for x, y in pts])
         assert np.allclose(got, s_true, atol=1e-6)
+
+    @given(name=st.sampled_from(["stadium", "serpentine", "uneven"]),
+           hint=st.floats(-200.0, 200.0),
+           moves=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)),
+                          min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_update_matches_reference(self, name, hint, moves):
+        """Bit for bit the update that windows by arc and projects with the
+        reference kernel, on uneven spacing and up to 2 m off the line."""
+        track = tracker_track(name)
+        L = track.total_length
+        tracker = ProgressTracker(track, hint)
+        progress = hint
+        s = hint
+        for ds, off in moves:
+            s += ds
+            x, y = track_point(track, s, off)
+            window = _geom.arc_window(track.arc_table, progress, ProgressTracker.WINDOW)
+            s_ref, _, _ = reference_project_to_polyline(np.array([[x, y]]), track.xy,
+                                                        track.arc_table, seg_idx=window)
+            delta = (float(s_ref[0]) - progress) % L
+            if delta > L / 2:
+                delta -= L
+            progress += delta
+            assert_same_bits(tracker.update(x, y), progress)
+
+
+@functools.cache
+def tracker_track(name):
+    if name == "uneven":
+        return uneven_circle()
+    return rtrack.make_track(name, length=60.0, width=3.0)
+
+
+def track_point(track, s, off):
+    """The centerline point at arc s (wrapping), moved off metres along its
+    left normal."""
+    L = track.total_length
+    idx = np.searchsorted(track.arc_table, s % L, side="right") - 1
+    idx = min(idx, len(track.xy) - 1)
+    frac = (s % L - track.arc_table[idx]) / np.diff(track.arc_table)[idx]
+    nxt = (idx + 1) % len(track.xy)
+    p = track.xy[idx] + frac * (track.xy[nxt] - track.xy[idx]) + off * track.normals[idx]
+    return float(p[0]), float(p[1])
 
 
 class TestRollout:

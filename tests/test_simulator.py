@@ -11,6 +11,7 @@ from racekit import simulator as sim
 from racekit.simulator import (
     NonFiniteState,
     SimConfig,
+    SimulationError,
     Trace,
     VehicleCommand,
     VehicleState,
@@ -267,6 +268,15 @@ class TestCollision:
         assert check_collision(w, sim_cfg) == [True]
         w2 = WorldState(room, [VehicleState(x - 1e-6, 0, 0.0, 0)])
         assert check_collision(w2, sim_cfg) == [False]
+
+    def test_third_agent_is_rejected(self, room):
+        # LiDAR, the ego expert and the car-car test see at most one other
+        # car: check_collision would report no contact for this third car,
+        # which sits on the ego
+        cars = [VehicleState(0, 0, 0.0, 0), VehicleState(2.0, 0, 0.0, 0),
+                VehicleState(0.1, 0, 0.0, 0)]
+        with pytest.raises(SimulationError):
+            WorldState(room, cars)
 
     def test_latching(self, room, sim_cfg):
         w = WorldState(room, [VehicleState(3.9, 0, 0.0, 2.0)])

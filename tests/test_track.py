@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import pickle
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_bits, reference_project_to_polyline, uneven_circle
 from racekit import _geom
 from racekit import track as rtrack
 from racekit.track import (
@@ -259,6 +261,135 @@ class TestArcWindow:
         inner = window_by_brute_force(arc_table, s, max(half_width - 1e-9, 0.0))
         outer = window_by_brute_force(arc_table, s, half_width + 1e-9)
         assert inner <= set(got.tolist()) <= outer
+
+
+@functools.cache
+def projection_polyline(name):
+    """(vertices, arc table, segment table) of a closed test polyline."""
+    if name == "uneven":
+        track = uneven_circle()
+    elif name == "left-raceline":
+        track = generate_raceline(rtrack.make_stadium_track(), "left")
+    else:
+        track = rtrack.make_track(name, length=60.0, width=3.0)
+    return track.xy, track.arc_table, track.segment_table
+
+
+# a query point: a segment, a fraction along it (0 / 0.5 / 1 put it on a
+# vertex, a midpoint or the segment's line) and an offset along its normal
+query_point = st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.5, 1.5)),
+                        st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0)))
+
+
+class TestProjectionKernel:
+    """project_to_polyline over cached segment tables equals the reference
+    kernel bit for bit: arc position, signed distance and segment."""
+
+    @given(name=st.sampled_from(["stadium", "serpentine", "uneven", "left-raceline"]),
+           queries=st.lists(query_point, min_size=1, max_size=30),
+           window=st.one_of(st.none(), st.tuples(st.floats(-100.0, 100.0),
+                                                 st.floats(0.2, 40.0))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, name, queries, window):
+        verts, arc_table, table = projection_polyline(name)
+        pts = []
+        for seg_pick, along, off in queries:
+            i = int(seg_pick * len(verts))
+            a, b = verts[i], verts[(i + 1) % len(verts)]
+            e = b - a
+            pts.append(a + along * e + off * np.array([-e[1], e[0]]) / np.hypot(*e))
+        pts = np.array(pts)
+        seg_idx = None if window is None else _geom.arc_window(arc_table, *window)
+        want = reference_project_to_polyline(pts, verts, arc_table, seg_idx=seg_idx)
+        for got_part, want_part in zip(_geom.project_to_polyline(pts, table, seg_idx), want):
+            assert_same_bits(got_part, want_part)
+        if len(pts) == 1:  # one (2,) point takes the same path as a (1, 2) batch
+            for got_part, want_part in zip(_geom.project_to_polyline(pts[0], table, seg_idx),
+                                           want):
+                assert_same_bits(got_part, want_part)
+
+    def test_equidistant_point_matches_reference(self):
+        # midway between the stadium's two straights: a tie between segments
+        verts, arc_table, table = projection_polyline("stadium")
+        want = reference_project_to_polyline([[0.0, 0.0]], verts, arc_table)
+        for got_part, want_part in zip(_geom.project_to_polyline((0.0, 0.0), table), want):
+            assert_same_bits(got_part, want_part)
+
+
+def test_projection_tables_cached_and_pickled(stadium):
+    rl = generate_raceline(stadium, "center")
+    for owner in (stadium, rl):
+        table = owner.segment_table
+        assert table is owner.segment_table and not table.flags.writeable
+        clone = pickle.loads(pickle.dumps(owner))
+        assert np.array_equal(vars(clone)["segment_table"], table)
+
+
+def reference_locate(arc_table, s):
+    """track._locate before it read the segment table's arc rows: search
+    the full (N+1,) arc table and clamp the index. Kept as the bit-for-bit
+    reference."""
+    s = np.asarray(s, dtype=float)
+    idx = np.clip(np.searchsorted(arc_table, s, side="right") - 1, 0, len(arc_table) - 2)
+    seg_len = arc_table[idx + 1] - arc_table[idx]
+    frac = (s - arc_table[idx]) / np.maximum(seg_len, 1e-300)
+    return idx, frac
+
+
+# arc positions: anywhere on a few laps either way, exactly on a vertex,
+# or at the values where % and the search meet their edges
+arc_query = st.one_of(st.floats(-200.0, 200.0), st.integers(-1, 2000),
+                      st.sampled_from([0.0, -0.0, -1e-20, 1e-300, -1e-300]))
+
+
+class TestArcLookups:
+    """The *_at lookups, located through the segment table's arc rows,
+    equal the reference _locate and interpolation bit for bit."""
+
+    @given(name=st.sampled_from(["stadium", "serpentine", "uneven", "left-raceline"]),
+           picks=st.lists(arc_query, min_size=1, max_size=12), scalar=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, name, picks, scalar):
+        track = (uneven_circle() if name == "uneven"
+                 else rtrack.make_track(name if name != "left-raceline" else "stadium",
+                                        length=60.0, width=3.0))
+        rl = generate_raceline(track, "left" if name == "left-raceline" else "center")
+        n = len(rl.s)
+        # an integer pick is a vertex: its arc, or the loop's end for n
+        s = np.array([rl.arc_table[p % (n + 1)] if isinstance(p, int) else p for p in picks])
+        if scalar:
+            s = s[0]
+        idx, frac = reference_locate(rl.arc_table, np.asarray(s, dtype=float) % rl.length)
+        nxt = (idx + 1) % n
+        for values, got in ((rl.v_ref, rl.v_ref_at(s)), (rl.w_left_avail, rl.avail_at(s)[0]),
+                            (rl.w_right_avail, rl.avail_at(s)[1])):
+            assert_same_bits(got, values[idx] * (1 - frac) + values[nxt] * frac)
+        h0 = rl.heading[idx]
+        h1 = h0 + _geom.wrap_angle(rl.heading[nxt] - h0)
+        assert_same_bits(rl.heading_at(s), h0 * (1 - frac) + h1 * frac)
+        f = np.expand_dims(frac, -1)
+        assert_same_bits(rl.position_at(s), rl.xy[idx] * (1 - f) + rl.xy[nxt] * f)
+        idx, frac = reference_locate(track.arc_table, np.asarray(s, dtype=float)
+                                     % track.total_length)
+        nxt = (idx + 1) % len(track.xy)
+        for got, values in zip(track.widths_at(s), (track.w_right, track.w_left)):
+            assert_same_bits(got, values[idx] * (1 - frac) + values[nxt] * frac)
+
+    @given(n=st.integers(3, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_locate_matches_reference(self, n, data):
+        # a resampling grid as the track generators use it: s in [0, length]
+        # against an arc table that may end a rounding error off length
+        steps = data.draw(st.lists(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 3.0]),
+                                   min_size=n, max_size=n))
+        arc_table = np.concatenate([[0.0], np.cumsum(steps)])
+        length = arc_table[-1] * data.draw(st.sampled_from([1.0, 1 - 2**-52, 1 + 2**-52]))
+        s = np.array(data.draw(st.lists(st.floats(0.0, max(length, 0.0)), min_size=1,
+                                        max_size=20)) + [0.0, length])
+        got = rtrack._locate(np.stack([arc_table[:-1], np.diff(arc_table)]), s)
+        for got_part, want_part in zip(got, reference_locate(arc_table, s)):
+            assert_same_bits(got_part, want_part)
 
 
 class TestCurvatureAt:
