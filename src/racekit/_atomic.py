@@ -1,12 +1,13 @@
 """Atomic output files.
 
-The files later commands read back or compare go through atomic_open:
-episodes, dataset.json, checkpoints, loss_curve.csv, the report JSON and
-CSV files and manifest.json. The data lands in a temporary sibling that
-replaces the target only once it is complete, so a reader sees the
-previous file or the whole new one, never a truncated write. There is no
-fsync: this guards against an interrupted or failing process, not against
-losing power.
+Every output file goes through atomic_open: episodes, dataset.json,
+checkpoints, loss_curve.csv, the report JSON and CSV files, manifest.json,
+the track, raceline and trace CSVs, `track gen`'s boundary CSV and
+preview SVG, and the SVGs of `eval single --render` and `render`. The data
+lands in a temporary sibling that replaces the target only once it is
+complete, so a reader sees the previous file or the whole new one, never a
+truncated write. There is no fsync: this guards against an interrupted or
+failing process, not against losing power.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ inside the angular interval it subtends from the sensor;
 polyline_self_intersects tests only segment pairs whose midpoints are
 within the longest segment length of each other.
 
-project_to_polyline, the one projection kernel, reads a polyline's
-segment_table (start point, edge, floored squared length, start arc and
-arc length per segment), which its owner derives once and caches, instead
-of gathering vertices and recomputing edges on every call. A single point
-is held as scalars, so the 100 Hz progress tracker pays for (M,) arrays
-only; the arithmetic per (point, segment) is that of the all-segments
-broadcast.
+project_to_polyline, the one projection kernel, takes all of a
+polyline's segments, one window of them shared by every point
+(arc_window) or a window per point (arc_windows), and reads the
+polyline's segment_table (start point, edge, floored squared length,
+start arc and arc length per segment), which its owner derives once and
+caches, instead of gathering vertices and recomputing edges on every
+call.
 """
 
 from __future__ import annotations
@@ -71,12 +71,16 @@ def _runs(counts):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def ray_hits(origin, heading: float, n_beams: int, segments, max_range: float) -> np.ndarray:
-    """Minimum hit distance per beam against a segment soup.
+def ray_hits(origin, heading, n_beams: int, segments, max_range: float) -> np.ndarray:
+    """Minimum hit distance per beam against a segment soup, for one sensor
+    or a batch of sensors.
 
-    Beam i points at heading + i * (2*pi / n_beams); origin (2,), segments
-    (M, 2, 2). Beams that miss every segment report max_range. Beams
-    exactly parallel to a segment are treated as misses.
+    One sensor: origin (2,), a float heading and segments (M, 2, 2) give
+    (n_beams,). A batch: origins (B, 2), headings (B,) and segments
+    (B, M, 2, 2), each row its own soup, give (B, n_beams); one sensor is
+    the batch of one. Beam i points at heading + i * (2*pi / n_beams).
+    Beams that miss every segment report max_range. Beams exactly parallel
+    to a segment are treated as misses.
 
     Exact angular binning: a beam can only hit a segment if its direction
     lies inside the cone the segment subtends from the origin, so each
@@ -88,72 +92,113 @@ def ray_hits(origin, heading: float, n_beams: int, segments, max_range: float) -
     endpoint - are tested against every beam. Each pair tested goes through
     the all-pairs arithmetic unchanged and a pair skipped has no valid hit,
     so the result equals the all-pairs minimum; only the sign of a zero
-    distance (the sensor exactly on a segment) may differ.
+    distance (the sensor exactly on a segment) may differ. The per-segment
+    cone arithmetic runs over the segments of all rows at once, the pairs
+    row by row; a row's result does not depend on the other rows.
     """
     o = np.asarray(origin, dtype=float)
+    one = o.ndim == 1
+    if one:
+        o, heading, segments = o[None], [heading], np.asarray(segments)[None]
+    heading = np.asarray(heading, dtype=float)
     step = 2.0 * np.pi / n_beams
-    angles = heading + np.arange(n_beams) * step
+    angles = heading[:, None] + np.arange(n_beams) * step       # (B, n_beams)
     out = np.full(angles.shape, float(max_range))
-    if len(segments) == 0:
-        return out
-    a = segments[:, 0, :]                                   # (M, 2)
-    e = segments[:, 1, :] - a                               # (M, 2)
-    ao = a - o                                              # (M, 2)
-    bo = segments[:, 1, :] - o
-    t_num = ao[:, 0] * e[:, 1] - ao[:, 1] * e[:, 0]         # (M,)
+    n_seg = segments.shape[1]
+    if n_seg == 0:
+        return out[0] if one else out
+    segs = segments.reshape(-1, 4)                          # (B*M,): ax, ay, bx, by
+    row = np.repeat(np.arange(len(o)), n_seg)
+    h = heading[row]
+    ex, ey = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
+    aox, aoy = segs[:, 0] - o[row, 0], segs[:, 1] - o[row, 1]
+    box, boy = segs[:, 2] - o[row, 0], segs[:, 3] - o[row, 1]
+    t_num = aox * ey - aoy * ex
 
     # the cone from the origin: start angle and CCW extent in [0, pi]
-    phi_a = np.arctan2(ao[:, 1], ao[:, 0])
-    phi_b = np.arctan2(bo[:, 1], bo[:, 0])
+    phi_a = np.arctan2(aoy, aox)
+    phi_b = np.arctan2(boy, box)
     sweep = wrap_angle(phi_b - phi_a)
     start = np.where(sweep >= 0.0, phi_a, phi_b)
     span = np.abs(sweep)
-    la, lb, le = (np.hypot(v[:, 0], v[:, 1]) for v in (ao, bo, e))
+    la, lb, le = np.hypot(aox, aoy), np.hypot(box, boy), np.hypot(ex, ey)
     # conditioning: of the cone edges as seen from the origin, and of the
     # beam angles (their rounding grows with their size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slack = _ANGLE_SLACK * ((la + lb + le) / np.minimum(la, lb) + abs(heading) + 4.0 * np.pi)
+        slack = _ANGLE_SLACK * ((la + lb + le) / np.minimum(la, lb) + np.abs(h) + 4.0 * np.pi)
     full = (~(slack <= 0.5 * step)                          # near an endpoint (or NaN)
             | (span > np.pi - step)                         # nearly pi: origin beside the segment
             | (np.abs(t_num) <= _ANGLE_SLACK * la * le))    # on or near the segment's line
-    rel = np.mod(start - heading, 2.0 * np.pi)
+    rel = np.mod(start - h, 2.0 * np.pi)
     first = np.floor(rel / step) - 1
     last = np.ceil((rel + span) / step) + 1
     first = np.where(full, 0, first).astype(np.int64)
     counts = np.where(full, n_beams, np.minimum(last - first + 1, n_beams)).astype(np.int64)
 
-    seg, offset = _runs(counts)                             # (beam, segment) pairs
-    beam = (first[seg] + offset) % n_beams
+    # the (beam, segment) pairs, one row at a time: a row's pair arrays
+    # stay small enough to be cache- and heap-resident, which concatenated
+    # pairs of several rows are not
+    cos_b, sin_b = np.cos(angles), np.sin(angles)
+    for b in range(len(o)):
+        seg, beam = _runs(counts[b * n_seg:(b + 1) * n_seg])
+        seg += b * n_seg
+        beam += first.take(seg)
+        beam %= n_beams
+        bx, by = cos_b[b].take(beam), sin_b[b].take(beam)
+        ex_s, ey_s, aox_s, aoy_s = ex.take(seg), ey.take(seg), aox.take(seg), aoy.take(seg)
+        # in place where an operand is spent
+        denom = bx * ey_s
+        ex_s *= by
+        denom -= ex_s                                       # bx * ey - by * ex
+        aox_s *= by
+        aoy_s *= bx
+        aox_s -= aoy_s                                      # u_num = aox * by - aoy * bx
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = t_num.take(seg)
+            t /= denom
+            aox_s /= denom                                  # u
+        valid = np.abs(denom) > _EPS
+        valid &= t >= 0.0
+        valid &= aox_s >= 0.0
+        valid &= aox_s <= 1.0
+        np.minimum.at(out[b], beam[valid], t[valid])
+    return out[0] if one else out
 
-    dx, dy = np.cos(angles), np.sin(angles)
-    bx, by = dx[beam], dy[beam]
-    denom = bx * e[seg, 1] - by * e[seg, 0]
-    u_num = ao[seg, 0] * by - ao[seg, 1] * bx
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = t_num[seg] / denom
-        u = u_num / denom
-    valid = (np.abs(denom) > _EPS) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
-    np.minimum.at(out, beam[valid], t[valid])
-    return out
+
+def arc_windows(arc_table, s, half_width: float) -> np.ndarray:
+    """The arc windows of positions s (P,) on a closed polyline, as a
+    (P, M) index array: row p lists, in increasing order, the segments that
+    overlap the arc interval [s_p - half_width, s_p + half_width]
+    (wrapping), and repeats its last one to fill the row.
+
+    arc_table (N+1,) is the cumulative arc length; located by arc, not by
+    mean spacing, so the windows hold on unevenly spaced polylines."""
+    s = np.asarray(s, dtype=float).reshape(-1)
+    n = len(arc_table) - 1
+    total = float(arc_table[-1])
+    if 2.0 * half_width >= total:
+        return np.tile(np.arange(n), (len(s), 1))
+    # the second mod maps a value that rounded up to `total` back to 0
+    lo_s = np.mod(np.mod(s - half_width, total), total)
+    hi_s = np.mod(np.mod(s + half_width, total), total)
+    lo = arc_table.searchsorted(lo_s, side="right")[:, None] - 1
+    hi = arc_table.searchsorted(hi_s, side="right")[:, None] - 1
+    wrapped = (lo_s > hi_s)[:, None]
+    # two runs: [lo, hi] and none or, wrapped, [0, hi] and [lo, n) (one
+    # long segment may hold both ends)
+    start1 = np.where(wrapped, 0, lo)
+    len1 = np.where(wrapped, hi + 1, hi + 1 - lo)
+    start2 = np.maximum(lo, hi + 1)
+    count = len1 + np.where(wrapped, n - start2, 0)
+    j = np.minimum(np.arange(count.max()), count - 1)
+    return np.where(j < len1, start1 + j, start2 + (j - len1))
 
 
 def arc_window(arc_table, s: float, half_width: float) -> np.ndarray:
     """Indices, in increasing order, of the closed polyline's segments that
-    overlap the arc interval [s - half_width, s + half_width] (wrapping).
-
-    arc_table (N+1,) is the cumulative arc length; located by arc, not by
-    mean spacing, so the window holds on unevenly spaced polylines."""
-    n = len(arc_table) - 1
-    total = float(arc_table[-1])
-    if 2.0 * half_width >= total:
-        return np.arange(n)
-    # the second mod maps a value that rounded up to `total` back to 0
-    lo_s, hi_s = (s - half_width) % total % total, (s + half_width) % total % total
-    lo, hi = np.searchsorted(arc_table, [lo_s, hi_s], side="right") - 1
-    if lo_s <= hi_s:
-        return np.arange(lo, hi + 1)
-    # wrapped: [0, hi] and [lo, n); one long segment may hold both ends
-    return np.concatenate([np.arange(hi + 1), np.arange(max(lo, hi + 1), n)])
+    overlap the arc interval [s - half_width, s + half_width] (wrapping):
+    arc_windows for one position."""
+    return arc_windows(arc_table, s, half_width)[0]
 
 
 def segment_table(verts, arc_table) -> np.ndarray:
@@ -175,32 +220,32 @@ def project_to_polyline(points, table, seg_idx=None):
     """Project points onto a closed polyline.
 
     points (P, 2) or one (2,) point; table the polyline's segment_table.
-    seg_idx optionally restricts the candidate segments (window, e.g. from
-    arc_window). Returns (s, d, idx): arc position, signed lateral distance
-    (positive left of travel direction) and segment index, each (P,). Ties
-    go to the segment listed first.
+    seg_idx optionally restricts the candidate segments: one window (M,)
+    shared by every point, e.g. an arc_window, or one window per point
+    (P, M), e.g. arc_windows. Returns (s, d, idx): arc position, signed
+    lateral distance (positive left of travel direction) and segment index,
+    each (P,). Ties go to the segment listed first.
 
-    One point is held as scalars, so the per-segment arrays are (M,) and
-    the winner is read with scalar indexing; several points broadcast as
-    (P, 1) against (M,). Both run the same arithmetic per (point, segment).
+    The points broadcast as (P, 1) against their windows' columns, so the
+    arithmetic per (point, segment) is the same for every kind of window.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    one = len(pts) == 1
-    ax, ay, ex, ey, ee, s0, seg_len = table if seg_idx is None else table.take(seg_idx, axis=1)
-    px, py = pts[0] if one else (pts[:, :1], pts[:, 1:])
+    cols = table if seg_idx is None else table.take(seg_idx, axis=1)
+    ax, ay, ex, ey, ee, s0, seg_len = cols
+    px, py = pts[:, :1], pts[:, 1:]
     # maximum(0, t) keeps a -0.0 as np.clip(t, 0, 1) does; maximum(t, 0) would not
     t = np.minimum(np.maximum(0.0, ((px - ax) * ex + (py - ay) * ey) / ee), 1.0)
     dx = px - (ax + t * ex)
     dy = py - (ay + t * ey)
-    dist2 = dx * dx + dy * dy
-    best = dist2.argmin(axis=-1)                   # first minimum
-    pick = best if one else (np.arange(len(pts)), best)
-    s = s0[best] + t[pick] * seg_len[best]
-    cross = ex[best] * dy[pick] - ey[best] * dx[pick]
+    dist2 = dx * dx + dy * dy                      # (P, M)
+    best = dist2.argmin(axis=1)                    # first minimum
+    pick = np.arange(len(pts)), best
+    col = best if cols.ndim == 2 else pick         # shared or per-point columns
+    s = s0[col] + t[pick] * seg_len[col]
+    cross = ex[col] * dy[pick] - ey[col] * dx[pick]
     d = np.sign(cross) * np.sqrt(dist2[pick])
-    seg = best if seg_idx is None else np.asarray(seg_idx)[best]
-    # reshape turns one point's scalars into (1,) arrays
-    return s.reshape(-1), d.reshape(-1), seg.reshape(-1)
+    seg = best if seg_idx is None else np.asarray(seg_idx)[col]
+    return s, d, seg
 
 
 def obb_corners(cx, cy, theta, length, width) -> np.ndarray:

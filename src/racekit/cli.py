@@ -6,7 +6,8 @@ flags override file values; every command honors --seed and writes its
 outputs plus a run manifest under --out.
 
 Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors,
-5 evaluation errors (argparse usage errors also exit 2).
+5 evaluation errors, 6 config errors (an unreadable or invalid --config
+file or override); argparse usage errors also exit 2.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_TRACK = 2
 EXIT_SCENARIO = 3
 EXIT_TRAIN = 4
 EXIT_EVAL = 5
+EXIT_CONFIG = 6
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: KitConfig, outputs: list[str],
@@ -95,7 +97,7 @@ def cmd_track_gen(args, cfg: KitConfig) -> int:
     rtrack.write_track_csv(track, base)
     outputs.append(base.name)
     bounds = out / f"track_{args.shape}_boundaries.csv"
-    with open(bounds, "w") as fh:
+    with atomic_open(bounds) as fh:
         fh.write("boundary,x_m,y_m\n")
         for name, poly in (("inner", track.inner_boundary), ("outer", track.outer_boundary)):
             for x, y in poly:
@@ -107,7 +109,8 @@ def cmd_track_gen(args, cfg: KitConfig) -> int:
         rtrack.write_raceline_csv(rl, p)
         outputs.append(p.name)
     preview = out / f"track_{args.shape}.svg"
-    preview.write_text(_track_preview_svg(track))
+    with atomic_open(preview) as fh:
+        fh.write(_track_preview_svg(track))
     outputs.append(preview.name)
     _write_manifest(out, "track gen", cfg, outputs, started)
     print(f"{args.shape}: length {track.total_length:.2f} m, "
@@ -257,7 +260,8 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         outputs += ["report_single.json", "report_single.csv"]
         if args.render and trace is not None:
             svg = reval.render_episode(trace, track, sim_cfg=cfg.sim)
-            (out / "single.svg").write_text(svg)
+            with atomic_open(out / "single.svg") as fh:
+                fh.write(svg)
             outputs.append("single.svg")
         print(f"single-agent: {report.laps_completed:.1f} laps, "
               f"mean speed {report.mean_speed:.2f} m/s"
@@ -318,7 +322,8 @@ def cmd_render(args, cfg: KitConfig) -> int:
     trace = rsim.read_trace_csv(args.trace)
     svg = reval.render_episode(trace, track, outcome=args.outcome, sim_cfg=cfg.sim)
     target = out / (Path(args.trace).stem + ".svg")
-    target.write_text(svg)
+    with atomic_open(target) as fh:
+        fh.write(svg)
     _write_manifest(out, "render", cfg, [target.name], started)
     print(f"wrote {target}")
     return EXIT_OK
@@ -396,7 +401,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_TRACK
+        return EXIT_CONFIG
     try:
         if args.command == "track":
             if args.track_cmd == "gen":

@@ -6,7 +6,8 @@ counts and overtake/safety rates), beam-dropout noise sweeps over either
 suite, and a single-step inference latency benchmark. The closed-loop
 suites run on the scenario module's episode engine: single-agent laps are
 one `rollout` of a leaderless scenario with a `LapTimer` observer, and a
-head-to-head pool is one `rollout_many` call, serial or pooled. Reports
+head-to-head pool is one `rollout_many` call, serial or pooled, whose
+chunks step in lockstep with the policy run per row. Reports
 serialize to JSON and CSV with stable formatting so equal-seed runs are
 byte-identical.
 """
@@ -25,7 +26,7 @@ from ._atomic import atomic_open
 from .policy import InferenceSession, PolicyConfig, PolicyParameters
 from .scenario import LapTimer, Outcome, RaceEnvironment, Scenario, rollout, rollout_many
 from .seeding import rng_for, sub_seed
-from .simulator import SimConfig, Trace, VehicleCommand
+from .simulator import SimConfig, Trace
 
 
 @dataclass
@@ -101,11 +102,11 @@ class LatencyReport:
 class PolicySource:
     """A trained policy as a 10 Hz action source with optional beam dropout.
 
-    The hidden state persists across queries within an episode and resets
-    to zero at episode start. Inference runs in double precision for exact
-    reproducibility. Dropout draws from a per-episode stream,
+    Each row of a batch keeps its own hidden state, zero at episode start
+    and carried across queries, and its own dropout stream,
     rng_for(sub_seed(noise_seed, stage), f"noise:{id}"), where stage is
-    noise_stage with "{id}" replaced by the scenario id.
+    noise_stage with "{id}" replaced by the scenario id. Inference runs
+    per row in double precision for exact reproducibility.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
@@ -116,19 +117,22 @@ class PolicySource:
         self.noise_eta = noise_eta
         self.noise_seed = noise_seed
         self.noise_stage = noise_stage
-        self._h = None
-        self._rng = None
+        self._h: list = []
+        self._rng: list = []
 
-    def reset(self, scenario, env):
-        self._h = self.session.zero_hidden()
-        stage = self.noise_stage.replace("{id}", scenario.id)
-        self._rng = rng_for(sub_seed(self.noise_seed, stage), f"noise:{scenario.id}")
+    def reset(self, scenarios, env):
+        self._h = [self.session.zero_hidden() for _ in scenarios]
+        self._rng = [rng_for(sub_seed(self.noise_seed, self.noise_stage.replace("{id}", sc.id)),
+                             f"noise:{sc.id}") for sc in scenarios]
 
-    def act(self, world, agent, scan):
-        if self.noise_eta > 0.0:
-            scan = rsim.apply_noise(scan, self.noise_eta, self._rng)
-        action, self._h = self.session.step(scan, world.agents[agent].v, self._h)
-        return VehicleCommand(float(action[0]), float(action[1]))
+    def act(self, world, rows, scans):
+        out = np.empty((len(rows), 2))
+        for k, b in enumerate(rows):
+            scan = scans[k]
+            if self.noise_eta > 0.0:
+                scan = rsim.apply_noise(scan, self.noise_eta, self._rng[b])
+            out[k], self._h[b] = self.session.step(scan, world.poses[b, 0, 3], self._h[b])
+        return out
 
 
 def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,

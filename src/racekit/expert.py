@@ -8,13 +8,17 @@ the winner with pure pursuit. The leader role skips the search and simply
 follows its raceline at a discounted reference speed, never reacting to
 the ego.
 
-The lattice is built in one shot: the speed profiles of all speed scales
-integrate together (one v_ref lookup per coarse step, located through the
-raceline's cached segment table), and the raceline's pose and free space
-are interpolated once over the whole (speed, time) grid. Containment is
-one (speed, offset) mask, and the kept candidates' points and headings
-come out of one broadcast, in the order a per-candidate loop would
-produce them and with the same floats.
+The expert serves a lockstep batch of worlds on one raceline at once
+(`ego_commands`, `leader_commands`); the one-world API (`expert_action`,
+`sample_lattice`) is the batch of one. The lattices of all rows are built
+together: their speed profiles integrate as one (rows, speed scales)
+array (one v_ref lookup per coarse step, located through the raceline's
+cached segment table); the raceline's pose, free space and curvature are
+interpolated from one location of the (rows, speed, time) arc grid;
+containment is one (rows, speed, offset) mask; and the kept candidates'
+points and headings come out of one broadcast and are scored as one
+array, in the order a per-candidate loop would produce them and with the
+same floats. Selection and pure pursuit run per row.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import VehicleCommand, VehicleState, WorldState
-from .track import FarFromRaceline, Raceline, TrackModel, curvature_at
+from .track import (PROJECTION_RADIUS, FarFromRaceline, Raceline, TrackModel, curvature_at,
+                    normal_of)
 
 
 class ExpertError(Exception):
@@ -87,11 +92,12 @@ class CandidateTrajectory:
     lateral_offset: float     # target offset from the raceline, meters
     speed_scale: float
     reward: float = math.nan
-    # construction-frame cache set by sample_lattice: arc position on the
-    # raceline and signed lateral deviation per sample. Hand-built
-    # candidates leave these None and are scored by projection instead.
-    s_path: np.ndarray | None = None
+    # construction-frame cache set by sample_lattice: signed lateral
+    # deviation from the raceline and the raceline's curvature per sample.
+    # Hand-built candidates leave these None and are scored by projection
+    # instead.
     d_path: np.ndarray | None = None
+    kappa_path: np.ndarray | None = None
 
 
 def _blend(u: np.ndarray) -> np.ndarray:
@@ -99,13 +105,54 @@ def _blend(u: np.ndarray) -> np.ndarray:
     return 3.0 * u * u - 2.0 * u * u * u
 
 
-def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
-                   cfg: ExpertConfig) -> list[CandidateTrajectory]:
-    """n_lateral x n_speed candidates blending from the current offset to
+@dataclass(eq=False)
+class Lattice:
+    """The lattices of n states on one raceline as (row, speed, offset)
+    grids of K samples. A candidate is a (speed, offset) pair; kept (n, S,
+    L) marks those that stay on the track, and a row's candidates are its
+    kept pairs in (speed, offset) order. v and kappa depend on the speed
+    only, d on the offset only; errors holds, per row, why it keeps none."""
+
+    offsets: np.ndarray       # (L,)
+    scales: np.ndarray        # (S,)
+    xy: np.ndarray            # (n, S, L, K, 2)
+    heading: np.ndarray       # (n, S, L, K)
+    v: np.ndarray             # (n, S, 1, K)
+    kappa: np.ndarray         # (n, S, 1, K) raceline curvature at the sample's arc
+    d: np.ndarray             # (n, 1, L, K) signed lateral deviation
+    kept: np.ndarray          # (n, S, L)
+    errors: list
+
+    def candidate(self, r: int, j: int, i: int) -> CandidateTrajectory:
+        """Row r's candidate at speed j and offset i, as views of the grids."""
+        return CandidateTrajectory(
+            xy=self.xy[r, j, i], heading=self.heading[r, j, i], v=self.v[r, j, 0],
+            lateral_offset=float(self.offsets[i]), speed_scale=float(self.scales[j]),
+            d_path=self.d[r, 0, i], kappa_path=self.kappa[r, j, 0])
+
+    def candidates(self, r: int) -> list[CandidateTrajectory]:
+        """Row r's candidates, speed-major, in offset order within a speed."""
+        return [self.candidate(r, j, i) for j, i in zip(*np.nonzero(self.kept[r]))]
+
+
+def _pose(state: VehicleState) -> np.ndarray:
+    return np.array([[state.x, state.y, state.theta, state.v, state.delta]], dtype=float)
+
+
+def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -> Lattice:
+    """The lattices of n vehicle states (n, 5) on one raceline: per row,
+    n_lateral x n_speed candidates blending from the current offset to
     each target offset over the horizon. Candidates that would leave the
-    track (minus safety_margin) are dropped; the rest come speed-major, in
-    offset order within a speed."""
-    s0, d0 = raceline.project((state.x, state.y))
+    track (minus safety_margin) are not kept; a row more than
+    PROJECTION_RADIUS off the raceline, or whose every candidate leaves
+    the track, keeps none and has its FarFromRaceline or
+    NoFeasibleCandidate in `errors`."""
+    n = len(states)
+    errors: list = [None] * n
+    s0, d0 = raceline.project_many(states[:, :2])
+    for r in np.flatnonzero(np.abs(d0) > PROJECTION_RADIUS):
+        point = tuple(states[r, :2].tolist())
+        errors[r] = FarFromRaceline(f"point {point} is {abs(d0[r]):.2f} m from the raceline")
     n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
     tau = np.arange(n_steps) * cfg.sample_dt
     u = np.minimum(np.maximum(tau / min(cfg.blend_T, cfg.horizon_T), 0.0), 1.0)
@@ -113,63 +160,96 @@ def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
     offsets = np.linspace(-cfg.lateral_max, cfg.lateral_max, cfg.n_lateral)
     scales = np.linspace(cfg.speed_scale_min, 1.0, cfg.n_speed)
 
-    # speed/arc integration for all scales at once; the ODE runs on a
-    # coarser internal grid and is resampled onto the sim-rate grid
+    # speed/arc integration for all rows and scales at once; the ODE runs
+    # on a coarser internal grid and is resampled onto the sim-rate grid
     sub = 5
     dt_int = cfg.sample_dt * sub
     n_int = (n_steps - 1) // sub + 2
-    s_coarse = np.empty((n_int, cfg.n_speed))
-    v_coarse = np.empty((n_int, cfg.n_speed))
-    s = np.full(cfg.n_speed, s0)
-    v = np.full(cfg.n_speed, max(float(state.v), cfg.v_floor))
-    for k in range(n_int):
-        s_coarse[k] = s
-        v_coarse[k] = v
-        s = s + v * dt_int
+    s_coarse = np.empty((n_int, n, cfg.n_speed))
+    v_coarse = np.empty((n_int, n, cfg.n_speed))
+    s_coarse[0] = s0[:, None]
+    v_coarse[0] = np.array([max(v, cfg.v_floor) for v in states[:, 3].tolist()]).reshape(n, 1)
+    dv_lo, dv_hi = cfg.decel_max * dt_int, cfg.accel_max * dt_int
+    for k in range(n_int - 1):
+        s, v = s_coarse[k], v_coarse[k]
+        s_next = np.add(s, v * dt_int, out=s_coarse[k + 1])
         # v_ref_at's lookup, called directly: racebench's tracer wraps every
         # public call, and this one runs ~40 times per lattice
-        target = scales * raceline._interp(raceline.v_ref, s)
-        v = np.minimum(np.maximum(target, v + cfg.decel_max * dt_int),
-                       v + cfg.accel_max * dt_int)
-        v = np.maximum(v, cfg.v_floor)
+        target = scales * raceline._lerp(raceline.v_ref, raceline._at(s_next))
+        v_next = np.minimum(np.maximum(target, v + dv_lo), v + dv_hi, out=v_coarse[k + 1])
+        np.maximum(v_next, cfg.v_floor, out=v_next)
     tau_coarse = np.arange(n_int) * dt_int
-    s_fine = np.empty((cfg.n_speed, n_steps))
-    v_fine = np.empty((cfg.n_speed, n_steps))
-    for j in range(cfg.n_speed):
-        s_fine[j] = np.interp(tau, tau_coarse, s_coarse[:, j])
-        v_fine[j] = np.interp(tau, tau_coarse, v_coarse[:, j])
+    shape = (n, cfg.n_speed, 1, n_steps)
+    s_fine = np.array([np.interp(tau, tau_coarse, lane)
+                       for lane in s_coarse.reshape(n_int, -1).T]).reshape(shape)
+    v_fine = np.array([np.interp(tau, tau_coarse, lane)
+                       for lane in v_coarse.reshape(n_int, -1).T]).reshape(shape)
 
-    # the whole (speed, offset) lattice at once: base points, normals and
-    # free space per speed row (S, K), lateral paths per offset (L, K)
-    base = raceline.position_at(s_fine)                         # (S, K, 2)
-    normals = raceline.normal_at(s_fine)                        # (S, K, 2)
-    avail_l, avail_r = raceline.avail_at(s_fine)
-    d_path = d0 + (offsets[:, None] - d0) * beta                # (L, K)
-    leaves = (np.any(d_path > (avail_l - cfg.safety_margin)[:, None], axis=2)
-              | np.any(-d_path > (avail_r - cfg.safety_margin)[:, None], axis=2))  # (S, L)
-    j_kept, i_kept = np.nonzero(~leaves)                        # speed-major order
-    if not len(j_kept):
-        raise NoFeasibleCandidate(
-            f"all {cfg.n_lateral * cfg.n_speed} candidates leave the track at s={s0:.2f}")
-    d_kept = d_path[i_kept]                                     # (C, K)
-    xy = base[j_kept] + d_kept[:, :, None] * normals[j_kept]    # (C, K, 2)
-    diffs = np.diff(xy, axis=1)
-    heading = np.arctan2(diffs[:, :, 1], diffs[:, :, 0])
-    heading = np.concatenate([heading, heading[:, -1:]], axis=1)
-    v_kept, s_kept = v_fine[j_kept], s_fine[j_kept]
-    return [CandidateTrajectory(
-        xy=xy[c], heading=heading[c], v=v_kept[c], lateral_offset=float(offsets[i]),
-        speed_scale=float(scales[j]), s_path=s_kept[c], d_path=d_kept[c])
-        for c, (j, i) in enumerate(zip(j_kept, i_kept))]
+    # one location of the (row, speed, time) arc grid serves the base
+    # points, normals, free space and curvature
+    loc = raceline._at(s_fine)
+    base = raceline._lerp(raceline.xy, loc)                        # (n, S, 1, K, 2)
+    normals = normal_of(raceline._lerp(raceline.heading, loc, angular=True))
+    avail_l = raceline._lerp(raceline.w_left_avail, loc) - cfg.safety_margin
+    avail_r = raceline._lerp(raceline.w_right_avail, loc) - cfg.safety_margin
+    d0 = d0[:, None, None]
+    d_path = (d0 + (offsets[:, None] - d0) * beta)[:, None]        # (n, 1, L, K)
+    kept = ~(np.any(d_path > avail_l, axis=3) | np.any(-d_path > avail_r, axis=3))   # (n, S, L)
+    for r in np.flatnonzero(~kept.any(axis=(1, 2))):
+        errors[r] = errors[r] or NoFeasibleCandidate(
+            f"all {cfg.n_lateral * cfg.n_speed} candidates leave the track at s={s0[r]:.2f}")
+    kept[[e is not None for e in errors]] = False
+    xy = base + d_path[..., None] * normals                         # (n, S, L, K, 2)
+    diffs = np.diff(xy, axis=3)
+    heading = np.arctan2(diffs[..., 1], diffs[..., 0])
+    heading = np.concatenate([heading, heading[..., -1:]], axis=3)
+    return Lattice(offsets=offsets, scales=scales, xy=xy, heading=heading, v=v_fine,
+                   kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept, errors=errors)
+
+
+def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
+                   cfg: ExpertConfig) -> list[CandidateTrajectory]:
+    """One state's lattice (sample_lattices for a batch of one): its kept
+    candidates, speed-major, in offset order within a speed. Raises
+    FarFromRaceline or NoFeasibleCandidate when it keeps none."""
+    lattice = sample_lattices(_pose(state), raceline, cfg)
+    if lattice.errors[0] is not None:
+        raise lattice.errors[0]
+    return lattice.candidates(0)
+
+
+def predict_opponents(opponents: np.ndarray, cfg: ExpertConfig) -> np.ndarray:
+    """Constant-velocity predictions (n, K, 2) of n opponent states (n, 5),
+    sampled on the candidate grid."""
+    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
+    tau = np.arange(n_steps) * cfg.sample_dt
+    x, y, theta, v = opponents[:, :4].T[..., None]
+    vx = v * np.cos(theta)
+    vy = v * np.sin(theta)
+    return np.stack([x + vx * tau, y + vy * tau], axis=2)
 
 
 def predict_opponent(opponent: VehicleState, cfg: ExpertConfig) -> np.ndarray:
     """Constant-velocity opponent prediction sampled on the candidate grid."""
-    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-    tau = np.arange(n_steps) * cfg.sample_dt
-    vx = opponent.v * math.cos(opponent.theta)
-    vy = opponent.v * math.sin(opponent.theta)
-    return np.stack([opponent.x + vx * tau, opponent.y + vy * tau], axis=1)
+    return predict_opponents(_pose(opponent), cfg)[0]
+
+
+def _mean_rewards(V, XY, d, kappa, opponent_pred, cfg: ExpertConfig) -> np.ndarray:
+    """Mean per-sample composite reward of candidates whose (..., K)
+    speeds, deviations and curvatures and (..., K, 2) points broadcast
+    together, against opponent predictions (..., >=K, 2) or none."""
+    n_k = V.shape[-1]
+    term = cfg.lambda_v * np.log(V) - cfg.lambda_p * np.abs(d) \
+        - cfg.lambda_kappa * np.abs(kappa) * V
+    if opponent_pred is not None:
+        if opponent_pred.shape[-2] < n_k:
+            raise ExpertError("opponent prediction shorter than the candidate horizon")
+        gap = XY - opponent_pred[..., :n_k, :]
+        # the Euclidean norm as np.linalg.norm sums it, without its
+        # reduction over a length-2 axis
+        d_l = np.sqrt(gap[..., 0] * gap[..., 0] + gap[..., 1] * gap[..., 1])
+        term = term - cfg.lambda_d * np.exp(-d_l / cfg.d_scale)
+    return term.mean(axis=-1)
 
 
 def score_candidates(candidates: list[CandidateTrajectory],
@@ -177,31 +257,26 @@ def score_candidates(candidates: list[CandidateTrajectory],
                      raceline: Raceline, cfg: ExpertConfig) -> np.ndarray:
     """Vectorized mean per-sample composite reward for a candidate batch.
 
-    lambda_v * ln(v) - lambda_p * |d_r| - lambda_d * exp(-d_l / d_scale)
-    - lambda_kappa * |kappa| * v, with d_l the distance to the time-aligned
-    opponent prediction (no proximity term without an opponent)."""
+    lambda_v * ln(v) - lambda_p * |d_r| - lambda_kappa * |kappa| * v
+    - lambda_d * exp(-d_l / d_scale), with d_l the distance to the
+    time-aligned opponent prediction (no proximity term without an
+    opponent). Lattice candidates carry their deviation and curvature;
+    hand-built ones are projected onto the raceline."""
     V = np.stack([c.v for c in candidates])          # (C, K)
     if np.any(V <= 0):
         raise NonPositiveSpeed("candidate contains non-positive speeds")
     XY = np.stack([c.xy for c in candidates])        # (C, K, 2)
     n_c, n_k = V.shape
-    if all(c.s_path is not None and c.d_path is not None for c in candidates):
-        s_proj = np.stack([c.s_path for c in candidates]).reshape(-1)
+    if all(c.d_path is not None and c.kappa_path is not None for c in candidates):
         d_proj = np.stack([c.d_path for c in candidates])
+        kappa = np.stack([c.kappa_path for c in candidates])
     else:
         s_hint, _ = raceline.project((XY[0, 0, 0], XY[0, 0, 1]))
         window = float(V.max()) * cfg.horizon_T + 5.0
         s_proj, d_proj = raceline.project_many(XY.reshape(-1, 2), s_hint=s_hint, window=window)
         d_proj = d_proj.reshape(n_c, n_k)
-    kappa = curvature_at(raceline, s_proj).reshape(n_c, n_k)
-    term = cfg.lambda_v * np.log(V) - cfg.lambda_p * np.abs(d_proj) \
-        - cfg.lambda_kappa * np.abs(kappa) * V
-    if opponent_pred is not None:
-        if len(opponent_pred) < n_k:
-            raise ExpertError("opponent prediction shorter than the candidate horizon")
-        d_l = np.linalg.norm(XY - opponent_pred[None, :n_k], axis=2)
-        term = term - cfg.lambda_d * np.exp(-d_l / cfg.d_scale)
-    return term.mean(axis=1)
+        kappa = curvature_at(raceline, s_proj).reshape(n_c, n_k)
+    return _mean_rewards(V, XY, d_proj, kappa, opponent_pred, cfg)
 
 
 def score_candidate(cand: CandidateTrajectory, opponent_pred: np.ndarray | None,
@@ -210,18 +285,24 @@ def score_candidate(cand: CandidateTrajectory, opponent_pred: np.ndarray | None,
     return float(score_candidates([cand], opponent_pred, raceline, cfg)[0])
 
 
+def _best(rewards: list[float], offsets: list[float]) -> int:
+    """Index of the argmax reward; ties prefer the smaller |offset|, then
+    the earlier entry."""
+    best = 0
+    for i in range(1, len(rewards)):
+        if rewards[i] > rewards[best] or (
+                rewards[i] == rewards[best] and abs(offsets[i]) < abs(offsets[best])):
+            best = i
+    return best
+
+
 def select_trajectory(candidates: list[CandidateTrajectory]) -> CandidateTrajectory:
     """Argmax reward; ties prefer the smaller |lateral_offset|, then the
     earlier candidate."""
     if not candidates:
         raise EmptyCandidateSet("no candidates to select from")
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.reward > best.reward or (
-                cand.reward == best.reward
-                and abs(cand.lateral_offset) < abs(best.lateral_offset)):
-            best = cand
-    return best
+    return candidates[_best([c.reward for c in candidates],
+                            [c.lateral_offset for c in candidates])]
 
 
 def pure_pursuit_steering(wheelbase: float, alpha: float, ell: float) -> float:
@@ -229,10 +310,10 @@ def pure_pursuit_steering(wheelbase: float, alpha: float, ell: float) -> float:
     return math.atan2(2.0 * wheelbase * math.sin(alpha), ell)
 
 
-def _steer_toward(state: VehicleState, target, chord: float, cfg: ExpertConfig) -> float:
-    """Pure-pursuit steering toward a target point `chord` meters away,
-    clamped to the steering limit."""
-    alpha = math.atan2(target[1] - state.y, target[0] - state.x) - state.theta
+def _steer_toward(pose, target, chord: float, cfg: ExpertConfig) -> float:
+    """Pure-pursuit steering from pose (x, y, theta, ...) toward a target
+    point `chord` meters away, clamped to the steering limit."""
+    alpha = math.atan2(target[1] - pose[1], target[0] - pose[0]) - pose[2]
     alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
     delta = pure_pursuit_steering(cfg.wheelbase_L, alpha, max(chord, 1e-6))
     return min(max(delta, -cfg.steer_limit), cfg.steer_limit)
@@ -243,41 +324,68 @@ def pure_pursuit(state: VehicleState, traj: CandidateTrajectory, cfg: ExpertConf
     distance ahead (the farthest sample if the trajectory is shorter)."""
     ell = max(cfg.lookahead_ell, cfg.lookahead_gain * state.v)
     rel = traj.xy - np.array([state.x, state.y])
-    dist = np.linalg.norm(rel, axis=1)
+    dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])     # np.linalg.norm's sum
     ahead = np.nonzero(dist >= ell)[0]
     idx = int(ahead[0]) if len(ahead) else len(traj.xy) - 1
-    return _steer_toward(state, traj.xy[idx], float(dist[idx]), cfg)
+    return _steer_toward((state.x, state.y, state.theta), traj.xy[idx], float(dist[idx]), cfg)
 
 
-def _leader_command(state: VehicleState, raceline: Raceline, cfg: ExpertConfig) -> VehicleCommand:
-    s_proj, _ = raceline.project((state.x, state.y))
-    v_cmd = float(raceline.v_ref_at(s_proj)) * cfg.leader_speed_discount
-    ell = max(cfg.lookahead_ell, cfg.lookahead_gain * state.v)
-    target = raceline.position_at(s_proj + ell)
-    chord = math.hypot(target[0] - state.x, target[1] - state.y)
-    return VehicleCommand(v_cmd, _steer_toward(state, target, chord, cfg))
+def leader_commands(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -> np.ndarray:
+    """Commands (n, 2) of n leaders (n, 5) on one raceline: its discounted
+    reference speed at the projection and pure pursuit toward the raceline
+    point one lookahead further on."""
+    s_proj, d_proj = raceline.project_many(states[:, :2])
+    far = np.flatnonzero(np.abs(d_proj) > PROJECTION_RADIUS)
+    if len(far):
+        point = tuple(states[far[0], :2].tolist())
+        raise FarFromRaceline(f"point {point} is {abs(d_proj[far[0]]):.2f} m from the raceline")
+    poses = states.tolist()
+    ell = np.array([max(cfg.lookahead_ell, cfg.lookahead_gain * p[3]) for p in poses])
+    targets = raceline.position_at(s_proj + ell)
+    out = np.empty((len(poses), 2))
+    out[:, 0] = raceline.v_ref_at(s_proj) * cfg.leader_speed_discount
+    for r, (pose, target) in enumerate(zip(poses, targets)):
+        chord = math.hypot(target[0] - pose[0], target[1] - pose[1])
+        out[r, 1] = _steer_toward(pose, target, chord, cfg)
+    return out
+
+
+def ego_commands(states: np.ndarray, opponents: np.ndarray | None, raceline: Raceline,
+                 cfg: ExpertConfig) -> np.ndarray:
+    """Commands (n, 2) of n egos (n, 5) on one raceline, each against its
+    row's opponent (n, 5) or none: the lattices of all rows, scored as one
+    grid, then per row the best kept candidate's preview speed and pure
+    pursuit. A row without a feasible candidate brakes straight."""
+    out = np.zeros((len(states), 2))
+    lattice = sample_lattices(states, raceline, cfg)
+    if not lattice.kept.any():
+        return out
+    if np.any(lattice.v[lattice.kept.any(axis=2)] <= 0):
+        raise NonPositiveSpeed("candidate contains non-positive speeds")
+    opp = None if opponents is None else predict_opponents(opponents, cfg)[:, None, None]
+    rewards = _mean_rewards(lattice.v, lattice.xy, lattice.d, lattice.kappa, opp, cfg)
+    # commanding a preview sample lets the proportional speed tracker
+    # realize the planned acceleration instead of chasing the current speed
+    idx = min(lattice.v.shape[-1] - 1, int(round(cfg.speed_preview / cfg.sample_dt)))
+    for r in np.flatnonzero(lattice.kept.any(axis=(1, 2))):
+        js, is_ = np.nonzero(lattice.kept[r])
+        k = _best(rewards[r, js, is_].tolist(), lattice.offsets[is_].tolist())
+        best = lattice.candidate(r, js[k], is_[k])
+        out[r] = best.v[idx], pure_pursuit(VehicleState(*states[r].tolist()), best, cfg)
+    return out
 
 
 def expert_action(world: WorldState, agent: int, role: str, raceline: Raceline,
                   cfg: ExpertConfig) -> VehicleCommand:
     """Full expert pipeline for the ego role; pure raceline tracking at a
-    discounted speed for the leader. Falls back to a straight brake when no
-    feasible candidate exists."""
-    state = world.agents[agent]
+    discounted speed for the leader (ego_commands and leader_commands for a
+    batch of one). Falls back to a straight brake when no feasible
+    candidate exists."""
+    poses = np.array([(a.x, a.y, a.theta, a.v, a.delta) for a in world.agents], dtype=float)
+    state = poses[agent:agent + 1]
     if role == Role.LEADER:
-        return _leader_command(state, raceline, cfg)
-    others = [a for i, a in enumerate(world.agents) if i != agent]
-    opponent_pred = predict_opponent(others[0], cfg) if others else None
-    try:
-        candidates = sample_lattice(state, raceline, world.track, cfg)
-    except (NoFeasibleCandidate, FarFromRaceline):
-        return VehicleCommand(0.0, 0.0)
-    rewards = score_candidates(candidates, opponent_pred, raceline, cfg)
-    for cand, r in zip(candidates, rewards):
-        cand.reward = float(r)
-    best = select_trajectory(candidates)
-    delta = pure_pursuit(state, best, cfg)
-    # commanding a preview sample lets the proportional speed tracker
-    # realize the planned acceleration instead of chasing the current speed
-    idx = min(len(best.v) - 1, int(round(cfg.speed_preview / cfg.sample_dt)))
-    return VehicleCommand(float(best.v[idx]), delta)
+        cmd = leader_commands(state, raceline, cfg)[0]
+    else:
+        others = np.delete(poses, agent, axis=0)
+        cmd = ego_commands(state, others[:1] if len(others) else None, raceline, cfg)[0]
+    return VehicleCommand(float(cmd[0]), float(cmd[1]))

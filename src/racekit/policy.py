@@ -12,7 +12,11 @@ b_cand_h (H,) is the candidate's hidden-side bias. `gru_cell` is the only
 GRU update. It takes the input projection px = x W_x^T + b_x, which
 inference forms per step and the trainer for a whole batch of sequences
 in one GEMM, and makes one h U_h^T product. `gru_step`, `forward_step`,
-`InferenceSession` and the trainer's forward pass all call it.
+`InferenceSession` and the trainer's forward pass all call it. A
+single-observation step may pass a `StepBuffers` workspace, which holds
+its intermediates so that the step's ufuncs write in place; the
+operations and their order are the same with and without one.
+InferenceSession keeps one per session.
 
 Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
 each of its 17 names to a stored tensor and a gate block, and init, save,
@@ -148,34 +152,77 @@ def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> PolicyParameters
     return PolicyParameters(**tensors)
 
 
-def normalize_scan(z: np.ndarray, sigmoid_k: float) -> np.ndarray:
-    """Pressure token per beam: 2 / (1 + e^(k x)); 1 at contact, -> 0 far."""
-    z = np.asarray(z, dtype=float)
-    return 2.0 / (1.0 + np.exp(np.minimum(sigmoid_k * z, 700.0)))
+def normalize_scan(z: np.ndarray, sigmoid_k: float, out=None, scratch=None) -> np.ndarray:
+    """Pressure token per beam: 2 / (1 + e^(k x)); 1 at contact, -> 0 far.
+    Computed in double precision; out receives the tokens and scratch the
+    intermediate, if given."""
+    t = np.multiply(z, sigmoid_k, out=scratch, dtype=float)
+    np.minimum(t, 700.0, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(2.0, t, out=out)
 
 
-def embed_speed(v, params: PolicyParameters, masked=False) -> np.ndarray:
+def embed_speed(v, params: PolicyParameters, masked=False, out=None) -> np.ndarray:
     """Affine lift of the speed v (scalar or (...) array) to (..., E), or
-    the mask token where masked."""
-    emb = np.asarray(v)[..., None] * params.speed_w + params.speed_b
-    return np.where(np.asarray(masked)[..., None], params.mask_embed, emb)
+    the mask token where masked; out receives it, if given."""
+    emb = np.add(np.multiply(np.asarray(v)[..., None], params.speed_w), params.speed_b, out=out)
+    np.copyto(emb, params.mask_embed, where=np.asarray(masked)[..., None])
+    return emb
 
 
 def encode_inputs(scan, v, params: PolicyParameters, cfg: PolicyConfig,
-                  masked=False) -> np.ndarray:
+                  masked=False, work: StepBuffers | None = None) -> np.ndarray:
     """Observations -> GRU inputs x (..., I): pressure tokens, then the speed
-    embedding unless the policy is LiDAR-only."""
-    tokens = normalize_scan(scan, cfg.sigmoid_k)
-    if not cfg.use_speed_input:
-        return tokens
-    return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
+    embedding unless the policy is LiDAR-only, joined in double precision
+    (the tokens are computed in it); with a workspace the result lands in
+    its x, in its dtype."""
+    if work is None:
+        tokens = normalize_scan(scan, cfg.sigmoid_k)
+        if not cfg.use_speed_input:
+            return tokens
+        return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
+    x = work.x64
+    normalize_scan(scan, cfg.sigmoid_k, out=x[:cfg.n_beams], scratch=work.tokens)
+    if cfg.use_speed_input:
+        embed_speed(v, params, masked, out=x[cfg.n_beams:])
+    if work.x is not x:
+        np.copyto(work.x, x, casting="same_kind")
+    return work.x
 
 
-def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _logistic(x, out=None):
+    t = np.negative(x, out=out)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
 
 
-def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters):
+class StepBuffers:
+    """Preallocated intermediates of single-observation steps of one set
+    of parameters: the double-precision encoding (tokens and the input x),
+    x in the parameters' dtype, the projections px = x W_x^T + b_x and
+    h U_h^T, the gate activations and the decoder's hidden layer. An
+    InferenceSession keeps one, so a step allocates little more than the
+    action and hidden state it returns."""
+
+    def __init__(self, params: PolicyParameters, cfg: PolicyConfig):
+        dtype = params.w_x.dtype
+        h = cfg.hidden_dim
+        self.tokens = np.empty(cfg.n_beams)
+        self.x64 = np.empty(cfg.input_dim)
+        self.x = self.x64 if dtype == np.float64 else np.empty(cfg.input_dim, dtype)
+        self.px = np.empty(3 * h, dtype)
+        self.ph = np.empty(3 * h, dtype)
+        self.gates = np.empty(3 * h, dtype)
+        self.keep = np.empty(h, dtype)      # (1 - u) * n
+        self.mix = np.empty(h, dtype)       # u * h
+        self.hidden = np.empty(cfg.mlp_hidden_dim, dtype)
+        self.action = np.empty(2, dtype)
+
+
+def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters,
+             work: StepBuffers | None = None):
     """The GRU update, from the input projection px = x W_x^T + b_x (..., 3H)
     and the hidden state h (..., H), with one h U_h^T product.
 
@@ -184,45 +231,60 @@ def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters):
     are what backpropagation needs. The update and reset pre-activations
     sum as (x W + b) + h U, the candidate's as
     (x W_cand + b_cand_x) + r * (h U_cand + b_cand_h); the float64 eval
-    outputs depend on this order bit for bit."""
+    outputs depend on this order bit for bit. With a workspace, gates and
+    m are views of its buffers; h_next is always a fresh array."""
     H = h.shape[-1]
-    ph = h @ params.u_h.T
-    gates = np.empty_like(px)
+    ph = np.matmul(h, params.u_h.T, out=None if work is None else work.ph)
+    gates = np.empty_like(px) if work is None else work.gates
+    ur = gates[..., :2 * H]
+    np.add(px[..., :2 * H], ph[..., :2 * H], out=ur)
+    _logistic(ur, out=ur)
     u, r, n = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:]
-    u[...] = _logistic(px[..., :H] + ph[..., :H])
-    r[...] = _logistic(px[..., H:2 * H] + ph[..., H:2 * H])
     m = ph[..., 2 * H:]
     m += params.b_cand_h
-    n[...] = np.tanh(px[..., 2 * H:] + r * m)
-    return (1.0 - u) * n + u * h, gates, m
+    np.multiply(r, m, out=n)
+    np.add(px[..., 2 * H:], n, out=n)
+    np.tanh(n, out=n)
+    keep = np.subtract(1.0, u, out=None if work is None else work.keep)
+    keep *= n
+    return keep + np.multiply(u, h, out=None if work is None else work.mix), gates, m
 
 
-def gru_step(x: np.ndarray, h: np.ndarray, params: PolicyParameters) -> np.ndarray:
+def gru_step(x: np.ndarray, h: np.ndarray, params: PolicyParameters,
+             work: StepBuffers | None = None) -> np.ndarray:
     """One GRU cell update. Supports (I,)/(H,) vectors or (B, I)/(B, H)
     batches. Hidden entries stay inside (-1, 1) for in-range inputs."""
     if x.shape[-1] != params.w_x.shape[1] or h.shape[-1] != params.u_h.shape[1]:
         raise ShapeMismatch(
             f"gru_step: x{x.shape} / h{h.shape} vs W_x{params.w_x.shape}")
-    return gru_cell(x @ params.w_x.T + params.b_x, h, params)[0]
+    px = np.matmul(x, params.w_x.T, out=None if work is None else work.px)
+    px += params.b_x
+    return gru_cell(px, h, params, work)[0]
 
 
-def decode(h: np.ndarray, params: PolicyParameters) -> np.ndarray:
+def decode(h: np.ndarray, params: PolicyParameters,
+           work: StepBuffers | None = None) -> np.ndarray:
     """Two-layer rectifier MLP head -> raw (speed, steering). No clamping;
     the simulator's actuator model saturates on application."""
     if h.shape[-1] != params.dec_w1.shape[1]:
         raise ShapeMismatch(f"decode: h{h.shape} vs W1{params.dec_w1.shape}")
-    hidden = np.maximum(h @ params.dec_w1.T + params.dec_b1, 0.0)
-    return hidden @ params.dec_w2.T + params.dec_b2
+    hidden = np.matmul(h, params.dec_w1.T, out=None if work is None else work.hidden)
+    hidden += params.dec_b1
+    np.maximum(hidden, 0.0, out=hidden)
+    out = np.matmul(hidden, params.dec_w2.T, out=None if work is None else work.action)
+    return out + params.dec_b2
 
 
 def forward_step(scan: np.ndarray, v: float, h: np.ndarray,
                  params: PolicyParameters, cfg: PolicyConfig,
-                 masked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                 masked: bool = False,
+                 work: StepBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One observation -> (action, next hidden state), in the dtype of the
-    parameters."""
-    x = encode_inputs(scan, v, params, cfg, masked).astype(params.w_x.dtype, copy=False)
-    h_next = gru_step(x, h, params)
-    return decode(h_next, params), h_next
+    parameters. A workspace (StepBuffers) of that dtype holds the
+    intermediates; the returned arrays are fresh either way."""
+    x = encode_inputs(scan, v, params, cfg, masked, work).astype(params.w_x.dtype, copy=False)
+    h_next = gru_step(x, h, params, work)
+    return decode(h_next, params, work), h_next
 
 
 def zero_hidden(cfg: PolicyConfig) -> np.ndarray:
@@ -230,7 +292,8 @@ def zero_hidden(cfg: PolicyConfig) -> np.ndarray:
 
 
 class InferenceSession:
-    """Single-step inference at a fixed precision.
+    """Single-step inference at a fixed precision, through one workspace
+    of preallocated intermediates.
 
     float64 uses the parameter arrays as they are, without a copy (so the
     session sees later in-place changes to them), and is forward_step bit
@@ -244,10 +307,11 @@ class InferenceSession:
         self.dtype = np.dtype(dtype)
         self.params = PolicyParameters(**{
             k: t.astype(self.dtype, copy=False) for k, t in params.tensors().items()})
+        self._work = StepBuffers(self.params, cfg)
 
     def step(self, scan: np.ndarray, v: float, h: np.ndarray,
              masked: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        return forward_step(scan, v, h, self.params, self.cfg, masked)
+        return forward_step(scan, v, h, self.params, self.cfg, masked, self._work)
 
     def zero_hidden(self) -> np.ndarray:
         return np.zeros(self.cfg.hidden_dim, dtype=self.dtype)

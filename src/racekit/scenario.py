@@ -4,20 +4,25 @@ A scenario spawns the ego on one raceline and, when it names one, a
 non-reactive leader a fixed arc distance ahead on its own raceline, both
 at flying-start speeds. Every closed-loop episode in the kit - expert
 collection, head-to-head evaluation, single-agent laps - runs through one
-loop, `rollout`: the simulation steps at 100 Hz, the ego's action source
-is queried at 10 Hz with commands held in between, and a frame (raw scan,
-ego speed, issued action) is recorded at every query instant. An optional
-observer sees the world and the ego's unwrapped progress after every sim
-step and may end the episode; `LapTimer` is the observer of the lap
-harnesses. Episodes terminate on collision, on the observer's word or at
-the time limit, and are classified CarFollowing / Overtaking / Collision
-by unwrapped centerline progress; `ProgressTracker` projects each agent
-onto the centerline every sim step, inside an arc window around its last
+engine, `rollout_batch`, which steps a chunk of scenarios in lockstep: the
+worlds are rows of a `simulator.WorldBatch`, the simulation steps at
+100 Hz, the ego's action source is queried at 10 Hz for every running row
+at once with commands held in between, and a frame (raw scan, ego speed,
+issued action) is recorded per row at every query instant. A row whose
+episode ends leaves the set of running rows, and its record is the one it
+would get alone. `rollout` is the batch of one; its optional observer
+sees the world and the ego's unwrapped progress after every sim step and
+may end the episode (`LapTimer` is the observer of the lap harnesses).
+Episodes terminate on collision, on the observer's word or at the time
+limit, and are classified CarFollowing / Overtaking / Collision by
+unwrapped centerline progress; `track_progress` projects every agent onto
+the centerline every sim step, inside an arc window around its last
 progress, through the track's cached segment table
 (`TrackModel.segment_table`). `rollout_many` is the one pooled runner: it
-rolls a scenario pool in order, serially or across worker processes.
-Collision episodes are filtered out of the training dataset (they remain
-valid for evaluation). Episode and dataset files are written atomically.
+hands out chunks of CHUNK scenarios in scenario order, in-process or one
+chunk per worker task. Collision episodes are filtered out of the
+training dataset (they remain valid for evaluation). Episode and dataset
+files are written atomically.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -34,9 +39,9 @@ from . import _geom
 from . import expert as rexpert
 from . import simulator as rsim
 from ._atomic import atomic_open
-from .expert import ExpertConfig, Role
+from .expert import ExpertConfig
 from .seeding import sub_seed
-from .simulator import SimConfig, Trace, VehicleCommand, VehicleState, WorldState
+from .simulator import SimConfig, Trace, VehicleState, WorldBatch, WorldState
 from .track import Raceline, SpeedConfig, TrackModel, generate_raceline
 
 
@@ -136,23 +141,40 @@ class RaceEnvironment:
 
 
 class ActionSource(Protocol):
-    """Queried at 10 Hz; the returned command is held until the next query."""
+    """Drives the ego (agent 0) of every row of a lockstep batch. Queried
+    at 10 Hz; the returned commands are held until the next query."""
 
-    def reset(self, scenario: Scenario, env: RaceEnvironment) -> None: ...
+    def reset(self, scenarios: list[Scenario], env: RaceEnvironment) -> None:
+        """Start one episode per scenario; row b of the batch plays scenarios[b]."""
 
-    def act(self, world: WorldState, agent: int, scan: np.ndarray) -> VehicleCommand: ...
+    def act(self, world: WorldBatch, rows: np.ndarray, scans: np.ndarray) -> np.ndarray:
+        """Commands (len(rows), 2) of v_cmd and delta_cmd for the egos of
+        the given running rows, whose scans are (len(rows), n_beams)."""
+
+
+def _by_raceline(rids: list[str], rows: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """(raceline id, mask over rows) for each raceline the rows use."""
+    names = np.array(rids, dtype=object)[rows]
+    for rid in dict.fromkeys(names):
+        yield rid, names == rid
 
 
 class ExpertSource:
-    """The lattice expert on the scenario's ego raceline as an ego action
-    source (ignores the scan)."""
+    """The lattice expert on each scenario's ego raceline as an ego action
+    source (ignores the scans)."""
 
-    def reset(self, scenario, env):
-        self._raceline = env.racelines[scenario.ego_raceline]
-        self._cfg = env.expert
+    def reset(self, scenarios, env):
+        self._env = env
+        self._racelines = [sc.ego_raceline for sc in scenarios]
 
-    def act(self, world, agent, scan):
-        return rexpert.expert_action(world, agent, Role.EGO, self._raceline, self._cfg)
+    def act(self, world, rows, scans):
+        out = np.empty((len(rows), 2))
+        for rid, sel in _by_raceline(self._racelines, rows):
+            poses = world.poses[rows[sel]]
+            opponents = poses[:, 1] if poses.shape[1] > 1 else None
+            out[sel] = rexpert.ego_commands(poses[:, 0], opponents, self._env.racelines[rid],
+                                            self._env.expert)
+        return out
 
 
 def _spawn_state(raceline: Raceline, s: float, v_scale: float = 1.0) -> VehicleState:
@@ -171,28 +193,44 @@ def start_world(scenario: Scenario, env: RaceEnvironment) -> WorldState:
     return WorldState(env.track, agents)
 
 
+PROGRESS_WINDOW = 6.0  # meters of centerline searched on each side of the last position
+
+
+def track_progress(track: TrackModel, progress: np.ndarray, x: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """Unwrapped centerline progress (N,) of N points after each moved from
+    its last progress to (x, y).
+
+    Each point is projected onto the centerline segments of the arc window
+    of PROGRESS_WINDOW around its last progress (_geom.arc_windows and
+    _geom.project_to_polyline), ties going to the segment listed first, and
+    the progress moves by the projected arc's shortest signed distance
+    around the loop. A point's result does not depend on the others."""
+    windows = _geom.arc_windows(track.arc_table, progress, PROGRESS_WINDOW)
+    s, _, _ = _geom.project_to_polyline(np.stack([x, y], axis=1), track.segment_table, windows)
+    length = track.total_length
+    delta = np.mod(s - progress, length)
+    delta = np.where(delta > length / 2, delta - length, delta)
+    return progress + delta
+
+
 class ProgressTracker:
-    """Unwrapped arc progress along the track centerline.
+    """Unwrapped arc progress of one point along the track centerline
+    (track_progress for a batch of one).
 
     Projections are windowed around the last known progress; updates must
     be frequent relative to the window (true at the sim rate)."""
 
-    WINDOW = 6.0  # meters of centerline searched on each side of the last position
+    WINDOW = PROGRESS_WINDOW
 
     def __init__(self, track: TrackModel, start_hint: float):
         self.track = track
         self.progress = float(start_hint)
-        self._length = track.total_length
-        self._arc_table = track.arc_table
-        self._segments = track.segment_table
 
     def update(self, x: float, y: float) -> float:
-        window = _geom.arc_window(self._arc_table, self.progress, self.WINDOW)
-        s, _, _ = _geom.project_to_polyline((x, y), self._segments, seg_idx=window)
-        delta = (float(s[0]) - self.progress) % self._length
-        if delta > self._length / 2:
-            delta -= self._length
-        self.progress += delta
+        self.progress = float(track_progress(self.track, np.array([self.progress]),
+                                             np.array([x], dtype=float),
+                                             np.array([y], dtype=float))[0])
         return self.progress
 
 
@@ -280,74 +318,124 @@ class LapTimer:
         return (self._last - self._start) / self.length
 
 
+def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
+                  duration: float = 8.0, record_trace: bool = False,
+                  observers: list[Callable[[WorldState, float], bool] | None] | None = None,
+                  ) -> list[tuple[EpisodeRecord, Trace | None]]:
+    """Run scenarios in lockstep at the sim rate with 10 Hz action queries;
+    (record, trace) per scenario, in order.
+
+    Frames are recorded at the query instants before stepping, so an episode
+    that collides mid-interval keeps every frame up to and including the
+    interval it died in. A row's observer, if any, is called with the start
+    world and then after every sim step with the world and the ego's
+    unwrapped centerline progress; a true return ends that episode. Rows
+    with and without a leader run as separate batches."""
+    observers = observers or [None] * len(scenarios)
+    solo = [sc.leader_raceline is None for sc in scenarios]
+    if len(set(solo)) > 1:
+        out: list = [None] * len(scenarios)
+        for flag in (False, True):
+            idx = [i for i, s in enumerate(solo) if s == flag]
+            results = rollout_batch([scenarios[i] for i in idx], source, env, duration,
+                                    record_trace, [observers[i] for i in idx])
+            for i, res in zip(idx, results):
+                out[i] = res
+        return out
+
+    sim_cfg, track = env.sim, env.track
+    world = WorldBatch.of([start_world(sc, env) for sc in scenarios])
+    n_rows, n_agents = world.poses.shape[:2]
+    source.reset(scenarios, env)
+    hints = np.empty((n_rows, n_agents))
+    for b, sc in enumerate(scenarios):
+        hints[b, 0] = sc.ego_s
+        if n_agents > 1:
+            hints[b, 1] = sc.ego_s + (sc.leader_s - sc.ego_s) % track.total_length
+    progress = track_progress(track, hints.ravel(), world.poses[..., 0].ravel(),
+                              world.poses[..., 1].ravel()).reshape(n_rows, n_agents)
+    leaders = [sc.leader_raceline for sc in scenarios]
+
+    steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
+    max_frames = int(round(duration * FRAME_HZ))
+    frames: list[list] = [[] for _ in range(n_rows)]
+    traces = [Trace() if record_trace else None for _ in range(n_rows)]
+    watched = record_trace or any(obs is not None for obs in observers)
+
+    def watch(rows) -> np.ndarray:
+        """Trace and observe the given rows; True where an observer stops."""
+        stop = np.zeros(len(rows), dtype=bool)
+        for k, b in enumerate(rows):
+            w = world.world(b)
+            if traces[b] is not None:
+                traces[b].append(w)
+            if observers[b] is not None:
+                stop[k] = observers[b](w, float(progress[b, 0]))
+        return stop
+
+    active = np.arange(n_rows)
+    if watched:
+        active = active[~watch(active)]
+    for _ in range(max_frames):
+        if not len(active):
+            break
+        scans = rsim.scan_batch(track, world.poses[active], 0, sim_cfg)
+        ego = np.asarray(source.act(world, active, scans), dtype=float)
+        speeds = world.poses[active, 0, 3].astype(np.float32)
+        for k, b in enumerate(active):
+            frames[b].append((scans[k].astype(np.float32), speeds[k], ego[k].astype(np.float32)))
+        cmds = np.empty((len(active), n_agents, 2))
+        cmds[:, 0] = ego
+        if n_agents > 1:
+            for rid, sel in _by_raceline(leaders, active):
+                cmds[sel, 1] = rexpert.leader_commands(world.poses[active[sel], 1],
+                                                       env.racelines[rid], env.expert)
+        rows = active
+        for _ in range(steps_per_frame):
+            rsim.step_rows(world, rows, cmds, sim_cfg)
+            xy = world.poses[rows, :, :2]
+            progress[rows] = track_progress(track, progress[rows].ravel(), xy[..., 0].ravel(),
+                                            xy[..., 1].ravel()).reshape(len(rows), n_agents)
+            ended = world.collided[rows].any(axis=1)
+            if watched:
+                ended |= watch(rows)
+            if ended.any():
+                rows, cmds = rows[~ended], cmds[~ended]
+                if not len(rows):
+                    break
+        active = rows
+
+    results = []
+    for b, sc in enumerate(scenarios):
+        ego_prog = float(progress[b, 0])
+        leader_prog = float(progress[b, 1]) if n_agents > 1 else float("-inf")
+        outcome = classify_outcome(ego_prog, leader_prog, bool(world.collided[b, 0]),
+                                   bool(world.collided[b, 1:].any()))
+        scans, speeds, actions = zip(*frames[b]) if frames[b] else ((), (), ())
+        record = EpisodeRecord(
+            scenario_id=sc.id, seed=sc.seed,
+            scans=np.stack(scans) if scans else np.zeros((0, sim_cfg.n_beams), dtype=np.float32),
+            ego_v=np.asarray(speeds, dtype=np.float32),
+            actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
+            outcome=outcome, duration_actual=float(world.t[b]),
+            ego_progress=ego_prog, leader_progress=leader_prog)
+        results.append((record, traces[b]))
+    return results
+
+
 def rollout(scenario: Scenario, ego_source: ActionSource, env: RaceEnvironment,
             duration: float = 8.0, record_trace: bool = False,
             observer: Callable[[WorldState, float], bool] | None = None,
             ) -> tuple[EpisodeRecord, Trace | None]:
-    """Run one scenario at the sim rate with 10 Hz action queries.
-
-    Frames are recorded at the query instants before stepping, so an episode
-    that collides mid-interval keeps every frame up to and including the
-    interval it died in. The observer, if any, is called with the start
-    world and then after every sim step with the world and the ego's
-    unwrapped centerline progress; a true return ends the episode."""
-    sim_cfg = env.sim
-    world = start_world(scenario, env)
-    ego_source.reset(scenario, env)
-    hints = [scenario.ego_s]
-    leader_rl = None
-    if scenario.leader_raceline is not None:
-        leader_rl = env.racelines[scenario.leader_raceline]
-        lead = (scenario.leader_s - scenario.ego_s) % env.track.total_length
-        hints.append(scenario.ego_s + lead)
-    trackers = [ProgressTracker(env.track, hint) for hint in hints]
-    progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]
-
-    steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
-    max_frames = int(round(duration * FRAME_HZ))
-    scans, speeds, actions = [], [], []
-    trace = Trace() if record_trace else None
-    if trace is not None:
-        trace.append(world)
-
-    done = observer is not None and observer(world, progress[0])
-    for _ in range(max_frames):
-        if done:
-            break
-        scan = rsim.scan_lidar(world, 0, sim_cfg)
-        ego_cmd = ego_source.act(world, 0, scan)
-        scans.append(np.asarray(scan, dtype=np.float32))
-        speeds.append(np.float32(world.agents[0].v))
-        actions.append(np.array([ego_cmd.v_cmd, ego_cmd.delta_cmd], dtype=np.float32))
-        cmds = [ego_cmd]
-        if leader_rl is not None:
-            cmds.append(rexpert.expert_action(world, 1, Role.LEADER, leader_rl, env.expert))
-        for _ in range(steps_per_frame):
-            world = rsim.step(world, cmds, sim_cfg)
-            progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]
-            if trace is not None:
-                trace.append(world)
-            stop = observer is not None and observer(world, progress[0])
-            if stop or any(world.collided):
-                done = True
-                break
-
-    leader_prog = progress[1] if len(progress) > 1 else float("-inf")
-    outcome = classify_outcome(progress[0], leader_prog, world.collided[0],
-                               any(world.collided[1:]))
-    record = EpisodeRecord(
-        scenario_id=scenario.id, seed=scenario.seed,
-        scans=np.stack(scans) if scans else np.zeros((0, sim_cfg.n_beams), dtype=np.float32),
-        ego_v=np.asarray(speeds, dtype=np.float32),
-        actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
-        outcome=outcome, duration_actual=float(world.t),
-        ego_progress=float(progress[0]), leader_progress=float(leader_prog))
-    return record, trace
+    """One scenario: rollout_batch's batch of one."""
+    return rollout_batch([scenario], ego_source, env, duration, record_trace, [observer])[0]
 
 
 # One pooled runner. Each worker receives the action source and the
 # environment once, through the initializer (a default-size policy is
-# tens of MB); a task carries only its scenario.
+# tens of MB); a task carries one chunk of scenarios, which the worker
+# steps as one lockstep batch.
+CHUNK = 4
 _WORKER: dict = {}
 
 
@@ -355,19 +443,26 @@ def _init_worker(source: ActionSource, env: RaceEnvironment, duration: float) ->
     _WORKER.update(source=source, env=env, duration=duration)
 
 
-def _rollout_in_worker(scenario: Scenario) -> EpisodeRecord:
-    return rollout(scenario, _WORKER["source"], _WORKER["env"], _WORKER["duration"])[0]
+def _rollout_chunk(chunk: list[Scenario], source: ActionSource, env: RaceEnvironment,
+                   duration: float) -> list[EpisodeRecord]:
+    return [record for record, _ in rollout_batch(chunk, source, env, duration)]
+
+
+def _rollout_chunk_in_worker(chunk: list[Scenario]) -> list[EpisodeRecord]:
+    return _rollout_chunk(chunk, _WORKER["source"], _WORKER["env"], _WORKER["duration"])
 
 
 def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
                  duration: float, workers: int = 1) -> list[EpisodeRecord]:
-    """Roll every scenario with the same action source, reset per episode;
-    records come back in scenario order and equal for any worker count."""
+    """Roll every scenario with the same action source, in chunks of CHUNK
+    scenarios taken in order; records come back in scenario order and
+    equal for any worker count."""
+    chunks = [scenarios[i:i + CHUNK] for i in range(0, len(scenarios), CHUNK)]
     if workers <= 1:
-        return [rollout(sc, source, env, duration)[0] for sc in scenarios]
+        return [r for chunk in chunks for r in _rollout_chunk(chunk, source, env, duration)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(source, env, duration)) as pool:
-        return list(pool.map(_rollout_in_worker, scenarios, chunksize=4))
+        return [r for records in pool.map(_rollout_chunk_in_worker, chunks) for r in records]
 
 
 def build_dataset(episodes: list[EpisodeRecord]) -> Dataset:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _geom
+from ._atomic import atomic_open
 
 
 class TrackError(Exception):
@@ -272,19 +273,29 @@ class Raceline:
     def points(self):
         return list(zip(self.s, self.xy[:, 0], self.xy[:, 1], self.heading, self.kappa, self.v_ref))
 
-    def _interp(self, values, s, angular=False):
+    def _at(self, s):
+        """(segment, next vertex, fraction) of arc positions s, wrapping: the
+        one lookup behind every *_at interpolation, which a caller can
+        reuse for several interpolations at the same s."""
         idx, frac = _locate(self.segment_table, np.asarray(s, dtype=float) % self.length)
-        nxt = (idx + 1) % len(self.s)
+        return idx, (idx + 1) % len(self.s), frac
+
+    def _lerp(self, values, loc, angular=False):
+        """values (N,) or (N, D) interpolated at a located arc grid."""
+        idx, nxt, frac = loc
         v0 = values[idx]
         v1 = values[nxt]
         if angular:
             v1 = v0 + _geom.wrap_angle(v1 - v0)
+        if values.ndim > 1:
+            frac = np.expand_dims(frac, -1)
         return v0 * (1 - frac) + v1 * frac
 
+    def _interp(self, values, s, angular=False):
+        return self._lerp(values, self._at(s), angular)
+
     def position_at(self, s):
-        idx, frac = _locate(self.segment_table, np.asarray(s, dtype=float) % self.length)
-        nxt = (idx + 1) % len(self.s)
-        return self.xy[idx] * (1 - np.expand_dims(frac, -1)) + self.xy[nxt] * np.expand_dims(frac, -1)
+        return self._interp(self.xy, s)
 
     def heading_at(self, s):
         return self._interp(self.heading, s, angular=True)
@@ -293,8 +304,7 @@ class Raceline:
         return self._interp(self.v_ref, s)
 
     def normal_at(self, s):
-        h = self.heading_at(s)
-        return np.stack([-np.sin(h), np.cos(h)], axis=-1)
+        return normal_of(self.heading_at(s))
 
     def avail_at(self, s):
         return self._interp(self.w_left_avail, s), self._interp(self.w_right_avail, s)
@@ -325,6 +335,11 @@ class Raceline:
         if abs(d[0]) > PROJECTION_RADIUS:
             raise FarFromRaceline(f"point {point} is {abs(d[0]):.2f} m from the raceline")
         return float(s[0]), float(d[0])
+
+
+def normal_of(heading):
+    """Unit left normals (..., 2) of headings."""
+    return np.stack([-np.sin(heading), np.cos(heading)], axis=-1)
 
 
 def curvature_at(raceline: Raceline, s) -> float | np.ndarray:
@@ -383,7 +398,7 @@ RACELINE_CSV_HEADER = ["s_m", "x_m", "y_m", "psi_rad", "kappa_radpm", "vx_mps"]
 
 
 def write_raceline_csv(raceline: Raceline, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RACELINE_CSV_HEADER)
         for s, x, y, psi, kap, v in raceline.points:
@@ -391,7 +406,7 @@ def write_raceline_csv(raceline: Raceline, path) -> None:
 
 
 def write_track_csv(track: TrackModel, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(REQUIRED_COLUMNS)
         for (x, y), wr, wl in zip(track.xy, track.w_right, track.w_left):

@@ -1,10 +1,18 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from racekit import cli
+from racekit import evaluator as reval
 from racekit import policy as rpolicy
+from racekit import track as rtrack
 from racekit._atomic import atomic_open
 from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
 from racekit.scenario import EpisodeRecord, load_episode, save_episode
+from racekit.simulator import Trace, VehicleState, write_trace_csv
+from racekit.track import generate_raceline, make_circle_track, write_raceline_csv, write_track_csv
 from racekit.trainer import write_loss_curve_csv
 
 
@@ -83,3 +91,93 @@ class TestWritersAreAtomic:
         assert path.read_bytes() == before
         assert leftovers(tmp_path, "ep.bin") == []
         assert load_episode(path).scenario_id == "x"
+
+
+class TestTrackAndRenderOutputsAreAtomic:
+    """Each writer below raises partway through its file, after the target
+    already held a complete one."""
+
+    def test_track_csv(self, tmp_path):
+        path = tmp_path / "track.csv"
+        write_track_csv(make_circle_track(), path)
+        before = path.read_bytes()
+        # the second row's width cannot be formatted: the header and one row go first
+        bad = SimpleNamespace(xy=np.zeros((2, 2)), w_right=[1.0, "wide"], w_left=[1.0, 1.0])
+        with pytest.raises(ValueError):
+            write_track_csv(bad, path)
+        assert path.read_bytes() == before
+        assert leftovers(tmp_path, "track.csv") == []
+
+    def test_raceline_csv(self, tmp_path):
+        path = tmp_path / "raceline.csv"
+        write_raceline_csv(generate_raceline(make_circle_track(), "center"), path)
+        before = path.read_bytes()
+        bad = SimpleNamespace(points=[(0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+                                      (0.1, 1.0, 2.0, 3.0, 4.0, "fast")])
+        with pytest.raises(ValueError):
+            write_raceline_csv(bad, path)
+        assert path.read_bytes() == before
+        assert leftovers(tmp_path, "raceline.csv") == []
+
+    def test_trace_csv(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(Trace(times=[0.0], states=[[VehicleState(0.0, 0.0, 0.0, 1.0)]],
+                              collided=[[False]]), path)
+        before = path.read_bytes()
+        # the second step's state is missing
+        bad = Trace(times=[0.0, 0.01], states=[[VehicleState(0.0, 0.0, 0.0, 1.0)], [None]],
+                    collided=[[False], [False]])
+        with pytest.raises(AttributeError):
+            write_trace_csv(bad, path)
+        assert path.read_bytes() == before
+        assert leftovers(tmp_path, "trace.csv") == []
+
+    def test_track_gen_boundaries(self, tmp_path, monkeypatch):
+        assert cli.main(["--out", str(tmp_path), "track", "gen", "--shape", "circle"]) == 0
+        path = tmp_path / "track_circle_boundaries.csv"
+        before = path.read_bytes()
+        real = rtrack.make_track
+
+        def track_with_bad_outer(*args, **kwargs):
+            # the outer boundary's second vertex has three coordinates
+            return replace(real(*args, **kwargs), outer_boundary=[[0.0, 0.0], [1.0, 2.0, 3.0]])
+
+        monkeypatch.setattr(rtrack, "make_track", track_with_bad_outer)
+        with pytest.raises(ValueError):
+            cli.main(["--out", str(tmp_path), "track", "gen", "--shape", "circle"])
+        assert path.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", ["track gen", "eval single", "render"])
+    def test_svg(self, tmp_path, monkeypatch, command):
+        # a lone surrogate cannot be encoded: the write fails after the
+        # target was opened
+        track = tmp_path / "track" / "track_circle.csv"
+        assert cli.main(["--out", str(track.parent), "track", "gen", "--shape", "circle"]) == 0
+        out = tmp_path / "out"
+        if command == "track gen":
+            argv = ["--out", str(out), "track", "gen", "--shape", "circle"]
+            svg, patch = out / "track_circle.svg", (cli, "_track_preview_svg")
+        elif command == "eval single":
+            cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
+            ckpt = tmp_path / "policy.ckpt"
+            save_checkpoint_file(init_params(cfg, np.random.default_rng(0)), cfg, ckpt)
+            cfgfile = tmp_path / "cfg.ini"
+            cfgfile.write_text("[sim]\nn_beams = 8\n")
+            argv = ["--config", str(cfgfile), "--out", str(out), "eval", "single",
+                    "--checkpoint", str(ckpt), "--track", str(track), "--laps", "1",
+                    "--timeout", "0.2", "--render"]
+            svg, patch = out / "single.svg", (reval, "render_episode")
+        else:
+            trace = tmp_path / "run.csv"
+            write_trace_csv(Trace(times=[0.0], states=[[VehicleState(10.0, 0.0, 1.6, 1.0)]],
+                                  collided=[[False]]), trace)
+            argv = ["--out", str(out), "render", "--trace", str(trace), "--track", str(track)]
+            svg, patch = out / "run.svg", (reval, "render_episode")
+        assert cli.main(argv) == 0
+        before = svg.read_bytes()
+        monkeypatch.setattr(*patch, lambda *args, **kwargs: "<svg>\ud800</svg>")
+        with pytest.raises(UnicodeEncodeError):
+            cli.main(argv)
+        assert svg.read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -298,6 +298,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_config_error_exits_6(self, tmp_path, capsys):
+        # 6, not the 2 of track errors and argparse usage errors
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\nspawn_jitter = 0.5\n")
+        assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
+                       "track", "gen", "--shape", "circle") == 6
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[telemetry]\nx = 1\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_sample_lattice
 from racekit import expert as rexpert
 from racekit import track as rtrack
 from racekit.expert import (
@@ -23,7 +24,7 @@ from racekit.expert import (
     select_trajectory,
 )
 from racekit.simulator import SimConfig, VehicleCommand, VehicleState, WorldState, step
-from racekit.track import FarFromRaceline, Raceline, generate_raceline
+from racekit.track import FarFromRaceline, Raceline, curvature_at, generate_raceline
 
 
 def straight_raceline(length=100.0, kappa=0.0, v_ref=5.0, n=101):
@@ -220,60 +221,6 @@ class TestLattice:
             assert np.all(c.v > 0)
 
 
-def reference_sample_lattice(state, raceline, track, cfg):
-    """sample_lattice before the one-shot lattice: v_ref_at per coarse step
-    and one candidate at a time. Kept as the bit-for-bit reference."""
-    s0, d0 = raceline.project((state.x, state.y))
-    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-    tau = np.arange(n_steps) * cfg.sample_dt
-    u = np.clip(tau / min(cfg.blend_T, cfg.horizon_T), 0.0, 1.0)
-    beta = rexpert._blend(u)
-    offsets = np.linspace(-cfg.lateral_max, cfg.lateral_max, cfg.n_lateral)
-    scales = np.linspace(cfg.speed_scale_min, 1.0, cfg.n_speed)
-    sub = 5
-    dt_int = cfg.sample_dt * sub
-    n_int = (n_steps - 1) // sub + 2
-    s_coarse = np.empty((n_int, cfg.n_speed))
-    v_coarse = np.empty((n_int, cfg.n_speed))
-    s = np.full(cfg.n_speed, s0)
-    v = np.full(cfg.n_speed, max(float(state.v), cfg.v_floor))
-    for k in range(n_int):
-        s_coarse[k] = s
-        v_coarse[k] = v
-        s = s + v * dt_int
-        target = scales * raceline.v_ref_at(s)
-        v = np.minimum(np.maximum(target, v + cfg.decel_max * dt_int),
-                       v + cfg.accel_max * dt_int)
-        v = np.maximum(v, cfg.v_floor)
-    tau_coarse = np.arange(n_int) * dt_int
-    s_fine = np.empty((cfg.n_speed, n_steps))
-    v_fine = np.empty((cfg.n_speed, n_steps))
-    for j in range(cfg.n_speed):
-        s_fine[j] = np.interp(tau, tau_coarse, s_coarse[:, j])
-        v_fine[j] = np.interp(tau, tau_coarse, v_coarse[:, j])
-    candidates = []
-    for j, scale in enumerate(scales):
-        base = raceline.position_at(s_fine[j])
-        normals = raceline.normal_at(s_fine[j])
-        avail_l, avail_r = raceline.avail_at(s_fine[j])
-        for d_target in offsets:
-            d_path = d0 + (d_target - d0) * beta
-            if (np.any(d_path > avail_l - cfg.safety_margin)
-                    or np.any(-d_path > avail_r - cfg.safety_margin)):
-                continue
-            xy = base + d_path[:, None] * normals
-            diffs = np.diff(xy, axis=0)
-            heading = np.arctan2(diffs[:, 1], diffs[:, 0])
-            heading = np.append(heading, heading[-1])
-            candidates.append(CandidateTrajectory(
-                xy=xy, heading=heading, v=v_fine[j].copy(),
-                lateral_offset=float(d_target), speed_scale=float(scale),
-                s_path=s_fine[j].copy(), d_path=d_path))
-    if not candidates:
-        raise NoFeasibleCandidate("all candidates leave the track")
-    return candidates
-
-
 @functools.cache
 def lattice_raceline(shape, width, rid):
     return generate_raceline(rtrack.make_track(shape, length=60.0, width=width), rid)
@@ -302,7 +249,7 @@ class TestOneShotLattice:
         x, y = rl.position_at(s) + off * rl.normal_at(s)
         state = VehicleState(float(x), float(y), float(rl.heading_at(s)) + dtheta, v)
         try:
-            want = reference_sample_lattice(state, rl, None, cfg)
+            want = reference_sample_lattice(state, rl, cfg)
         except (NoFeasibleCandidate, FarFromRaceline) as exc:
             with pytest.raises(type(exc)):
                 sample_lattice(state, rl, None, cfg)
@@ -311,8 +258,9 @@ class TestOneShotLattice:
         assert [(c.speed_scale, c.lateral_offset) for c in got] == \
             [(c.speed_scale, c.lateral_offset) for c in want]
         for g, w in zip(got, want):
-            for field in ("xy", "heading", "v", "s_path", "d_path"):
+            for field in ("xy", "heading", "v", "d_path"):
                 assert np.array_equal(getattr(g, field), getattr(w, field)), field
+            assert np.array_equal(g.kappa_path, curvature_at(rl, w.s_path))
 
 
 class TestExpertAction:

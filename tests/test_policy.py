@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_bits, reference_forward_step
 from racekit.policy import (
     CorruptCheckpoint,
     InferenceSession,
@@ -241,6 +242,25 @@ class TestInferenceSession:
             a_fast, h_fast = sess.step(scan, v, h_fast, masked=i % 3 == 0)
             assert np.array_equal(a_ref, a_fast)
             assert np.array_equal(h_ref, h_fast)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_steps_match_reference_bit_for_bit(self, dtype):
+        """The session's step through its workspace, and forward_step
+        without one, compute what the step before the workspace computed:
+        the same operations in the same order and dtypes."""
+        sess = InferenceSession(tiny_params(9), TINY, dtype=dtype)
+        rng = np.random.default_rng(5)
+        h_ref = h_session = h_plain = sess.zero_hidden()
+        for i in range(10):
+            scan = rng.uniform(0.0, 30.0, TINY.n_beams)
+            v = rng.uniform(0, 8)
+            masked = i % 3 == 0
+            a_ref, h_ref = reference_forward_step(scan, v, h_ref, sess.params, TINY, masked)
+            a_session, h_session = sess.step(scan, v, h_session, masked)
+            a_plain, h_plain = forward_step(scan, v, h_plain, sess.params, TINY, masked)
+            for a, h in ((a_session, h_session), (a_plain, h_plain)):
+                assert_same_bits(a, a_ref)
+                assert_same_bits(h, h_ref)
 
     def test_float32_close(self):
         p = tiny_params(9)

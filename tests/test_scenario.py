@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, reference_project_to_polyline, uneven_circle
-from racekit import _geom
+from conftest import (assert_same_bits, reference_arc_window, reference_project_to_polyline,
+                      uneven_circle)
 from racekit import scenario as rscn
 from racekit import track as rtrack
 from racekit.expert import ExpertConfig
@@ -136,7 +136,7 @@ class TestProgressTracker:
         for ds, off in moves:
             s += ds
             x, y = track_point(track, s, off)
-            window = _geom.arc_window(track.arc_table, progress, ProgressTracker.WINDOW)
+            window = reference_arc_window(track.arc_table, progress, ProgressTracker.WINDOW)
             s_ref, _, _ = reference_project_to_polyline(np.array([[x, y]]), track.xy,
                                                         track.arc_table, seg_idx=window)
             delta = (float(s_ref[0]) - progress) % L
@@ -187,12 +187,11 @@ class TestRollout:
     def test_collision_truncates_frames(self, env):
         # leader parked right at the spawn gap; drive the ego into it
         class Rammer:
-            def reset(self, scenario, env):
+            def reset(self, scenarios, env):
                 pass
 
-            def act(self, world, agent, scan):
-                from racekit.simulator import VehicleCommand
-                return VehicleCommand(8.0, 0.0)
+            def act(self, world, rows, scans):
+                return np.tile([8.0, 0.0], (len(rows), 1))
 
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, d_gap=1.0), env)
         record, _ = rollout(scenarios[0], Rammer(), env, duration=8.0)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, reference_project_to_polyline, uneven_circle
+from conftest import (assert_same_bits, reference_arc_window, reference_project_to_polyline,
+                      uneven_circle)
 from racekit import _geom
 from racekit import track as rtrack
 from racekit.track import (
@@ -262,6 +263,21 @@ class TestArcWindow:
         outer = window_by_brute_force(arc_table, s, half_width + 1e-9)
         assert inner <= set(got.tolist()) <= outer
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.01, 5.0), min_size=3, max_size=40),
+           st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=6), st.floats(0.0, 60.0))
+    def test_rows_are_single_windows(self, seg_lengths, s, half_width):
+        """Each row of arc_windows is its position's window as the
+        one-window reference computes it, then that window's last segment
+        repeated."""
+        arc_table = np.concatenate([[0.0], np.cumsum(seg_lengths)])
+        got = _geom.arc_windows(arc_table, np.array(s), half_width)
+        assert len(got) == len(s)
+        for row, s_p in zip(got, s):
+            want = reference_arc_window(arc_table, s_p, half_width)
+            assert_same_bits(row[:len(want)], want)
+            assert (row[len(want):] == want[-1]).all()
+
 
 @functools.cache
 def projection_polyline(name):
@@ -308,6 +324,30 @@ class TestProjectionKernel:
             for got_part, want_part in zip(_geom.project_to_polyline(pts[0], table, seg_idx),
                                            want):
                 assert_same_bits(got_part, want_part)
+
+    @given(name=st.sampled_from(["stadium", "serpentine", "uneven", "left-raceline"]),
+           queries=st.lists(st.tuples(query_point, st.floats(-100.0, 100.0)), min_size=1,
+                            max_size=8),
+           half_width=st.floats(0.2, 40.0))
+    @settings(max_examples=200, deadline=None)
+    def test_per_point_windows_match_reference(self, name, queries, half_width):
+        """A window per point (arc_windows, padded rows) projects each point
+        as the reference does on that point's own window."""
+        verts, arc_table, table = projection_polyline(name)
+        pts = []
+        for (seg_pick, along, off), _ in queries:
+            i = int(seg_pick * len(verts))
+            a, b = verts[i], verts[(i + 1) % len(verts)]
+            e = b - a
+            pts.append(a + along * e + off * np.array([-e[1], e[0]]) / np.hypot(*e))
+        s_at = np.array([s for _, s in queries])
+        got = _geom.project_to_polyline(np.array(pts), table,
+                                        _geom.arc_windows(arc_table, s_at, half_width))
+        for p, (pt, s) in enumerate(zip(pts, s_at)):
+            window = reference_arc_window(arc_table, s, half_width)
+            want = reference_project_to_polyline([pt], verts, arc_table, seg_idx=window)
+            for got_part, want_part in zip(got, want):
+                assert_same_bits(got_part[p:p + 1], want_part)
 
     def test_equidistant_point_matches_reference(self):
         # midway between the stadium's two straights: a tie between segments
