@@ -13,12 +13,11 @@ polyline_self_intersects tests only segment pairs whose midpoints are
 within the longest segment length of each other.
 
 project_to_polyline, the one projection kernel, takes all of a
-polyline's segments, one window of them shared by every point
-(arc_window) or a window per point (arc_windows), and reads the
-polyline's segment_table (start point, edge, floored squared length,
-start arc and arc length per segment), which its owner derives once and
-caches, instead of gathering vertices and recomputing edges on every
-call.
+polyline's segments, one window of them shared by every point or a
+window per point (arc_windows), and reads the polyline's segment_table
+(start point, edge, floored squared length, start arc and arc length per
+segment), which its owner derives once and caches, instead of gathering
+vertices and recomputing edges on every call.
 """
 
 from __future__ import annotations
@@ -194,13 +193,6 @@ def arc_windows(arc_table, s, half_width: float) -> np.ndarray:
     return np.where(j < len1, start1 + j, start2 + (j - len1))
 
 
-def arc_window(arc_table, s: float, half_width: float) -> np.ndarray:
-    """Indices, in increasing order, of the closed polyline's segments that
-    overlap the arc interval [s - half_width, s + half_width] (wrapping):
-    arc_windows for one position."""
-    return arc_windows(arc_table, s, half_width)[0]
-
-
 def segment_table(verts, arc_table) -> np.ndarray:
     """Per-segment constants of a closed polyline for project_to_polyline,
     derived once per polyline: a (7, N) read-only array whose rows are the
@@ -221,8 +213,8 @@ def project_to_polyline(points, table, seg_idx=None):
 
     points (P, 2) or one (2,) point; table the polyline's segment_table.
     seg_idx optionally restricts the candidate segments: one window (M,)
-    shared by every point, e.g. an arc_window, or one window per point
-    (P, M), e.g. arc_windows. Returns (s, d, idx): arc position, signed
+    shared by every point, e.g. one row of arc_windows, or one window per
+    point (P, M), e.g. arc_windows. Returns (s, d, idx): arc position, signed
     lateral distance (positive left of travel direction) and segment index,
     each (P,). Ties go to the segment listed first.
 

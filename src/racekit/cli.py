@@ -3,7 +3,9 @@
 Subcommands: track {gen, info}, collect, train, eval {single, h2h, noise,
 latency}, render. One declarative INI config (--config) feeds every stage;
 flags override file values; every command honors --seed and writes its
-outputs plus a run manifest under --out.
+outputs plus a run manifest under --out. `eval single --render` writes the
+episode's trace as single.trace.csv next to single.svg, and `render
+--trace` redraws such a trace as an SVG.
 
 Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors,
 5 evaluation errors, 6 config errors (an unreadable or invalid --config
@@ -152,24 +154,10 @@ def cmd_collect(args, cfg: KitConfig) -> int:
     scenarios, skipped = _scenario_pool(args, cfg, env)
     records = rscn.rollout_many(scenarios, ExpertSource(), env, cfg.scenario.duration,
                                 cfg.workers)
-    episodes_dir = out / "episodes"
-    episodes_dir.mkdir(exist_ok=True)
-    kept_files, excluded_files = [], []
-    counts = {k: 0 for k in Outcome.ALL}
-    total = 0
-    outputs = []
-    for sc, rec in zip(scenarios, records):
-        fname = f"episodes/ep_{sc.id.replace(':', '_')}.bin"
-        rscn.save_episode(rec, out / fname)
-        outputs.append(fname)
-        counts[rec.outcome] += 1
-        if rec.outcome == Outcome.COLLISION:
-            excluded_files.append(fname)
-        else:
-            kept_files.append(fname)
-            total += rec.n_frames
-    rscn.write_manifest(out / "dataset.json", kept_files, excluded_files, counts,
-                        total, skipped)
+    (out / "episodes").mkdir(exist_ok=True)
+    outputs = [f"episodes/ep_{sc.id.replace(':', '_')}.bin" for sc in scenarios]
+    dataset = rscn.save_dataset(out, list(zip(outputs, records)), skipped)
+    counts, total = dataset.pool_counts, dataset.total_samples
     outputs.append("dataset.json")
     _write_manifest(out, "collect", cfg, outputs, started)
     print(f"collected {len(records)} episodes "
@@ -259,10 +247,11 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         reval.write_single_csv([("single", report)], out / "report_single.csv")
         outputs += ["report_single.json", "report_single.csv"]
         if args.render and trace is not None:
+            rsim.write_trace_csv(trace, out / "single.trace.csv")
             svg = reval.render_episode(trace, track, sim_cfg=cfg.sim)
             with atomic_open(out / "single.svg") as fh:
                 fh.write(svg)
-            outputs.append("single.svg")
+            outputs += ["single.trace.csv", "single.svg"]
         print(f"single-agent: {report.laps_completed:.1f} laps, "
               f"mean speed {report.mean_speed:.2f} m/s"
               + (", collided" if report.collided else ""))
@@ -279,11 +268,10 @@ def cmd_eval(args, cfg: KitConfig) -> int:
               f"{report.overtaking} overtake / {report.collision} collision "
               f"(overtake {report.overtake_rate:.1f}%, safety {report.safety_rate:.1f}%)")
     elif args.suite == "noise":
-        levels = [float(x) for x in args.levels.split(",")]
         scenarios = None
         if args.mode in ("h2h", "both"):
             scenarios, _ = _scenario_pool(args, cfg, env)
-        report = reval.run_noise_sweep(params, pol_cfg, env, levels, seed=cfg.seed,
+        report = reval.run_noise_sweep(params, pol_cfg, env, args.levels, seed=cfg.seed,
                                        mode=args.mode, scenarios=scenarios,
                                        laps_target=args.laps, timeout_s=args.timeout,
                                        duration=cfg.scenario.duration, workers=cfg.workers)
@@ -332,6 +320,21 @@ def cmd_render(args, cfg: KitConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _noise_level(text: str) -> float:
+    """argparse type of a beam-dropout fraction: a float in [0, 1]."""
+    try:
+        eta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= eta <= 1.0:
+        raise argparse.ArgumentTypeError(f"noise level {text} is outside [0, 1]")
+    return eta
+
+
+def _noise_levels(text: str) -> list[float]:
+    return [_noise_level(part) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="racekit",
                                 description="head-to-head racing kit")
@@ -371,8 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--track", default=None)
     p_eval.add_argument("--scenarios", type=int, default=None)
     p_eval.add_argument("--laps", type=int, default=10)
-    p_eval.add_argument("--eta", type=float, default=0.0)
-    p_eval.add_argument("--levels", default="0.1,0.2,0.3")
+    p_eval.add_argument("--eta", type=_noise_level, default=0.0,
+                        help="beam-dropout fraction in [0, 1]")
+    p_eval.add_argument("--levels", type=_noise_levels, default="0.1,0.2,0.3",
+                        help="comma-separated beam-dropout fractions in [0, 1]")
     p_eval.add_argument("--mode", default="single", choices=["single", "h2h", "both"])
     p_eval.add_argument("--samples", type=int, default=10000)
     p_eval.add_argument("--precision", default="float32",

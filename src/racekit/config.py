@@ -2,16 +2,20 @@
 
 One INI-style file drives every pipeline stage; section names map to the
 per-module config dataclasses and unknown sections or keys are rejected.
-CLI flags override file values. The config hash is computed over the
-canonical typed key-value set, so formatting and key order don't change it.
+CLI flags override file values. Each value is coerced to its field's
+annotation, read with typing.get_type_hints from KitConfig and the section
+dataclasses, so a field's type is declared once, on the dataclass. The
+config hash is computed over the canonical typed key-value set, so
+formatting and key order don't change it.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .expert import ExpertConfig
@@ -29,9 +33,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class PathsConfig:
     track: str = ""
-    dataset_dir: str = "data"
     checkpoint: str = "policy.ckpt"
-    report_dir: str = "reports"
 
 
 @dataclass(frozen=True)
@@ -47,98 +49,70 @@ class KitConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 
-_SECTIONS = {
-    "sim": SimConfig,
-    "expert": ExpertConfig,
-    "scenario": ScenarioConfig,
-    "policy": PolicyConfig,
-    "trainer": TrainerConfig,
-    "raceline": SpeedConfig,
-    "paths": PathsConfig,
-}
-
-_GLOBAL_KEYS = {"seed": int, "workers": int}
+_FIELDS = typing.get_type_hints(KitConfig)
+_SECTIONS = {name: t for name, t in _FIELDS.items() if is_dataclass(t)}   # in field order
 
 
-def _coerce(raw: str, typ):
+def _coerce(raw: str, annotation):
+    """raw as a value of a field annotated int, float, bool, str,
+    tuple[X, ...] (comma-separated) or X | None ('' or 'none')."""
     raw = raw.strip()
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    if typ is bool:
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        return tuple(_coerce(part, args[0]) for part in raw.split(",") if part.strip())
+    if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
+        if raw.lower() in ("", "none"):
+            return None
+        (inner,) = set(args) - {type(None)}
+        return _coerce(raw, inner)
+    if annotation is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if typ is str:
-        return raw
-    raise ValueError(f"unsupported type {typ}")
+    if annotation in (int, float, str):
+        return annotation(raw)
+    raise ValueError(f"unsupported type {annotation}")
 
 
-def _coerce_field(raw: str, f):
-    t = f.type
-    if t in ("int", int):
-        return _coerce(raw, int)
-    if t in ("float", float):
-        return _coerce(raw, float)
-    if t in ("bool", bool):
-        return _coerce(raw, bool)
-    if t in ("str", str):
-        return _coerce(raw, str)
-    if "tuple" in str(t):
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if "int | None" in str(t) or "Optional[int]" in str(t):
-        return None if raw.strip().lower() in ("", "none") else int(raw)
-    raise ConfigError(f"field {f.name}: unsupported type {t}")
+def _field_types(section: str) -> dict:
+    """Field name -> annotation of one section; [global] holds the
+    fields of KitConfig that are not sections."""
+    if section == "global":
+        return {name: t for name, t in _FIELDS.items() if name not in _SECTIONS}
+    if section not in _SECTIONS:
+        raise ConfigError(f"unknown section [{section}]")
+    return typing.get_type_hints(_SECTIONS[section])
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> KitConfig:
     """Parse an INI config, applying dotted-key overrides last
-    (e.g. {'trainer.epochs': '100', 'seed': '7'})."""
+    (e.g. {'trainer.epochs': '100', 'seed': '7'}); a key without a dot is a
+    [global] key."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (field names are case-sensitive)
-    text = Path(path).read_text() if path is not None else ""
-    parser.read_string(text)
-    values: dict[str, dict] = {name: {} for name in _SECTIONS}
-    top: dict[str, object] = {}
-    for section in parser.sections():
-        if section == "global":
-            for key, raw in parser.items(section):
-                if key not in _GLOBAL_KEYS:
-                    raise ConfigError(f"unknown key global.{key}")
-                top[key] = _coerce(raw, _GLOBAL_KEYS[key])
-            continue
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        cls = _SECTIONS[section]
-        known = {f.name: f for f in fields(cls)}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"unknown key {section}.{key}")
-            values[section][key] = _coerce_field(raw, known[key])
+    parser.read_string(Path(path).read_text() if path is not None else "")
+    entries = [(section, key, raw) for section in parser.sections()
+               for key, raw in parser.items(section)]
     for dotted, raw in (overrides or {}).items():
-        if raw is None:
-            continue
-        if "." not in dotted:
-            if dotted not in _GLOBAL_KEYS:
-                raise ConfigError(f"unknown override {dotted}")
-            top[dotted] = _coerce(str(raw), _GLOBAL_KEYS[dotted])
-            continue
-        section, key = dotted.split(".", 1)
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown override section {section}")
-        known = {f.name: f for f in fields(_SECTIONS[section])}
+        if raw is not None:
+            section, key = dotted.split(".", 1) if "." in dotted else ("global", dotted)
+            entries.append((section, key, str(raw)))
+    values: dict[str, dict] = {name: {} for name in ("global", *_SECTIONS)}
+    for section, key, raw in entries:
+        known = _field_types(section)
         if key not in known:
-            raise ConfigError(f"unknown override {dotted}")
-        values[section][key] = _coerce_field(str(raw), known[key])
+            raise ConfigError(f"unknown key {section}.{key}")
+        try:
+            values[section][key] = _coerce(raw, known[key])
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
     try:
         sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-    return KitConfig(seed=int(top.get("seed", 0)), workers=int(top.get("workers", 1)),
-                     **sections)
+    return KitConfig(**values["global"], **sections)
 
 
 def config_hash(cfg: KitConfig) -> str:
@@ -149,18 +123,3 @@ def config_hash(cfg: KitConfig) -> str:
         for key, value in sorted(asdict(section).items()):
             lines.append(f"{name}.{key}={value!r}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def default_config_text() -> str:
-    """A fully commented template with every key at its default."""
-    cfg = KitConfig()
-    out = io.StringIO()
-    out.write("[global]\n")
-    out.write(f"seed = {cfg.seed}\nworkers = {cfg.workers}\n")
-    for name in _SECTIONS:
-        out.write(f"\n[{name}]\n")
-        for key, value in asdict(getattr(cfg, name)).items():
-            if isinstance(value, tuple):
-                value = ",".join(value)
-            out.write(f"{key} = {value}\n")
-    return out.getvalue()

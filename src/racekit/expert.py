@@ -18,7 +18,9 @@ interpolated from one location of the (rows, speed, time) arc grid;
 containment is one (rows, speed, offset) mask; and the kept candidates'
 points and headings come out of one broadcast and are scored as one
 array, in the order a per-candidate loop would produce them and with the
-same floats. Selection and pure pursuit run per row.
+same floats. `_mean_rewards` (the composite reward over any broadcast
+grid of candidates) and `_best` (argmax with its tie rules) are the only
+scoring and selection; selection and pure pursuit run per row.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import VehicleCommand, VehicleState, WorldState
-from .track import (PROJECTION_RADIUS, FarFromRaceline, Raceline, TrackModel, curvature_at,
-                    normal_of)
+from .track import PROJECTION_RADIUS, FarFromRaceline, Raceline, TrackModel, normal_of
 
 
 class ExpertError(Exception):
@@ -42,10 +43,6 @@ class NoFeasibleCandidate(ExpertError):
 
 
 class NonPositiveSpeed(ExpertError):
-    pass
-
-
-class EmptyCandidateSet(ExpertError):
     pass
 
 
@@ -91,13 +88,10 @@ class CandidateTrajectory:
     v: np.ndarray             # (K,) > 0
     lateral_offset: float     # target offset from the raceline, meters
     speed_scale: float
-    reward: float = math.nan
-    # construction-frame cache set by sample_lattice: signed lateral
-    # deviation from the raceline and the raceline's curvature per sample.
-    # Hand-built candidates leave these None and are scored by projection
-    # instead.
-    d_path: np.ndarray | None = None
-    kappa_path: np.ndarray | None = None
+    # signed lateral deviation from the raceline and the raceline's
+    # curvature per sample, in the lattice's construction frame
+    d_path: np.ndarray
+    kappa_path: np.ndarray
 
 
 def _blend(u: np.ndarray) -> np.ndarray:
@@ -229,15 +223,13 @@ def predict_opponents(opponents: np.ndarray, cfg: ExpertConfig) -> np.ndarray:
     return np.stack([x + vx * tau, y + vy * tau], axis=2)
 
 
-def predict_opponent(opponent: VehicleState, cfg: ExpertConfig) -> np.ndarray:
-    """Constant-velocity opponent prediction sampled on the candidate grid."""
-    return predict_opponents(_pose(opponent), cfg)[0]
-
-
 def _mean_rewards(V, XY, d, kappa, opponent_pred, cfg: ExpertConfig) -> np.ndarray:
     """Mean per-sample composite reward of candidates whose (..., K)
     speeds, deviations and curvatures and (..., K, 2) points broadcast
-    together, against opponent predictions (..., >=K, 2) or none."""
+    together, against opponent predictions (..., >=K, 2) or none:
+    lambda_v * ln(v) - lambda_p * |d| - lambda_kappa * |kappa| * v
+    - lambda_d * exp(-d_l / d_scale), with d_l the distance to the
+    time-aligned opponent prediction (no proximity term without one)."""
     n_k = V.shape[-1]
     term = cfg.lambda_v * np.log(V) - cfg.lambda_p * np.abs(d) \
         - cfg.lambda_kappa * np.abs(kappa) * V
@@ -252,39 +244,6 @@ def _mean_rewards(V, XY, d, kappa, opponent_pred, cfg: ExpertConfig) -> np.ndarr
     return term.mean(axis=-1)
 
 
-def score_candidates(candidates: list[CandidateTrajectory],
-                     opponent_pred: np.ndarray | None,
-                     raceline: Raceline, cfg: ExpertConfig) -> np.ndarray:
-    """Vectorized mean per-sample composite reward for a candidate batch.
-
-    lambda_v * ln(v) - lambda_p * |d_r| - lambda_kappa * |kappa| * v
-    - lambda_d * exp(-d_l / d_scale), with d_l the distance to the
-    time-aligned opponent prediction (no proximity term without an
-    opponent). Lattice candidates carry their deviation and curvature;
-    hand-built ones are projected onto the raceline."""
-    V = np.stack([c.v for c in candidates])          # (C, K)
-    if np.any(V <= 0):
-        raise NonPositiveSpeed("candidate contains non-positive speeds")
-    XY = np.stack([c.xy for c in candidates])        # (C, K, 2)
-    n_c, n_k = V.shape
-    if all(c.d_path is not None and c.kappa_path is not None for c in candidates):
-        d_proj = np.stack([c.d_path for c in candidates])
-        kappa = np.stack([c.kappa_path for c in candidates])
-    else:
-        s_hint, _ = raceline.project((XY[0, 0, 0], XY[0, 0, 1]))
-        window = float(V.max()) * cfg.horizon_T + 5.0
-        s_proj, d_proj = raceline.project_many(XY.reshape(-1, 2), s_hint=s_hint, window=window)
-        d_proj = d_proj.reshape(n_c, n_k)
-        kappa = curvature_at(raceline, s_proj).reshape(n_c, n_k)
-    return _mean_rewards(V, XY, d_proj, kappa, opponent_pred, cfg)
-
-
-def score_candidate(cand: CandidateTrajectory, opponent_pred: np.ndarray | None,
-                    raceline: Raceline, cfg: ExpertConfig) -> float:
-    """Composite reward of one candidate (see score_candidates)."""
-    return float(score_candidates([cand], opponent_pred, raceline, cfg)[0])
-
-
 def _best(rewards: list[float], offsets: list[float]) -> int:
     """Index of the argmax reward; ties prefer the smaller |offset|, then
     the earlier entry."""
@@ -294,15 +253,6 @@ def _best(rewards: list[float], offsets: list[float]) -> int:
                 rewards[i] == rewards[best] and abs(offsets[i]) < abs(offsets[best])):
             best = i
     return best
-
-
-def select_trajectory(candidates: list[CandidateTrajectory]) -> CandidateTrajectory:
-    """Argmax reward; ties prefer the smaller |lateral_offset|, then the
-    earlier candidate."""
-    if not candidates:
-        raise EmptyCandidateSet("no candidates to select from")
-    return candidates[_best([c.reward for c in candidates],
-                            [c.lateral_offset for c in candidates])]
 
 
 def pure_pursuit_steering(wheelbase: float, alpha: float, ell: float) -> float:

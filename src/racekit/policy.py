@@ -14,9 +14,9 @@ inference forms per step and the trainer for a whole batch of sequences
 in one GEMM, and makes one h U_h^T product. `gru_step`, `forward_step`,
 `InferenceSession` and the trainer's forward pass all call it. A
 single-observation step may pass a `StepBuffers` workspace, which holds
-its intermediates so that the step's ufuncs write in place; the
-operations and their order are the same with and without one.
-InferenceSession keeps one per session.
+its intermediates and their fixed gate views so that the step's ufuncs
+write in place and it slices nothing; the operations and their order are
+the same with and without one. InferenceSession keeps one per session.
 
 Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
 each of its 17 names to a stored tensor and a gate block, and init, save,
@@ -167,7 +167,8 @@ def embed_speed(v, params: PolicyParameters, masked=False, out=None) -> np.ndarr
     """Affine lift of the speed v (scalar or (...) array) to (..., E), or
     the mask token where masked; out receives it, if given."""
     emb = np.add(np.multiply(np.asarray(v)[..., None], params.speed_w), params.speed_b, out=out)
-    np.copyto(emb, params.mask_embed, where=np.asarray(masked)[..., None])
+    if masked is not False:
+        np.copyto(emb, params.mask_embed, where=np.asarray(masked)[..., None])
     return emb
 
 
@@ -182,12 +183,11 @@ def encode_inputs(scan, v, params: PolicyParameters, cfg: PolicyConfig,
         if not cfg.use_speed_input:
             return tokens
         return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
-    x = work.x64
-    normalize_scan(scan, cfg.sigmoid_k, out=x[:cfg.n_beams], scratch=work.tokens)
+    normalize_scan(scan, cfg.sigmoid_k, out=work.x_tokens, scratch=work.tokens)
     if cfg.use_speed_input:
-        embed_speed(v, params, masked, out=x[cfg.n_beams:])
-    if work.x is not x:
-        np.copyto(work.x, x, casting="same_kind")
+        embed_speed(v, params, masked, out=work.x_speed)
+    if work.x is not work.x64:
+        np.copyto(work.x, work.x64, casting="same_kind")
     return work.x
 
 
@@ -202,7 +202,8 @@ class StepBuffers:
     """Preallocated intermediates of single-observation steps of one set
     of parameters: the double-precision encoding (tokens and the input x),
     x in the parameters' dtype, the projections px = x W_x^T + b_x and
-    h U_h^T, the gate activations and the decoder's hidden layer. An
+    h U_h^T, the gate activations and the decoder's hidden layer, and the
+    views of x and of the gate blocks that a step writes through. An
     InferenceSession keeps one, so a step allocates little more than the
     action and hidden state it returns."""
 
@@ -219,6 +220,23 @@ class StepBuffers:
         self.mix = np.empty(h, dtype)       # u * h
         self.hidden = np.empty(cfg.mlp_hidden_dim, dtype)
         self.action = np.empty(2, dtype)
+        self.x_tokens, self.x_speed = self.x64[:cfg.n_beams], self.x64[cfg.n_beams:]
+        self.gate_views = _gate_views(self.px, self.ph, self.gates, h)
+
+
+def _times_transpose(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """x W^T. Into out (a workspace's, so x is one vector) through np.dot,
+    which calls the BLAS gemv that np.matmul calls, at a third of its call
+    overhead."""
+    return np.matmul(x, w.T) if out is None else np.dot(x, w.T, out=out)
+
+
+def _gate_views(px, ph, gates, H: int):
+    """(px_ur, px_n, ph_ur, m, u, r, n, ur): the update-and-reset and the
+    candidate blocks of the projections px and ph, and the gate blocks of
+    the activations."""
+    return (px[..., :2 * H], px[..., 2 * H:], ph[..., :2 * H], ph[..., 2 * H:],
+            gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:], gates[..., :2 * H])
 
 
 def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters,
@@ -231,19 +249,21 @@ def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters,
     are what backpropagation needs. The update and reset pre-activations
     sum as (x W + b) + h U, the candidate's as
     (x W_cand + b_cand_x) + r * (h U_cand + b_cand_h); the float64 eval
-    outputs depend on this order bit for bit. With a workspace, gates and
-    m are views of its buffers; h_next is always a fresh array."""
-    H = h.shape[-1]
-    ph = np.matmul(h, params.u_h.T, out=None if work is None else work.ph)
-    gates = np.empty_like(px) if work is None else work.gates
-    ur = gates[..., :2 * H]
-    np.add(px[..., :2 * H], ph[..., :2 * H], out=ur)
+    outputs depend on this order bit for bit. With a workspace, px is its
+    px, and gates and m are views of its buffers; h_next is always a fresh
+    array."""
+    ph = _times_transpose(h, params.u_h, None if work is None else work.ph)
+    if work is None:
+        gates = np.empty_like(px)
+        px_ur, px_n, ph_ur, m, u, r, n, ur = _gate_views(px, ph, gates, h.shape[-1])
+    else:
+        gates = work.gates
+        px_ur, px_n, ph_ur, m, u, r, n, ur = work.gate_views
+    np.add(px_ur, ph_ur, out=ur)
     _logistic(ur, out=ur)
-    u, r, n = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:]
-    m = ph[..., 2 * H:]
     m += params.b_cand_h
     np.multiply(r, m, out=n)
-    np.add(px[..., 2 * H:], n, out=n)
+    np.add(px_n, n, out=n)
     np.tanh(n, out=n)
     keep = np.subtract(1.0, u, out=None if work is None else work.keep)
     keep *= n
@@ -257,7 +277,7 @@ def gru_step(x: np.ndarray, h: np.ndarray, params: PolicyParameters,
     if x.shape[-1] != params.w_x.shape[1] or h.shape[-1] != params.u_h.shape[1]:
         raise ShapeMismatch(
             f"gru_step: x{x.shape} / h{h.shape} vs W_x{params.w_x.shape}")
-    px = np.matmul(x, params.w_x.T, out=None if work is None else work.px)
+    px = _times_transpose(x, params.w_x, None if work is None else work.px)
     px += params.b_x
     return gru_cell(px, h, params, work)[0]
 
@@ -268,10 +288,10 @@ def decode(h: np.ndarray, params: PolicyParameters,
     the simulator's actuator model saturates on application."""
     if h.shape[-1] != params.dec_w1.shape[1]:
         raise ShapeMismatch(f"decode: h{h.shape} vs W1{params.dec_w1.shape}")
-    hidden = np.matmul(h, params.dec_w1.T, out=None if work is None else work.hidden)
+    hidden = _times_transpose(h, params.dec_w1, None if work is None else work.hidden)
     hidden += params.dec_b1
     np.maximum(hidden, 0.0, out=hidden)
-    out = np.matmul(hidden, params.dec_w2.T, out=None if work is None else work.action)
+    out = _times_transpose(hidden, params.dec_w2, None if work is None else work.action)
     return out + params.dec_b2
 
 
@@ -285,10 +305,6 @@ def forward_step(scan: np.ndarray, v: float, h: np.ndarray,
     x = encode_inputs(scan, v, params, cfg, masked, work).astype(params.w_x.dtype, copy=False)
     h_next = gru_step(x, h, params, work)
     return decode(h_next, params, work), h_next
-
-
-def zero_hidden(cfg: PolicyConfig) -> np.ndarray:
-    return np.zeros(cfg.hidden_dim)
 
 
 class InferenceSession:

@@ -15,14 +15,16 @@ sees the world and the ego's unwrapped progress after every sim step and
 may end the episode (`LapTimer` is the observer of the lap harnesses).
 Episodes terminate on collision, on the observer's word or at the time
 limit, and are classified CarFollowing / Overtaking / Collision by
-unwrapped centerline progress; `track_progress` projects every agent onto
-the centerline every sim step, inside an arc window around its last
-progress, through the track's cached segment table
-(`TrackModel.segment_table`). `rollout_many` is the one pooled runner: it
-hands out chunks of CHUNK scenarios in scenario order, in-process or one
-chunk per worker task. Collision episodes are filtered out of the
-training dataset (they remain valid for evaluation). Episode and dataset
-files are written atomically.
+unwrapped centerline progress; `track_progress`, the one progress
+tracker, projects every agent onto the centerline every sim step, inside
+an arc window around its last progress, through the track's cached
+segment table (`TrackModel.segment_table`). `rollout_many` is the one
+pooled runner: it hands out chunks of CHUNK scenarios in scenario order,
+in-process or one chunk per worker task. A lap harness is `rollout` with a
+`LapTimer`. Episode files and the dataset manifest are written atomically;
+`save_dataset` (behind `collect`) lists collision episodes in the manifest
+as excluded, and `load_manifest_dataset` reads back the kept ones for
+training (collision episodes remain valid for evaluation).
 """
 
 from __future__ import annotations
@@ -212,26 +214,6 @@ def track_progress(track: TrackModel, progress: np.ndarray, x: np.ndarray,
     delta = np.mod(s - progress, length)
     delta = np.where(delta > length / 2, delta - length, delta)
     return progress + delta
-
-
-class ProgressTracker:
-    """Unwrapped arc progress of one point along the track centerline
-    (track_progress for a batch of one).
-
-    Projections are windowed around the last known progress; updates must
-    be frequent relative to the window (true at the sim rate)."""
-
-    WINDOW = PROGRESS_WINDOW
-
-    def __init__(self, track: TrackModel, start_hint: float):
-        self.track = track
-        self.progress = float(start_hint)
-
-    def update(self, x: float, y: float) -> float:
-        self.progress = float(track_progress(self.track, np.array([self.progress]),
-                                             np.array([x], dtype=float),
-                                             np.array([y], dtype=float))[0])
-        return self.progress
 
 
 def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list[Scenario], int]:
@@ -465,20 +447,6 @@ def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvir
         return [r for records in pool.map(_rollout_chunk_in_worker, chunks) for r in records]
 
 
-def build_dataset(episodes: list[EpisodeRecord]) -> Dataset:
-    """Drop collision episodes; report source-pool outcome counts."""
-    counts = {k: 0 for k in Outcome.ALL}
-    kept = []
-    for ep in episodes:
-        counts[ep.outcome] += 1
-        if ep.outcome != Outcome.COLLISION:
-            kept.append(ep)
-    if not kept:
-        raise EmptyDataset("every episode in the pool ended in a collision")
-    total = sum(ep.n_frames for ep in kept)
-    return Dataset(episodes=kept, pool_counts=counts, total_samples=total)
-
-
 # ---------------------------------------------------------------------------
 # episode store: one file per episode, JSON header line + float32 frames of
 # n_beams ranges, ego_v, v_cmd and delta_cmd
@@ -537,6 +505,29 @@ def write_manifest(path, episode_files: list[str], excluded_files: list[str],
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def save_dataset(out_dir, episodes: list[tuple[str, EpisodeRecord]],
+                 skipped_spawns: int = 0) -> Dataset:
+    """Write each (file name, record) pair under out_dir and the manifest
+    out_dir/dataset.json, which lists collision episodes as excluded and
+    counts the outcomes of the whole pool. Returns the kept episodes as the
+    training Dataset (possibly empty; `load_manifest_dataset` refuses that)."""
+    out_dir = Path(out_dir)
+    counts = {k: 0 for k in Outcome.ALL}
+    kept, kept_files, excluded_files = [], [], []
+    for fname, record in episodes:
+        save_episode(record, out_dir / fname)
+        counts[record.outcome] += 1
+        if record.outcome == Outcome.COLLISION:
+            excluded_files.append(fname)
+        else:
+            kept.append(record)
+            kept_files.append(fname)
+    total = sum(ep.n_frames for ep in kept)
+    write_manifest(out_dir / "dataset.json", kept_files, excluded_files, counts,
+                   total, skipped_spawns)
+    return Dataset(episodes=kept, pool_counts=counts, total_samples=total)
+
+
 def load_manifest_dataset(manifest_path) -> Dataset:
     manifest = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
@@ -545,22 +536,3 @@ def load_manifest_dataset(manifest_path) -> Dataset:
         raise EmptyDataset(f"manifest {manifest_path} lists no episodes")
     return Dataset(episodes=episodes, pool_counts=manifest["counts"],
                    total_samples=manifest["total_samples"])
-
-
-# ---------------------------------------------------------------------------
-# expert closed-loop sanity harness
-
-
-def drive_expert_laps(track: TrackModel, laps: float = 3.0,
-                      sim_cfg: SimConfig = SimConfig(),
-                      expert_cfg: ExpertConfig = ExpertConfig(),
-                      timeout_s: float | None = None) -> tuple[float, bool]:
-    """Run the expert alone until it covers `laps` laps; returns the laps
-    actually completed (fractional) and whether it collided."""
-    env = RaceEnvironment.build(track, sim_cfg, expert_cfg, raceline_ids=("center",))
-    scenario = Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0)
-    if timeout_s is None:
-        timeout_s = laps * track.total_length + 30.0
-    record, _ = rollout(scenario, ExpertSource(), env, duration=timeout_s,
-                        observer=LapTimer(track.total_length, sim_cfg.dt, laps))
-    return record.ego_progress / track.total_length, record.outcome == Outcome.COLLISION

@@ -81,10 +81,6 @@ class TrackModel:
     normals: np.ndarray       # (N, 2) unit left normals of the centerline
     boundary_segments: np.ndarray = field(repr=False)  # (M, 2, 2) both boundaries
 
-    def project_many(self, points):
-        s, d, _ = _geom.project_to_polyline(points, self.segment_table)
-        return s, d
-
     # Collision broad-phase and centerline projection constants, derived
     # once per track on first use. cached_property stores them in the
     # instance __dict__, so they travel with the model when it is pickled
@@ -104,14 +100,6 @@ class TrackModel:
         """Half the length of the longest boundary segment."""
         seg = self.boundary_segments
         return float(np.max(np.linalg.norm(seg[:, 1] - seg[:, 0], axis=1))) / 2.0
-
-    def widths_at(self, s):
-        """Interpolated (w_right, w_left) at arc position(s) s."""
-        idx, frac = _locate(self.segment_table, np.asarray(s, dtype=float) % self.total_length)
-        nxt = (idx + 1) % len(self.xy)
-        wr = self.w_right[idx] * (1 - frac) + self.w_right[nxt] * frac
-        wl = self.w_left[idx] * (1 - frac) + self.w_left[nxt] * frac
-        return wr, wl
 
 
 def _locate(table, s):
@@ -303,12 +291,6 @@ class Raceline:
     def v_ref_at(self, s):
         return self._interp(self.v_ref, s)
 
-    def normal_at(self, s):
-        return normal_of(self.heading_at(s))
-
-    def avail_at(self, s):
-        return self._interp(self.w_left_avail, s), self._interp(self.w_right_avail, s)
-
     # Derived once on first use (cached_property writes the instance
     # __dict__, which a frozen dataclass allows and pickling carries along).
     @cached_property
@@ -317,12 +299,9 @@ class Raceline:
         also locate every *_at lookup."""
         return _geom.segment_table(self.xy, self.arc_table)
 
-    def project_many(self, points, s_hint=None, window: float = 15.0):
-        """Vectorized projection; optionally restricted to the segments
-        within `window` meters of arc around s_hint (cheaper for local
-        queries)."""
-        seg_idx = None if s_hint is None else _geom.arc_window(self.arc_table, s_hint, window)
-        s, d, _ = _geom.project_to_polyline(points, self.segment_table, seg_idx=seg_idx)
+    def project_many(self, points):
+        """(s, d) of points (P, 2) on the raceline, each (P,)."""
+        s, d, _ = _geom.project_to_polyline(points, self.segment_table)
         return s, d
 
     def project(self, point) -> tuple[float, float]:
@@ -447,18 +426,24 @@ def make_stadium_track(length: float = 60.0, width: float = 3.0, curve_frac: flo
     return build_track(xy, half, half)
 
 
-def make_oval_track(length: float = 60.0, width: float = 3.0, aspect: float = 0.6,
-                    n_points: int = 480) -> TrackModel:
-    """Ellipse resampled to uniform arc spacing and scaled to the target length."""
-    phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    xy = np.stack([np.cos(phi), aspect * np.sin(phi)], axis=1)
+def _resample_closed(xy: np.ndarray, length: float, n_points: int) -> np.ndarray:
+    """A closed polyline scaled to arc length `length` and resampled at
+    n_points uniformly spaced arc positions."""
     table, total = _geom.cumulative_arclength(xy, closed=True)
     xy = xy * (length / total)
     table = table * (length / total)
     s_new = np.linspace(0.0, length, n_points, endpoint=False)
     idx, frac = _locate(np.stack([table[:-1], np.diff(table)]), s_new)
     nxt = (idx + 1) % len(xy)
-    res = xy[idx] * (1 - frac[:, None]) + xy[nxt] * frac[:, None]
+    return xy[idx] * (1 - frac[:, None]) + xy[nxt] * frac[:, None]
+
+
+def make_oval_track(length: float = 60.0, width: float = 3.0, aspect: float = 0.6,
+                    n_points: int = 480) -> TrackModel:
+    """Ellipse resampled to uniform arc spacing and scaled to the target length."""
+    phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    xy = np.stack([np.cos(phi), aspect * np.sin(phi)], axis=1)
+    res = _resample_closed(xy, length, n_points)
     half = np.full(n_points, width / 2.0)
     return build_track(res, half, half)
 
@@ -469,13 +454,7 @@ def make_serpentine_track(length: float = 60.0, width: float = 3.0, waves: int =
     phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     r = 1.0 + wiggle * np.sin(waves * phi)
     xy = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
-    table, total = _geom.cumulative_arclength(xy, closed=True)
-    xy = xy * (length / total)
-    table = table * (length / total)
-    s_new = np.linspace(0.0, length, n_points, endpoint=False)
-    idx, frac = _locate(np.stack([table[:-1], np.diff(table)]), s_new)
-    nxt = (idx + 1) % len(xy)
-    res = xy[idx] * (1 - frac[:, None]) + xy[nxt] * frac[:, None]
+    res = _resample_closed(xy, length, n_points)
     half = np.full(n_points, width / 2.0)
     return build_track(res, half, half)
 

@@ -157,20 +157,6 @@ def _episode_losses(preds, labels, active, speed_weight):
     return speed_weight * l_speed + l_steer, l_speed, l_steer
 
 
-def sequence_loss(params: PolicyParameters, cfg: PolicyConfig, episode: TrainingEpisode,
-                  mask_draws: np.ndarray, speed_weight: float = 0.05):
-    """Loss of one episode under teacher forcing from a zero hidden state.
-
-    Returns (loss, (l_speed, l_steer))."""
-    if len(episode) == 0:
-        raise EmptyEpisode("empty episode")
-    scans, speeds, labels, masked, active = _pack_batch(
-        [episode], [np.asarray(mask_draws, dtype=bool)], cfg)
-    preds, _ = _forward_batch(params, cfg, scans, speeds, masked)
-    loss, l_speed, l_steer = _episode_losses(preds, labels, active, speed_weight)
-    return float(loss[0]), (float(l_speed[0]), float(l_steer[0]))
-
-
 def backward(params: PolicyParameters, cfg: PolicyConfig,
              episodes: list[TrainingEpisode], mask_draws: list[np.ndarray],
              speed_weight: float = 0.05):

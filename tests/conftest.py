@@ -313,8 +313,9 @@ def reference_sample_lattice(state, raceline, cfg):
     candidates = []
     for j, scale in enumerate(scales):
         base = raceline.position_at(s_fine[j])
-        normals = raceline.normal_at(s_fine[j])
-        avail_l, avail_r = raceline.avail_at(s_fine[j])
+        normals = rtrack.normal_of(raceline.heading_at(s_fine[j]))
+        avail_l = raceline._interp(raceline.w_left_avail, s_fine[j])
+        avail_r = raceline._interp(raceline.w_right_avail, s_fine[j])
         for d_target in offsets:
             d_path = d0 + (d_target - d0) * beta
             if (np.any(d_path > avail_l - cfg.safety_margin)

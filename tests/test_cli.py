@@ -1,18 +1,34 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from racekit import cli
-from racekit.config import config_hash, default_config_text, load_config
+from racekit import config as rconfig
+from racekit.config import KitConfig, config_hash, load_config
 from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
+from racekit.scenario import Outcome, load_episode
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def default_config_text() -> str:
+    """An INI template with every key at its default."""
+    cfg = KitConfig()
+    lines = ["[global]", f"seed = {cfg.seed}", f"workers = {cfg.workers}"]
+    for name in rconfig._SECTIONS:
+        lines += ["", f"[{name}]"]
+        for key, value in asdict(getattr(cfg, name)).items():
+            if isinstance(value, tuple):
+                value = ",".join(value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +56,16 @@ def trained(tmp_path_factory, collected, track_dir):
                    "--dataset", str(collected / "dataset.json"),
                    "--epochs", "2")
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def single_rendered(tmp_path_factory, trained, track_dir):
+    out = tmp_path_factory.mktemp("single")
+    assert run_cli("--out", str(out), "--seed", "5", "eval", "single",
+                   "--checkpoint", str(trained / "policy.ckpt"),
+                   "--track", str(track_dir / "track_stadium.csv"),
+                   "--laps", "1", "--timeout", "3", "--render") == 0
     return out
 
 
@@ -83,6 +109,14 @@ class TestCollect:
         assert sum(counts.values()) == 4
         assert len(manifest["episodes"]) + len(manifest["excluded"]) == 4
         assert manifest["total_samples"] > 0
+        kept = [load_episode(collected / f) for f in manifest["episodes"]]
+        excluded = [load_episode(collected / f) for f in manifest["excluded"]]
+        # collision episodes are excluded, every other one is kept
+        assert all(ep.outcome != Outcome.COLLISION for ep in kept)
+        assert all(ep.outcome == Outcome.COLLISION for ep in excluded)
+        assert counts == {k: sum(ep.outcome == k for ep in kept + excluded)
+                          for k in Outcome.ALL}
+        assert manifest["total_samples"] == sum(ep.n_frames for ep in kept)
 
     def test_same_seed_same_config_hash_and_bytes(self, tmp_path, track_dir):
         outs = []
@@ -203,12 +237,8 @@ class TestEval:
         assert report["eta_levels"] == [0.1, 0.3, 0.5]
         assert len(report["single"]) == 3
 
-    def test_single_with_render(self, tmp_path, trained, track_dir):
-        out = tmp_path / "single"
-        assert run_cli("--out", str(out), "--seed", "5", "eval", "single",
-                       "--checkpoint", str(trained / "policy.ckpt"),
-                       "--track", str(track_dir / "track_stadium.csv"),
-                       "--laps", "1", "--timeout", "3", "--render") == 0
+    def test_single_with_render(self, single_rendered):
+        out = single_rendered
         assert (out / "report_single.json").exists()
         assert (out / "report_single.csv").exists()
         ET.fromstring((out / "single.svg").read_text())
@@ -243,6 +273,28 @@ class TestEval:
         assert report["median_ms"] <= report["p99_ms"] <= report["max_ms"]
         assert "median" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["h2h", "--eta", "1.5"],
+        ["noise", "--levels", "1.5"],
+        ["noise", "--levels", "0.1,x"],
+        ["single", "--eta", "-0.3"],
+    ], ids=["h2h-eta-above-one", "noise-level-above-one", "noise-level-not-a-number",
+            "single-eta-negative"])
+    def test_noise_level_outside_unit_interval_is_usage_error(self, tmp_path, trained,
+                                                               track_dir, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", str(tmp_path / "o"), "--seed", "5", "eval", *argv,
+                    "--checkpoint", str(trained / "policy.ckpt"),
+                    "--track", str(track_dir / "track_stadium.csv"),
+                    "--scenarios", "1", "--laps", "1", "--timeout", "1")
+        assert exc.value.code == 2
+
+    def test_noise_levels_in_unit_interval_parse(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["eval", "h2h", "--eta", "0.2"]).eta == 0.2
+        assert parser.parse_args(["eval", "noise", "--levels", "0,1"]).levels == [0.0, 1.0]
+        assert parser.parse_args(["eval", "noise"]).levels == [0.1, 0.2, 0.3]
+
     def test_bad_checkpoint_exit_5(self, tmp_path, track_dir):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint")
@@ -252,24 +304,17 @@ class TestEval:
 
 
 class TestRender:
-    def test_trace_to_svg(self, tmp_path, track_dir):
-        from racekit.scenario import (ExpertSource, RaceEnvironment,
-                                      ScenarioConfig, enumerate_scenarios, rollout)
-        from racekit.simulator import write_trace_csv
-        from racekit.track import load_track
-
-        track = load_track(track_dir / "track_stadium.csv")
-        env = RaceEnvironment.build(track)
-        scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, seed=1), env)
-        record, trace = rollout(scenarios[0], ExpertSource(), env, duration=0.5,
-                                record_trace=True)
-        trace_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, trace_path)
+    def test_trace_to_svg(self, tmp_path, single_rendered, track_dir):
+        # the trace that eval single --render writes redraws as its own SVG
+        manifest = json.loads((single_rendered / "manifest.json").read_text())
+        assert "single.trace.csv" in manifest["outputs"]
         out = tmp_path / "render"
-        assert run_cli("--out", str(out), "render", "--trace", str(trace_path),
-                       "--track", str(track_dir / "track_stadium.csv"),
-                       "--outcome", record.outcome) == 0
-        ET.fromstring((out / "trace.svg").read_text())
+        assert run_cli("--out", str(out), "render",
+                       "--trace", str(single_rendered / "single.trace.csv"),
+                       "--track", str(track_dir / "track_stadium.csv")) == 0
+        svg = (out / "single.trace.svg").read_bytes()
+        ET.fromstring(svg)
+        assert svg == (single_rendered / "single.svg").read_bytes()
 
 
 class TestConfig:
@@ -354,3 +399,31 @@ class TestConfig:
         a.write_text("[scenario]\nego_racelines = left, center ,right\n")
         cfg = load_config(a)
         assert cfg.scenario.ego_racelines == ("left", "center", "right")
+
+    def test_typed_fields_follow_annotations(self, tmp_path, monkeypatch):
+        # a field's type comes from its annotation, not from its spelling
+        @dataclass(frozen=True)
+        class Probe:
+            ints: tuple[int, ...] = ()
+            maybe: float | None = 1.0
+
+        monkeypatch.setitem(rconfig._SECTIONS, "paths", Probe)
+        path = tmp_path / "probe.ini"
+        path.write_text("[paths]\nints = 1, 2\nmaybe = 0.5\n")
+        cfg = load_config(path)
+        assert cfg.paths.ints == (1, 2)
+        assert cfg.paths.maybe == 0.5
+        assert load_config(path, {"paths.maybe": "none"}).paths.maybe is None
+
+    @pytest.mark.parametrize("text", [
+        "[trainer]\nepochs = many\n",
+        "[policy]\nuse_speed_input = maybe\n",
+        "[global]\nseed = 1.5\n",
+    ], ids=["int", "bool", "global-int"])
+    def test_malformed_value_rejected(self, tmp_path, text):
+        # a value its field's type cannot hold is a config error (exit 6)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        from racekit.config import ConfigError
+        with pytest.raises(ConfigError):
+            load_config(path)

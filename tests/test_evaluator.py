@@ -21,7 +21,7 @@ from racekit.evaluator import (
     write_single_csv,
 )
 from racekit.policy import PolicyConfig, init_params
-from racekit.scenario import (ExpertSource, Outcome, RaceEnvironment, Scenario,
+from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout)
 from racekit.simulator import SimConfig, Trace, VehicleState
 
@@ -75,9 +75,11 @@ class TestRunners:
     def test_expert_reference_run_completes_laps(self, env):
         # harness sanity: the expert source, driven through the same loop
         # machinery, finishes laps with lap stats populated
-        from racekit.scenario import drive_expert_laps
-        laps, collided = drive_expert_laps(env.track, laps=1.0,
-                                           expert_cfg=env.expert)
+        L = env.track.total_length
+        record, _ = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
+                            ExpertSource(), env, duration=L + 30.0,
+                            observer=LapTimer(L, env.sim.dt, 1.0))
+        laps, collided = record.ego_progress / L, record.outcome == Outcome.COLLISION
         assert laps >= 1.0 and not collided
 
     def test_seeded_reproducibility(self, env, rand_policy):

@@ -11,20 +11,22 @@ from racekit import expert as rexpert
 from racekit import track as rtrack
 from racekit.expert import (
     CandidateTrajectory,
-    EmptyCandidateSet,
     ExpertConfig,
     NoFeasibleCandidate,
     Role,
+    _best,
+    _mean_rewards,
+    ego_commands,
     expert_action,
-    predict_opponent,
+    predict_opponents,
     pure_pursuit,
     pure_pursuit_steering,
     sample_lattice,
-    score_candidate,
-    select_trajectory,
 )
+from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
+                              rollout)
 from racekit.simulator import SimConfig, VehicleCommand, VehicleState, WorldState, step
-from racekit.track import FarFromRaceline, Raceline, curvature_at, generate_raceline
+from racekit.track import FarFromRaceline, Raceline, curvature_at, generate_raceline, normal_of
 
 
 def straight_raceline(length=100.0, kappa=0.0, v_ref=5.0, n=101):
@@ -44,8 +46,17 @@ def make_candidate(xy, v, offset=0.0, scale=1.0):
     xy = np.asarray(xy, dtype=float)
     diffs = np.diff(xy, axis=0)
     heading = np.append(np.arctan2(diffs[:, 1], diffs[:, 0]), 0.0) if len(xy) > 1 else np.zeros(1)
+    n = len(xy)
     return CandidateTrajectory(xy=xy, heading=heading, v=np.asarray(v, dtype=float),
-                               lateral_offset=offset, speed_scale=scale)
+                               lateral_offset=offset, speed_scale=scale,
+                               d_path=np.zeros(n), kappa_path=np.zeros(n))
+
+
+def mean_reward(xy, v, d, kappa, opponent_pred, cfg):
+    """_mean_rewards of one candidate given as explicit per-sample lists."""
+    return float(_mean_rewards(np.array(v, dtype=float), np.array(xy, dtype=float),
+                               np.array(d, dtype=float), np.array(kappa, dtype=float),
+                               opponent_pred, cfg))
 
 
 class TestScore:
@@ -53,93 +64,67 @@ class TestScore:
         # single-sample candidate: v=5, d_r=0.2 (left), kappa=0.1, d_l = d_scale
         cfg = ExpertConfig(lambda_v=1.0, lambda_p=0.5, lambda_d=1.0, lambda_kappa=0.1,
                            d_scale=0.8)
-        rl = straight_raceline(kappa=0.1)
-        cand = make_candidate([[3.2, 0.2]], [5.0])
         opp = np.array([[3.2, 0.2 + 0.8]])
-        r = score_candidate(cand, opp, rl, cfg)
+        r = mean_reward([[3.2, 0.2]], [5.0], [0.2], [0.1], opp, cfg)
         expected = math.log(5.0) - 0.5 * 0.2 - math.exp(-1.0) - 0.1 * 0.1 * 5.0
         assert r == pytest.approx(expected, abs=1e-9)
 
     def test_zero_weights(self):
         cfg = ExpertConfig(lambda_v=0, lambda_p=0, lambda_d=0, lambda_kappa=0)
-        rl = straight_raceline()
-        cand = make_candidate([[1.0, 0.3], [2.0, 0.1]], [4.0, 6.0])
-        assert score_candidate(cand, np.zeros((2, 2)), rl, cfg) == 0.0
+        r = mean_reward([[1.0, 0.3], [2.0, 0.1]], [4.0, 6.0], [0.3, 0.1], [0.0, 0.0],
+                        np.zeros((2, 2)), cfg)
+        assert r == 0.0
 
     def test_ln_monotone_in_speed(self):
         cfg = ExpertConfig(lambda_d=0.0, lambda_kappa=0.0)
-        rl = straight_raceline()
-        slow = make_candidate([[1.0, 0.0]], [3.0])
-        fast = make_candidate([[1.0, 0.0]], [4.0])
-        assert score_candidate(fast, None, rl, cfg) > score_candidate(slow, None, rl, cfg)
+        slow = mean_reward([[1.0, 0.0]], [3.0], [0.0], [0.0], None, cfg)
+        fast = mean_reward([[1.0, 0.0]], [4.0], [0.0], [0.0], None, cfg)
+        assert fast > slow
 
     def test_nonpositive_speed_rejected(self):
+        # from rest with no speed floor, the lattice's first samples are 0 m/s
         rl = straight_raceline()
-        cand = make_candidate([[1.0, 0.0]], [0.0])
         with pytest.raises(rexpert.NonPositiveSpeed):
-            score_candidate(cand, None, rl, ExpertConfig())
+            ego_commands(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), None, rl,
+                         ExpertConfig(v_floor=0.0))
 
     def test_no_opponent_drops_proximity_term(self):
         cfg = ExpertConfig(lambda_v=0, lambda_p=0, lambda_d=99.0, lambda_kappa=0)
-        rl = straight_raceline()
-        cand = make_candidate([[1.0, 0.0]], [5.0])
-        assert score_candidate(cand, None, rl, cfg) == 0.0
+        assert mean_reward([[1.0, 0.0]], [5.0], [0.0], [0.0], None, cfg) == 0.0
 
 
 class TestSelect:
     def test_single_candidate(self):
-        c = make_candidate([[0, 0]], [1.0])
-        c.reward = 1.0
-        assert select_trajectory([c]) is c
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyCandidateSet):
-            select_trajectory([])
+        assert _best([1.0], [0.0]) == 0
 
     def test_tiebreak_smaller_offset(self):
-        a = make_candidate([[0, 0]], [1.0], offset=0.3)
-        b = make_candidate([[0, 0]], [1.0], offset=0.0)
-        c = make_candidate([[0, 0]], [1.0], offset=-0.3)
-        for cand in (a, b, c):
-            cand.reward = 2.5
-        assert select_trajectory([a, b, c]) is b
+        assert _best([2.5, 2.5, 2.5], [0.3, 0.0, -0.3]) == 1
 
     def test_tiebreak_lower_index(self):
-        a = make_candidate([[0, 0]], [1.0], offset=0.3)
-        b = make_candidate([[0, 0]], [1.0], offset=-0.3)
-        a.reward = b.reward = 1.0
-        assert select_trajectory([a, b]) is a
+        assert _best([1.0, 1.0], [0.3, -0.3]) == 0
 
     def test_brute_force_equivalence_random(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = int(rng.integers(1, 25))
-            cands = []
-            for i in range(n):
-                c = make_candidate([[0, 0]], [1.0], offset=float(rng.uniform(-1, 1)))
-                c.reward = float(rng.choice([0.0, 0.5, 1.0, rng.normal()]))
-                cands.append(c)
-            best = select_trajectory(cands)
-            max_r = max(c.reward for c in cands)
-            assert best.reward == max_r
+            offsets = [float(rng.uniform(-1, 1)) for _ in range(n)]
+            rewards = [float(rng.choice([0.0, 0.5, 1.0, rng.normal()])) for _ in range(n)]
+            best = _best(rewards, offsets)
+            max_r = max(rewards)
+            assert rewards[best] == max_r
             # best among max-reward candidates by |offset| then index
-            pool = [c for c in cands if c.reward == max_r]
-            expected = min(pool, key=lambda c: (abs(c.lateral_offset), cands.index(c)))
-            assert best is expected
+            pool = [i for i in range(n) if rewards[i] == max_r]
+            expected = min(pool, key=lambda i: (abs(offsets[i]), i))
+            assert best == expected
 
     @given(st.floats(min_value=-100, max_value=100))
     @settings(max_examples=25, deadline=None)
     def test_argmax_invariant_to_constant_shift(self, shift):
         rng = np.random.default_rng(7)
-        cands = []
-        for i in range(10):
-            c = make_candidate([[0, 0]], [1.0], offset=float(rng.uniform(-1, 1)))
-            c.reward = float(rng.normal())
-            cands.append(c)
-        before = cands.index(select_trajectory(cands))
-        for c in cands:
-            c.reward += shift
-        after = cands.index(select_trajectory(cands))
+        offsets = [float(rng.uniform(-1, 1)) for _ in range(10)]
+        rewards = [float(rng.normal()) for _ in range(10)]
+        before = _best(rewards, offsets)
+        after = _best([r + shift for r in rewards], offsets)
         assert before == after
 
 
@@ -246,7 +231,7 @@ class TestOneShotLattice:
     def test_matches_reference(self, where, pose, cfg):
         rl = lattice_raceline(*where)
         s, off, dtheta, v = pose
-        x, y = rl.position_at(s) + off * rl.normal_at(s)
+        x, y = rl.position_at(s) + off * normal_of(rl.heading_at(s))
         state = VehicleState(float(x), float(y), float(rl.heading_at(s)) + dtheta, v)
         try:
             want = reference_sample_lattice(state, rl, cfg)
@@ -263,6 +248,13 @@ class TestOneShotLattice:
             assert np.array_equal(g.kappa_path, curvature_at(rl, w.s_path))
 
 
+def candidate_reward(cand, opponent_pred, cfg):
+    """_mean_rewards of one lattice candidate, from the deviation and
+    curvature it carries."""
+    return float(_mean_rewards(cand.v, cand.xy, cand.d_path, cand.kappa_path, opponent_pred,
+                               cfg))
+
+
 class TestExpertAction:
     def test_empty_track_full_speed_near_zero_offset(self, stadium):
         rl = generate_raceline(stadium, 0.0)
@@ -270,9 +262,8 @@ class TestExpertAction:
         world = WorldState(stadium, [state])
         cfg = ExpertConfig()
         cands = sample_lattice(state, rl, stadium, cfg)
-        for c in cands:
-            c.reward = score_candidate(c, None, rl, cfg)
-        best = select_trajectory(cands)
+        rewards = [candidate_reward(c, None, cfg) for c in cands]
+        best = cands[_best(rewards, [c.lateral_offset for c in cands])]
         assert best.speed_scale == 1.0
         assert abs(best.lateral_offset) <= cfg.lateral_max / (cfg.n_lateral - 1)
 
@@ -285,13 +276,14 @@ class TestExpertAction:
         opp = VehicleState(opp_pos[0], opp_pos[1], rl.heading_at(rl.s[0] + 1.0), 1.0)
         world = WorldState(stadium, [state, opp])
         cands = sample_lattice(state, rl, stadium, cfg)
-        opp_pred = predict_opponent(opp, cfg)
-        for c in cands:
-            c.reward = score_candidate(c, opp_pred, rl, cfg)
-        best = select_trajectory(cands)
-        center_full = [c for c in cands
+        opp_pred = predict_opponents(np.array([[opp.x, opp.y, opp.theta, opp.v, opp.delta]]),
+                                     cfg)[0]
+        rewards = [candidate_reward(c, opp_pred, cfg) for c in cands]
+        k = _best(rewards, [c.lateral_offset for c in cands])
+        best = cands[k]
+        center_full = [i for i, c in enumerate(cands)
                        if c.lateral_offset == 0.0 and c.speed_scale == 1.0][0]
-        assert best.reward > center_full.reward
+        assert rewards[k] > rewards[center_full]
         assert abs(best.lateral_offset) > 0 or best.speed_scale < 1.0
 
     def test_leader_command_speed(self, stadium):
@@ -330,8 +322,11 @@ class TestExpertAction:
 @pytest.mark.slow
 def test_expert_three_laps_stadium(stadium):
     """Closed-loop competence: the expert alone drives 3 clean laps."""
-    from racekit.scenario import drive_expert_laps
-
-    laps, collided = drive_expert_laps(stadium, laps=3)
+    env = RaceEnvironment.build(stadium, raceline_ids=("center",))
+    L = stadium.total_length
+    record, _ = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
+                        ExpertSource(), env, duration=3 * L + 30.0,
+                        observer=LapTimer(L, env.sim.dt, 3))
+    laps, collided = record.ego_progress / L, record.outcome == Outcome.COLLISION
     assert laps >= 3.0
     assert not collided

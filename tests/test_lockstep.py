@@ -28,9 +28,8 @@ from racekit import track as rtrack
 from racekit.evaluator import PolicySource
 from racekit.expert import ExpertConfig, NoFeasibleCandidate, Role
 from racekit.policy import PolicyConfig, init_params
-from racekit.scenario import (ExpertSource, NoValidSpawn, ProgressTracker, RaceEnvironment,
-                              Scenario, ScenarioConfig, enumerate_scenarios, rollout_many,
-                              track_progress)
+from racekit.scenario import (ExpertSource, NoValidSpawn, RaceEnvironment, Scenario,
+                              ScenarioConfig, enumerate_scenarios, rollout_many, track_progress)
 from racekit.simulator import SimConfig, VehicleCommand, VehicleState, WorldBatch, WorldState
 from racekit.track import FarFromRaceline
 
@@ -264,7 +263,8 @@ class TestProgress:
         xy = np.array([track_xy(track, s + ds, off) for s, ds, off in points])
         got = track_progress(track, hints, xy[:, 0], xy[:, 1])
         for g, (hint, _, _), (x, y) in zip(got, points, xy):
-            assert_same_bits(g, np.float64(ProgressTracker(track, hint).update(x, y)))
+            one = track_progress(track, np.array([hint]), np.array([x]), np.array([y]))[0]
+            assert_same_bits(g, np.float64(one))
             assert_same_bits(g, np.float64(ReferenceProgressTracker(track, hint).update(x, y)))
 
 
@@ -288,7 +288,7 @@ states = st.tuples(st.floats(-100.0, 100.0), st.floats(-1.2, 1.2), st.floats(-0.
 
 
 def pose_on(rl, s, off, dtheta, v):
-    x, y = rl.position_at(s) + off * rl.normal_at(s)
+    x, y = rl.position_at(s) + off * rtrack.normal_of(rl.heading_at(s))
     return (float(x), float(y), float(rl.heading_at(s)) + dtheta, v, 0.0)
 
 

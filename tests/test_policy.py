@@ -23,7 +23,6 @@ from racekit.policy import (
     load_checkpoint,
     normalize_scan,
     save_checkpoint,
-    zero_hidden,
 )
 
 TINY = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
@@ -150,7 +149,7 @@ class TestForwardStep:
     def test_deterministic(self):
         p = tiny_params(1)
         scan = np.random.default_rng(2).uniform(0.1, 30, TINY.n_beams)
-        h = zero_hidden(TINY)
+        h = np.zeros(TINY.hidden_dim)
         a1, h1 = forward_step(scan, 2.0, h, p, TINY)
         a2, h2 = forward_step(scan, 2.0, h, p, TINY)
         assert np.array_equal(a1, a2) and np.array_equal(h1, h2)
@@ -167,7 +166,7 @@ class TestForwardStep:
         v = 1.7
         p.mask_embed[:] = embed_speed(v, p)
         scan = np.random.default_rng(0).uniform(0.1, 30, TINY.n_beams)
-        h = zero_hidden(TINY)
+        h = np.zeros(TINY.hidden_dim)
         a1, h1 = forward_step(scan, v, h, p, TINY, masked=False)
         a2, h2 = forward_step(scan, v, h, p, TINY, masked=True)
         assert np.array_equal(a1, a2) and np.array_equal(h1, h2)
@@ -177,7 +176,7 @@ class TestForwardStep:
                            use_speed_input=False)
         p = init_params(cfg, np.random.default_rng(0))
         scan = np.random.default_rng(1).uniform(0.1, 30, cfg.n_beams)
-        h = zero_hidden(cfg)
+        h = np.zeros(cfg.hidden_dim)
         a1, _ = forward_step(scan, 0.0, h, p, cfg)
         a2, _ = forward_step(scan, 9.0, h, p, cfg)
         assert np.array_equal(a1, a2)
@@ -186,7 +185,7 @@ class TestForwardStep:
         # a nearby beam must influence the action through generic params
         p = tiny_params(7)
         scan = np.full(TINY.n_beams, 3.0)
-        h = zero_hidden(TINY)
+        h = np.zeros(TINY.hidden_dim)
         a1, _ = forward_step(scan, 2.0, h, p, TINY)
         scan2 = scan.copy()
         scan2[0] = 2.0
@@ -217,7 +216,7 @@ class TestInferenceSession:
         p = tiny_params(9)
         sess = InferenceSession(p, TINY, dtype=np.float64)
         rng = np.random.default_rng(3)
-        h_ref = zero_hidden(TINY)
+        h_ref = np.zeros(TINY.hidden_dim)
         h_fast = sess.zero_hidden()
         for _ in range(10):
             scan = rng.uniform(0.0, 30.0, TINY.n_beams)
@@ -233,7 +232,7 @@ class TestInferenceSession:
         assert all(np.shares_memory(a, b) for a, b in
                    zip(sess.params.tensors().values(), p.tensors().values()))
         rng = np.random.default_rng(4)
-        h_ref = zero_hidden(TINY)
+        h_ref = np.zeros(TINY.hidden_dim)
         h_fast = sess.zero_hidden()
         for i in range(10):
             scan = rng.uniform(0.0, 30.0, TINY.n_beams)
@@ -266,7 +265,7 @@ class TestInferenceSession:
         p = tiny_params(9)
         sess = InferenceSession(p, TINY, dtype=np.float32)
         scan = np.random.default_rng(1).uniform(0.1, 30, TINY.n_beams)
-        a64, _ = forward_step(scan, 3.0, zero_hidden(TINY), p, TINY)
+        a64, _ = forward_step(scan, 3.0, np.zeros(TINY.hidden_dim), p, TINY)
         a32, _ = sess.step(scan, 3.0, sess.zero_hidden())
         assert np.allclose(a64, a32, atol=1e-4)
 

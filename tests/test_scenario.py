@@ -12,22 +12,24 @@ from racekit import scenario as rscn
 from racekit import track as rtrack
 from racekit.expert import ExpertConfig
 from racekit.scenario import (
-    Dataset,
+    PROGRESS_WINDOW,
     EmptyDataset,
     EpisodeRecord,
     ExpertSource,
     Outcome,
-    ProgressTracker,
     RaceEnvironment,
     Scenario,
     ScenarioConfig,
     ScenarioError,
-    build_dataset,
     classify_outcome,
     enumerate_scenarios,
     load_episode,
+    load_manifest_dataset,
     rollout,
+    save_dataset,
     save_episode,
+    track_progress,
+    write_manifest,
 )
 from racekit.simulator import SimConfig
 
@@ -105,6 +107,12 @@ class TestClassify:
         assert classify_outcome(45.0, 50.0, False, False) == Outcome.CAR_FOLLOWING
 
 
+def progress_after(track, progress, x, y):
+    """track_progress of one point."""
+    return float(track_progress(track, np.array([progress]), np.array([x], dtype=float),
+                                np.array([y], dtype=float))[0])
+
+
 class TestProgressTracker:
     @pytest.mark.parametrize("track_name", ["stadium", "uneven"])
     def test_follows_the_centerline_for_a_lap(self, stadium, track_name):
@@ -116,8 +124,11 @@ class TestProgressTracker:
         idx = np.searchsorted(track.arc_table, s_true % L, side="right") - 1
         frac = (s_true % L - track.arc_table[idx]) / np.diff(track.arc_table)[idx]
         pts = track.xy[idx] + frac[:, None] * (track.xy[(idx + 1) % len(track.xy)] - track.xy[idx])
-        tracker = ProgressTracker(track, 0.0)
-        got = np.array([tracker.update(x, y) for x, y in pts])
+        got = []
+        progress = 0.0
+        for x, y in pts:
+            progress = progress_after(track, progress, x, y)
+            got.append(progress)
         assert np.allclose(got, s_true, atol=1e-6)
 
     @given(name=st.sampled_from(["stadium", "serpentine", "uneven"]),
@@ -130,20 +141,21 @@ class TestProgressTracker:
         reference kernel, on uneven spacing and up to 2 m off the line."""
         track = tracker_track(name)
         L = track.total_length
-        tracker = ProgressTracker(track, hint)
+        tracked = hint
         progress = hint
         s = hint
         for ds, off in moves:
             s += ds
             x, y = track_point(track, s, off)
-            window = reference_arc_window(track.arc_table, progress, ProgressTracker.WINDOW)
+            window = reference_arc_window(track.arc_table, progress, PROGRESS_WINDOW)
             s_ref, _, _ = reference_project_to_polyline(np.array([[x, y]]), track.xy,
                                                         track.arc_table, seg_idx=window)
             delta = (float(s_ref[0]) - progress) % L
             if delta > L / 2:
                 delta -= L
             progress += delta
-            assert_same_bits(tracker.update(x, y), progress)
+            tracked = progress_after(track, tracked, x, y)
+            assert_same_bits(tracked, progress)
 
 
 @functools.cache
@@ -218,31 +230,42 @@ class TestRollout:
         assert r1.ego_progress == r2.ego_progress
 
 
+def named(records):
+    return [(f"ep_{i}.bin", rec) for i, rec in enumerate(records)]
+
+
 class TestDataset:
-    def test_filtering_and_counts(self):
+    def test_filtering_and_counts(self, tmp_path):
         pool = ([fake_record(Outcome.CAR_FOLLOWING) for _ in range(4)]
                 + [fake_record(Outcome.OVERTAKING) for _ in range(3)]
                 + [fake_record(Outcome.COLLISION) for _ in range(2)])
-        ds = build_dataset(pool)
+        ds = save_dataset(tmp_path, named(pool))
         assert len(ds.episodes) == 7
         assert ds.pool_counts == {Outcome.CAR_FOLLOWING: 4, Outcome.OVERTAKING: 3,
                                   Outcome.COLLISION: 2}
         assert all(ep.outcome != Outcome.COLLISION for ep in ds.episodes)
+        back = load_manifest_dataset(tmp_path / "dataset.json")
+        assert [ep.outcome for ep in back.episodes] == [ep.outcome for ep in ds.episodes]
+        assert back.pool_counts == ds.pool_counts
 
-    def test_all_safe_keeps_everything(self):
+    def test_all_safe_keeps_everything(self, tmp_path):
         pool = [fake_record(Outcome.OVERTAKING, frames=7) for _ in range(5)]
-        ds = build_dataset(pool)
+        ds = save_dataset(tmp_path, named(pool))
         assert len(ds.episodes) == 5
         assert ds.total_samples == 35
+        assert load_manifest_dataset(tmp_path / "dataset.json").total_samples == 35
 
-    def test_total_samples_counts_frames(self):
-        pool = [fake_record(Outcome.CAR_FOLLOWING, frames=80) for _ in range(572)]
-        ds = build_dataset(pool)
+    def test_total_samples_counts_frames(self, tmp_path):
+        pool = [fake_record(Outcome.CAR_FOLLOWING, frames=80, n_beams=8) for _ in range(572)]
+        ds = save_dataset(tmp_path, named(pool))
         assert ds.total_samples == 45760
+        assert load_manifest_dataset(tmp_path / "dataset.json").total_samples == 45760
 
-    def test_empty_dataset_raises(self):
+    def test_empty_dataset_raises(self, tmp_path):
+        manifest = tmp_path / "dataset.json"
+        write_manifest(manifest, [], ["episodes/ep_0.bin"], {Outcome.COLLISION: 1}, 0)
         with pytest.raises(EmptyDataset):
-            build_dataset([fake_record(Outcome.COLLISION)])
+            load_manifest_dataset(manifest)
 
 
 class TestEpisodeIO:

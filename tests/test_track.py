@@ -184,8 +184,11 @@ class TestRaceline:
             rl = generate_raceline(stadium, off)
             assert np.all(rl.w_left_avail >= VEH_HALF_WIDTH)
             assert np.all(rl.w_right_avail >= VEH_HALF_WIDTH)
-            s, d = stadium.project_many(rl.xy)
-            wr, wl = stadium.widths_at(s)
+            s, d, _ = _geom.project_to_polyline(rl.xy, stadium.segment_table)
+            idx, frac = rtrack._locate(stadium.segment_table, s % stadium.total_length)
+            nxt = (idx + 1) % len(stadium.xy)
+            wr = stadium.w_right[idx] * (1 - frac) + stadium.w_right[nxt] * frac
+            wl = stadium.w_left[idx] * (1 - frac) + stadium.w_left[nxt] * frac
             assert np.all(d < wl) and np.all(-d < wr)
 
     def test_v_ref_positive(self, stadium):
@@ -253,7 +256,7 @@ class TestArcWindow:
            st.floats(-100.0, 100.0), st.floats(0.0, 60.0))
     def test_matches_brute_force(self, seg_lengths, s, half_width):
         arc_table = np.concatenate([[0.0], np.cumsum(seg_lengths)])
-        got = _geom.arc_window(arc_table, s, half_width)
+        got = _geom.arc_windows(arc_table, s, half_width)[0]
         assert list(got) == sorted(set(got.tolist()))
         if 2.0 * half_width >= arc_table[-1]:
             assert len(got) == len(seg_lengths)
@@ -316,7 +319,7 @@ class TestProjectionKernel:
             e = b - a
             pts.append(a + along * e + off * np.array([-e[1], e[0]]) / np.hypot(*e))
         pts = np.array(pts)
-        seg_idx = None if window is None else _geom.arc_window(arc_table, *window)
+        seg_idx = None if window is None else _geom.arc_windows(arc_table, *window)[0]
         want = reference_project_to_polyline(pts, verts, arc_table, seg_idx=seg_idx)
         for got_part, want_part in zip(_geom.project_to_polyline(pts, table, seg_idx), want):
             assert_same_bits(got_part, want_part)
@@ -402,8 +405,9 @@ class TestArcLookups:
             s = s[0]
         idx, frac = reference_locate(rl.arc_table, np.asarray(s, dtype=float) % rl.length)
         nxt = (idx + 1) % n
-        for values, got in ((rl.v_ref, rl.v_ref_at(s)), (rl.w_left_avail, rl.avail_at(s)[0]),
-                            (rl.w_right_avail, rl.avail_at(s)[1])):
+        for values, got in ((rl.v_ref, rl.v_ref_at(s)),
+                            (rl.w_left_avail, rl._interp(rl.w_left_avail, s)),
+                            (rl.w_right_avail, rl._interp(rl.w_right_avail, s))):
             assert_same_bits(got, values[idx] * (1 - frac) + values[nxt] * frac)
         h0 = rl.heading[idx]
         h1 = h0 + _geom.wrap_angle(rl.heading[nxt] - h0)
@@ -413,7 +417,11 @@ class TestArcLookups:
         idx, frac = reference_locate(track.arc_table, np.asarray(s, dtype=float)
                                      % track.total_length)
         nxt = (idx + 1) % len(track.xy)
-        for got, values in zip(track.widths_at(s), (track.w_right, track.w_left)):
+        got_idx, got_frac = rtrack._locate(track.segment_table, np.asarray(s, dtype=float)
+                                           % track.total_length)
+        got_nxt = (got_idx + 1) % len(track.xy)
+        for values in (track.w_right, track.w_left):
+            got = values[got_idx] * (1 - got_frac) + values[got_nxt] * got_frac
             assert_same_bits(got, values[idx] * (1 - frac) + values[nxt] * frac)
 
     @given(n=st.integers(3, 40), data=st.data())

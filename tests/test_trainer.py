@@ -9,13 +9,30 @@ from racekit.trainer import (
     TrainState,
     adam_update,
     backward,
+    EmptyEpisode,
+    _episode_losses,
+    _forward_batch,
+    _pack_batch,
     lr_schedule_step,
-    sequence_loss,
     train,
     write_loss_curve_csv,
 )
 
 TINY = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
+
+
+def sequence_loss(params, cfg, episode, mask_draws, speed_weight=0.05):
+    """Loss of one episode under teacher forcing from a zero hidden state,
+    through the trainer's batch kernels as a batch of one: the oracle the
+    batched gradients are checked against. Returns (loss, (l_speed,
+    l_steer))."""
+    if len(episode) == 0:
+        raise EmptyEpisode("empty episode")
+    scans, speeds, labels, masked, active = _pack_batch(
+        [episode], [np.asarray(mask_draws, dtype=bool)], cfg)
+    preds, _ = _forward_batch(params, cfg, scans, speeds, masked)
+    loss, l_speed, l_steer = _episode_losses(preds, labels, active, speed_weight)
+    return float(loss[0]), (float(l_speed[0]), float(l_steer[0]))
 
 
 def tiny_episode(T=5, seed=0, n_beams=8):
@@ -74,7 +91,6 @@ class TestSequenceLoss:
         ep = tiny_episode(T=4)
         draws = np.zeros(4, bool)
         # forge labels equal to the model's own outputs
-        from racekit.trainer import _forward_batch, _pack_batch
         scans, speeds, labels, masked, active = _pack_batch([ep], [draws], TINY)
         preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
         ep.labels = preds[0]
@@ -96,7 +112,6 @@ class TestSequenceLoss:
 class TestForwardBatch:
     def test_matches_step_by_step_inference(self):
         # teacher-forced training rolls equal the deployed session's rolls
-        from racekit.trainer import _forward_batch, _pack_batch
         params = init_params(TINY, np.random.default_rng(8))
         episodes = [tiny_episode(T=7, seed=3), tiny_episode(T=4, seed=4)]
         draws = [np.array([False, True, False, False, True, False, True]),
@@ -142,7 +157,6 @@ class TestBackward:
         params = init_params(TINY, np.random.default_rng(3))
         ep = tiny_episode(T=4, seed=5)
         draws = np.zeros(4, bool)
-        from racekit.trainer import _forward_batch, _pack_batch
         scans, speeds, labels, masked, active = _pack_batch([ep], [draws], TINY)
         preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
         ep.labels = preds[0]
