@@ -80,7 +80,7 @@ def _scenario_pool(args, cfg: KitConfig, env: RaceEnvironment):
     """The spawn-screened scenarios of the seeded scenario config
     (--scenarios overrides k_positions) and the number of spawns skipped."""
     scn_cfg = replace(cfg.scenario, seed=cfg.seed)
-    if args.scenarios:
+    if args.scenarios is not None:
         scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
     return rscn.enumerate_scenarios(scn_cfg, env)
 
@@ -112,21 +112,12 @@ def cmd_track_gen(args, cfg: KitConfig) -> int:
         outputs.append(p.name)
     preview = out / f"track_{args.shape}.svg"
     with atomic_open(preview) as fh:
-        fh.write(_track_preview_svg(track))
+        fh.write(reval.render_episode(None, track))
     outputs.append(preview.name)
     _write_manifest(out, "track gen", cfg, outputs, started)
     print(f"{args.shape}: length {track.total_length:.2f} m, "
           f"{len(track.xy)} waypoints -> {out}")
     return EXIT_OK
-
-
-def _track_preview_svg(track) -> str:
-    trace = rsim.Trace()
-    # a single static frame renders boundaries only
-    trace.times = [0.0]
-    trace.states = [[]]
-    trace.collided = [[]]
-    return reval.render_episode(trace, track)
 
 
 def cmd_track_info(args, cfg: KitConfig) -> int:
@@ -186,7 +177,7 @@ def cmd_train(args, cfg: KitConfig) -> int:
     elif args.ablation in ("2x", "4x", "8x"):
         pol_cfg = replace(pol_cfg, hidden_multiplier=int(args.ablation[0]))
     trn_cfg = replace(cfg.trainer, seed=cfg.seed)
-    if args.epochs:
+    if args.epochs is not None:
         trn_cfg = replace(trn_cfg, epochs=args.epochs)
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
@@ -239,14 +230,15 @@ def cmd_eval(args, cfg: KitConfig) -> int:
     track = _load_track_arg(args, cfg)
     env = _build_env(track, cfg)
     if args.suite == "single":
-        report, trace = reval.run_single_agent(
+        trace = rsim.Trace()
+        report = reval.run_single_agent(
             params, pol_cfg, env, laps_target=args.laps, noise_eta=args.eta,
-            seed=cfg.seed, timeout_s=args.timeout, record_trace=args.render)
+            seed=cfg.seed, timeout_s=args.timeout, observers=[trace] if args.render else ())
         with atomic_open(out / "report_single.json") as fh:
             fh.write(reval.report_json(report))
         reval.write_single_csv([("single", report)], out / "report_single.csv")
         outputs += ["report_single.json", "report_single.csv"]
-        if args.render and trace is not None:
+        if args.render:
             rsim.write_trace_csv(trace, out / "single.trace.csv")
             svg = reval.render_episode(trace, track, sim_cfg=cfg.sim)
             with atomic_open(out / "single.svg") as fh:
@@ -331,6 +323,17 @@ def _noise_level(text: str) -> float:
     return eta
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
+
+
 def _noise_levels(text: str) -> list[float]:
     return [_noise_level(part) for part in text.split(",")]
 
@@ -358,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_collect = sub.add_parser("collect", help="expert demonstration collection")
     p_collect.add_argument("--track", default=None)
-    p_collect.add_argument("--scenarios", type=int, default=None,
+    p_collect.add_argument("--scenarios", type=_positive_int, default=None,
                            help="override scenario.k_positions")
 
     p_train = sub.add_parser("train", help="behavior cloning")
     p_train.add_argument("--dataset", default=None, help="dataset manifest path")
-    p_train.add_argument("--epochs", type=int, default=None)
+    p_train.add_argument("--epochs", type=_positive_int, default=None)
     p_train.add_argument("--ablation", default=None,
                          choices=["lidar-only", "2x", "4x", "8x"])
     p_train.add_argument("--checkpoint-name", default=None)
@@ -372,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("suite", choices=["single", "h2h", "noise", "latency"])
     p_eval.add_argument("--checkpoint", default=None)
     p_eval.add_argument("--track", default=None)
-    p_eval.add_argument("--scenarios", type=int, default=None)
-    p_eval.add_argument("--laps", type=int, default=10)
+    p_eval.add_argument("--scenarios", type=_positive_int, default=None)
+    p_eval.add_argument("--laps", type=_positive_int, default=10)
     p_eval.add_argument("--eta", type=_noise_level, default=0.0,
                         help="beam-dropout fraction in [0, 1]")
     p_eval.add_argument("--levels", type=_noise_levels, default="0.1,0.2,0.3",
                         help="comma-separated beam-dropout fractions in [0, 1]")
     p_eval.add_argument("--mode", default="single", choices=["single", "h2h", "both"])
-    p_eval.add_argument("--samples", type=int, default=10000)
+    p_eval.add_argument("--samples", type=_positive_int, default=10000)
     p_eval.add_argument("--precision", default="float32",
                         choices=["float32", "float64"])
     p_eval.add_argument("--timeout", type=float, default=None)

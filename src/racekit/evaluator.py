@@ -5,11 +5,12 @@ lap target, collision, or timeout), head-to-head scenario pools (outcome
 counts and overtake/safety rates), beam-dropout noise sweeps over either
 suite, and a single-step inference latency benchmark. The closed-loop
 suites run on the scenario module's episode engine: single-agent laps are
-one `rollout` of a leaderless scenario with a `LapTimer` observer, and a
+one `rollout` of a leaderless scenario with a `LapTimer` observer (and any
+further observers, such as a `simulator.Trace` to render), and a
 head-to-head pool is one `rollout_many` call, serial or pooled, whose
-chunks step in lockstep with the policy run per row. Reports
-serialize to JSON and CSV with stable formatting so equal-seed runs are
-byte-identical.
+chunks step in lockstep with the policy run per row. `render_episode`
+draws a trace's poses, or the bare track. Reports serialize to JSON and
+CSV with stable formatting so equal-seed runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ import json
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
+from . import _geom
 from . import simulator as rsim
 from ._atomic import atomic_open
 from .policy import InferenceSession, PolicyConfig, PolicyParameters
-from .scenario import LapTimer, Outcome, RaceEnvironment, Scenario, rollout, rollout_many
+from .scenario import (LapTimer, Observer, Outcome, RaceEnvironment, Scenario, rollout,
+                       rollout_many)
 from .seeding import rng_for, sub_seed
 from .simulator import SimConfig, Trace
 
@@ -140,18 +144,18 @@ def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,
                      laps_target: int = 10, noise_eta: float = 0.0,
                      seed: int = 0, timeout_s: float | None = None,
                      start_s: float = 0.0,
-                     record_trace: bool = False) -> tuple[SingleAgentReport, Trace | None]:
+                     observers: Sequence[Observer] = ()) -> SingleAgentReport:
     """Policy alone at 10 Hz on a 100 Hz world until laps_target laps,
-    collision, or timeout. Speed statistics sample every sim step; lap
-    times interpolate the crossing instant inside the crossing step."""
+    collision, or timeout; observers watch the episode beside the lap
+    timer. Speed statistics sample every sim step; lap times interpolate
+    the crossing instant inside the crossing step."""
     length = env.track.total_length
     if timeout_s is None:
         timeout_s = laps_target * length + 60.0
     scenario = Scenario(id="single", ego_raceline=raceline_id, ego_s=start_s, seed=seed)
     source = PolicySource(params, policy_cfg, noise_eta, seed, noise_stage="single-noise")
     timer = LapTimer(length, env.sim.dt, laps_target)
-    record, trace = rollout(scenario, source, env, duration=timeout_s,
-                            record_trace=record_trace, observer=timer)
+    record = rollout(scenario, source, env, duration=timeout_s, observers=[timer, *observers])
     per_lap = np.diff(np.concatenate([[0.0], timer.lap_times]))
     speeds = np.asarray(timer.speeds)
     report = SingleAgentReport(
@@ -163,7 +167,7 @@ def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,
         laps_completed=timer.laps,
         collided=record.outcome == Outcome.COLLISION,
         noise_eta=noise_eta)
-    return report, trace
+    return report
 
 
 def run_h2h(params: PolicyParameters, policy_cfg: PolicyConfig,
@@ -193,7 +197,7 @@ def run_noise_sweep(params: PolicyParameters, policy_cfg: PolicyConfig,
     report = NoiseSweepReport(eta_levels=list(levels))
     for eta in levels:
         if mode in ("single", "both"):
-            single, _ = run_single_agent(
+            single = run_single_agent(
                 params, policy_cfg, env, laps_target=laps_target,
                 noise_eta=eta, seed=sub_seed(seed, f"sweep:{eta}"),
                 timeout_s=timeout_s)
@@ -255,13 +259,14 @@ def _transform(pts, bounds, scale, pad):
     return out
 
 
-def render_episode(trace: Trace, track, outcome: str | None = None,
+def render_episode(trace: Trace | None, track, outcome: str | None = None,
                    footprint_every: float = 0.5, width_px: int = 900,
                    sim_cfg: SimConfig = SimConfig()) -> str:
     """Draw boundaries, color-coded trajectories, sampled vehicle
     footprints (sim_cfg's vehicle size) and the outcome label into a
-    standalone SVG document."""
-    if not trace.states:
+    standalone SVG document. Without a trace only the boundaries are
+    drawn."""
+    if trace is not None and not trace.times:
         raise ValueError("empty trace")
     allpts = np.vstack([track.inner_boundary, track.outer_boundary])
     xmin, ymin = allpts.min(axis=0) - 1.0
@@ -289,30 +294,27 @@ def render_episode(trace: Trace, track, outcome: str | None = None,
 
     poly(track.inner_boundary, "#333333")
     poly(track.outer_boundary, "#333333")
-
-    n_agents = trace.n_agents
-    colors = [EGO_COLOR, LEADER_COLOR]
-    for a in range(n_agents):
-        path = np.array([[st[a].x, st[a].y] for st in trace.states])
-        poly(path, colors[a % 2], w="1.2", closed=False)
-
-    dt = trace.times[1] - trace.times[0] if len(trace.times) > 1 else 1.0
-    stride = max(1, int(round(footprint_every / dt)))
-    for a in range(n_agents):
-        for k in range(0, len(trace.states), stride):
-            corners = rsim.vehicle_corners(trace.states[k][a], sim_cfg)
-            pts = _transform(corners, bounds, scale, pad)
-            ET.SubElement(svg, "polygon",
-                          points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts),
-                          fill=colors[a % 2], **{"fill-opacity": "0.25",
-                                                 "stroke": colors[a % 2],
-                                                 "stroke-width": "0.5"})
-    # mark the final pose of a collision episode
-    if outcome == Outcome.COLLISION:
-        st = trace.states[-1][0]
-        c = _transform(np.array([[st.x, st.y]]), bounds, scale, pad)[0]
-        ET.SubElement(svg, "circle", cx=f"{c[0]:.2f}", cy=f"{c[1]:.2f}", r="6",
-                      fill="none", stroke="#000000", **{"stroke-width": "2"})
+    if trace is not None:
+        poses = np.array(trace.poses)                   # (T, A, 5)
+        colors = [EGO_COLOR, LEADER_COLOR]
+        for a in range(poses.shape[1]):
+            poly(poses[:, a, :2], colors[a % 2], w="1.2", closed=False)
+        dt = trace.times[1] - trace.times[0] if len(trace.times) > 1 else 1.0
+        stride = max(1, int(round(footprint_every / dt)))
+        for a in range(poses.shape[1]):
+            for pose in poses[::stride, a].tolist():
+                corners = _geom.obb_corners(*pose[:3], sim_cfg.veh_length, sim_cfg.veh_width)
+                pts = _transform(corners, bounds, scale, pad)
+                ET.SubElement(svg, "polygon",
+                              points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts),
+                              fill=colors[a % 2], **{"fill-opacity": "0.25",
+                                                     "stroke": colors[a % 2],
+                                                     "stroke-width": "0.5"})
+        # mark the final pose of a collision episode
+        if outcome == Outcome.COLLISION:
+            c = _transform(poses[-1, 0, :2], bounds, scale, pad)[0]
+            ET.SubElement(svg, "circle", cx=f"{c[0]:.2f}", cy=f"{c[1]:.2f}", r="6",
+                          fill="none", stroke="#000000", **{"stroke-width": "2"})
     if outcome:
         label = ET.SubElement(svg, "text", x=str(pad + 4), y=str(pad + 14),
                               fill="#000000", **{"font-size": "14",

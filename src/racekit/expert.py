@@ -8,19 +8,19 @@ the winner with pure pursuit. The leader role skips the search and simply
 follows its raceline at a discounted reference speed, never reacting to
 the ego.
 
-The expert serves a lockstep batch of worlds on one raceline at once
-(`ego_commands`, `leader_commands`); the one-world API (`expert_action`,
-`sample_lattice`) is the batch of one. The lattices of all rows are built
-together: their speed profiles integrate as one (rows, speed scales)
-array (one v_ref lookup per coarse step, located through the raceline's
-cached segment table); the raceline's pose, free space and curvature are
-interpolated from one location of the (rows, speed, time) arc grid;
-containment is one (rows, speed, offset) mask; and the kept candidates'
-points and headings come out of one broadcast and are scored as one
-array, in the order a per-candidate loop would produce them and with the
-same floats. `_mean_rewards` (the composite reward over any broadcast
-grid of candidates) and `_best` (argmax with its tie rules) are the only
-scoring and selection; selection and pure pursuit run per row.
+Both roles work on pose rows (x, y, theta, v, delta) of a lockstep batch
+of worlds on one raceline (`ego_commands`, `leader_commands`). The
+lattices of all rows are built together (`sample_lattices`): their speed
+profiles integrate as one (rows, speed scales) array (one v_ref lookup
+per coarse step, located through the raceline's cached segment table);
+the raceline's pose, free space and curvature are interpolated from one
+location of the (rows, speed, time) arc grid; containment is one (rows,
+speed, offset) mask; and the candidates' points and headings come out of
+one broadcast and are scored as one array, with the floats a
+per-candidate loop would give. `_mean_rewards` (the composite reward over
+any broadcast grid of candidates) and `_best` (argmax with its tie rules)
+are the only scoring and selection; selection and pure pursuit run per
+row.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import VehicleCommand, VehicleState, WorldState
-from .track import PROJECTION_RADIUS, FarFromRaceline, Raceline, TrackModel, normal_of
+from .track import PROJECTION_RADIUS, FarFromRaceline, Raceline, normal_of
 
 
 class ExpertError(Exception):
@@ -44,11 +43,6 @@ class NoFeasibleCandidate(ExpertError):
 
 class NonPositiveSpeed(ExpertError):
     pass
-
-
-class Role:
-    EGO = "ego"
-    LEADER = "leader"
 
 
 @dataclass(frozen=True)
@@ -81,19 +75,6 @@ class ExpertConfig:
             raise ExpertError("leader_speed_discount must be in (0, 1]")
 
 
-@dataclass(eq=False)
-class CandidateTrajectory:
-    xy: np.ndarray            # (K, 2)
-    heading: np.ndarray       # (K,)
-    v: np.ndarray             # (K,) > 0
-    lateral_offset: float     # target offset from the raceline, meters
-    speed_scale: float
-    # signed lateral deviation from the raceline and the raceline's
-    # curvature per sample, in the lattice's construction frame
-    d_path: np.ndarray
-    kappa_path: np.ndarray
-
-
 def _blend(u: np.ndarray) -> np.ndarray:
     """Smoothstep lateral blend: 0 -> 1 with zero end slopes."""
     return 3.0 * u * u - 2.0 * u * u * u
@@ -116,21 +97,6 @@ class Lattice:
     d: np.ndarray             # (n, 1, L, K) signed lateral deviation
     kept: np.ndarray          # (n, S, L)
     errors: list
-
-    def candidate(self, r: int, j: int, i: int) -> CandidateTrajectory:
-        """Row r's candidate at speed j and offset i, as views of the grids."""
-        return CandidateTrajectory(
-            xy=self.xy[r, j, i], heading=self.heading[r, j, i], v=self.v[r, j, 0],
-            lateral_offset=float(self.offsets[i]), speed_scale=float(self.scales[j]),
-            d_path=self.d[r, 0, i], kappa_path=self.kappa[r, j, 0])
-
-    def candidates(self, r: int) -> list[CandidateTrajectory]:
-        """Row r's candidates, speed-major, in offset order within a speed."""
-        return [self.candidate(r, j, i) for j, i in zip(*np.nonzero(self.kept[r]))]
-
-
-def _pose(state: VehicleState) -> np.ndarray:
-    return np.array([[state.x, state.y, state.theta, state.v, state.delta]], dtype=float)
 
 
 def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -> Lattice:
@@ -201,17 +167,6 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -
                    kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept, errors=errors)
 
 
-def sample_lattice(state: VehicleState, raceline: Raceline, track: TrackModel,
-                   cfg: ExpertConfig) -> list[CandidateTrajectory]:
-    """One state's lattice (sample_lattices for a batch of one): its kept
-    candidates, speed-major, in offset order within a speed. Raises
-    FarFromRaceline or NoFeasibleCandidate when it keeps none."""
-    lattice = sample_lattices(_pose(state), raceline, cfg)
-    if lattice.errors[0] is not None:
-        raise lattice.errors[0]
-    return lattice.candidates(0)
-
-
 def predict_opponents(opponents: np.ndarray, cfg: ExpertConfig) -> np.ndarray:
     """Constant-velocity predictions (n, K, 2) of n opponent states (n, 5),
     sampled on the candidate grid."""
@@ -269,15 +224,16 @@ def _steer_toward(pose, target, chord: float, cfg: ExpertConfig) -> float:
     return min(max(delta, -cfg.steer_limit), cfg.steer_limit)
 
 
-def pure_pursuit(state: VehicleState, traj: CandidateTrajectory, cfg: ExpertConfig) -> float:
-    """Steer toward the first trajectory sample at least one lookahead
-    distance ahead (the farthest sample if the trajectory is shorter)."""
-    ell = max(cfg.lookahead_ell, cfg.lookahead_gain * state.v)
-    rel = traj.xy - np.array([state.x, state.y])
+def pure_pursuit(pose, xy: np.ndarray, cfg: ExpertConfig) -> float:
+    """Steering from pose (x, y, theta, v, ...) toward the first point of
+    the (K, 2) path xy at least one lookahead distance away (the farthest
+    point if the path is shorter)."""
+    ell = max(cfg.lookahead_ell, cfg.lookahead_gain * pose[3])
+    rel = xy - np.array(pose[:2])
     dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])     # np.linalg.norm's sum
     ahead = np.nonzero(dist >= ell)[0]
-    idx = int(ahead[0]) if len(ahead) else len(traj.xy) - 1
-    return _steer_toward((state.x, state.y, state.theta), traj.xy[idx], float(dist[idx]), cfg)
+    idx = int(ahead[0]) if len(ahead) else len(xy) - 1
+    return _steer_toward(pose, xy[idx], float(dist[idx]), cfg)
 
 
 def leader_commands(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -> np.ndarray:
@@ -320,22 +276,7 @@ def ego_commands(states: np.ndarray, opponents: np.ndarray | None, raceline: Rac
     for r in np.flatnonzero(lattice.kept.any(axis=(1, 2))):
         js, is_ = np.nonzero(lattice.kept[r])
         k = _best(rewards[r, js, is_].tolist(), lattice.offsets[is_].tolist())
-        best = lattice.candidate(r, js[k], is_[k])
-        out[r] = best.v[idx], pure_pursuit(VehicleState(*states[r].tolist()), best, cfg)
+        j, i = js[k], is_[k]
+        out[r, 0] = lattice.v[r, j, 0, idx]
+        out[r, 1] = pure_pursuit(states[r].tolist(), lattice.xy[r, j, i], cfg)
     return out
-
-
-def expert_action(world: WorldState, agent: int, role: str, raceline: Raceline,
-                  cfg: ExpertConfig) -> VehicleCommand:
-    """Full expert pipeline for the ego role; pure raceline tracking at a
-    discounted speed for the leader (ego_commands and leader_commands for a
-    batch of one). Falls back to a straight brake when no feasible
-    candidate exists."""
-    poses = np.array([(a.x, a.y, a.theta, a.v, a.delta) for a in world.agents], dtype=float)
-    state = poses[agent:agent + 1]
-    if role == Role.LEADER:
-        cmd = leader_commands(state, raceline, cfg)[0]
-    else:
-        others = np.delete(poses, agent, axis=0)
-        cmd = ego_commands(state, others[:1] if len(others) else None, raceline, cfg)[0]
-    return VehicleCommand(float(cmd[0]), float(cmd[1]))

@@ -10,10 +10,11 @@ worlds are rows of a `simulator.WorldBatch`, the simulation steps at
 at once with commands held in between, and a frame (raw scan, ego speed,
 issued action) is recorded per row at every query instant. A row whose
 episode ends leaves the set of running rows, and its record is the one it
-would get alone. `rollout` is the batch of one; its optional observer
-sees the world and the ego's unwrapped progress after every sim step and
-may end the episode (`LapTimer` is the observer of the lap harnesses).
-Episodes terminate on collision, on the observer's word or at the time
+would get alone. `rollout` is the batch of one. A row's observers are
+called with the batch, the row and the ego's unwrapped progress at the
+start and after every sim step, and any of them may end the episode:
+`LapTimer` times laps and `simulator.Trace` records the poses.
+Episodes terminate on collision, on an observer's word or at the time
 limit, and are classified CarFollowing / Overtaking / Collision by
 unwrapped centerline progress; `track_progress`, the one progress
 tracker, projects every agent onto the centerline every sim step, inside
@@ -33,7 +34,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from . import simulator as rsim
 from ._atomic import atomic_open
 from .expert import ExpertConfig
 from .seeding import sub_seed
-from .simulator import SimConfig, Trace, VehicleState, WorldBatch, WorldState
+from .simulator import SimConfig, WorldBatch
 from .track import Raceline, SpeedConfig, TrackModel, generate_raceline
 
 
@@ -179,20 +180,20 @@ class ExpertSource:
         return out
 
 
-def _spawn_state(raceline: Raceline, s: float, v_scale: float = 1.0) -> VehicleState:
+def _spawn_pose(raceline: Raceline, s: float, v_scale: float = 1.0) -> list[float]:
     pos = raceline.position_at(s)
-    return VehicleState(float(pos[0]), float(pos[1]), float(raceline.heading_at(s)),
-                        float(raceline.v_ref_at(s)) * v_scale, 0.0)
+    return [float(pos[0]), float(pos[1]), float(raceline.heading_at(s)),
+            float(raceline.v_ref_at(s)) * v_scale, 0.0]
 
 
-def start_world(scenario: Scenario, env: RaceEnvironment) -> WorldState:
-    """The t=0 world: the ego at its raceline's reference speed and, if the
-    scenario has one, the leader at its discounted reference speed."""
-    agents = [_spawn_state(env.racelines[scenario.ego_raceline], scenario.ego_s)]
+def start_world(scenario: Scenario, env: RaceEnvironment) -> np.ndarray:
+    """The t=0 poses (A, 5): the ego at its raceline's reference speed and,
+    if the scenario has one, the leader at its discounted reference speed."""
+    poses = [_spawn_pose(env.racelines[scenario.ego_raceline], scenario.ego_s)]
     if scenario.leader_raceline is not None:
-        agents.append(_spawn_state(env.racelines[scenario.leader_raceline], scenario.leader_s,
-                                   env.expert.leader_speed_discount))
-    return WorldState(env.track, agents)
+        poses.append(_spawn_pose(env.racelines[scenario.leader_raceline], scenario.leader_s,
+                                 env.expert.leader_speed_discount))
+    return np.array(poses)
 
 
 PROGRESS_WINDOW = 6.0  # meters of centerline searched on each side of the last position
@@ -226,8 +227,7 @@ def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list
         raise ScenarioError(f"d_gap {cfg.d_gap} exceeds raceline length {min_len:.1f}")
     if cfg.d_gap <= env.sim.veh_length:
         raise ScenarioError("d_gap must exceed one vehicle length")
-    scenarios = []
-    skipped = 0
+    candidates = []
     for ego_rid in cfg.ego_racelines:
         ego_rl = env.racelines[ego_rid]
         for leader_rid in cfg.leader_racelines:
@@ -236,14 +236,14 @@ def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list
                 s_e = ((i + cfg.spawn_phase) * ego_rl.length / cfg.k_positions) % ego_rl.length
                 s_l = (s_e + cfg.d_gap) % leader_rl.length
                 sid = f"{ego_rid}:{leader_rid}:{i:04d}"
-                scenario = Scenario(
+                candidates.append(Scenario(
                     id=sid, ego_raceline=ego_rid, ego_s=float(s_e),
                     seed=sub_seed(cfg.seed, f"scenario:{sid}"),
-                    leader_raceline=leader_rid, leader_s=float(s_l))
-                if any(rsim.check_collision(start_world(scenario, env), env.sim)):
-                    skipped += 1
-                    continue
-                scenarios.append(scenario)
+                    leader_raceline=leader_rid, leader_s=float(s_l)))
+    poses = np.array([start_world(sc, env) for sc in candidates]).reshape(-1, 2, 5)
+    contact = rsim.collision_events(env.track, poses, env.sim).any(axis=1)
+    scenarios = [sc for sc, hit in zip(candidates, contact.tolist()) if not hit]
+    skipped = len(candidates) - len(scenarios)
     if not scenarios:
         raise NoValidSpawn(f"all {skipped} spawn candidates collide at t=0")
     return scenarios, skipped
@@ -275,16 +275,16 @@ class LapTimer:
         self.lap_times: list[float] = []
         self._start = self._last = None
 
-    def __call__(self, world: WorldState, progress: float) -> bool:
+    def __call__(self, world: WorldBatch, row: int, progress: float) -> bool:
         if self._start is None:  # the start world
             self._start = self._last = progress
             return False
-        self.speeds.append(world.agents[0].v)
+        self.speeds.append(float(world.poses[row, 0, 3]))
         covered, step = progress - self._start, progress - self._last
         while covered >= (len(self.lap_times) + 1) * self.length:
             over = covered - (len(self.lap_times) + 1) * self.length
             frac = over / step if step > 0 else 0.0
-            self.lap_times.append(world.t - frac * self.dt)
+            self.lap_times.append(float(world.t[row]) - frac * self.dt)
         self._last = progress
         return self.done
 
@@ -300,34 +300,38 @@ class LapTimer:
         return (self._last - self._start) / self.length
 
 
+# Called with the batch, a row and that row's ego progress; True ends the row's episode.
+Observer = Callable[[WorldBatch, int, float], bool]
+
+
 def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
-                  duration: float = 8.0, record_trace: bool = False,
-                  observers: list[Callable[[WorldState, float], bool] | None] | None = None,
-                  ) -> list[tuple[EpisodeRecord, Trace | None]]:
+                  duration: float = 8.0, observers: list[Sequence[Observer]] | None = None,
+                  ) -> list[EpisodeRecord]:
     """Run scenarios in lockstep at the sim rate with 10 Hz action queries;
-    (record, trace) per scenario, in order.
+    one record per scenario, in order.
 
     Frames are recorded at the query instants before stepping, so an episode
     that collides mid-interval keeps every frame up to and including the
-    interval it died in. A row's observer, if any, is called with the start
-    world and then after every sim step with the world and the ego's
-    unwrapped centerline progress; a true return ends that episode. Rows
-    with and without a leader run as separate batches."""
-    observers = observers or [None] * len(scenarios)
+    interval it died in. Each of a row's observers is called at the start
+    and then after every sim step with the batch, the row and the ego's
+    unwrapped centerline progress; a true return from any of them ends that
+    episode. Rows with and without a leader run as separate batches."""
+    observers = observers or [()] * len(scenarios)
     solo = [sc.leader_raceline is None for sc in scenarios]
     if len(set(solo)) > 1:
         out: list = [None] * len(scenarios)
         for flag in (False, True):
             idx = [i for i, s in enumerate(solo) if s == flag]
             results = rollout_batch([scenarios[i] for i in idx], source, env, duration,
-                                    record_trace, [observers[i] for i in idx])
+                                    [observers[i] for i in idx])
             for i, res in zip(idx, results):
                 out[i] = res
         return out
 
     sim_cfg, track = env.sim, env.track
-    world = WorldBatch.of([start_world(sc, env) for sc in scenarios])
-    n_rows, n_agents = world.poses.shape[:2]
+    poses = np.array([start_world(sc, env) for sc in scenarios])
+    n_rows, n_agents = poses.shape[:2]
+    world = WorldBatch(track, poses, np.zeros(n_rows), np.zeros((n_rows, n_agents), dtype=bool))
     source.reset(scenarios, env)
     hints = np.empty((n_rows, n_agents))
     for b, sc in enumerate(scenarios):
@@ -341,18 +345,15 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
     steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
     max_frames = int(round(duration * FRAME_HZ))
     frames: list[list] = [[] for _ in range(n_rows)]
-    traces = [Trace() if record_trace else None for _ in range(n_rows)]
-    watched = record_trace or any(obs is not None for obs in observers)
+    watched = any(observers)
 
     def watch(rows) -> np.ndarray:
-        """Trace and observe the given rows; True where an observer stops."""
+        """Call the given rows' observers, every one of them; True where
+        one ends the episode."""
         stop = np.zeros(len(rows), dtype=bool)
         for k, b in enumerate(rows):
-            w = world.world(b)
-            if traces[b] is not None:
-                traces[b].append(w)
-            if observers[b] is not None:
-                stop[k] = observers[b](w, float(progress[b, 0]))
+            ego_progress = float(progress[b, 0])
+            stop[k] = any([obs(world, b, ego_progress) for obs in observers[b]])
         return stop
 
     active = np.arange(n_rows)
@@ -401,16 +402,14 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
             actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
             outcome=outcome, duration_actual=float(world.t[b]),
             ego_progress=ego_prog, leader_progress=leader_prog)
-        results.append((record, traces[b]))
+        results.append(record)
     return results
 
 
 def rollout(scenario: Scenario, ego_source: ActionSource, env: RaceEnvironment,
-            duration: float = 8.0, record_trace: bool = False,
-            observer: Callable[[WorldState, float], bool] | None = None,
-            ) -> tuple[EpisodeRecord, Trace | None]:
+            duration: float = 8.0, observers: Sequence[Observer] = ()) -> EpisodeRecord:
     """One scenario: rollout_batch's batch of one."""
-    return rollout_batch([scenario], ego_source, env, duration, record_trace, [observer])[0]
+    return rollout_batch([scenario], ego_source, env, duration, [observers])[0]
 
 
 # One pooled runner. Each worker receives the action source and the
@@ -425,13 +424,8 @@ def _init_worker(source: ActionSource, env: RaceEnvironment, duration: float) ->
     _WORKER.update(source=source, env=env, duration=duration)
 
 
-def _rollout_chunk(chunk: list[Scenario], source: ActionSource, env: RaceEnvironment,
-                   duration: float) -> list[EpisodeRecord]:
-    return [record for record, _ in rollout_batch(chunk, source, env, duration)]
-
-
 def _rollout_chunk_in_worker(chunk: list[Scenario]) -> list[EpisodeRecord]:
-    return _rollout_chunk(chunk, _WORKER["source"], _WORKER["env"], _WORKER["duration"])
+    return rollout_batch(chunk, _WORKER["source"], _WORKER["env"], _WORKER["duration"])
 
 
 def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
@@ -441,7 +435,7 @@ def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvir
     equal for any worker count."""
     chunks = [scenarios[i:i + CHUNK] for i in range(0, len(scenarios), CHUNK)]
     if workers <= 1:
-        return [r for chunk in chunks for r in _rollout_chunk(chunk, source, env, duration)]
+        return [r for chunk in chunks for r in rollout_batch(chunk, source, env, duration)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(source, env, duration)) as pool:
         return [r for records in pool.map(_rollout_chunk_in_worker, chunks) for r in records]

@@ -1,23 +1,21 @@
-"""Deterministic 100 Hz simulation of one or two agents, one world or a
-lockstep batch of worlds.
+"""Deterministic 100 Hz simulation of one or two agents in a lockstep
+batch of worlds.
 
 Kinematic single-track dynamics with a proportional speed tracker and
 rate-limited steering, oriented-rectangle collision detection against the
 track boundaries and the other agent, 360-beam LiDAR raycasting and
 beam-dropout noise injection.
 
-The vehicle reference point (state x, y) is the footprint center; rays
-originate there and the collision rectangle is centered on it.
-
-The kernels work on a `WorldBatch`: B worlds on one track whose agents'
-states are rows of a (B, agents, 5) pose array. `advance`,
-`collision_events`, `step_rows` and `scan_batch` step and sense the
-chosen rows together, and each row gets the floats the one-world path
-gives it: the same float operations per element, numpy's `cos`/`sin`
-(which round as `math` does) and a per-element `math.tan`/`math.hypot`
-where numpy's SIMD versions may round differently. The per-world API
-(`WorldState`, `step`, `check_collision`, `scan_lidar`) is the batch of
-one.
+An agent's state is a pose row (x, y, theta, v, delta); the reference
+point (x, y) is the footprint center, rays originate there and the
+collision rectangle is centered on it. A `WorldBatch` holds B worlds on
+one track as a (B, agents, 5) pose array. `advance`, `collision_events`,
+`step_rows` and `scan_batch` step and sense any subset of its rows
+together, and each row gets the floats it would get alone: the same float
+operations per element, numpy's `cos`/`sin` (which round as `math` does)
+and a per-element `math.tan`/`math.hypot` where numpy's SIMD versions may
+round differently. A `Trace` records one row's poses per sim step, for
+the trace CSV and rendering.
 """
 
 from __future__ import annotations
@@ -57,37 +55,7 @@ class SimConfig:
     n_beams: int = 360
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    x: float
-    y: float
-    theta: float
-    v: float
-    delta: float = 0.0
-
-
-@dataclass(frozen=True)
-class VehicleCommand:
-    v_cmd: float
-    delta_cmd: float
-
-
 MAX_AGENTS = 2  # LiDAR, the ego expert and the car-car test see one other car
-
-
-@dataclass
-class WorldState:
-    track: TrackModel
-    agents: list[VehicleState]
-    t: float = 0.0
-    collided: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.agents) > MAX_AGENTS:
-            raise SimulationError(
-                f"{len(self.agents)} agents; the simulation supports at most {MAX_AGENTS}")
-        if not self.collided:
-            self.collided = [False] * len(self.agents)
 
 
 @dataclass
@@ -101,25 +69,10 @@ class WorldBatch:
     t: np.ndarray
     collided: np.ndarray
 
-    @classmethod
-    def of(cls, worlds: list[WorldState]) -> "WorldBatch":
-        """The batch of worlds that share one track and one agent count."""
-        return cls(worlds[0].track, np.array([_poses(w.agents) for w in worlds]),
-                   np.array([w.t for w in worlds], dtype=float),
-                   np.array([w.collided for w in worlds], dtype=bool))
-
-    def world(self, b: int) -> WorldState:
-        """Row b as a WorldState of fresh VehicleStates."""
-        return WorldState(self.track, [VehicleState(*p) for p in self.poses[b].tolist()],
-                          float(self.t[b]), self.collided[b].tolist())
-
-
-def _poses(agents: list[VehicleState]) -> np.ndarray:
-    return np.array([(a.x, a.y, a.theta, a.v, a.delta) for a in agents], dtype=float).reshape(-1, 5)
-
-
-def vehicle_corners(state: VehicleState, cfg: SimConfig) -> np.ndarray:
-    return _corners((state.x, state.y, state.theta), cfg)
+    def __post_init__(self):
+        if self.poses.shape[1] > MAX_AGENTS:
+            raise SimulationError(f"{self.poses.shape[1]} agents; the simulation supports "
+                                  f"at most {MAX_AGENTS}")
 
 
 def _corners(pose, cfg: SimConfig) -> np.ndarray:
@@ -162,11 +115,6 @@ def collision_events(track: TrackModel, poses: np.ndarray, cfg: SimConfig) -> np
     return hits
 
 
-def check_collision(world: WorldState, cfg: SimConfig) -> list[bool]:
-    """Instantaneous collision events per agent of one world."""
-    return collision_events(world.track, _poses(world.agents)[None], cfg)[0].tolist()
-
-
 def _clamp(x, lo: float, hi: float):
     """min(max(x, lo), hi) per element as the builtins compute it. They
     keep their first argument on a tie, so a -0.0 survives a 0.0 bound,
@@ -196,8 +144,9 @@ def advance(poses: np.ndarray, cmds: np.ndarray, cfg: SimConfig) -> np.ndarray:
                     _clamp(v + a * cfg.dt, 0.0, cfg.v_hard_max),
                     delta], axis=-1)
     if not np.isfinite(out).all():
-        state = VehicleState(*out[~np.isfinite(out).all(axis=1)][0].tolist())
-        raise NonFiniteState(f"non-finite vehicle state after update: {state}")
+        pose = tuple(out[~np.isfinite(out).all(axis=1)][0].tolist())
+        raise NonFiniteState(f"non-finite vehicle state (x, y, theta, v, delta) after "
+                             f"update: {pose}")
     return out
 
 
@@ -210,14 +159,6 @@ def step_rows(world: WorldBatch, rows: np.ndarray, cmds: np.ndarray, cfg: SimCon
     world.poses[rows] = new
     world.t[rows] += cfg.dt
     world.collided[rows] |= collision_events(world.track, new, cfg)
-
-
-def step(world: WorldState, commands: list[VehicleCommand], cfg: SimConfig) -> WorldState:
-    """Advance one world by one dt; collision flags latch once set."""
-    batch = WorldBatch.of([world])
-    cmds = np.array([[(c.v_cmd, c.delta_cmd) for c in commands]], dtype=float)
-    step_rows(batch, np.arange(1), cmds, cfg)
-    return batch.world(0)
 
 
 def scan_batch(track: TrackModel, poses: np.ndarray, agent: int, cfg: SimConfig) -> np.ndarray:
@@ -241,11 +182,6 @@ def scan_batch(track: TrackModel, poses: np.ndarray, agent: int, cfg: SimConfig)
                           cfg.lidar_range_max)
 
 
-def scan_lidar(world: WorldState, agent: int, cfg: SimConfig) -> np.ndarray:
-    """The range scan of one agent of one world (see scan_batch)."""
-    return scan_batch(world.track, _poses(world.agents)[None], agent, cfg)[0]
-
-
 def apply_noise(scan: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
     """Zero out exactly floor(eta * n_beams) distinct beams, chosen
     uniformly without replacement. eta = 0 returns an unchanged copy."""
@@ -265,20 +201,19 @@ def apply_noise(scan: np.ndarray, eta: float, rng: np.random.Generator) -> np.nd
 
 @dataclass
 class Trace:
-    """Per-step world snapshots of one episode."""
+    """Rollout observer that records one episode: per sim step, the start
+    included, the time, the agents' (A, 5) poses and their (A,) collided
+    flags. It never ends the episode."""
 
     times: list[float] = field(default_factory=list)
-    states: list[list[VehicleState]] = field(default_factory=list)
-    collided: list[list[bool]] = field(default_factory=list)
+    poses: list[np.ndarray] = field(default_factory=list)
+    collided: list[np.ndarray] = field(default_factory=list)
 
-    def append(self, world: WorldState) -> None:
-        self.times.append(world.t)
-        self.states.append(list(world.agents))
-        self.collided.append(list(world.collided))
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.states[0]) if self.states else 0
+    def __call__(self, world: WorldBatch, row: int, progress: float) -> bool:
+        self.times.append(float(world.t[row]))
+        self.poses.append(world.poses[row].copy())
+        self.collided.append(world.collided[row].copy())
+        return False
 
 
 TRACE_CSV_HEADER = ["t_s", "agent", "x_m", "y_m", "theta_rad", "v_mps", "delta_rad", "collided"]
@@ -288,31 +223,22 @@ def write_trace_csv(trace: Trace, path) -> None:
     with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_CSV_HEADER)
-        for t, states, coll in zip(trace.times, trace.states, trace.collided):
-            for i, (s, c) in enumerate(zip(states, coll)):
-                w.writerow([repr(float(t)), i, repr(s.x), repr(s.y), repr(s.theta),
-                            repr(s.v), repr(s.delta), int(c)])
+        for t, poses, flags in zip(trace.times, trace.poses, trace.collided):
+            for i, (pose, c) in enumerate(zip(poses.tolist(), flags.tolist())):
+                w.writerow([repr(float(t)), i, *map(repr, pose), int(c)])
 
 
 def read_trace_csv(path) -> Trace:
-    trace = Trace()
-    by_time: dict[float, list] = {}
-    order: list[float] = []
+    steps: dict[float, list] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t = float(row["t_s"])
-            if t not in by_time:
-                by_time[t] = []
-                order.append(t)
-            by_time[t].append((int(row["agent"]),
-                               VehicleState(float(row["x_m"]), float(row["y_m"]),
-                                            float(row["theta_rad"]), float(row["v_mps"]),
-                                            float(row["delta_rad"])),
-                               bool(int(row["collided"]))))
-    for t in order:
-        entries = sorted(by_time[t])
+        for row in csv.DictReader(fh):
+            steps.setdefault(float(row["t_s"]), []).append(
+                (int(row["agent"]), [float(row[k]) for k in TRACE_CSV_HEADER[2:7]],
+                 bool(int(row["collided"]))))
+    trace = Trace()
+    for t, entries in steps.items():
+        entries.sort(key=lambda e: e[0])
         trace.times.append(t)
-        trace.states.append([e[1] for e in entries])
-        trace.collided.append([e[2] for e in entries])
+        trace.poses.append(np.array([e[1] for e in entries], dtype=float).reshape(-1, 5))
+        trace.collided.append(np.array([e[2] for e in entries], dtype=bool))
     return trace

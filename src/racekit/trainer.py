@@ -236,23 +236,47 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     return grads, losses
 
 
+# Adam works through each parameter block in tiles of this many elements:
+# a tile of each of the six arrays it touches (tensor, gradient, m, v and
+# two scratch arrays) fits in a 2 MB L2 cache, so its fourteen elementwise
+# operations read main memory about once per array instead of once each.
+_ADAM_TILE = 32768
+
+
 def adam_update(state: TrainState, grads: dict[str, np.ndarray],
                 cfg: TrainerConfig) -> TrainState:
-    """Standard bias-corrected Adam step over every parameter tensor, one
-    checkpoint-layout block at a time (elementwise, so blocking only bounds
-    the temporaries)."""
+    """Standard bias-corrected Adam step over every parameter tensor, in
+    place, one checkpoint-layout block and one tile of it at a time. Two
+    tile-sized scratch arrays hold the temporaries, and every element sees
+    the float operations of m = b1*m + g*(1-b1), v = b2*v + (g*(1-b2))*g
+    and tensor -= (m/c1)*lr / (sqrt(v/c2) + eps) in that order."""
     state.step += 1
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     blocks = [layout_blocks(d) for d in (state.params.tensors(), grads, state.m, state.v)]
+    scratch = np.empty((2, _ADAM_TILE))
     for (_, tensor), (_, g), (_, m), (_, v) in zip(*blocks):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        tensor -= state.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        if not (tensor.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise TrainerError("Adam updates C-contiguous parameter blocks in place")
+        tensor, g, m, v = (a.reshape(-1) for a in (tensor, g, m, v))
+        for lo in range(0, len(g), _ADAM_TILE):
+            tile = slice(lo, lo + _ADAM_TILE)
+            pt, gt, mt, vt = tensor[tile], g[tile], m[tile], v[tile]
+            step, denom = scratch[:, :len(gt)]
+            mt *= b1
+            mt += np.multiply(gt, 1 - b1, out=step)
+            vt *= b2
+            np.multiply(gt, 1 - b2, out=step)
+            vt += np.multiply(step, gt, out=step)
+            np.divide(mt, c1, out=step)
+            step *= state.lr
+            np.divide(vt, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.eps
+            step /= denom
+            pt -= step
     return state
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ import pytest
 from racekit import _geom
 from racekit import simulator as rsim
 from racekit import track as rtrack
-from racekit.expert import ExpertError, NoFeasibleCandidate, NonPositiveSpeed, Role
+from racekit.expert import ExpertError, NoFeasibleCandidate, NonPositiveSpeed
 from racekit.scenario import FRAME_HZ, EpisodeRecord, classify_outcome, start_world
 from racekit.seeding import rng_for, sub_seed
-from racekit.simulator import (NonFiniteState, SimConfig, Trace, VehicleCommand, VehicleState,
-                               WorldState)
+from racekit.simulator import NonFiniteState, SimConfig
 from racekit.track import PROJECTION_RADIUS, FarFromRaceline, curvature_at
 
 
@@ -106,7 +105,41 @@ def uneven_circle():
 # projection reference above, they call only geometry helpers that the
 # batches left alone (obb_corners, obb_hits_segments, obb_overlap, _runs,
 # wrap_angle) and the raceline's arc lookups (*_at, curvature_at), which
-# test_track checks against their own reference.
+# test_track checks against their own reference. They work on the small
+# one-world value types below; the package itself holds agents only as
+# (x, y, theta, v, delta) pose rows.
+
+
+@dataclass(frozen=True)
+class VehicleState:
+    x: float
+    y: float
+    theta: float
+    v: float
+    delta: float = 0.0
+
+
+@dataclass(frozen=True)
+class VehicleCommand:
+    v_cmd: float
+    delta_cmd: float
+
+
+@dataclass
+class WorldState:
+    track: object
+    agents: list
+    t: float = 0.0
+    collided: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.collided:
+            self.collided = [False] * len(self.agents)
+
+
+class Role:
+    EGO = "ego"
+    LEADER = "leader"
 
 
 def reference_arc_window(arc_table, s, half_width):
@@ -492,8 +525,7 @@ class ReferencePolicySource:
         return VehicleCommand(float(action[0]), float(action[1]))
 
 
-def reference_rollout(scenario, ego_source, env, duration=8.0, record_trace=False,
-                      observer=None):
+def reference_rollout(scenario, ego_source, env, duration=8.0, observer=None):
     """Run one scenario at the sim rate with 10 Hz action queries.
 
     Frames are recorded at the query instants before stepping, so an episode
@@ -502,7 +534,7 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, record_trace=Fals
     world and then after every sim step with the world and the ego's
     unwrapped centerline progress; a true return ends the episode."""
     sim_cfg = env.sim
-    world = start_world(scenario, env)
+    world = WorldState(env.track, [VehicleState(*p) for p in start_world(scenario, env).tolist()])
     ego_source.reset(scenario, env)
     hints = [scenario.ego_s]
     leader_rl = None
@@ -516,9 +548,6 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, record_trace=Fals
     steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
     max_frames = int(round(duration * FRAME_HZ))
     scans, speeds, actions = [], [], []
-    trace = Trace() if record_trace else None
-    if trace is not None:
-        trace.append(world)
 
     done = observer is not None and observer(world, progress[0])
     for _ in range(max_frames):
@@ -535,8 +564,6 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, record_trace=Fals
         for _ in range(steps_per_frame):
             world = reference_step(world, cmds, sim_cfg)
             progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]
-            if trace is not None:
-                trace.append(world)
             stop = observer is not None and observer(world, progress[0])
             if stop or any(world.collided):
                 done = True
@@ -552,4 +579,4 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, record_trace=Fals
         actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
         outcome=outcome, duration_actual=float(world.t),
         ego_progress=float(progress[0]), leader_progress=float(leader_prog))
-    return record, trace
+    return record

@@ -20,12 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "racekit"
 CALLERS = (PACKAGE, ROOT / "racebench")
 
-# The one-world API: each is the batch of one of a batched kernel, kept
-# as the readable per-world form that the tests compare the kernels to.
+# Kept although no package code calls them: they are the one-point forms
+# of batched lookups, which test_track's projection checks and the conftest
+# lattice reference read. The package holds no other one-world API.
 ALLOWED = {
-    "simulator.scan_lidar": "one world's scan; scan_batch is the kernel",
-    "expert.sample_lattice": "one state's lattice; sample_lattices is the kernel",
-    "expert.expert_action": "one world's command; ego_commands/leader_commands are the kernels",
     "track.Raceline.project": "one point's projection; project_many is the kernel",
     "track.curvature_at": "curvature by arc; the lattice reads it through one _lerp location",
 }

@@ -11,7 +11,7 @@ from racekit import track as rtrack
 from racekit._atomic import atomic_open
 from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
 from racekit.scenario import EpisodeRecord, load_episode, save_episode
-from racekit.simulator import Trace, VehicleState, write_trace_csv
+from racekit.simulator import Trace, write_trace_csv
 from racekit.track import generate_raceline, make_circle_track, write_raceline_csv, write_track_csv
 from racekit.trainer import write_loss_curve_csv
 
@@ -121,12 +121,12 @@ class TestTrackAndRenderOutputsAreAtomic:
 
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace_csv(Trace(times=[0.0], states=[[VehicleState(0.0, 0.0, 0.0, 1.0)]],
-                              collided=[[False]]), path)
+        pose = np.array([[0.0, 0.0, 0.0, 1.0, 0.0]])
+        write_trace_csv(Trace(times=[0.0], poses=[pose], collided=[np.array([False])]), path)
         before = path.read_bytes()
-        # the second step's state is missing
-        bad = Trace(times=[0.0, 0.01], states=[[VehicleState(0.0, 0.0, 0.0, 1.0)], [None]],
-                    collided=[[False], [False]])
+        # the second step's poses are missing
+        bad = Trace(times=[0.0, 0.01], poses=[pose, None],
+                    collided=[np.array([False]), np.array([False])])
         with pytest.raises(AttributeError):
             write_trace_csv(bad, path)
         assert path.read_bytes() == before
@@ -157,7 +157,7 @@ class TestTrackAndRenderOutputsAreAtomic:
         out = tmp_path / "out"
         if command == "track gen":
             argv = ["--out", str(out), "track", "gen", "--shape", "circle"]
-            svg, patch = out / "track_circle.svg", (cli, "_track_preview_svg")
+            svg, patch = out / "track_circle.svg", (reval, "render_episode")
         elif command == "eval single":
             cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
             ckpt = tmp_path / "policy.ckpt"
@@ -170,8 +170,8 @@ class TestTrackAndRenderOutputsAreAtomic:
             svg, patch = out / "single.svg", (reval, "render_episode")
         else:
             trace = tmp_path / "run.csv"
-            write_trace_csv(Trace(times=[0.0], states=[[VehicleState(10.0, 0.0, 1.6, 1.0)]],
-                                  collided=[[False]]), trace)
+            write_trace_csv(Trace(times=[0.0], poses=[np.array([[10.0, 0.0, 1.6, 1.0, 0.0]])],
+                                  collided=[np.array([False])]), trace)
             argv = ["--out", str(out), "render", "--trace", str(trace), "--track", str(track)]
             svg, patch = out / "run.svg", (reval, "render_episode")
         assert cli.main(argv) == 0

@@ -317,6 +317,21 @@ class TestRender:
         assert svg == (single_rendered / "single.svg").read_bytes()
 
 
+class TestCounts:
+    @pytest.mark.parametrize("argv", [
+        ["collect", "--scenarios", "0"],
+        ["train", "--epochs", "0"],
+        ["eval", "latency", "--samples", "0"],
+        ["eval", "single", "--laps", "0"],
+    ], ids=["scenarios", "epochs", "samples", "laps"])
+    def test_zero_count_is_usage_error(self, tmp_path, capsys, argv):
+        # a zero count neither falls back to the config's count nor runs
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", str(tmp_path), *argv)
+        assert exc.value.code == 2
+        assert f"{argv[-2]}: 0 is not a positive integer" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_default_template_roundtrip(self, tmp_path):
         path = tmp_path / "default.ini"

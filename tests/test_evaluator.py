@@ -23,7 +23,7 @@ from racekit.evaluator import (
 from racekit.policy import PolicyConfig, init_params
 from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout)
-from racekit.simulator import SimConfig, Trace, VehicleState
+from racekit.simulator import SimConfig, Trace
 
 TINY360 = PolicyConfig(n_beams=360, embed_dim=4, hidden_multiplier=2, mlp_hidden=16)
 
@@ -66,8 +66,9 @@ class TestRunners:
     def test_single_agent_truncates_on_collision(self, env, rand_policy):
         # an untrained random policy slams into a wall almost immediately
         params, cfg = rand_policy
-        report, trace = run_single_agent(params, cfg, env, laps_target=1,
-                                         seed=0, timeout_s=20.0, record_trace=True)
+        trace = Trace()
+        report = run_single_agent(params, cfg, env, laps_target=1, seed=0, timeout_s=20.0,
+                                  observers=[trace])
         assert 0.0 <= report.laps_completed < 1.0
         assert report.mean_laptime is None
         assert trace is not None and len(trace.times) > 1
@@ -76,9 +77,9 @@ class TestRunners:
         # harness sanity: the expert source, driven through the same loop
         # machinery, finishes laps with lap stats populated
         L = env.track.total_length
-        record, _ = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
-                            ExpertSource(), env, duration=L + 30.0,
-                            observer=LapTimer(L, env.sim.dt, 1.0))
+        record = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
+                         ExpertSource(), env, duration=L + 30.0,
+                         observers=[LapTimer(L, env.sim.dt, 1.0)])
         laps, collided = record.ego_progress / L, record.outcome == Outcome.COLLISION
         assert laps >= 1.0 and not collided
 
@@ -96,8 +97,8 @@ class TestRunners:
                                 mode="single", laps_target=1, timeout_s=5.0)
         assert sweep.eta_levels == [0.0, 0.3]
         assert len(sweep.single) == 2
-        base, _ = run_single_agent(params, cfg, env, laps_target=1,
-                                   noise_eta=0.0, seed=0, timeout_s=5.0)
+        base = run_single_agent(params, cfg, env, laps_target=1,
+                                noise_eta=0.0, seed=0, timeout_s=5.0)
         # eta = 0 sweep entry equals a plain no-noise run (noise stream unused)
         assert sweep.single[0].mean_speed == base.mean_speed
         assert sweep.single[0].laps_completed == base.laps_completed
@@ -123,8 +124,8 @@ class TestLatency:
 class TestRender:
     def test_svg_wellformed_with_two_agents(self, env):
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, seed=2), env)
-        record, trace = rollout(scenarios[0], ExpertSource(), env, duration=1.0,
-                                record_trace=True)
+        trace = Trace()
+        record = rollout(scenarios[0], ExpertSource(), env, duration=1.0, observers=[trace])
         svg = render_episode(trace, env.track, outcome=record.outcome)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
@@ -136,15 +137,16 @@ class TestRender:
 
     def test_collision_marker(self, env, rand_policy):
         params, cfg = rand_policy
-        _, trace = run_single_agent(params, cfg, env, laps_target=1, seed=0,
-                                    timeout_s=20.0, record_trace=True)
+        trace = Trace()
+        run_single_agent(params, cfg, env, laps_target=1, seed=0, timeout_s=20.0,
+                         observers=[trace])
         svg = render_episode(trace, env.track, outcome=Outcome.COLLISION)
         root = ET.fromstring(svg)
         assert any(el.tag.endswith("circle") for el in root.iter())
 
     def test_footprint_follows_sim_config(self, env):
-        trace = Trace(times=[0.0], states=[[VehicleState(0.0, -3.82, 0.0, 0.0)]],
-                      collided=[[False]])
+        trace = Trace(times=[0.0], poses=[np.array([[0.0, -3.82, 0.0, 0.0, 0.0]])],
+                      collided=[np.array([False])])
         svg = render_episode(trace, env.track, sim_cfg=SimConfig(veh_length=1.0, veh_width=0.5))
         polygons = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("polygon")]
         assert len(polygons) == 1

@@ -6,26 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sample_lattice
+from conftest import VehicleState, reference_sample_lattice
 from racekit import expert as rexpert
 from racekit import track as rtrack
 from racekit.expert import (
-    CandidateTrajectory,
     ExpertConfig,
     NoFeasibleCandidate,
-    Role,
     _best,
     _mean_rewards,
     ego_commands,
-    expert_action,
+    leader_commands,
     predict_opponents,
     pure_pursuit,
     pure_pursuit_steering,
-    sample_lattice,
+    sample_lattices,
 )
 from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
                               rollout)
-from racekit.simulator import SimConfig, VehicleCommand, VehicleState, WorldState, step
+from racekit.simulator import Trace
 from racekit.track import FarFromRaceline, Raceline, curvature_at, generate_raceline, normal_of
 
 
@@ -40,16 +38,6 @@ def straight_raceline(length=100.0, kappa=0.0, v_ref=5.0, n=101):
         w_left_avail=np.full(n, 5.0), w_right_avail=np.full(n, 5.0),
         center_offset=np.zeros(n), length=length, arc_table=arc,
     )
-
-
-def make_candidate(xy, v, offset=0.0, scale=1.0):
-    xy = np.asarray(xy, dtype=float)
-    diffs = np.diff(xy, axis=0)
-    heading = np.append(np.arctan2(diffs[:, 1], diffs[:, 0]), 0.0) if len(xy) > 1 else np.zeros(1)
-    n = len(xy)
-    return CandidateTrajectory(xy=xy, heading=heading, v=np.asarray(v, dtype=float),
-                               lateral_offset=offset, speed_scale=scale,
-                               d_path=np.zeros(n), kappa_path=np.zeros(n))
 
 
 def mean_reward(xy, v, d, kappa, opponent_pred, cfg):
@@ -151,32 +139,31 @@ class TestPurePursuit:
         assert hi > lo
 
     def test_lookahead_dead_ahead(self):
-        state = VehicleState(0, 0, 0.0, 2.0)
-        cand = make_candidate([[0, 0], [1, 0], [2, 0], [3, 0]], [2, 2, 2, 2])
-        assert pure_pursuit(state, cand, ExpertConfig()) == pytest.approx(0.0, abs=1e-12)
+        pose = (0.0, 0.0, 0.0, 2.0, 0.0)
+        xy = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
+        assert pure_pursuit(pose, xy, ExpertConfig()) == pytest.approx(0.0, abs=1e-12)
 
     def test_short_trajectory_uses_farthest(self):
-        state = VehicleState(0, 0, 0.0, 9.0)  # ell = 2.7 > trajectory extent
-        cand = make_candidate([[0, 0], [0.3, 0.3]], [2, 2])
-        d = pure_pursuit(state, cand, ExpertConfig())
+        pose = (0.0, 0.0, 0.0, 9.0, 0.0)  # ell = 2.7 > trajectory extent
+        d = pure_pursuit(pose, np.array([[0, 0], [0.3, 0.3]]), ExpertConfig())
         assert d > 0  # steers left toward the only point
+
+
+ONE_STATE = np.array([[1.0, 0.0, 0.0, 5.0, 0.0]])
 
 
 class TestLattice:
     def test_grid_size_on_wide_straight(self):
         rl = straight_raceline()
         cfg = ExpertConfig(n_lateral=5, n_speed=3, lateral_max=1.0)
-        state = VehicleState(1.0, 0.0, 0.0, 5.0)
-        cands = sample_lattice(state, rl, None, cfg)
-        assert len(cands) == 15
+        lattice = sample_lattices(ONE_STATE, rl, cfg)
+        assert lattice.kept[0].sum() == 15
 
     def test_zero_offset_identity_blend(self):
         rl = straight_raceline()
-        cfg = ExpertConfig()
-        state = VehicleState(1.0, 0.0, 0.0, 5.0)
-        cands = sample_lattice(state, rl, None, cfg)
-        center = [c for c in cands if c.lateral_offset == 0.0 and c.speed_scale == 1.0][0]
-        assert np.max(np.abs(center.xy[:, 1])) < 1e-3
+        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig())
+        center = lattice.xy[0, lattice.scales == 1.0, lattice.offsets == 0.0][0]
+        assert np.max(np.abs(center[:, 1])) < 1e-3
 
     def test_narrow_corridor_prunes(self):
         rl = straight_raceline()
@@ -184,26 +171,24 @@ class TestLattice:
                          "w_left_avail": np.full(len(rl.s), 0.5),
                          "w_right_avail": np.full(len(rl.s), 0.5)})
         cfg = ExpertConfig(n_lateral=7, n_speed=1, lateral_max=1.0, safety_margin=0.16)
-        state = VehicleState(1.0, 0.0, 0.0, 5.0)
-        cands = sample_lattice(state, rl, None, cfg)
-        assert 0 < len(cands) < 7
-        for c in cands:
-            assert np.all(np.abs(c.xy[:, 1]) <= 0.5 - cfg.safety_margin + 1e-12)
+        lattice = sample_lattices(ONE_STATE, rl, cfg)
+        assert 0 < lattice.kept[0].sum() < 7
+        for xy in lattice.xy[0][lattice.kept[0]]:
+            assert np.all(np.abs(xy[:, 1]) <= 0.5 - cfg.safety_margin + 1e-12)
 
     def test_all_blocked_raises(self):
         rl = straight_raceline()
         rl = Raceline(**{**rl.__dict__,
                          "w_left_avail": np.full(len(rl.s), 0.1),
                          "w_right_avail": np.full(len(rl.s), 0.1)})
-        state = VehicleState(1.0, 0.0, 0.0, 5.0)
-        with pytest.raises(NoFeasibleCandidate):
-            sample_lattice(state, rl, None, ExpertConfig())
+        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig())
+        assert isinstance(lattice.errors[0], NoFeasibleCandidate)
+        assert not lattice.kept[0].any()
 
     def test_all_candidate_speeds_positive(self):
         rl = straight_raceline()
-        cands = sample_lattice(VehicleState(0, 0, 0, 5.0), rl, None, ExpertConfig())
-        for c in cands:
-            assert np.all(c.v > 0)
+        lattice = sample_lattices(np.array([[0.0, 0.0, 0.0, 5.0, 0.0]]), rl, ExpertConfig())
+        assert np.all(lattice.v[0][lattice.kept[0].any(axis=1)] > 0)
 
 
 @functools.cache
@@ -212,8 +197,8 @@ def lattice_raceline(shape, width, rid):
 
 
 class TestOneShotLattice:
-    """sample_lattice equals the per-candidate reference: the same
-    candidates in the same order with the same arrays, bit for bit."""
+    """A one-state sample_lattices equals the per-candidate reference: the
+    same candidates in the same order with the same arrays, bit for bit."""
 
     @given(
         where=st.tuples(st.sampled_from(["stadium", "serpentine"]),
@@ -233,90 +218,95 @@ class TestOneShotLattice:
         s, off, dtheta, v = pose
         x, y = rl.position_at(s) + off * normal_of(rl.heading_at(s))
         state = VehicleState(float(x), float(y), float(rl.heading_at(s)) + dtheta, v)
+        lattice = sample_lattices(np.array([[state.x, state.y, state.theta, state.v, 0.0]]), rl,
+                                  cfg)
         try:
             want = reference_sample_lattice(state, rl, cfg)
         except (NoFeasibleCandidate, FarFromRaceline) as exc:
-            with pytest.raises(type(exc)):
-                sample_lattice(state, rl, None, cfg)
+            assert type(lattice.errors[0]) is type(exc)
             return
-        got = sample_lattice(state, rl, None, cfg)
-        assert [(c.speed_scale, c.lateral_offset) for c in got] == \
+        js, is_ = np.nonzero(lattice.kept[0])
+        assert list(zip(lattice.scales[js].tolist(), lattice.offsets[is_].tolist())) == \
             [(c.speed_scale, c.lateral_offset) for c in want]
-        for g, w in zip(got, want):
-            for field in ("xy", "heading", "v", "d_path"):
-                assert np.array_equal(getattr(g, field), getattr(w, field)), field
-            assert np.array_equal(g.kappa_path, curvature_at(rl, w.s_path))
+        for j, i, w in zip(js, is_, want):
+            assert np.array_equal(lattice.xy[0, j, i], w.xy), "xy"
+            assert np.array_equal(lattice.heading[0, j, i], w.heading), "heading"
+            assert np.array_equal(lattice.v[0, j, 0], w.v), "v"
+            assert np.array_equal(lattice.d[0, 0, i], w.d_path), "d_path"
+            assert np.array_equal(lattice.kappa[0, j, 0], curvature_at(rl, w.s_path))
 
 
-def candidate_reward(cand, opponent_pred, cfg):
-    """_mean_rewards of one lattice candidate, from the deviation and
-    curvature it carries."""
-    return float(_mean_rewards(cand.v, cand.xy, cand.d_path, cand.kappa_path, opponent_pred,
-                               cfg))
+def best_candidate(lattice, opponent_pred, cfg):
+    """Row 0's kept (speed, offset) indices, their mean rewards and the
+    position of the best among them."""
+    rewards = _mean_rewards(lattice.v, lattice.xy, lattice.d, lattice.kappa, opponent_pred,
+                            cfg)[0]
+    js, is_ = np.nonzero(lattice.kept[0])
+    kept = rewards[js, is_].tolist()
+    return js, is_, kept, _best(kept, lattice.offsets[is_].tolist())
 
 
 class TestExpertAction:
     def test_empty_track_full_speed_near_zero_offset(self, stadium):
         rl = generate_raceline(stadium, 0.0)
-        state = VehicleState(*rl.xy[0], rl.heading[0], rl.v_ref[0])
-        world = WorldState(stadium, [state])
         cfg = ExpertConfig()
-        cands = sample_lattice(state, rl, stadium, cfg)
-        rewards = [candidate_reward(c, None, cfg) for c in cands]
-        best = cands[_best(rewards, [c.lateral_offset for c in cands])]
-        assert best.speed_scale == 1.0
-        assert abs(best.lateral_offset) <= cfg.lateral_max / (cfg.n_lateral - 1)
+        lattice = sample_lattices(np.array([[*rl.xy[0], rl.heading[0], rl.v_ref[0], 0.0]]), rl,
+                                  cfg)
+        js, is_, _, k = best_candidate(lattice, None, cfg)
+        assert lattice.scales[js[k]] == 1.0
+        assert abs(lattice.offsets[is_[k]]) <= cfg.lateral_max / (cfg.n_lateral - 1)
 
     def test_blocking_opponent_forces_deviation(self, stadium):
         rl = generate_raceline(stadium, 0.0)
         cfg = ExpertConfig()
-        state = VehicleState(*rl.xy[0], rl.heading[0], 3.0)
+        lattice = sample_lattices(np.array([[*rl.xy[0], rl.heading[0], 3.0, 0.0]]), rl, cfg)
         # leader dead ahead on the raceline, 1 m away, same heading, slow
         opp_pos = rl.position_at(rl.s[0] + 1.0)
-        opp = VehicleState(opp_pos[0], opp_pos[1], rl.heading_at(rl.s[0] + 1.0), 1.0)
-        world = WorldState(stadium, [state, opp])
-        cands = sample_lattice(state, rl, stadium, cfg)
-        opp_pred = predict_opponents(np.array([[opp.x, opp.y, opp.theta, opp.v, opp.delta]]),
-                                     cfg)[0]
-        rewards = [candidate_reward(c, opp_pred, cfg) for c in cands]
-        k = _best(rewards, [c.lateral_offset for c in cands])
-        best = cands[k]
-        center_full = [i for i, c in enumerate(cands)
-                       if c.lateral_offset == 0.0 and c.speed_scale == 1.0][0]
+        opp = np.array([[opp_pos[0], opp_pos[1], rl.heading_at(rl.s[0] + 1.0), 1.0, 0.0]])
+        opp_pred = predict_opponents(opp, cfg)[0]
+        js, is_, rewards, k = best_candidate(lattice, opp_pred, cfg)
+        scales, offsets = lattice.scales[js], lattice.offsets[is_]
+        center_full = np.flatnonzero((offsets == 0.0) & (scales == 1.0))[0]
         assert rewards[k] > rewards[center_full]
-        assert abs(best.lateral_offset) > 0 or best.speed_scale < 1.0
+        assert abs(offsets[k]) > 0 or scales[k] < 1.0
 
     def test_leader_command_speed(self, stadium):
         rl = generate_raceline(stadium, 0.0)
         cfg = ExpertConfig(leader_speed_discount=0.6)
-        state = VehicleState(*rl.xy[10], rl.heading[10], 3.0)
-        world = WorldState(stadium, [VehicleState(0, 0, 0, 0), state])
-        cmd = expert_action(world, 1, Role.LEADER, rl, cfg)
-        s_proj, _ = rl.project((state.x, state.y))
-        assert cmd.v_cmd == pytest.approx(0.6 * rl.v_ref_at(s_proj), abs=1e-9)
+        pose = np.array([[*rl.xy[10], rl.heading[10], 3.0, 0.0]])
+        v_cmd, _ = leader_commands(pose, rl, cfg)[0]
+        s_proj, _ = rl.project(pose[0, :2])
+        assert v_cmd == pytest.approx(0.6 * rl.v_ref_at(s_proj), abs=1e-9)
 
     def test_leader_nonreactive(self, stadium):
-        rl = generate_raceline(stadium, 0.0)
-        cfg = ExpertConfig()
-        leader = VehicleState(*rl.xy[5], rl.heading[5], 2.5)
-        w1 = WorldState(stadium, [VehicleState(0, -3.8, 0, 5.0), leader])
-        w2 = WorldState(stadium, [VehicleState(3, -2.9, 0.4, 1.0), leader])
-        c1 = expert_action(w1, 1, Role.LEADER, rl, cfg)
-        c2 = expert_action(w2, 1, Role.LEADER, rl, cfg)
-        assert c1 == c2
+        # the leader drives the same path whatever the ego behind it does
+        env = RaceEnvironment.build(stadium, raceline_ids=("center",))
+        scenario = Scenario(id="x", ego_raceline="center", ego_s=0.0, seed=0,
+                            leader_raceline="center", leader_s=3.0)
+
+        class Brake:
+            def reset(self, scenarios, env):
+                pass
+
+            def act(self, world, rows, scans):
+                return np.zeros((len(rows), 2))
+
+        runs = []
+        for ego in (ExpertSource(), Brake()):
+            trace = Trace()
+            rollout(scenario, ego, env, duration=1.0, observers=[trace])
+            runs.append(np.array(trace.poses))
+        n = min(len(r) for r in runs)
+        assert not np.array_equal(runs[0][:n, 0], runs[1][:n, 0])
+        assert np.array_equal(runs[0][:n, 1], runs[1][:n, 1])
 
     def test_infeasible_brakes_straight(self):
         rl = straight_raceline()
         rl = Raceline(**{**rl.__dict__,
                          "w_left_avail": np.full(len(rl.s), 0.1),
                          "w_right_avail": np.full(len(rl.s), 0.1)})
-        world = WorldState.__new__(WorldState)
-        world.track = None
-        world.agents = [VehicleState(1.0, 0.0, 0.0, 5.0)]
-        world.t = 0.0
-        world.collided = [False]
-        cmd = expert_action(world, 0, Role.EGO, rl, ExpertConfig())
-        assert cmd == VehicleCommand(0.0, 0.0)
+        cmd = ego_commands(np.array([[1.0, 0.0, 0.0, 5.0, 0.0]]), None, rl, ExpertConfig())
+        assert cmd.tolist() == [[0.0, 0.0]]
 
 
 @pytest.mark.slow
@@ -324,9 +314,9 @@ def test_expert_three_laps_stadium(stadium):
     """Closed-loop competence: the expert alone drives 3 clean laps."""
     env = RaceEnvironment.build(stadium, raceline_ids=("center",))
     L = stadium.total_length
-    record, _ = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
-                        ExpertSource(), env, duration=3 * L + 30.0,
-                        observer=LapTimer(L, env.sim.dt, 3))
+    record = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
+                     ExpertSource(), env, duration=3 * L + 30.0,
+                     observers=[LapTimer(L, env.sim.dt, 3)])
     laps, collided = record.ego_progress / L, record.outcome == Outcome.COLLISION
     assert laps >= 3.0
     assert not collided

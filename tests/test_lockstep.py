@@ -3,9 +3,8 @@
 A batch gives each row the floats the row gets alone, and the pooled
 engine gives, record for record and byte for byte, what the per-scenario
 loop before it gave (conftest.reference_rollout with its one-scenario
-sources). Each batched kernel is checked against its batch of one and
-against the one-world reference it replaced (conftest), which shares no
-code with it.
+sources). Each batched kernel is checked row by row against the
+one-world reference it replaced (conftest), which shares no code with it.
 """
 
 import functools
@@ -17,20 +16,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ReferenceExpertSource, ReferencePolicySource, ReferenceProgressTracker,
-                      assert_same_bits, make_room_track, reference_advance,
-                      reference_check_collision, reference_expert_action,
-                      reference_leader_command, reference_ray_hits, reference_rollout,
-                      reference_scan_lidar, reference_step)
+                      Role, VehicleCommand, VehicleState, WorldState, assert_same_bits,
+                      make_room_track, reference_advance, reference_check_collision,
+                      reference_expert_action, reference_leader_command, reference_ray_hits,
+                      reference_rollout, reference_sample_lattice, reference_scan_lidar,
+                      reference_step)
 from racekit import _geom
 from racekit import expert as rexpert
 from racekit import simulator as rsim
 from racekit import track as rtrack
 from racekit.evaluator import PolicySource
-from racekit.expert import ExpertConfig, NoFeasibleCandidate, Role
+from racekit.expert import ExpertConfig, NoFeasibleCandidate
 from racekit.policy import PolicyConfig, init_params
 from racekit.scenario import (ExpertSource, NoValidSpawn, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout_many, track_progress)
-from racekit.simulator import SimConfig, VehicleCommand, VehicleState, WorldBatch, WorldState
+from racekit.simulator import SimConfig, WorldBatch
 from racekit.track import FarFromRaceline
 
 TINY = PolicyConfig(n_beams=360, embed_dim=4, hidden_multiplier=2, mlp_hidden=16)
@@ -84,7 +84,7 @@ class TestEngine:
             assume(False)
         source, reference = sources(kind, seed)
         got = rollout_many(scenarios, source, env, duration, workers)
-        want = [reference_rollout(sc, reference, env, duration)[0] for sc in scenarios]
+        want = [reference_rollout(sc, reference, env, duration) for sc in scenarios]
         assert_same_records(got, want)
 
     @pytest.mark.parametrize("kind", ["expert", "policy"])
@@ -95,7 +95,7 @@ class TestEngine:
         source, reference = sources(kind, 4)
         got = rollout_many(scenarios, source, env, 3.0)
         assert len({r.n_frames for r in got[:4]}) > 1
-        assert_same_records(got, [reference_rollout(sc, reference, env, 3.0)[0]
+        assert_same_records(got, [reference_rollout(sc, reference, env, 3.0)
                                   for sc in scenarios])
 
     def test_leaderless_rows_in_a_pool(self):
@@ -105,7 +105,7 @@ class TestEngine:
                 for i in range(2)]
         pool = [solo[0], scenarios[0], scenarios[1], solo[1], scenarios[2]]
         got = rollout_many(pool, ExpertSource(), env, 0.5)
-        assert_same_records(got, [reference_rollout(sc, ReferenceExpertSource(), env, 0.5)[0]
+        assert_same_records(got, [reference_rollout(sc, ReferenceExpertSource(), env, 0.5)
                                   for sc in pool])
 
 
@@ -159,20 +159,20 @@ class TestDynamics:
     def test_step_rows_match_one_world_steps(self, rows, name):
         track = kernel_track(name)
         worlds = [WorldState(track, [VehicleState(*a), VehicleState(*b)]) for a, b, _, _ in rows]
-        batch = WorldBatch.of(worlds)
+        batch = WorldBatch(track, np.array([[a, b] for a, b, _, _ in rows]),
+                           np.zeros(len(rows)), np.zeros((len(rows), 2), dtype=bool))
         cmds = np.array([[ca, cb] for _, _, ca, cb in rows])
         picked = np.arange(0, len(rows), 2)
         rsim.step_rows(batch, picked, cmds[picked], SimConfig())
         for b, world in enumerate(worlds):
-            for step in (rsim.step, reference_step):
-                if b in picked:
-                    one = step(world, [VehicleCommand(*c) for c in cmds[b]], SimConfig())
-                else:
-                    one = world
-                want = WorldBatch.of([one])
-                assert_same_bits(batch.poses[b], want.poses[0])
-                assert_same_bits(batch.t[b], want.t[0])
-                assert_same_bits(batch.collided[b], want.collided[0])
+            if b in picked:
+                one = reference_step(world, [VehicleCommand(*c) for c in cmds[b]], SimConfig())
+            else:
+                one = world
+            assert_same_bits(batch.poses[b], np.array([(s.x, s.y, s.theta, s.v, s.delta)
+                                                       for s in one.agents]))
+            assert_same_bits(batch.t[b], np.float64(one.t))
+            assert_same_bits(batch.collided[b], np.array(one.collided))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +209,10 @@ class TestSensing:
         track = kernel_track(name)
         cfg = SimConfig()
         pairs = [near_boundary(track, pick, off, gap, turn) for pick, off, gap, turn in rows]
-        worlds = [WorldState(track, [VehicleState(*a), VehicleState(*b)][:1 + two])
-                  for a, b in pairs]
-        got = rsim.collision_events(track, WorldBatch.of(worlds).poses, cfg)
-        for g, world in zip(got, worlds):
+        got = rsim.collision_events(track, np.array([[a, b][:1 + two] for a, b in pairs]), cfg)
+        for g, (a, b) in zip(got, pairs):
+            world = WorldState(track, [VehicleState(*a), VehicleState(*b)][:1 + two])
             assert g.tolist() == reference_check_collision(world, cfg)
-            assert g.tolist() == rsim.check_collision(world, cfg)
 
     @given(name=st.sampled_from(["room", "stadium", "serpentine"]),
            rows=st.lists(cars, min_size=1, max_size=5), agent=st.integers(0, 1),
@@ -223,11 +221,10 @@ class TestSensing:
     def test_scan_rows_match_one_world_scans(self, name, rows, agent, n_beams):
         track = kernel_track(name)
         cfg = SimConfig(n_beams=n_beams)
-        worlds = [WorldState(track, [VehicleState(*a), VehicleState(*b)])
-                  for a, b in (near_boundary(track, *row) for row in rows)]
-        got = rsim.scan_batch(track, WorldBatch.of(worlds).poses, agent, cfg)
-        for g, world in zip(got, worlds):
-            assert_same_bits(g, rsim.scan_lidar(world, agent, cfg))
+        pairs = [near_boundary(track, *row) for row in rows]
+        got = rsim.scan_batch(track, np.array(pairs), agent, cfg)
+        for g, (a, b) in zip(got, pairs):
+            world = WorldState(track, [VehicleState(*a), VehicleState(*b)])
             assert_same_bits(g, reference_scan_lidar(world, agent, cfg))
 
     @given(name=st.sampled_from(["room", "stadium", "serpentine"]),
@@ -305,26 +302,31 @@ class TestExpert:
            far=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_lattice_rows_match_one_state_lattices(self, where, rows, cfg, far):
+        """Row b's kept candidates are the reference lattice of its state:
+        the same (speed, offset) pairs in the same order with the same
+        arrays; a row that keeps none fails as the reference does."""
         rl = expert_raceline(*where)
         poses = np.array([pose_on(rl, *r) for r in rows])
         if far:
             poses[0, :2] += 30.0        # beyond the projection radius
         lattice = rexpert.sample_lattices(poses, rl, cfg)
         for b, pose in enumerate(poses):
-            state = VehicleState(*pose.tolist())
             try:
-                want = rexpert.sample_lattice(state, rl, None, cfg)
+                want = reference_sample_lattice(VehicleState(*pose.tolist()), rl, cfg)
             except (NoFeasibleCandidate, FarFromRaceline) as exc:
                 assert type(lattice.errors[b]) is type(exc)
-                assert str(lattice.errors[b]) == str(exc)
                 assert not lattice.kept[b].any()
                 continue
-            got = lattice.candidates(b)
-            assert [(c.speed_scale, c.lateral_offset) for c in got] == \
-                [(c.speed_scale, c.lateral_offset) for c in want]
-            for g, w in zip(got, want):
-                for name in ("xy", "heading", "v", "d_path", "kappa_path"):
-                    assert_same_bits(getattr(g, name), getattr(w, name))
+            assert lattice.errors[b] is None
+            js, is_ = np.nonzero(lattice.kept[b])
+            assert [(c.speed_scale, c.lateral_offset) for c in want] == \
+                list(zip(lattice.scales[js].tolist(), lattice.offsets[is_].tolist()))
+            for j, i, w in zip(js, is_, want):
+                assert_same_bits(lattice.xy[b, j, i], w.xy)
+                assert_same_bits(lattice.heading[b, j, i], w.heading)
+                assert_same_bits(lattice.v[b, j, 0], w.v)
+                assert_same_bits(lattice.d[b, 0, i], w.d_path)
+                assert_same_bits(lattice.kappa[b, j, 0], rtrack.curvature_at(rl, w.s_path))
 
     @given(where=where, rows=st.lists(st.tuples(states, states), min_size=1, max_size=4),
            cfg=expert_configs, alone=st.booleans())
@@ -338,10 +340,8 @@ class TestExpert:
             agents = [VehicleState(*ego.tolist())]
             if not alone:
                 agents.append(VehicleState(*opp.tolist()))
-            world = WorldState(None, agents)
-            for action in (rexpert.expert_action, reference_expert_action):
-                want = action(world, 0, Role.EGO, rl, cfg)
-                assert_same_bits(g, np.array([want.v_cmd, want.delta_cmd]))
+            want = reference_expert_action(WorldState(None, agents), 0, Role.EGO, rl, cfg)
+            assert_same_bits(g, np.array([want.v_cmd, want.delta_cmd]))
 
     @given(where=where, rows=st.lists(states, min_size=1, max_size=5), cfg=expert_configs)
     @settings(max_examples=100, deadline=None)
@@ -352,9 +352,6 @@ class TestExpert:
         for g, pose in zip(got, leaders):
             want = reference_leader_command(VehicleState(*pose.tolist()), rl, cfg)
             assert_same_bits(g, np.array([want.v_cmd, want.delta_cmd]))
-            world = WorldState(None, [VehicleState(0.0, 0.0, 0.0, 0.0),
-                                      VehicleState(*pose.tolist())])
-            assert rexpert.expert_action(world, 1, Role.LEADER, rl, cfg) == want
 
     @given(rows=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
                                    st.floats(-40.0, 40.0), st.floats(0.0, 10.0)),

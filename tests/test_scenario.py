@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (assert_same_bits, reference_arc_window, reference_project_to_polyline,
                       uneven_circle)
@@ -31,7 +32,7 @@ from racekit.scenario import (
     track_progress,
     write_manifest,
 )
-from racekit.simulator import SimConfig
+from racekit.simulator import Trace
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +181,8 @@ def track_point(track, s, off):
 class TestRollout:
     def test_frame_count_full_duration(self, env):
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, d_gap=6.0), env)
-        record, trace = rollout(scenarios[0], ExpertSource(), env, duration=2.0,
-                                record_trace=True)
+        trace = Trace()
+        record = rollout(scenarios[0], ExpertSource(), env, duration=2.0, observers=[trace])
         if record.outcome != Outcome.COLLISION:
             assert record.n_frames == 20
         assert record.scans.shape == (record.n_frames, 360)
@@ -193,7 +194,7 @@ class TestRollout:
         # frames recorded every 10 sim steps: duration_actual must be a
         # multiple of 0.1 for a non-collision episode
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, d_gap=6.0), env)
-        record, _ = rollout(scenarios[0], ExpertSource(), env, duration=1.5)
+        record = rollout(scenarios[0], ExpertSource(), env, duration=1.5)
         assert record.duration_actual == pytest.approx(1.5, abs=1e-9)
 
     def test_collision_truncates_frames(self, env):
@@ -206,7 +207,7 @@ class TestRollout:
                 return np.tile([8.0, 0.0], (len(rows), 1))
 
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, d_gap=1.0), env)
-        record, _ = rollout(scenarios[0], Rammer(), env, duration=8.0)
+        record = rollout(scenarios[0], Rammer(), env, duration=8.0)
         assert record.outcome == Outcome.COLLISION
         assert record.duration_actual < 8.0
         # frames recorded up to and including the interval of death
@@ -218,13 +219,13 @@ class TestRollout:
         env_fast = RaceEnvironment(env.track, env.racelines, env.sim, cfg_fast)
         scenarios, _ = enumerate_scenarios(
             ScenarioConfig(k_positions=1, d_gap=6.0), env_fast)
-        record, _ = rollout(scenarios[0], ExpertSource(), env_fast, duration=2.0)
+        record = rollout(scenarios[0], ExpertSource(), env_fast, duration=2.0)
         assert record.outcome == Outcome.CAR_FOLLOWING
 
     def test_determinism_bit_identical(self, env):
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, d_gap=3.0), env)
-        r1, _ = rollout(scenarios[0], ExpertSource(), env, duration=1.0)
-        r2, _ = rollout(scenarios[0], ExpertSource(), env, duration=1.0)
+        r1 = rollout(scenarios[0], ExpertSource(), env, duration=1.0)
+        r2 = rollout(scenarios[0], ExpertSource(), env, duration=1.0)
         assert np.array_equal(r1.scans, r2.scans)
         assert np.array_equal(r1.actions, r2.actions)
         assert r1.ego_progress == r2.ego_progress
@@ -290,6 +291,34 @@ class TestEpisodeIO:
         assert np.array_equal(back.scans, rec.scans)
         assert np.array_equal(back.ego_v, rec.ego_v)
         assert np.array_equal(back.actions, rec.actions)
+
+    @given(data=st.data(), n_beams=st.integers(1, 400), frames=st.integers(0, 50),
+           outcome=st.sampled_from(Outcome.ALL), sid=st.text(), seed=st.integers(0, 2**63 - 1),
+           header=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_is_byte_equal(self, tmp_path_factory, data, n_beams, frames, outcome, sid,
+                                     seed, header):
+        """Any beam count, 0-50 frames and any float32 values, NaN and
+        infinities included, come back with the same bytes; writing the
+        loaded record again gives the same file."""
+        f32 = st.floats(width=32)
+        rec = EpisodeRecord(
+            scenario_id=sid, seed=seed,
+            scans=data.draw(arrays(np.float32, (frames, n_beams), elements=f32)),
+            ego_v=data.draw(arrays(np.float32, frames, elements=f32)),
+            actions=data.draw(arrays(np.float32, (frames, 2), elements=f32)),
+            outcome=outcome, duration_actual=header[0], ego_progress=header[1],
+            leader_progress=header[2])
+        path = tmp_path_factory.mktemp("store") / "ep.bin"
+        save_episode(rec, path)
+        back = load_episode(path)
+        for name in ("scans", "ego_v", "actions", "duration_actual", "ego_progress",
+                     "leader_progress"):
+            assert_same_bits(np.asarray(getattr(back, name)), np.asarray(getattr(rec, name)))
+        assert (back.scenario_id, back.seed, back.outcome) == (sid, seed, outcome)
+        again = path.with_name("again.bin")
+        save_episode(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_without_beam_count_holds_360(self, tmp_path):
         rec = fake_record(Outcome.OVERTAKING, frames=4)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from racekit import _geom, track as rtrack
 from racekit import simulator as sim
@@ -13,45 +14,58 @@ from racekit.simulator import (
     SimConfig,
     SimulationError,
     Trace,
-    VehicleCommand,
-    VehicleState,
-    WorldState,
+    WorldBatch,
     apply_noise,
-    check_collision,
-    scan_lidar,
-    step,
+    collision_events,
+    scan_batch,
+    step_rows,
 )
-from conftest import make_room_track
+from conftest import assert_same_bits, make_room_track
+
+ROW = np.arange(1)
 
 
-def world_in_room(states, half=4.0):
-    return WorldState(make_room_track(half), list(states))
+def one_row(*poses):
+    """A (1, A, 5) pose batch of the given (x, y, theta, v[, delta]) poses."""
+    return np.array([[tuple(p) + (0.0,) * (5 - len(p)) for p in poses]], dtype=float)
+
+
+def one_world(track, *poses):
+    """The batch of one world at t = 0 whose agents stand at the given poses."""
+    return WorldBatch(track, one_row(*poses), np.zeros(1), np.zeros((1, len(poses)), dtype=bool))
+
+
+def world_in_room(*poses, half=4.0):
+    return one_world(make_room_track(half), *poses)
+
+
+def commands(*cmds):
+    return np.array([cmds], dtype=float)
 
 
 class TestDynamics:
     def test_straight_displacement(self, sim_cfg):
-        w = world_in_room([VehicleState(-2.5, 0, 0.0, 5.0)])
-        cmd = [VehicleCommand(5.0, 0.0)]
+        w = world_in_room((-2.5, 0, 0.0, 5.0))
+        cmd = commands((5.0, 0.0))
         for _ in range(100):
-            w = step(w, cmd, sim_cfg)
-        assert w.agents[0].x == pytest.approx(-2.5 + 5.0, abs=1e-6)
-        assert w.agents[0].y == pytest.approx(0.0, abs=1e-12)
-        assert w.t == pytest.approx(1.0)
+            step_rows(w, ROW, cmd, sim_cfg)
+        assert w.poses[0, 0, 0] == pytest.approx(-2.5 + 5.0, abs=1e-6)
+        assert w.poses[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert w.t[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
     def test_turning_radius(self, delta):
         cfg = SimConfig()
         big = make_room_track(half=50.0)
         v = 2.0
-        state = VehicleState(0.0, 0.0, 0.0, v, delta)
-        w = WorldState(big, [state])
-        cmd = [VehicleCommand(v, delta)]
+        w = one_world(big, (0.0, 0.0, 0.0, v, delta))
+        cmd = commands((v, delta))
         pts = []
         # one full revolution
         n = int(2 * math.pi / ((v / cfg.wheelbase) * math.tan(delta) * cfg.dt)) + 1
         for _ in range(n):
-            w = step(w, cmd, cfg)
-            pts.append((w.agents[0].x, w.agents[0].y))
+            step_rows(w, ROW, cmd, cfg)
+            pts.append(tuple(w.poses[0, 0, :2]))
         pts = np.array(pts)
         center = pts.mean(axis=0)
         radius = np.linalg.norm(pts - center, axis=1).mean()
@@ -59,89 +73,84 @@ class TestDynamics:
         assert abs(radius - expected) / expected < 0.005
 
     def test_rest_state(self, sim_cfg):
-        w = world_in_room([VehicleState(0, 0, 0.3, 0.0)])
-        w2 = step(w, [VehicleCommand(0.0, 0.0)], sim_cfg)
-        a, b = w.agents[0], w2.agents[0]
-        assert (a.x, a.y, a.theta, a.v, a.delta) == (b.x, b.y, b.theta, b.v, b.delta)
-        assert w2.t == pytest.approx(sim_cfg.dt)
+        w = world_in_room((0, 0, 0.3, 0.0))
+        before = w.poses.copy()
+        step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+        assert before.tolist() == w.poses.tolist()
+        assert w.t[0] == pytest.approx(sim_cfg.dt)
 
     def test_braking_reaches_zero(self, sim_cfg):
         v0 = 6.0
-        w = world_in_room([VehicleState(-3.5, 0, 0.0, v0)])
+        w = world_in_room((-3.5, 0, 0.0, v0))
         horizon = abs(v0 / sim_cfg.a_min) + sim_cfg.dt
         last_v = v0
-        while w.t < horizon:
-            w = step(w, [VehicleCommand(0.0, 0.0)], sim_cfg)
-            assert w.agents[0].v <= last_v + 1e-12
-            last_v = w.agents[0].v
-        assert w.agents[0].v == pytest.approx(0.0, abs=1e-9)
+        while w.t[0] < horizon:
+            step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+            assert w.poses[0, 0, 3] <= last_v + 1e-12
+            last_v = w.poses[0, 0, 3]
+        assert w.poses[0, 0, 3] == pytest.approx(0.0, abs=1e-9)
 
     def test_steering_rate_limit(self, sim_cfg):
-        w = world_in_room([VehicleState(0, 0, 0, 1.0, 0.0)])
-        w = step(w, [VehicleCommand(1.0, 10.0)], sim_cfg)
-        assert w.agents[0].delta == pytest.approx(sim_cfg.steer_rate_max * sim_cfg.dt)
+        w = world_in_room((0, 0, 0, 1.0, 0.0))
+        step_rows(w, ROW, commands((1.0, 10.0)), sim_cfg)
+        assert w.poses[0, 0, 4] == pytest.approx(sim_cfg.steer_rate_max * sim_cfg.dt)
         # and saturates at delta_max eventually
         for _ in range(200):
-            w = step(w, [VehicleCommand(1.0, 10.0)], sim_cfg)
-        assert w.agents[0].delta == pytest.approx(sim_cfg.delta_max)
+            step_rows(w, ROW, commands((1.0, 10.0)), sim_cfg)
+        assert w.poses[0, 0, 4] == pytest.approx(sim_cfg.delta_max)
 
     def test_non_finite_raises(self, sim_cfg):
-        w = world_in_room([VehicleState(0, 0, 0, float("nan"))])
+        w = world_in_room((0, 0, 0, float("nan")))
         with pytest.raises(NonFiniteState):
-            step(w, [VehicleCommand(0.0, 0.0)], sim_cfg)
+            step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
 
     def test_determinism_bitwise(self, sim_cfg):
         def run():
-            w = world_in_room([VehicleState(-2, 0.5, 0.1, 3.0), VehicleState(1, -0.5, 0.2, 2.0)])
-            cmds = [VehicleCommand(4.0, 0.05), VehicleCommand(2.0, -0.03)]
+            w = world_in_room((-2, 0.5, 0.1, 3.0), (1, -0.5, 0.2, 2.0))
+            cmds = commands((4.0, 0.05), (2.0, -0.03))
             out = []
             for _ in range(150):
-                w = step(w, cmds, sim_cfg)
-                out.append((w.agents[0].x, w.agents[0].y, w.agents[1].theta, w.agents[1].v))
+                step_rows(w, ROW, cmds, sim_cfg)
+                out.append((w.poses[0, 0, 0], w.poses[0, 0, 1], w.poses[0, 1, 2], w.poses[0, 1, 3]))
             return out
         assert run() == run()
 
 
 class TestLidar:
     def test_square_room_cardinals(self, room, sim_cfg):
-        w = WorldState(room, [VehicleState(0, 0, 0.0, 0.0)])
-        scan = scan_lidar(w, 0, sim_cfg)
+        ranges = scan_batch(room, one_row((0, 0, 0.0, 0.0)), 0, sim_cfg)[0]
         for beam in (0, 90, 180, 270):
-            assert scan[beam] == pytest.approx(4.0, abs=1e-6)
-        assert scan[45] == pytest.approx(4.0 * math.sqrt(2), abs=1e-6)
+            assert ranges[beam] == pytest.approx(4.0, abs=1e-6)
+        assert ranges[45] == pytest.approx(4.0 * math.sqrt(2), abs=1e-6)
 
     def test_corridor_side_wall(self, stadium, sim_cfg):
         # ego on the bottom straight of the stadium, heading along the track
-        w = WorldState(stadium, [VehicleState(0.0, -3.8197186342054885, 0.0, 0.0)])
-        scan = scan_lidar(w, 0, sim_cfg)
-        assert scan[90] == pytest.approx(1.5, abs=1e-2)
-        assert scan[270] == pytest.approx(1.5, abs=1e-2)
+        ego = (0.0, -3.8197186342054885, 0.0, 0.0)
+        ranges = scan_batch(stadium, one_row(ego), 0, sim_cfg)[0]
+        assert ranges[90] == pytest.approx(1.5, abs=1e-2)
+        assert ranges[270] == pytest.approx(1.5, abs=1e-2)
 
     def test_opponent_occlusion(self, room, sim_cfg):
-        w = WorldState(room, [VehicleState(-2, 0, 0.0, 0.0), VehicleState(0.0, 0, 0.0, 0.0)])
-        scan = scan_lidar(w, 0, sim_cfg)
-        assert scan[0] < 2.0
-        assert scan[0] >= 2.0 - sim_cfg.veh_length
+        ranges = scan_batch(room, one_row((-2, 0, 0.0, 0.0), (0.0, 0, 0.0, 0.0)), 0, sim_cfg)[0]
+        assert ranges[0] < 2.0
+        assert ranges[0] >= 2.0 - sim_cfg.veh_length
         # exactly the near face of a centered rectangle
-        assert scan[0] == pytest.approx(2.0 - sim_cfg.veh_length / 2, abs=1e-9)
+        assert ranges[0] == pytest.approx(2.0 - sim_cfg.veh_length / 2, abs=1e-9)
 
     def test_symmetry_in_corridor(self, room, sim_cfg):
-        w = WorldState(room, [VehicleState(0, 0, 0.0, 0.0)])
-        scan = scan_lidar(w, 0, sim_cfg)
+        ranges = scan_batch(room, one_row((0, 0, 0.0, 0.0)), 0, sim_cfg)[0]
         for i in range(1, 180):
-            assert scan[i] == pytest.approx(scan[360 - i], abs=1e-6)
+            assert ranges[i] == pytest.approx(ranges[360 - i], abs=1e-6)
 
     def test_range_cap(self, sim_cfg):
         big = make_room_track(half=100.0)
-        w = WorldState(big, [VehicleState(0, 0, 0.0, 0.0)])
-        scan = scan_lidar(w, 0, sim_cfg)
-        assert scan.max() == sim_cfg.lidar_range_max
-        assert np.all(scan <= sim_cfg.lidar_range_max)
+        ranges = scan_batch(big, one_row((0, 0, 0.0, 0.0)), 0, sim_cfg)[0]
+        assert ranges.max() == sim_cfg.lidar_range_max
+        assert np.all(ranges <= sim_cfg.lidar_range_max)
 
     def test_beam_count_follows_config(self, room):
         cfg = SimConfig(n_beams=8)
-        w = WorldState(room, [VehicleState(0, 0, 0.0, 0.0)])
-        assert scan_lidar(w, 0, cfg).shape == (8,)
+        assert scan_batch(room, one_row((0, 0, 0.0, 0.0)), 0, cfg)[0].shape == (8,)
 
 
 def dense_ray_hits(origin, angles, segments, max_range):
@@ -193,13 +202,13 @@ class TestBinnedRaycast:
         normal = np.array([-e[1], e[0]]) / np.hypot(*e)
         x, y = a + along * e + off * normal
         cfg = SimConfig(n_beams=n_beams)
-        w = WorldState(track, [VehicleState(float(x), float(y), heading, 0.0),
-                               VehicleState(float(x) + opp[0], float(y) + opp[1], opp[2], 0.0)])
-        corners = sim.vehicle_corners(w.agents[1], cfg)
+        ego = (float(x), float(y), heading, 0.0)
+        other = (float(x) + opp[0], float(y) + opp[1], opp[2], 0.0)
+        corners = _geom.obb_corners(*other[:3], cfg.veh_length, cfg.veh_width)
         soup = np.concatenate([segs, np.stack([corners, np.roll(corners, -1, axis=0)], axis=1)])
         angles = heading + np.arange(n_beams) * (2.0 * np.pi / n_beams)
         ref = dense_ray_hits((x, y), angles, soup, cfg.lidar_range_max)
-        assert np.array_equal(scan_lidar(w, 0, cfg), ref)
+        assert np.array_equal(scan_batch(track, one_row(ego, other), 0, cfg)[0], ref)
 
     def test_empty_soup_reports_max_range(self):
         out = _geom.ray_hits((0.0, 0.0), 0.3, 16, np.zeros((0, 2, 2)), 30.0)
@@ -245,60 +254,78 @@ class TestNoise:
 
 class TestCollision:
     def test_full_overlap(self, room, sim_cfg):
-        w = WorldState(room, [VehicleState(0, 0, 0.0, 0), VehicleState(0, 0, 0.0, 0)])
-        assert check_collision(w, sim_cfg) == [True, True]
+        got = collision_events(room, one_row((0, 0, 0.0, 0), (0, 0, 0.0, 0)), sim_cfg)
+        assert got[0].tolist() == [True, True]
 
     def test_far_apart(self, stadium, sim_cfg):
-        w = WorldState(stadium, [VehicleState(0, -3.82, 0.0, 0), VehicleState(10, 2.8, 0.0, 0)])
-        hits = check_collision(w, sim_cfg)
-        assert hits == [False, False]
+        got = collision_events(stadium, one_row((0, -3.82, 0.0, 0), (10, 2.8, 0.0, 0)), sim_cfg)
+        assert got[0].tolist() == [False, False]
 
     def test_cars_touching_corner_to_corner(self, room, sim_cfg):
         # centres exactly two half-diagonals apart: one shared corner point
         dx, dy = sim_cfg.veh_length, sim_cfg.veh_width
-        w = WorldState(room, [VehicleState(0, 0, 0.0, 0), VehicleState(dx, dy, 0.0, 0)])
-        assert check_collision(w, sim_cfg) == [True, True]
-        w2 = WorldState(room, [VehicleState(0, 0, 0.0, 0), VehicleState(dx + 1e-6, dy, 0.0, 0)])
-        assert check_collision(w2, sim_cfg) == [False, False]
+        got = collision_events(room, one_row((0, 0, 0.0, 0), (dx, dy, 0.0, 0)), sim_cfg)
+        assert got[0].tolist() == [True, True]
+        got = collision_events(room, one_row((0, 0, 0.0, 0), (dx + 1e-6, dy, 0.0, 0)), sim_cfg)
+        assert got[0].tolist() == [False, False]
 
     def test_touching_counts(self, room, sim_cfg):
         # corner exactly on the wall segment x = 4
         x = 4.0 - sim_cfg.veh_length / 2
-        w = WorldState(room, [VehicleState(x, 0, 0.0, 0)])
-        assert check_collision(w, sim_cfg) == [True]
-        w2 = WorldState(room, [VehicleState(x - 1e-6, 0, 0.0, 0)])
-        assert check_collision(w2, sim_cfg) == [False]
+        touching = collision_events(room, one_row((x, 0, 0.0, 0)), sim_cfg)
+        assert touching[0].tolist() == [True]
+        clear = collision_events(room, one_row((x - 1e-6, 0, 0.0, 0)), sim_cfg)
+        assert clear[0].tolist() == [False]
 
     def test_third_agent_is_rejected(self, room):
         # LiDAR, the ego expert and the car-car test see at most one other
-        # car: check_collision would report no contact for this third car,
+        # car: collision_events would report no contact for this third car,
         # which sits on the ego
-        cars = [VehicleState(0, 0, 0.0, 0), VehicleState(2.0, 0, 0.0, 0),
-                VehicleState(0.1, 0, 0.0, 0)]
         with pytest.raises(SimulationError):
-            WorldState(room, cars)
+            one_world(room, (0, 0, 0.0, 0), (2.0, 0, 0.0, 0), (0.1, 0, 0.0, 0))
 
     def test_latching(self, room, sim_cfg):
-        w = WorldState(room, [VehicleState(3.9, 0, 0.0, 2.0)])
-        w = step(w, [VehicleCommand(0.0, 0.0)], sim_cfg)
-        assert w.collided == [True]
+        w = one_world(room, (3.9, 0, 0.0, 2.0))
+        step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+        assert w.collided[0].tolist() == [True]
         # drive back into free space; flag must stay set
-        w.agents[0] = VehicleState(0.0, 0.0, 0.0, 0.0)
-        w = step(w, [VehicleCommand(0.0, 0.0)], sim_cfg)
-        assert w.collided == [True]
+        w.poses[0, 0] = (0.0, 0.0, 0.0, 0.0, 0.0)
+        step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+        assert w.collided[0].tolist() == [True]
 
 
 class TestTrace:
     def test_csv_roundtrip(self, room, sim_cfg, tmp_path):
-        w = WorldState(room, [VehicleState(0, 0, 0.0, 2.0), VehicleState(1, 0, 0.0, 1.0)])
+        w = one_world(room, (0, 0, 0.0, 2.0), (1, 0, 0.0, 1.0))
         trace = Trace()
-        trace.append(w)
+        trace(w, 0, 0.0)
         for _ in range(5):
-            w = step(w, [VehicleCommand(2.0, 0.01), VehicleCommand(1.0, -0.01)], sim_cfg)
-            trace.append(w)
+            step_rows(w, ROW, commands((2.0, 0.01), (1.0, -0.01)), sim_cfg)
+            trace(w, 0, 0.0)
         path = tmp_path / "trace.csv"
         sim.write_trace_csv(trace, path)
         back = sim.read_trace_csv(path)
         assert back.times == trace.times
-        assert back.states == trace.states
-        assert back.collided == trace.collided
+        assert np.array_equal(back.poses, trace.poses)
+        assert np.array_equal(back.collided, trace.collided)
+
+    @given(data=st.data(), n_agents=st.integers(1, 2),
+           times=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20,
+                          unique=True).map(sorted))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_roundtrip_is_bit_equal(self, tmp_path_factory, data, n_agents, times):
+        """1 or 2 agents, strictly increasing times and any finite floats,
+        -0.0 included, read back with the same bits."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        poses = data.draw(arrays(float, (len(times), n_agents, 5), elements=finite))
+        flags = data.draw(arrays(bool, (len(times), n_agents)))
+        trace = Trace(times=list(times), poses=list(poses), collided=list(flags))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        sim.write_trace_csv(trace, path)
+        back = sim.read_trace_csv(path)
+        assert_same_bits(np.array(back.times), np.array(times, dtype=float))
+        assert len(back.poses) == len(back.collided) == len(times)
+        for got, want in zip(back.poses, poses):
+            assert_same_bits(got, want)
+        for got, want in zip(back.collided, flags):
+            assert_same_bits(got, want)

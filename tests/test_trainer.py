@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from racekit import trainer
 from racekit.policy import InferenceSession, PolicyConfig, TENSOR_ORDER, init_params
 from racekit.trainer import (
     EmptyDatasetError,
@@ -203,6 +204,30 @@ class TestAdam:
             g = grads[name]
             expected = getattr(before, name) - 0.01 * g / (np.abs(g) + cfg.eps)
             assert np.allclose(getattr(state.params, name), expected, atol=1e-12), name
+
+    @pytest.mark.parametrize("tile", [7, 64, 32768])
+    def test_tiles_match_the_whole_tensor_update(self, monkeypatch, tile):
+        """Three steps in tiles of any size, partial last tiles included,
+        give the bits of the same expressions over whole tensors."""
+        monkeypatch.setattr(trainer, "_ADAM_TILE", tile)
+        cfg = TrainerConfig(lr0=0.01)
+        params = init_params(TINY, np.random.default_rng(2))
+        state = TrainState.fresh(params, cfg)
+        want = {k: t.copy() for k, t in params.tensors().items()}
+        m = {k: np.zeros_like(t) for k, t in want.items()}
+        v = {k: np.zeros_like(t) for k, t in want.items()}
+        rng = np.random.default_rng(5)
+        for step in range(1, 4):
+            grads = {k: rng.normal(size=t.shape) for k, t in want.items()}
+            adam_update(state, grads, cfg)
+            c1, c2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
+            for k, g in grads.items():
+                m[k] = m[k] * cfg.beta1 + (1 - cfg.beta1) * g
+                v[k] = v[k] * cfg.beta2 + (1 - cfg.beta2) * g * g
+                want[k] = want[k] - cfg.lr0 * (m[k] / c1) / (np.sqrt(v[k] / c2) + cfg.eps)
+        for name in TENSOR_ORDER:
+            got = getattr(state.params, name)
+            assert got.tobytes() == want[name].tobytes(), name
 
     def test_deterministic(self):
         def run():
