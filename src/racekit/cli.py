@@ -7,6 +7,11 @@ outputs plus a run manifest under --out. `eval single --render` writes the
 episode's trace as single.trace.csv next to single.svg, and `render
 --trace` redraws such a trace as an SVG.
 
+`[sim] n_beams` is the one beam count: `collect` scans at it, `train` sizes
+the policy from the dataset's episode headers, and `eval single|h2h|noise`
+scan at the checkpoint's. `eval latency` without a checkpoint file times a
+random-init policy and says so in its manifest (`random_init`).
+
 Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors,
 5 evaluation errors, 6 config errors (an unreadable or invalid --config
 file or override); argparse usage errors also exit 2.
@@ -46,8 +51,9 @@ EXIT_CONFIG = 6
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: KitConfig, outputs: list[str],
-                    started: str) -> None:
+                    started: str, **facts) -> None:
     manifest = {
+        **facts,
         "command": command,
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
@@ -72,14 +78,10 @@ def _load_track_arg(args, cfg: KitConfig) -> rtrack.TrackModel:
     return rtrack.load_track(path)
 
 
-def _build_env(track, cfg: KitConfig) -> RaceEnvironment:
-    return RaceEnvironment.build(track, cfg.sim, cfg.expert, cfg.raceline)
-
-
 def _scenario_pool(args, cfg: KitConfig, env: RaceEnvironment):
-    """The spawn-screened scenarios of the seeded scenario config
-    (--scenarios overrides k_positions) and the number of spawns skipped."""
-    scn_cfg = replace(cfg.scenario, seed=cfg.seed)
+    """The spawn-screened scenarios of the scenario config (--scenarios
+    overrides k_positions) and the number of spawns skipped."""
+    scn_cfg = cfg.scenario
     if args.scenarios is not None:
         scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
     return rscn.enumerate_scenarios(scn_cfg, env)
@@ -141,7 +143,7 @@ def cmd_collect(args, cfg: KitConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
     track = _load_track_arg(args, cfg)
-    env = _build_env(track, cfg)
+    env = RaceEnvironment.build(track, cfg.sim, cfg.expert, cfg.raceline)
     scenarios, skipped = _scenario_pool(args, cfg, env)
     records = rscn.rollout_many(scenarios, ExpertSource(), env, cfg.scenario.duration,
                                 cfg.workers)
@@ -171,12 +173,12 @@ def cmd_train(args, cfg: KitConfig) -> int:
         print(f"dataset manifest not found: {manifest}", file=sys.stderr)
         return EXIT_TRAIN
     dataset = rscn.load_manifest_dataset(manifest)
-    pol_cfg = cfg.policy
+    pol_cfg = replace(cfg.policy, n_beams=dataset.episodes[0].scans.shape[1])
     if args.ablation == "lidar-only":
         pol_cfg = replace(pol_cfg, use_speed_input=False)
     elif args.ablation in ("2x", "4x", "8x"):
         pol_cfg = replace(pol_cfg, hidden_multiplier=int(args.ablation[0]))
-    trn_cfg = replace(cfg.trainer, seed=cfg.seed)
+    trn_cfg = cfg.trainer
     if args.epochs is not None:
         trn_cfg = replace(trn_cfg, epochs=args.epochs)
     def progress(epoch, loss, lr):
@@ -196,21 +198,19 @@ def cmd_train(args, cfg: KitConfig) -> int:
 # eval
 
 
-def _load_policy(args, cfg: KitConfig):
-    path = args.checkpoint or cfg.paths.checkpoint
-    if args.command == "eval" and args.suite == "latency" and not Path(path).exists():
-        # latency depends only on the architecture; a fresh init suffices
-        pol_cfg = cfg.policy
-        return init_params(pol_cfg, rng_for(cfg.seed, "latency-init")), pol_cfg
-    return load_checkpoint_file(path)
-
-
 def cmd_eval(args, cfg: KitConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
+    path = args.checkpoint or cfg.paths.checkpoint
+    # latency depends only on the architecture; without a checkpoint a fresh init suffices
+    random_init = args.suite == "latency" and not Path(path).exists()
     try:
-        params, pol_cfg = _load_policy(args, cfg)
+        if random_init:
+            pol_cfg = cfg.policy
+            params = init_params(pol_cfg, rng_for(cfg.seed, "latency-init"))
+        else:
+            params, pol_cfg = load_checkpoint_file(path)
     except (OSError, PolicyError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return EXIT_EVAL
@@ -224,11 +224,12 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         print(f"latency: median {report.median_ms:.4f} ms, p99 {report.p99_ms:.4f} ms, "
               f"max {report.max_ms:.4f} ms over {report.samples} samples "
               f"({report.precision}, input {report.input_dim}, hidden {report.hidden_dim})")
-        _write_manifest(out, f"eval {args.suite}", cfg, outputs, started)
+        _write_manifest(out, f"eval {args.suite}", cfg, outputs, started, random_init=random_init)
         return EXIT_OK
 
     track = _load_track_arg(args, cfg)
-    env = _build_env(track, cfg)
+    env = RaceEnvironment.build(track, replace(cfg.sim, n_beams=pol_cfg.n_beams), cfg.expert,
+                                cfg.raceline)
     if args.suite == "single":
         trace = rsim.Trace()
         report = reval.run_single_agent(

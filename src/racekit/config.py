@@ -7,6 +7,9 @@ annotation, read with typing.get_type_hints from KitConfig and the section
 dataclasses, so a field's type is declared once, on the dataclass. The
 config hash is computed over the canonical typed key-value set, so
 formatting and key order don't change it.
+
+A field that copies another setting (_COPIES: the policy's beam count, the
+scenario and trainer seeds) is filled from that one home and is not a key.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import configparser
 import hashlib
 import types
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .expert import ExpertConfig
@@ -51,6 +55,10 @@ class KitConfig:
 
 _FIELDS = typing.get_type_hints(KitConfig)
 _SECTIONS = {name: t for name, t in _FIELDS.items() if is_dataclass(t)}   # in field order
+# (section, field) -> the KitConfig attribute path of the setting it copies
+_COPIES = {("policy", "n_beams"): "sim.n_beams",
+          ("scenario", "seed"): "seed",
+          ("trainer", "seed"): "seed"}
 
 
 def _coerce(raw: str, annotation):
@@ -77,13 +85,14 @@ def _coerce(raw: str, annotation):
 
 
 def _field_types(section: str) -> dict:
-    """Field name -> annotation of one section; [global] holds the
-    fields of KitConfig that are not sections."""
+    """Field name -> annotation of the keys of one section; [global] holds
+    the fields of KitConfig that are not sections, and no copy is a key."""
     if section == "global":
         return {name: t for name, t in _FIELDS.items() if name not in _SECTIONS}
     if section not in _SECTIONS:
         raise ConfigError(f"unknown section [{section}]")
-    return typing.get_type_hints(_SECTIONS[section])
+    return {name: t for name, t in typing.get_type_hints(_SECTIONS[section]).items()
+            if (section, name) not in _COPIES}
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> KitConfig:
@@ -109,17 +118,22 @@ def load_config(path, overrides: dict[str, str] | None = None) -> KitConfig:
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: {exc}") from exc
     try:
-        sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
+        cfg = KitConfig(**values["global"],
+                        **{name: cls(**values[name]) for name, cls in _SECTIONS.items()})
+        for (section, key), home in _COPIES.items():
+            copy = replace(getattr(cfg, section), **{key: attrgetter(home)(cfg)})
+            cfg = replace(cfg, **{section: copy})
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-    return KitConfig(**values["global"], **sections)
+    return cfg
 
 
 def config_hash(cfg: KitConfig) -> str:
-    """Stable digest of the resolved configuration."""
+    """Stable digest of the resolved configuration's settable values."""
     lines = [f"seed={cfg.seed}", f"workers={cfg.workers}"]
     for name in sorted(_SECTIONS):
         section = getattr(cfg, name)
         for key, value in sorted(asdict(section).items()):
-            lines.append(f"{name}.{key}={value!r}")
+            if (name, key) not in _COPIES:
+                lines.append(f"{name}.{key}={value!r}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

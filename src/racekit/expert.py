@@ -8,6 +8,10 @@ the winner with pure pursuit. The leader role skips the search and simply
 follows its raceline at a discounted reference speed, never reacting to
 the ego.
 
+It plans with the simulator's car: every entry point takes the rollout's
+`SimConfig` for the candidate grid's rate (`dt`), the candidates' speed
+ramp (`a_min`, `a_max`) and pure pursuit (`wheelbase`, `delta_max`).
+
 Both roles work on pose rows (x, y, theta, v, delta) of a lockstep batch
 of worlds on one raceline (`ego_commands`, `leader_commands`). The
 lattices of all rows are built together (`sample_lattices`): their speed
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simulator import SimConfig
 from .track import PROJECTION_RADIUS, FarFromRaceline, Raceline, normal_of
 
 
@@ -60,13 +65,8 @@ class ExpertConfig:
     speed_scale_min: float = 0.5
     lookahead_ell: float = 0.8    # floor of the speed-scaled lookahead
     lookahead_gain: float = 0.3   # ell = max(lookahead_ell, lookahead_gain * v)
-    wheelbase_L: float = 0.33
-    steer_limit: float = 0.4189
     leader_speed_discount: float = 0.6
     safety_margin: float = 0.16   # lateral clearance kept to the boundaries
-    sample_dt: float = 0.01       # candidate sampling rate (the sim rate)
-    accel_max: float = 9.51       # candidate speed ramp limits from the current state
-    decel_max: float = -9.51
     speed_preview: float = 0.5    # command the candidate speed this far ahead
     v_floor: float = 0.2          # keeps ln(v) finite when starting near rest
 
@@ -99,7 +99,8 @@ class Lattice:
     errors: list
 
 
-def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -> Lattice:
+def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
+                    sim: SimConfig) -> Lattice:
     """The lattices of n vehicle states (n, 5) on one raceline: per row,
     n_lateral x n_speed candidates blending from the current offset to
     each target offset over the horizon. Candidates that would leave the
@@ -113,8 +114,8 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -
     for r in np.flatnonzero(np.abs(d0) > PROJECTION_RADIUS):
         point = tuple(states[r, :2].tolist())
         errors[r] = FarFromRaceline(f"point {point} is {abs(d0[r]):.2f} m from the raceline")
-    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-    tau = np.arange(n_steps) * cfg.sample_dt
+    n_steps = max(2, int(round(cfg.horizon_T / sim.dt)) + 1)
+    tau = np.arange(n_steps) * sim.dt
     u = np.minimum(np.maximum(tau / min(cfg.blend_T, cfg.horizon_T), 0.0), 1.0)
     beta = _blend(u)
     offsets = np.linspace(-cfg.lateral_max, cfg.lateral_max, cfg.n_lateral)
@@ -123,13 +124,13 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -
     # speed/arc integration for all rows and scales at once; the ODE runs
     # on a coarser internal grid and is resampled onto the sim-rate grid
     sub = 5
-    dt_int = cfg.sample_dt * sub
+    dt_int = sim.dt * sub
     n_int = (n_steps - 1) // sub + 2
     s_coarse = np.empty((n_int, n, cfg.n_speed))
     v_coarse = np.empty((n_int, n, cfg.n_speed))
     s_coarse[0] = s0[:, None]
     v_coarse[0] = np.array([max(v, cfg.v_floor) for v in states[:, 3].tolist()]).reshape(n, 1)
-    dv_lo, dv_hi = cfg.decel_max * dt_int, cfg.accel_max * dt_int
+    dv_lo, dv_hi = sim.a_min * dt_int, sim.a_max * dt_int
     for k in range(n_int - 1):
         s, v = s_coarse[k], v_coarse[k]
         s_next = np.add(s, v * dt_int, out=s_coarse[k + 1])
@@ -167,11 +168,11 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -
                    kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept, errors=errors)
 
 
-def predict_opponents(opponents: np.ndarray, cfg: ExpertConfig) -> np.ndarray:
+def predict_opponents(opponents: np.ndarray, cfg: ExpertConfig, sim: SimConfig) -> np.ndarray:
     """Constant-velocity predictions (n, K, 2) of n opponent states (n, 5),
     sampled on the candidate grid."""
-    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-    tau = np.arange(n_steps) * cfg.sample_dt
+    n_steps = max(2, int(round(cfg.horizon_T / sim.dt)) + 1)
+    tau = np.arange(n_steps) * sim.dt
     x, y, theta, v = opponents[:, :4].T[..., None]
     vx = v * np.cos(theta)
     vy = v * np.sin(theta)
@@ -215,16 +216,16 @@ def pure_pursuit_steering(wheelbase: float, alpha: float, ell: float) -> float:
     return math.atan2(2.0 * wheelbase * math.sin(alpha), ell)
 
 
-def _steer_toward(pose, target, chord: float, cfg: ExpertConfig) -> float:
+def _steer_toward(pose, target, chord: float, sim: SimConfig) -> float:
     """Pure-pursuit steering from pose (x, y, theta, ...) toward a target
-    point `chord` meters away, clamped to the steering limit."""
+    point `chord` meters away, clamped to the car's steering limit."""
     alpha = math.atan2(target[1] - pose[1], target[0] - pose[0]) - pose[2]
     alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
-    delta = pure_pursuit_steering(cfg.wheelbase_L, alpha, max(chord, 1e-6))
-    return min(max(delta, -cfg.steer_limit), cfg.steer_limit)
+    delta = pure_pursuit_steering(sim.wheelbase, alpha, max(chord, 1e-6))
+    return min(max(delta, -sim.delta_max), sim.delta_max)
 
 
-def pure_pursuit(pose, xy: np.ndarray, cfg: ExpertConfig) -> float:
+def pure_pursuit(pose, xy: np.ndarray, cfg: ExpertConfig, sim: SimConfig) -> float:
     """Steering from pose (x, y, theta, v, ...) toward the first point of
     the (K, 2) path xy at least one lookahead distance away (the farthest
     point if the path is shorter)."""
@@ -233,10 +234,11 @@ def pure_pursuit(pose, xy: np.ndarray, cfg: ExpertConfig) -> float:
     dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])     # np.linalg.norm's sum
     ahead = np.nonzero(dist >= ell)[0]
     idx = int(ahead[0]) if len(ahead) else len(xy) - 1
-    return _steer_toward(pose, xy[idx], float(dist[idx]), cfg)
+    return _steer_toward(pose, xy[idx], float(dist[idx]), sim)
 
 
-def leader_commands(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -> np.ndarray:
+def leader_commands(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
+                    sim: SimConfig) -> np.ndarray:
     """Commands (n, 2) of n leaders (n, 5) on one raceline: its discounted
     reference speed at the projection and pure pursuit toward the raceline
     point one lookahead further on."""
@@ -252,31 +254,31 @@ def leader_commands(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig) -
     out[:, 0] = raceline.v_ref_at(s_proj) * cfg.leader_speed_discount
     for r, (pose, target) in enumerate(zip(poses, targets)):
         chord = math.hypot(target[0] - pose[0], target[1] - pose[1])
-        out[r, 1] = _steer_toward(pose, target, chord, cfg)
+        out[r, 1] = _steer_toward(pose, target, chord, sim)
     return out
 
 
 def ego_commands(states: np.ndarray, opponents: np.ndarray | None, raceline: Raceline,
-                 cfg: ExpertConfig) -> np.ndarray:
+                 cfg: ExpertConfig, sim: SimConfig) -> np.ndarray:
     """Commands (n, 2) of n egos (n, 5) on one raceline, each against its
     row's opponent (n, 5) or none: the lattices of all rows, scored as one
     grid, then per row the best kept candidate's preview speed and pure
     pursuit. A row without a feasible candidate brakes straight."""
     out = np.zeros((len(states), 2))
-    lattice = sample_lattices(states, raceline, cfg)
+    lattice = sample_lattices(states, raceline, cfg, sim)
     if not lattice.kept.any():
         return out
     if np.any(lattice.v[lattice.kept.any(axis=2)] <= 0):
         raise NonPositiveSpeed("candidate contains non-positive speeds")
-    opp = None if opponents is None else predict_opponents(opponents, cfg)[:, None, None]
+    opp = None if opponents is None else predict_opponents(opponents, cfg, sim)[:, None, None]
     rewards = _mean_rewards(lattice.v, lattice.xy, lattice.d, lattice.kappa, opp, cfg)
     # commanding a preview sample lets the proportional speed tracker
     # realize the planned acceleration instead of chasing the current speed
-    idx = min(lattice.v.shape[-1] - 1, int(round(cfg.speed_preview / cfg.sample_dt)))
+    idx = min(lattice.v.shape[-1] - 1, int(round(cfg.speed_preview / sim.dt)))
     for r in np.flatnonzero(lattice.kept.any(axis=(1, 2))):
         js, is_ = np.nonzero(lattice.kept[r])
         k = _best(rewards[r, js, is_].tolist(), lattice.offsets[is_].tolist())
         j, i = js[k], is_[k]
         out[r, 0] = lattice.v[r, j, 0, idx]
-        out[r, 1] = pure_pursuit(states[r].tolist(), lattice.xy[r, j, i], cfg)
+        out[r, 1] = pure_pursuit(states[r].tolist(), lattice.xy[r, j, i], cfg, sim)
     return out

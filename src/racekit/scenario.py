@@ -176,7 +176,7 @@ class ExpertSource:
             poses = world.poses[rows[sel]]
             opponents = poses[:, 1] if poses.shape[1] > 1 else None
             out[sel] = rexpert.ego_commands(poses[:, 0], opponents, self._env.racelines[rid],
-                                            self._env.expert)
+                                            self._env.expert, self._env.sim)
         return out
 
 
@@ -372,7 +372,7 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
         if n_agents > 1:
             for rid, sel in _by_raceline(leaders, active):
                 cmds[sel, 1] = rexpert.leader_commands(world.poses[active[sel], 1],
-                                                       env.racelines[rid], env.expert)
+                                                       env.racelines[rid], env.expert, sim_cfg)
         rows = active
         for _ in range(steps_per_frame):
             rsim.step_rows(world, rows, cmds, sim_cfg)

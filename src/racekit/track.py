@@ -304,27 +304,10 @@ class Raceline:
         s, d, _ = _geom.project_to_polyline(points, self.segment_table)
         return s, d
 
-    def project(self, point) -> tuple[float, float]:
-        """Project one point -> (s, d). d positive left of travel direction.
-
-        Raises FarFromRaceline when the point is more than PROJECTION_RADIUS
-        away. Equidistant segments resolve to the smaller arc position.
-        """
-        s, d = self.project_many(np.asarray(point, dtype=float)[None, :])
-        if abs(d[0]) > PROJECTION_RADIUS:
-            raise FarFromRaceline(f"point {point} is {abs(d[0]):.2f} m from the raceline")
-        return float(s[0]), float(d[0])
-
 
 def normal_of(heading):
     """Unit left normals (..., 2) of headings."""
     return np.stack([-np.sin(heading), np.cos(heading)], axis=-1)
-
-
-def curvature_at(raceline: Raceline, s) -> float | np.ndarray:
-    """Linear interpolation of signed curvature; s wraps modulo length."""
-    out = raceline._interp(raceline.kappa, s)
-    return float(out) if np.isscalar(s) else out
 
 
 def generate_raceline(track: TrackModel, offset, speed_cfg: SpeedConfig = SpeedConfig()) -> Raceline:

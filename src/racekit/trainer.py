@@ -305,14 +305,14 @@ def train(dataset, policy_cfg: PolicyConfig, trainer_cfg: TrainerConfig,
     dataset: a scenario.Dataset, a list of EpisodeRecord, or a list of
     TrainingEpisode. Returns (best parameters, loss curve rows
     (epoch, mean_loss, lr), final TrainState)."""
-    if isinstance(dataset, Dataset):
-        records = dataset.episodes
-    else:
-        records = dataset
+    records = dataset.episodes if isinstance(dataset, Dataset) else dataset
     episodes = [ep if isinstance(ep, TrainingEpisode) else TrainingEpisode.from_record(ep)
                 for ep in records]
     if not episodes:
         raise EmptyDatasetError("no episodes to train on")
+    beams = sorted({ep.scans.shape[1] for ep in episodes})
+    if beams != [policy_cfg.n_beams]:
+        raise TrainerError(f"episodes of {beams} beams; the policy reads {policy_cfg.n_beams}")
     n = len(episodes)
     shuffle_rng = rng_for(trainer_cfg.seed, "train:shuffle")
     mask_rng = rng_for(trainer_cfg.seed, "train:mask")

@@ -11,7 +11,7 @@ from racekit.expert import ExpertError, NoFeasibleCandidate, NonPositiveSpeed
 from racekit.scenario import FRAME_HZ, EpisodeRecord, classify_outcome, start_world
 from racekit.seeding import rng_for, sub_seed
 from racekit.simulator import NonFiniteState, SimConfig
-from racekit.track import PROJECTION_RADIUS, FarFromRaceline, curvature_at
+from racekit.track import PROJECTION_RADIUS, FarFromRaceline
 
 
 @pytest.fixture(scope="session")
@@ -104,10 +104,11 @@ def uneven_circle():
 # built on them, must equal bit for bit. Besides each other and the
 # projection reference above, they call only geometry helpers that the
 # batches left alone (obb_corners, obb_hits_segments, obb_overlap, _runs,
-# wrap_angle) and the raceline's arc lookups (*_at, curvature_at), which
-# test_track checks against their own reference. They work on the small
-# one-world value types below; the package itself holds agents only as
-# (x, y, theta, v, delta) pose rows.
+# wrap_angle) and the raceline's arc lookups (*_at and the kappa lookup
+# _interp), which test_track checks against their own reference. The expert
+# references plan with the simulator's car (SimConfig). They work on the
+# small one-world value types below; the package itself holds agents only
+# as (x, y, theta, v, delta) pose rows.
 
 
 @dataclass(frozen=True)
@@ -312,18 +313,18 @@ class ReferenceCandidate:
     reward: float = math.nan
 
 
-def reference_sample_lattice(state, raceline, cfg):
+def reference_sample_lattice(state, raceline, cfg, sim):
     """The lattice of one state: v_ref_at per coarse step and one
     candidate at a time."""
     s0, d0 = reference_project(raceline, (state.x, state.y))
-    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-    tau = np.arange(n_steps) * cfg.sample_dt
+    n_steps = max(2, int(round(cfg.horizon_T / sim.dt)) + 1)
+    tau = np.arange(n_steps) * sim.dt
     u = np.clip(tau / min(cfg.blend_T, cfg.horizon_T), 0.0, 1.0)
     beta = 3.0 * u * u - 2.0 * u * u * u
     offsets = np.linspace(-cfg.lateral_max, cfg.lateral_max, cfg.n_lateral)
     scales = np.linspace(cfg.speed_scale_min, 1.0, cfg.n_speed)
     sub = 5
-    dt_int = cfg.sample_dt * sub
+    dt_int = sim.dt * sub
     n_int = (n_steps - 1) // sub + 2
     s_coarse = np.empty((n_int, cfg.n_speed))
     v_coarse = np.empty((n_int, cfg.n_speed))
@@ -334,8 +335,8 @@ def reference_sample_lattice(state, raceline, cfg):
         v_coarse[k] = v
         s = s + v * dt_int
         target = scales * raceline.v_ref_at(s)
-        v = np.minimum(np.maximum(target, v + cfg.decel_max * dt_int),
-                       v + cfg.accel_max * dt_int)
+        v = np.minimum(np.maximum(target, v + sim.a_min * dt_int),
+                       v + sim.a_max * dt_int)
         v = np.maximum(v, cfg.v_floor)
     tau_coarse = np.arange(n_int) * dt_int
     s_fine = np.empty((cfg.n_speed, n_steps))
@@ -367,9 +368,9 @@ def reference_sample_lattice(state, raceline, cfg):
     return candidates
 
 
-def reference_predict_opponent(opponent, cfg):
-    n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-    tau = np.arange(n_steps) * cfg.sample_dt
+def reference_predict_opponent(opponent, cfg, sim):
+    n_steps = max(2, int(round(cfg.horizon_T / sim.dt)) + 1)
+    tau = np.arange(n_steps) * sim.dt
     vx = opponent.v * math.cos(opponent.theta)
     vy = opponent.v * math.sin(opponent.theta)
     return np.stack([opponent.x + vx * tau, opponent.y + vy * tau], axis=1)
@@ -384,7 +385,7 @@ def reference_score_candidates(candidates, opponent_pred, raceline, cfg):
     n_c, n_k = V.shape
     s_proj = np.stack([c.s_path for c in candidates]).reshape(-1)
     d_proj = np.stack([c.d_path for c in candidates])
-    kappa = curvature_at(raceline, s_proj).reshape(n_c, n_k)
+    kappa = raceline._interp(raceline.kappa, s_proj).reshape(n_c, n_k)
     term = cfg.lambda_v * np.log(V) - cfg.lambda_p * np.abs(d_proj) \
         - cfg.lambda_kappa * np.abs(kappa) * V
     if opponent_pred is not None:
@@ -405,50 +406,50 @@ def reference_select_trajectory(candidates):
     return best
 
 
-def reference_steer_toward(state, target, chord, cfg):
+def reference_steer_toward(state, target, chord, sim):
     alpha = math.atan2(target[1] - state.y, target[0] - state.x) - state.theta
     alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
-    delta = math.atan2(2.0 * cfg.wheelbase_L * math.sin(alpha), max(chord, 1e-6))
-    return min(max(delta, -cfg.steer_limit), cfg.steer_limit)
+    delta = math.atan2(2.0 * sim.wheelbase * math.sin(alpha), max(chord, 1e-6))
+    return min(max(delta, -sim.delta_max), sim.delta_max)
 
 
-def reference_pure_pursuit(state, traj, cfg):
+def reference_pure_pursuit(state, traj, cfg, sim):
     ell = max(cfg.lookahead_ell, cfg.lookahead_gain * state.v)
     rel = traj.xy - np.array([state.x, state.y])
     dist = np.linalg.norm(rel, axis=1)
     ahead = np.nonzero(dist >= ell)[0]
     idx = int(ahead[0]) if len(ahead) else len(traj.xy) - 1
-    return reference_steer_toward(state, traj.xy[idx], float(dist[idx]), cfg)
+    return reference_steer_toward(state, traj.xy[idx], float(dist[idx]), sim)
 
 
-def reference_leader_command(state, raceline, cfg):
+def reference_leader_command(state, raceline, cfg, sim):
     s_proj, _ = reference_project(raceline, (state.x, state.y))
     v_cmd = float(raceline.v_ref_at(s_proj)) * cfg.leader_speed_discount
     ell = max(cfg.lookahead_ell, cfg.lookahead_gain * state.v)
     target = raceline.position_at(s_proj + ell)
     chord = math.hypot(target[0] - state.x, target[1] - state.y)
-    return VehicleCommand(v_cmd, reference_steer_toward(state, target, chord, cfg))
+    return VehicleCommand(v_cmd, reference_steer_toward(state, target, chord, sim))
 
 
-def reference_expert_action(world, agent, role, raceline, cfg):
+def reference_expert_action(world, agent, role, raceline, cfg, sim):
     """The lattice expert for the ego role, raceline tracking at a
     discounted speed for the leader; a straight brake without a feasible
     candidate."""
     state = world.agents[agent]
     if role == Role.LEADER:
-        return reference_leader_command(state, raceline, cfg)
+        return reference_leader_command(state, raceline, cfg, sim)
     others = [a for i, a in enumerate(world.agents) if i != agent]
-    opponent_pred = reference_predict_opponent(others[0], cfg) if others else None
+    opponent_pred = reference_predict_opponent(others[0], cfg, sim) if others else None
     try:
-        candidates = reference_sample_lattice(state, raceline, cfg)
+        candidates = reference_sample_lattice(state, raceline, cfg, sim)
     except (NoFeasibleCandidate, FarFromRaceline):
         return VehicleCommand(0.0, 0.0)
     rewards = reference_score_candidates(candidates, opponent_pred, raceline, cfg)
     for cand, r in zip(candidates, rewards):
         cand.reward = float(r)
     best = reference_select_trajectory(candidates)
-    delta = reference_pure_pursuit(state, best, cfg)
-    idx = min(len(best.v) - 1, int(round(cfg.speed_preview / cfg.sample_dt)))
+    delta = reference_pure_pursuit(state, best, cfg, sim)
+    idx = min(len(best.v) - 1, int(round(cfg.speed_preview / sim.dt)))
     return VehicleCommand(float(best.v[idx]), delta)
 
 
@@ -488,9 +489,11 @@ class ReferenceExpertSource:
     def reset(self, scenario, env):
         self._raceline = env.racelines[scenario.ego_raceline]
         self._cfg = env.expert
+        self._sim = env.sim
 
     def act(self, world, agent, scan):
-        return reference_expert_action(world, agent, Role.EGO, self._raceline, self._cfg)
+        return reference_expert_action(world, agent, Role.EGO, self._raceline, self._cfg,
+                                       self._sim)
 
 
 class ReferencePolicySource:
@@ -560,7 +563,8 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, observer=None):
         actions.append(np.array([ego_cmd.v_cmd, ego_cmd.delta_cmd], dtype=np.float32))
         cmds = [ego_cmd]
         if leader_rl is not None:
-            cmds.append(reference_expert_action(world, 1, Role.LEADER, leader_rl, env.expert))
+            cmds.append(reference_expert_action(world, 1, Role.LEADER, leader_rl, env.expert,
+                                                sim_cfg))
         for _ in range(steps_per_frame):
             world = reference_step(world, cmds, sim_cfg)
             progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]

@@ -20,13 +20,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "racekit"
 CALLERS = (PACKAGE, ROOT / "racebench")
 
-# Kept although no package code calls them: they are the one-point forms
-# of batched lookups, which test_track's projection checks and the conftest
-# lattice reference read. The package holds no other one-world API.
-ALLOWED = {
-    "track.Raceline.project": "one point's projection; project_many is the kernel",
-    "track.curvature_at": "curvature by arc; the lattice reads it through one _lerp location",
-}
+# Public names kept although no package code calls them, each with its
+# reason. Empty: the tests call the kernels themselves.
+ALLOWED: dict[str, str] = {}
 
 
 def _references(node: ast.AST) -> Counter:

@@ -2,7 +2,6 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ import pytest
 from racekit import cli
 from racekit import config as rconfig
 from racekit.config import KitConfig, config_hash, load_config
-from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
-from racekit.scenario import Outcome, load_episode
+from racekit.policy import load_checkpoint_file
+from racekit.scenario import EpisodeRecord, Outcome, load_episode, save_dataset
 
 
 def run_cli(*argv):
@@ -19,12 +18,15 @@ def run_cli(*argv):
 
 
 def default_config_text() -> str:
-    """An INI template with every key at its default."""
+    """An INI template with every key at its default; the fields that copy
+    another setting are not keys."""
     cfg = KitConfig()
     lines = ["[global]", f"seed = {cfg.seed}", f"workers = {cfg.workers}"]
     for name in rconfig._SECTIONS:
         lines += ["", f"[{name}]"]
         for key, value in asdict(getattr(cfg, name)).items():
+            if (name, key) in rconfig._COPIES:
+                continue
             if isinstance(value, tuple):
                 value = ",".join(value)
             lines.append(f"{key} = {value}")
@@ -57,6 +59,21 @@ def trained(tmp_path_factory, collected, track_dir):
                    "--epochs", "2")
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained8(tmp_path_factory, track_dir):
+    """A policy trained, with no config, on a dataset collected under
+    [sim] n_beams = 8."""
+    base = tmp_path_factory.mktemp("beams8")
+    cfgfile = base / "cfg.ini"
+    cfgfile.write_text("[sim]\nn_beams = 8\n[scenario]\nduration = 1.0\n")
+    assert run_cli("--config", str(cfgfile), "--out", str(base / "collect"), "--seed", "5",
+                   "collect", "--track", str(track_dir / "track_stadium.csv"),
+                   "--scenarios", "2") == 0
+    assert run_cli("--out", str(base / "train"), "--seed", "5", "train",
+                   "--dataset", str(base / "collect" / "dataset.json"), "--epochs", "1") == 0
+    return base / "train"
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +207,20 @@ class TestTrain:
         params, cfg = load_checkpoint_file(trained / "policy.ckpt")
         assert cfg.n_beams == 360
 
+    def test_policy_takes_the_dataset_beam_count(self, trained8):
+        _, cfg = load_checkpoint_file(trained8 / "policy.ckpt")
+        assert cfg.n_beams == 8
+
+    def test_mixed_beam_counts_exit_4(self, tmp_path, capsys):
+        records = [(f"ep_{n}.bin", EpisodeRecord(
+            scenario_id=f"x:{n}", seed=n, scans=np.full((3, n), 5.0, dtype=np.float32),
+            ego_v=np.ones(3, dtype=np.float32), actions=np.zeros((3, 2), dtype=np.float32),
+            outcome=Outcome.OVERTAKING, duration_actual=0.3)) for n in (8, 16)]
+        save_dataset(tmp_path, records)
+        assert run_cli("--out", str(tmp_path / "o"), "train",
+                       "--dataset", str(tmp_path / "dataset.json"), "--epochs", "1") == 4
+        assert "training error" in capsys.readouterr().err
+
     def test_missing_dataset_exit_4(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "train",
                        "--dataset", str(tmp_path / "nope.json")) == 4
@@ -262,10 +293,34 @@ class TestEval:
         assert len(reports[1]) == 2
         assert reports[2] == reports[1]
 
+    def test_h2h_scans_at_the_checkpoint_beam_count(self, tmp_path, trained8, track_dir):
+        # an 8-beam checkpoint needs no [sim] n_beams = 8 to be evaluated
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[sim]\nn_beams = 8\n")
+        reports = []
+        for config in ([], ["--config", str(cfgfile)]):
+            out = tmp_path / f"h2h{len(config)}"
+            assert run_cli(*config, "--out", str(out), "--seed", "5", "eval", "h2h",
+                           "--checkpoint", str(trained8 / "policy.ckpt"),
+                           "--track", str(track_dir / "track_stadium.csv"),
+                           "--scenarios", "2") == 0
+            reports.append({p.name: p.read_bytes() for p in out.glob("report_*")})
+        assert len(reports[0]) == 2
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("with_checkpoint", [False, True])
+    def test_latency_manifest_records_random_init(self, tmp_path, trained8, with_checkpoint):
+        ckpt = trained8 / "policy.ckpt" if with_checkpoint else tmp_path / "missing.ckpt"
+        out = tmp_path / "lat"
+        assert run_cli("--out", str(out), "eval", "latency", "--checkpoint", str(ckpt),
+                       "--samples", "10") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["random_init"] is not with_checkpoint
+
     def test_latency_tiny(self, tmp_path, capsys):
         out = tmp_path / "lat"
         cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[policy]\nn_beams = 8\nembed_dim = 2\nhidden_multiplier = 2\n")
+        cfgfile.write_text("[sim]\nn_beams = 8\n[policy]\nembed_dim = 2\nhidden_multiplier = 2\n")
         assert run_cli("--config", str(cfgfile), "--out", str(out),
                        "eval", "latency", "--samples", "1000") == 0
         report = json.loads((out / "report_latency.json").read_text())
@@ -357,6 +412,33 @@ class TestConfig:
         from racekit.config import ConfigError
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[expert]\nwheelbase_L = 0.33\n",
+        "[expert]\nsteer_limit = 0.4189\n",
+        "[expert]\nsample_dt = 0.01\n",
+        "[expert]\naccel_max = 9.51\n",
+        "[expert]\ndecel_max = -9.51\n",
+        "[policy]\nn_beams = 360\n",
+        "[scenario]\nseed = 0\n",
+        "[trainer]\nseed = 0\n",
+    ], ids=["wheelbase_L", "steer_limit", "sample_dt", "accel_max", "decel_max",
+            "policy-n_beams", "scenario-seed", "trainer-seed"])
+    def test_copied_setting_is_not_a_key(self, tmp_path, capsys, text):
+        # the car, the beam count and the seed each have one home
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
+                       "track", "gen", "--shape", "circle") == 6
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_copies_follow_their_home(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[global]\nseed = 7\n[sim]\nn_beams = 8\n")
+        cfg = load_config(path)
+        assert (cfg.policy.n_beams, cfg.scenario.seed, cfg.trainer.seed) == (8, 7, 7)
+        cfg = load_config(path, {"seed": "3"})
+        assert (cfg.scenario.seed, cfg.trainer.seed) == (3, 3)
 
     def test_config_error_exits_6(self, tmp_path, capsys):
         # 6, not the 2 of track errors and argparse usage errors

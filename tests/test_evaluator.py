@@ -6,9 +6,6 @@ import pytest
 
 from racekit.evaluator import (
     H2HReport,
-    LatencyReport,
-    NoiseSweepReport,
-    PolicySource,
     SingleAgentReport,
     bench_latency,
     render_episode,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VehicleState, reference_sample_lattice
+from conftest import VehicleState, reference_project, reference_sample_lattice
 from racekit import expert as rexpert
 from racekit import track as rtrack
 from racekit.expert import (
@@ -23,8 +23,10 @@ from racekit.expert import (
 )
 from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
                               rollout)
-from racekit.simulator import Trace
-from racekit.track import FarFromRaceline, Raceline, curvature_at, generate_raceline, normal_of
+from racekit.simulator import SimConfig, Trace
+from racekit.track import FarFromRaceline, Raceline, generate_raceline, normal_of
+
+SIM = SimConfig()
 
 
 def straight_raceline(length=100.0, kappa=0.0, v_ref=5.0, n=101):
@@ -74,7 +76,7 @@ class TestScore:
         rl = straight_raceline()
         with pytest.raises(rexpert.NonPositiveSpeed):
             ego_commands(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), None, rl,
-                         ExpertConfig(v_floor=0.0))
+                         ExpertConfig(v_floor=0.0), SIM)
 
     def test_no_opponent_drops_proximity_term(self):
         cfg = ExpertConfig(lambda_v=0, lambda_p=0, lambda_d=99.0, lambda_kappa=0)
@@ -141,11 +143,11 @@ class TestPurePursuit:
     def test_lookahead_dead_ahead(self):
         pose = (0.0, 0.0, 0.0, 2.0, 0.0)
         xy = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
-        assert pure_pursuit(pose, xy, ExpertConfig()) == pytest.approx(0.0, abs=1e-12)
+        assert pure_pursuit(pose, xy, ExpertConfig(), SIM) == pytest.approx(0.0, abs=1e-12)
 
     def test_short_trajectory_uses_farthest(self):
         pose = (0.0, 0.0, 0.0, 9.0, 0.0)  # ell = 2.7 > trajectory extent
-        d = pure_pursuit(pose, np.array([[0, 0], [0.3, 0.3]]), ExpertConfig())
+        d = pure_pursuit(pose, np.array([[0, 0], [0.3, 0.3]]), ExpertConfig(), SIM)
         assert d > 0  # steers left toward the only point
 
 
@@ -156,12 +158,12 @@ class TestLattice:
     def test_grid_size_on_wide_straight(self):
         rl = straight_raceline()
         cfg = ExpertConfig(n_lateral=5, n_speed=3, lateral_max=1.0)
-        lattice = sample_lattices(ONE_STATE, rl, cfg)
+        lattice = sample_lattices(ONE_STATE, rl, cfg, SIM)
         assert lattice.kept[0].sum() == 15
 
     def test_zero_offset_identity_blend(self):
         rl = straight_raceline()
-        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig())
+        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig(), SIM)
         center = lattice.xy[0, lattice.scales == 1.0, lattice.offsets == 0.0][0]
         assert np.max(np.abs(center[:, 1])) < 1e-3
 
@@ -171,7 +173,7 @@ class TestLattice:
                          "w_left_avail": np.full(len(rl.s), 0.5),
                          "w_right_avail": np.full(len(rl.s), 0.5)})
         cfg = ExpertConfig(n_lateral=7, n_speed=1, lateral_max=1.0, safety_margin=0.16)
-        lattice = sample_lattices(ONE_STATE, rl, cfg)
+        lattice = sample_lattices(ONE_STATE, rl, cfg, SIM)
         assert 0 < lattice.kept[0].sum() < 7
         for xy in lattice.xy[0][lattice.kept[0]]:
             assert np.all(np.abs(xy[:, 1]) <= 0.5 - cfg.safety_margin + 1e-12)
@@ -181,13 +183,14 @@ class TestLattice:
         rl = Raceline(**{**rl.__dict__,
                          "w_left_avail": np.full(len(rl.s), 0.1),
                          "w_right_avail": np.full(len(rl.s), 0.1)})
-        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig())
+        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig(), SIM)
         assert isinstance(lattice.errors[0], NoFeasibleCandidate)
         assert not lattice.kept[0].any()
 
     def test_all_candidate_speeds_positive(self):
         rl = straight_raceline()
-        lattice = sample_lattices(np.array([[0.0, 0.0, 0.0, 5.0, 0.0]]), rl, ExpertConfig())
+        lattice = sample_lattices(np.array([[0.0, 0.0, 0.0, 5.0, 0.0]]), rl, ExpertConfig(),
+                                  SIM)
         assert np.all(lattice.v[0][lattice.kept[0].any(axis=1)] > 0)
 
 
@@ -209,19 +212,19 @@ class TestOneShotLattice:
         cfg=st.builds(ExpertConfig,
                       n_lateral=st.integers(1, 9), n_speed=st.integers(1, 4),
                       horizon_T=st.floats(0.05, 3.0), blend_T=st.floats(0.05, 3.0),
-                      sample_dt=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
                       lateral_max=st.floats(0.0, 1.5), safety_margin=st.floats(0.0, 0.6)),
+        sim=st.builds(SimConfig, dt=st.sampled_from([0.01, 0.02, 0.05, 0.1])),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, where, pose, cfg):
+    def test_matches_reference(self, where, pose, cfg, sim):
         rl = lattice_raceline(*where)
         s, off, dtheta, v = pose
         x, y = rl.position_at(s) + off * normal_of(rl.heading_at(s))
         state = VehicleState(float(x), float(y), float(rl.heading_at(s)) + dtheta, v)
         lattice = sample_lattices(np.array([[state.x, state.y, state.theta, state.v, 0.0]]), rl,
-                                  cfg)
+                                  cfg, sim)
         try:
-            want = reference_sample_lattice(state, rl, cfg)
+            want = reference_sample_lattice(state, rl, cfg, sim)
         except (NoFeasibleCandidate, FarFromRaceline) as exc:
             assert type(lattice.errors[0]) is type(exc)
             return
@@ -233,7 +236,7 @@ class TestOneShotLattice:
             assert np.array_equal(lattice.heading[0, j, i], w.heading), "heading"
             assert np.array_equal(lattice.v[0, j, 0], w.v), "v"
             assert np.array_equal(lattice.d[0, 0, i], w.d_path), "d_path"
-            assert np.array_equal(lattice.kappa[0, j, 0], curvature_at(rl, w.s_path))
+            assert np.array_equal(lattice.kappa[0, j, 0], rl._interp(rl.kappa, w.s_path))
 
 
 def best_candidate(lattice, opponent_pred, cfg):
@@ -251,7 +254,7 @@ class TestExpertAction:
         rl = generate_raceline(stadium, 0.0)
         cfg = ExpertConfig()
         lattice = sample_lattices(np.array([[*rl.xy[0], rl.heading[0], rl.v_ref[0], 0.0]]), rl,
-                                  cfg)
+                                  cfg, SIM)
         js, is_, _, k = best_candidate(lattice, None, cfg)
         assert lattice.scales[js[k]] == 1.0
         assert abs(lattice.offsets[is_[k]]) <= cfg.lateral_max / (cfg.n_lateral - 1)
@@ -259,11 +262,11 @@ class TestExpertAction:
     def test_blocking_opponent_forces_deviation(self, stadium):
         rl = generate_raceline(stadium, 0.0)
         cfg = ExpertConfig()
-        lattice = sample_lattices(np.array([[*rl.xy[0], rl.heading[0], 3.0, 0.0]]), rl, cfg)
+        lattice = sample_lattices(np.array([[*rl.xy[0], rl.heading[0], 3.0, 0.0]]), rl, cfg, SIM)
         # leader dead ahead on the raceline, 1 m away, same heading, slow
         opp_pos = rl.position_at(rl.s[0] + 1.0)
         opp = np.array([[opp_pos[0], opp_pos[1], rl.heading_at(rl.s[0] + 1.0), 1.0, 0.0]])
-        opp_pred = predict_opponents(opp, cfg)[0]
+        opp_pred = predict_opponents(opp, cfg, SIM)[0]
         js, is_, rewards, k = best_candidate(lattice, opp_pred, cfg)
         scales, offsets = lattice.scales[js], lattice.offsets[is_]
         center_full = np.flatnonzero((offsets == 0.0) & (scales == 1.0))[0]
@@ -274,8 +277,8 @@ class TestExpertAction:
         rl = generate_raceline(stadium, 0.0)
         cfg = ExpertConfig(leader_speed_discount=0.6)
         pose = np.array([[*rl.xy[10], rl.heading[10], 3.0, 0.0]])
-        v_cmd, _ = leader_commands(pose, rl, cfg)[0]
-        s_proj, _ = rl.project(pose[0, :2])
+        v_cmd, _ = leader_commands(pose, rl, cfg, SIM)[0]
+        s_proj, _ = reference_project(rl, pose[0, :2])
         assert v_cmd == pytest.approx(0.6 * rl.v_ref_at(s_proj), abs=1e-9)
 
     def test_leader_nonreactive(self, stadium):
@@ -305,7 +308,7 @@ class TestExpertAction:
         rl = Raceline(**{**rl.__dict__,
                          "w_left_avail": np.full(len(rl.s), 0.1),
                          "w_right_avail": np.full(len(rl.s), 0.1)})
-        cmd = ego_commands(np.array([[1.0, 0.0, 0.0, 5.0, 0.0]]), None, rl, ExpertConfig())
+        cmd = ego_commands(np.array([[1.0, 0.0, 0.0, 5.0, 0.0]]), None, rl, ExpertConfig(), SIM)
         assert cmd.tolist() == [[0.0, 0.0]]
 
 

@@ -291,17 +291,18 @@ def pose_on(rl, s, off, dtheta, v):
 
 expert_configs = st.builds(ExpertConfig, n_lateral=st.integers(1, 9), n_speed=st.integers(1, 4),
                            horizon_T=st.floats(0.05, 3.0), blend_T=st.floats(0.05, 3.0),
-                           sample_dt=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
                            lateral_max=st.floats(0.0, 1.5), safety_margin=st.floats(0.0, 0.6))
+# the candidate grid runs at the sim rate
+sim_configs = st.builds(SimConfig, dt=st.sampled_from([0.01, 0.02, 0.05, 0.1]))
 where = st.tuples(st.sampled_from(["stadium", "serpentine"]), st.sampled_from([3.0, 1.2]),
                   st.sampled_from(["left", "center", "right"]))
 
 
 class TestExpert:
     @given(where=where, rows=st.lists(states, min_size=1, max_size=5), cfg=expert_configs,
-           far=st.booleans())
+           sim=sim_configs, far=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_lattice_rows_match_one_state_lattices(self, where, rows, cfg, far):
+    def test_lattice_rows_match_one_state_lattices(self, where, rows, cfg, sim, far):
         """Row b's kept candidates are the reference lattice of its state:
         the same (speed, offset) pairs in the same order with the same
         arrays; a row that keeps none fails as the reference does."""
@@ -309,10 +310,10 @@ class TestExpert:
         poses = np.array([pose_on(rl, *r) for r in rows])
         if far:
             poses[0, :2] += 30.0        # beyond the projection radius
-        lattice = rexpert.sample_lattices(poses, rl, cfg)
+        lattice = rexpert.sample_lattices(poses, rl, cfg, sim)
         for b, pose in enumerate(poses):
             try:
-                want = reference_sample_lattice(VehicleState(*pose.tolist()), rl, cfg)
+                want = reference_sample_lattice(VehicleState(*pose.tolist()), rl, cfg, sim)
             except (NoFeasibleCandidate, FarFromRaceline) as exc:
                 assert type(lattice.errors[b]) is type(exc)
                 assert not lattice.kept[b].any()
@@ -326,42 +327,43 @@ class TestExpert:
                 assert_same_bits(lattice.heading[b, j, i], w.heading)
                 assert_same_bits(lattice.v[b, j, 0], w.v)
                 assert_same_bits(lattice.d[b, 0, i], w.d_path)
-                assert_same_bits(lattice.kappa[b, j, 0], rtrack.curvature_at(rl, w.s_path))
+                assert_same_bits(lattice.kappa[b, j, 0], rl._interp(rl.kappa, w.s_path))
 
     @given(where=where, rows=st.lists(st.tuples(states, states), min_size=1, max_size=4),
-           cfg=expert_configs, alone=st.booleans())
+           cfg=expert_configs, sim=sim_configs, alone=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_ego_rows_match_one_world_actions(self, where, rows, cfg, alone):
+    def test_ego_rows_match_one_world_actions(self, where, rows, cfg, sim, alone):
         rl = expert_raceline(*where)
         egos = np.array([pose_on(rl, *e) for e, _ in rows])
         opps = np.array([pose_on(rl, *o) for _, o in rows])
-        got = rexpert.ego_commands(egos, None if alone else opps, rl, cfg)
+        got = rexpert.ego_commands(egos, None if alone else opps, rl, cfg, sim)
         for g, ego, opp in zip(got, egos, opps):
             agents = [VehicleState(*ego.tolist())]
             if not alone:
                 agents.append(VehicleState(*opp.tolist()))
-            want = reference_expert_action(WorldState(None, agents), 0, Role.EGO, rl, cfg)
+            want = reference_expert_action(WorldState(None, agents), 0, Role.EGO, rl, cfg, sim)
             assert_same_bits(g, np.array([want.v_cmd, want.delta_cmd]))
 
-    @given(where=where, rows=st.lists(states, min_size=1, max_size=5), cfg=expert_configs)
+    @given(where=where, rows=st.lists(states, min_size=1, max_size=5), cfg=expert_configs,
+           sim=sim_configs)
     @settings(max_examples=100, deadline=None)
-    def test_leader_rows_match_reference(self, where, rows, cfg):
+    def test_leader_rows_match_reference(self, where, rows, cfg, sim):
         rl = expert_raceline(*where)
         leaders = np.array([pose_on(rl, *r) for r in rows])
-        got = rexpert.leader_commands(leaders, rl, cfg)
+        got = rexpert.leader_commands(leaders, rl, cfg, sim)
         for g, pose in zip(got, leaders):
-            want = reference_leader_command(VehicleState(*pose.tolist()), rl, cfg)
+            want = reference_leader_command(VehicleState(*pose.tolist()), rl, cfg, sim)
             assert_same_bits(g, np.array([want.v_cmd, want.delta_cmd]))
 
     @given(rows=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
                                    st.floats(-40.0, 40.0), st.floats(0.0, 10.0)),
-                         min_size=1, max_size=5), cfg=expert_configs)
+                         min_size=1, max_size=5), cfg=expert_configs, sim=sim_configs)
     @settings(max_examples=100, deadline=None)
-    def test_opponent_predictions_match_reference(self, rows, cfg):
-        got = rexpert.predict_opponents(np.array([r + (0.0,) for r in rows]), cfg)
+    def test_opponent_predictions_match_reference(self, rows, cfg, sim):
+        got = rexpert.predict_opponents(np.array([r + (0.0,) for r in rows]), cfg, sim)
         for g, (x, y, theta, v) in zip(got, rows):
-            n_steps = max(2, int(round(cfg.horizon_T / cfg.sample_dt)) + 1)
-            tau = np.arange(n_steps) * cfg.sample_dt
+            n_steps = max(2, int(round(cfg.horizon_T / sim.dt)) + 1)
+            tau = np.arange(n_steps) * sim.dt
             vx, vy = v * math.cos(theta), v * math.sin(theta)
             assert_same_bits(g, np.stack([x + vx * tau, y + vy * tau], axis=1))
 

@@ -11,7 +11,6 @@ from racekit.policy import (
     CorruptCheckpoint,
     InferenceSession,
     PolicyConfig,
-    PolicyParameters,
     ShapeMismatch,
     TENSOR_ORDER,
     VersionMismatch,

@@ -19,7 +19,6 @@ from racekit.scenario import (
     ExpertSource,
     Outcome,
     RaceEnvironment,
-    Scenario,
     ScenarioConfig,
     ScenarioError,
     classify_outcome,

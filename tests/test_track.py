@@ -1,6 +1,5 @@
 import functools
 import io
-import math
 import pickle
 
 import numpy as np
@@ -13,14 +12,13 @@ from conftest import (assert_same_bits, reference_arc_window, reference_project_
 from racekit import _geom
 from racekit import track as rtrack
 from racekit.track import (
-    FarFromRaceline,
+    PROJECTION_RADIUS,
     MalformedRow,
     OffsetOutOfRange,
     OpenLoop,
     SelfIntersectingBoundary,
     SpeedConfig,
     build_track,
-    curvature_at,
     generate_raceline,
     load_track,
 )
@@ -196,11 +194,17 @@ class TestRaceline:
         assert np.all(rl.v_ref > 0)
 
 
+def project(rl, point):
+    """(s, d) of one point, through the projection kernel."""
+    s, d = rl.project_many(np.asarray(point, dtype=float)[None, :])
+    return float(s[0]), float(d[0])
+
+
 class TestProjection:
     def test_on_path_projection(self, stadium):
         rl = generate_raceline(stadium, 0.0)
         idx = 17
-        s, d = rl.project(rl.xy[idx])
+        s, d = project(rl, rl.xy[idx])
         assert d == pytest.approx(0.0, abs=1e-9)
         assert s == pytest.approx(rl.s[idx], abs=1e-9)
 
@@ -209,20 +213,21 @@ class TestProjection:
         rows = [(0, 0, 1.5, 1.5), (10, 0, 1.5, 1.5), (10, 10, 1.5, 1.5), (0, 10, 1.5, 1.5)]
         tm = load_track(csv_text(rows))
         rl = generate_raceline(tm, 0.0)
-        s, d = rl.project((5.0, 0.4))
+        s, d = project(rl, (5.0, 0.4))
         assert d == pytest.approx(0.4, abs=1e-9)
 
     def test_far_from_raceline(self, stadium):
         rl = generate_raceline(stadium, 0.0)
-        with pytest.raises(FarFromRaceline):
-            rl.project((500.0, 500.0))
+        # beyond the radius inside which the expert accepts a projection
+        _, d = project(rl, (500.0, 500.0))
+        assert abs(d) > PROJECTION_RADIUS
 
     def test_tiebreak_smaller_s(self):
         # a point equidistant from two parallel straights of the stadium
         tm = rtrack.make_stadium_track(length=60.0, width=3.0)
         rl = generate_raceline(tm, 0.0)
-        s, d = rl.project((0.0, 0.0))  # centered between bottom and top straight
-        s_alt, _ = rl.project(rl.position_at(s))
+        s, d = project(rl, (0.0, 0.0))  # centered between bottom and top straight
+        s_alt, _ = project(rl, rl.position_at(s))
         assert s == pytest.approx(s_alt, abs=1e-6)
         # bottom straight carries smaller s than top straight
         assert s < tm.total_length / 2
@@ -233,7 +238,7 @@ class TestProjection:
         tm = rtrack.make_stadium_track(length=60.0, width=3.0)
         rl = generate_raceline(tm, 0.0)
         p = rl.position_at(s_query)
-        s, d = rl.project(p)
+        s, d = project(rl, p)
         spacing = rl.length / len(rl.s)
         err = abs(s - s_query) % rl.length
         assert min(err, rl.length - err) < spacing
@@ -438,6 +443,11 @@ class TestArcLookups:
         got = rtrack._locate(np.stack([arc_table[:-1], np.diff(arc_table)]), s)
         for got_part, want_part in zip(got, reference_locate(arc_table, s)):
             assert_same_bits(got_part, want_part)
+
+
+def curvature_at(rl, s):
+    """The raceline's kappa lookup, as the expert lattice reads it."""
+    return float(rl._interp(rl.kappa, s))
 
 
 class TestCurvatureAt:
