@@ -1,11 +1,24 @@
 """Command-line entry point.
 
 Subcommands: track {gen, info}, collect, train, eval {single, h2h, noise,
-latency}, render. One declarative INI config (--config) feeds every stage;
-flags override file values; every command honors --seed and writes its
-outputs plus a run manifest under --out. `eval single --render` writes the
-episode's trace as single.trace.csv next to single.svg, and `render
---trace` redraws such a trace as an SVG.
+latency}, render. One declarative INI config (--config) feeds every stage,
+and every flag that sets a config value is a dotted override of it, from
+one table:
+
+    --seed        seed
+    --workers     workers
+    --scenarios   scenario.k_positions
+    --epochs      trainer.epochs
+    --track       paths.track
+    --checkpoint  paths.checkpoint
+    --ablation    lidar-only: policy.use_speed_input = false;
+                  2x, 4x, 8x: policy.hidden_multiplier = 2, 4, 8
+
+Every command reads its settings from the resolved config alone, so the
+`config_hash` of the run manifest it writes under --out covers every one of
+these flags. `eval single --render` writes the episode's trace as
+single.trace.csv next to single.svg, and `render --trace` redraws such a
+trace as an SVG.
 
 `[sim] n_beams` is the one beam count: `collect` scans at it, `train` sizes
 the policy from the dataset's episode headers, and `eval single|h2h|noise`
@@ -22,9 +35,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +51,7 @@ from . import trainer as rtrain
 from ._atomic import atomic_open
 from .config import ConfigError, KitConfig, config_hash, load_config
 from .policy import PolicyError, init_params, load_checkpoint_file, save_checkpoint_file
-from .scenario import (EmptyDataset, ExpertSource, NoValidSpawn, Outcome,
-                       RaceEnvironment, ScenarioError)
+from .scenario import EmptyDataset, ExpertSource, Outcome, RaceEnvironment, ScenarioError
 from .seeding import rng_for
 
 EXIT_OK = 0
@@ -49,42 +61,74 @@ EXIT_TRAIN = 4
 EXIT_EVAL = 5
 EXIT_CONFIG = 6
 
+# flag (argparse dest) -> the dotted config key it overrides
+_SETTING_FLAGS = {"seed": "seed", "workers": "workers", "scenarios": "scenario.k_positions",
+                  "epochs": "trainer.epochs", "track": "paths.track",
+                  "checkpoint": "paths.checkpoint"}
+# --ablation choice -> the policy overrides it stands for
+_ABLATIONS = {"lidar-only": {"policy.use_speed_input": "false"},
+              **{f"{k}x": {"policy.hidden_multiplier": str(k)} for k in (2, 4, 8)}}
 
-def _write_manifest(out_dir: Path, command: str, cfg: KitConfig, outputs: list[str],
-                    started: str, **facts) -> None:
-    manifest = {
-        **facts,
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "tool_version": __version__,
-        "started_at": started,
-        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
-    }
-    with atomic_open(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+def _overrides(args) -> dict[str, str]:
+    """The dotted config overrides of the setting flags given."""
+    overrides = {key: str(getattr(args, flag)) for flag, key in _SETTING_FLAGS.items()
+                 if getattr(args, flag, None) is not None}
+    overrides.update(_ABLATIONS.get(getattr(args, "ablation", None), {}))
+    return overrides
 
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_track_arg(args, cfg: KitConfig) -> rtrack.TrackModel:
-    path = args.track or cfg.paths.track
-    if not path:
+class _Outputs:
+    """One command's output directory. Every output goes through `write`,
+    which writes it atomically and records its name; `finish` writes the
+    run manifest over the recorded names."""
+
+    def __init__(self, out: str):
+        self.dir = Path(out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.started = _now()
+        self.names: list[str] = []
+
+    def write(self, name: str, data, *more: str):
+        """Write output `name`: `data` is its text, or a writer of the
+        target path (each kit writer goes through atomic_open), whose
+        result is returned. `more` names the further files that writer puts
+        under the directory."""
+        for parent in {(self.dir / n).parent for n in (name, *more)}:
+            parent.mkdir(parents=True, exist_ok=True)
+        path, result = self.dir / name, None
+        if callable(data):
+            result = data(path)
+        else:
+            with atomic_open(path) as fh:
+                fh.write(data)
+        self.names += [name, *more]
+        return result
+
+    def finish(self, command: str, cfg: KitConfig, **facts) -> None:
+        manifest = {
+            **facts,
+            "command": command,
+            "config_hash": config_hash(cfg),
+            "seed": cfg.seed,
+            "tool_version": __version__,
+            "started_at": self.started,
+            "finished_at": _now(),
+            "outputs": sorted(self.names),
+        }
+        with atomic_open(self.dir / "manifest.json") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _load_track(cfg: KitConfig) -> rtrack.TrackModel:
+    if not cfg.paths.track:
         raise rtrack.TrackError("no track file given (use --track or [paths] track)")
-    return rtrack.load_track(path)
-
-
-def _scenario_pool(args, cfg: KitConfig, env: RaceEnvironment):
-    """The spawn-screened scenarios of the scenario config (--scenarios
-    overrides k_positions) and the number of spawns skipped."""
-    scn_cfg = cfg.scenario
-    if args.scenarios is not None:
-        scn_cfg = replace(scn_cfg, k_positions=args.scenarios)
-    return rscn.enumerate_scenarios(scn_cfg, env)
+    return rtrack.load_track(cfg.paths.track)
 
 
 # ---------------------------------------------------------------------------
@@ -92,38 +136,25 @@ def _scenario_pool(args, cfg: KitConfig, env: RaceEnvironment):
 
 
 def cmd_track_gen(args, cfg: KitConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
+    run = _Outputs(args.out)
     track = rtrack.make_track(args.shape, length=args.length, width=args.width)
-    outputs = []
-    base = out / f"track_{args.shape}.csv"
-    rtrack.write_track_csv(track, base)
-    outputs.append(base.name)
-    bounds = out / f"track_{args.shape}_boundaries.csv"
-    with atomic_open(bounds) as fh:
-        fh.write("boundary,x_m,y_m\n")
-        for name, poly in (("inner", track.inner_boundary), ("outer", track.outer_boundary)):
-            for x, y in poly:
-                fh.write(f"{name},{x!r},{y!r}\n")
-    outputs.append(bounds.name)
+    run.write(f"track_{args.shape}.csv", partial(rtrack.write_track_csv, track))
+    run.write(f"track_{args.shape}_boundaries.csv", "boundary,x_m,y_m\n" + "".join(
+        f"{name},{x!r},{y!r}\n"
+        for name, poly in (("inner", track.inner_boundary), ("outer", track.outer_boundary))
+        for x, y in poly))
     for rid in ("left", "center", "right"):
         rl = rtrack.generate_raceline(track, rid, cfg.raceline)
-        p = out / f"raceline_{args.shape}_{rid}.csv"
-        rtrack.write_raceline_csv(rl, p)
-        outputs.append(p.name)
-    preview = out / f"track_{args.shape}.svg"
-    with atomic_open(preview) as fh:
-        fh.write(reval.render_episode(None, track))
-    outputs.append(preview.name)
-    _write_manifest(out, "track gen", cfg, outputs, started)
+        run.write(f"raceline_{args.shape}_{rid}.csv", partial(rtrack.write_raceline_csv, rl))
+    run.write(f"track_{args.shape}.svg", reval.render_episode(None, track))
+    run.finish("track gen", cfg)
     print(f"{args.shape}: length {track.total_length:.2f} m, "
-          f"{len(track.xy)} waypoints -> {out}")
+          f"{len(track.xy)} waypoints -> {run.dir}")
     return EXIT_OK
 
 
 def cmd_track_info(args, cfg: KitConfig) -> int:
-    track = _load_track_arg(args, cfg)
+    track = _load_track(cfg)
     print(f"waypoints:    {len(track.xy)}")
     print(f"total_length: {track.total_length:.6f} m")
     print(f"width range:  [{(track.w_left + track.w_right).min():.2f}, "
@@ -139,24 +170,20 @@ def cmd_track_info(args, cfg: KitConfig) -> int:
 
 
 def cmd_collect(args, cfg: KitConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    track = _load_track_arg(args, cfg)
-    env = RaceEnvironment.build(track, cfg.sim, cfg.expert, cfg.raceline)
-    scenarios, skipped = _scenario_pool(args, cfg, env)
+    run = _Outputs(args.out)
+    env = RaceEnvironment.build(_load_track(cfg), cfg.sim, cfg.expert, cfg.raceline)
+    scenarios, skipped = rscn.enumerate_scenarios(cfg.scenario, env)
     records = rscn.rollout_many(scenarios, ExpertSource(), env, cfg.scenario.duration,
                                 cfg.workers)
-    (out / "episodes").mkdir(exist_ok=True)
-    outputs = [f"episodes/ep_{sc.id.replace(':', '_')}.bin" for sc in scenarios]
-    dataset = rscn.save_dataset(out, list(zip(outputs, records)), skipped)
-    counts, total = dataset.pool_counts, dataset.total_samples
-    outputs.append("dataset.json")
-    _write_manifest(out, "collect", cfg, outputs, started)
+    names = [f"episodes/ep_{sc.id.replace(':', '_')}.bin" for sc in scenarios]
+    dataset = run.write("dataset.json", lambda path: rscn.save_dataset(
+        path.parent, list(zip(names, records)), skipped), *names)
+    counts = dataset.pool_counts
+    run.finish("collect", cfg)
     print(f"collected {len(records)} episodes "
           f"({counts[Outcome.CAR_FOLLOWING]}/{counts[Outcome.OVERTAKING]}/"
           f"{counts[Outcome.COLLISION]} follow/overtake/collision, "
-          f"{skipped} spawns skipped), {total} training samples")
+          f"{skipped} spawns skipped), {dataset.total_samples} training samples")
     return EXIT_OK
 
 
@@ -165,32 +192,21 @@ def cmd_collect(args, cfg: KitConfig) -> int:
 
 
 def cmd_train(args, cfg: KitConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    manifest = Path(args.dataset) if args.dataset else out / "dataset.json"
+    run = _Outputs(args.out)
+    manifest = Path(args.dataset) if args.dataset else run.dir / "dataset.json"
     if not manifest.exists():
         print(f"dataset manifest not found: {manifest}", file=sys.stderr)
         return EXIT_TRAIN
     dataset = rscn.load_manifest_dataset(manifest)
     pol_cfg = replace(cfg.policy, n_beams=dataset.episodes[0].scans.shape[1])
-    if args.ablation == "lidar-only":
-        pol_cfg = replace(pol_cfg, use_speed_input=False)
-    elif args.ablation in ("2x", "4x", "8x"):
-        pol_cfg = replace(pol_cfg, hidden_multiplier=int(args.ablation[0]))
-    trn_cfg = cfg.trainer
-    if args.epochs is not None:
-        trn_cfg = replace(trn_cfg, epochs=args.epochs)
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
             print(f"epoch {epoch:4d}  loss {loss:.6f}  lr {lr:.2e}", flush=True)
-    best, curve, state = rtrain.train(dataset, pol_cfg, trn_cfg, progress=progress)
-    ckpt = out / (args.checkpoint_name or "policy.ckpt")
-    save_checkpoint_file(best, pol_cfg, ckpt)
-    curve_path = out / "loss_curve.csv"
-    rtrain.write_loss_curve_csv(curve, curve_path)
-    _write_manifest(out, "train", cfg, [ckpt.name, curve_path.name], started)
-    print(f"best loss {min(r[1] for r in curve):.6f} -> {ckpt}")
+    best, curve, state = rtrain.train(dataset, pol_cfg, cfg.trainer, progress=progress)
+    run.write(args.checkpoint_name, partial(save_checkpoint_file, best, pol_cfg))
+    run.write("loss_curve.csv", partial(rtrain.write_loss_curve_csv, curve))
+    run.finish("train", cfg)
+    print(f"best loss {min(r[1] for r in curve):.6f} -> {run.dir / args.checkpoint_name}")
     return EXIT_OK
 
 
@@ -199,35 +215,29 @@ def cmd_train(args, cfg: KitConfig) -> int:
 
 
 def cmd_eval(args, cfg: KitConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    path = args.checkpoint or cfg.paths.checkpoint
+    run = _Outputs(args.out)
     # latency depends only on the architecture; without a checkpoint a fresh init suffices
-    random_init = args.suite == "latency" and not Path(path).exists()
+    random_init = args.suite == "latency" and not Path(cfg.paths.checkpoint).exists()
     try:
         if random_init:
             pol_cfg = cfg.policy
             params = init_params(pol_cfg, rng_for(cfg.seed, "latency-init"))
         else:
-            params, pol_cfg = load_checkpoint_file(path)
+            params, pol_cfg = load_checkpoint_file(cfg.paths.checkpoint)
     except (OSError, PolicyError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    outputs = []
     if args.suite == "latency":
         report = reval.bench_latency(params, pol_cfg, n_samples=args.samples,
                                      precision=args.precision, seed=cfg.seed)
-        with atomic_open(out / "report_latency.json") as fh:
-            fh.write(reval.report_json(report))
-        outputs.append("report_latency.json")
+        run.write("report_latency.json", reval.report_json(report))
         print(f"latency: median {report.median_ms:.4f} ms, p99 {report.p99_ms:.4f} ms, "
               f"max {report.max_ms:.4f} ms over {report.samples} samples "
               f"({report.precision}, input {report.input_dim}, hidden {report.hidden_dim})")
-        _write_manifest(out, f"eval {args.suite}", cfg, outputs, started, random_init=random_init)
+        run.finish("eval latency", cfg, random_init=random_init)
         return EXIT_OK
 
-    track = _load_track_arg(args, cfg)
+    track = _load_track(cfg)
     env = RaceEnvironment.build(track, replace(cfg.sim, n_beams=pol_cfg.n_beams), cfg.expert,
                                 cfg.raceline)
     if args.suite == "single":
@@ -235,59 +245,46 @@ def cmd_eval(args, cfg: KitConfig) -> int:
         report = reval.run_single_agent(
             params, pol_cfg, env, laps_target=args.laps, noise_eta=args.eta,
             seed=cfg.seed, timeout_s=args.timeout, observers=[trace] if args.render else ())
-        with atomic_open(out / "report_single.json") as fh:
-            fh.write(reval.report_json(report))
-        reval.write_single_csv([("single", report)], out / "report_single.csv")
-        outputs += ["report_single.json", "report_single.csv"]
+        run.write("report_single.json", reval.report_json(report))
+        run.write("report_single.csv", partial(reval.write_single_csv, [("single", report)]))
         if args.render:
-            rsim.write_trace_csv(trace, out / "single.trace.csv")
-            svg = reval.render_episode(trace, track, sim_cfg=cfg.sim)
-            with atomic_open(out / "single.svg") as fh:
-                fh.write(svg)
-            outputs += ["single.trace.csv", "single.svg"]
+            run.write("single.trace.csv", partial(rsim.write_trace_csv, trace))
+            run.write("single.svg", reval.render_episode(trace, track, sim_cfg=cfg.sim))
         print(f"single-agent: {report.laps_completed:.1f} laps, "
               f"mean speed {report.mean_speed:.2f} m/s"
               + (", collided" if report.collided else ""))
     elif args.suite == "h2h":
-        scenarios, _ = _scenario_pool(args, cfg, env)
+        scenarios, _ = rscn.enumerate_scenarios(cfg.scenario, env)
         report, _ = reval.run_h2h(params, pol_cfg, scenarios, env, noise_eta=args.eta,
                                   seed=cfg.seed, duration=cfg.scenario.duration,
                                   workers=cfg.workers)
-        with atomic_open(out / "report_h2h.json") as fh:
-            fh.write(reval.report_json(report))
-        reval.write_h2h_csv([("h2h", report)], out / "report_h2h.csv")
-        outputs += ["report_h2h.json", "report_h2h.csv"]
+        run.write("report_h2h.json", reval.report_json(report))
+        run.write("report_h2h.csv", partial(reval.write_h2h_csv, [("h2h", report)]))
         print(f"h2h over {report.n}: {report.car_following} follow / "
               f"{report.overtaking} overtake / {report.collision} collision "
               f"(overtake {report.overtake_rate:.1f}%, safety {report.safety_rate:.1f}%)")
     elif args.suite == "noise":
         scenarios = None
         if args.mode in ("h2h", "both"):
-            scenarios, _ = _scenario_pool(args, cfg, env)
+            scenarios, _ = rscn.enumerate_scenarios(cfg.scenario, env)
         report = reval.run_noise_sweep(params, pol_cfg, env, args.levels, seed=cfg.seed,
                                        mode=args.mode, scenarios=scenarios,
                                        laps_target=args.laps, timeout_s=args.timeout,
                                        duration=cfg.scenario.duration, workers=cfg.workers)
-        with atomic_open(out / "report_noise.json") as fh:
-            fh.write(reval.report_json(report))
-        outputs.append("report_noise.json")
+        run.write("report_noise.json", reval.report_json(report))
         if report.single:
-            reval.write_single_csv(
-                [(f"{r.noise_eta:.0%} noise", r) for r in report.single],
-                out / "report_noise_single.csv")
-            outputs.append("report_noise_single.csv")
+            run.write("report_noise_single.csv", partial(
+                reval.write_single_csv, [(f"{r.noise_eta:.0%} noise", r) for r in report.single]))
         if report.h2h:
-            reval.write_h2h_csv(
-                [(f"{r.noise_eta:.0%} noise", r) for r in report.h2h],
-                out / "report_noise_h2h.csv")
-            outputs.append("report_noise_h2h.csv")
+            run.write("report_noise_h2h.csv", partial(
+                reval.write_h2h_csv, [(f"{r.noise_eta:.0%} noise", r) for r in report.h2h]))
         for r in report.single:
             print(f"eta {r.noise_eta:.2f}: mean speed {r.mean_speed:.2f} m/s, "
                   f"laps {r.laps_completed:.1f}")
         for r in report.h2h:
             print(f"eta {r.noise_eta:.2f}: overtake {r.overtake_rate:.1f}%, "
                   f"safety {r.safety_rate:.1f}%")
-    _write_manifest(out, f"eval {args.suite}", cfg, outputs, started)
+    run.finish(f"eval {args.suite}", cfg)
     return EXIT_OK
 
 
@@ -296,17 +293,13 @@ def cmd_eval(args, cfg: KitConfig) -> int:
 
 
 def cmd_render(args, cfg: KitConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    track = _load_track_arg(args, cfg)
+    run = _Outputs(args.out)
+    track = _load_track(cfg)
     trace = rsim.read_trace_csv(args.trace)
-    svg = reval.render_episode(trace, track, outcome=args.outcome, sim_cfg=cfg.sim)
-    target = out / (Path(args.trace).stem + ".svg")
-    with atomic_open(target) as fh:
-        fh.write(svg)
-    _write_manifest(out, "render", cfg, [target.name], started)
-    print(f"wrote {target}")
+    name = Path(args.trace).stem + ".svg"
+    run.write(name, reval.render_episode(trace, track, outcome=args.outcome, sim_cfg=cfg.sim))
+    run.finish("render", cfg)
+    print(f"wrote {run.dir / name}")
     return EXIT_OK
 
 
@@ -346,33 +339,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="global seed override")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel episode rollouts (default: env E2R_WORKERS, "
-                        "then [global] workers)")
+                   help="parallel episode rollouts (overrides [global] workers)")
     sub = p.add_subparsers(dest="command", required=True)
 
     p_track = sub.add_parser("track", help="track tooling")
     track_sub = p_track.add_subparsers(dest="track_cmd", required=True)
     p_gen = track_sub.add_parser("gen", help="generate a synthetic track")
+    p_gen.set_defaults(run=cmd_track_gen)
     p_gen.add_argument("--shape", required=True,
                        choices=sorted(rtrack.TRACK_GENERATORS))
     p_gen.add_argument("--length", type=float, default=60.0)
     p_gen.add_argument("--width", type=float, default=3.0)
     p_info = track_sub.add_parser("info", help="validate and describe a track")
+    p_info.set_defaults(run=cmd_track_info)
     p_info.add_argument("--track", default=None)
 
     p_collect = sub.add_parser("collect", help="expert demonstration collection")
+    p_collect.set_defaults(run=cmd_collect)
     p_collect.add_argument("--track", default=None)
     p_collect.add_argument("--scenarios", type=_positive_int, default=None,
                            help="override scenario.k_positions")
 
     p_train = sub.add_parser("train", help="behavior cloning")
+    p_train.set_defaults(run=cmd_train)
     p_train.add_argument("--dataset", default=None, help="dataset manifest path")
     p_train.add_argument("--epochs", type=_positive_int, default=None)
-    p_train.add_argument("--ablation", default=None,
-                         choices=["lidar-only", "2x", "4x", "8x"])
-    p_train.add_argument("--checkpoint-name", default=None)
+    p_train.add_argument("--ablation", default=None, choices=list(_ABLATIONS))
+    p_train.add_argument("--checkpoint-name", default="policy.ckpt")
 
     p_eval = sub.add_parser("eval", help="evaluation suites")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("suite", choices=["single", "h2h", "noise", "latency"])
     p_eval.add_argument("--checkpoint", default=None)
     p_eval.add_argument("--track", default=None)
@@ -390,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--render", action="store_true")
 
     p_render = sub.add_parser("render", help="trace CSV -> SVG")
+    p_render.set_defaults(run=cmd_render)
     p_render.add_argument("--trace", required=True)
     p_render.add_argument("--track", default=None)
     p_render.add_argument("--outcome", default=None)
@@ -399,44 +396,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    # --workers > E2R_WORKERS > [global] workers
-    workers = args.workers if args.workers is not None else os.environ.get("E2R_WORKERS")
-    if workers is not None:
-        overrides["workers"] = str(workers)
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, _overrides(args))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "track":
-            if args.track_cmd == "gen":
-                return cmd_track_gen(args, cfg)
-            return cmd_track_info(args, cfg)
-        if args.command == "collect":
-            return cmd_collect(args, cfg)
-        if args.command == "train":
-            return cmd_train(args, cfg)
-        if args.command == "eval":
-            return cmd_eval(args, cfg)
-        if args.command == "render":
-            return cmd_render(args, cfg)
+        return args.run(args, cfg)
     except rtrack.TrackError as exc:
         print(f"track error: {exc}", file=sys.stderr)
         return EXIT_TRACK
-    except (NoValidSpawn, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+    # EmptyDataset is a ScenarioError, but an untrainable dataset is a training error
     except (EmptyDataset, rtrain.TrainerError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     except PolicyError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ write in place and it slices nothing; the operations and their order are
 the same with and without one. InferenceSession keeps one per session.
 
 Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
-each of its 17 names to a stored tensor and a gate block, and init, save,
-load and the trainer's Adam step walk that table. Everything is plain
+each of its 17 names to a stored tensor and a gate block, and init, save
+and load walk that table; no other module knows it. Everything is plain
 numpy in double precision; the inference session can also run in single
 precision.
 """

@@ -12,7 +12,6 @@ workers.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -199,25 +198,17 @@ def _signed_area(verts):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def load_track(source, *, delimiter: str = ",") -> TrackModel:
-    """Load a track from a CSV file path, byte/str stream, or str content.
+def load_track(path) -> TrackModel:
+    """Load a track from a CSV file.
 
     Header row must name x_m, y_m, w_tr_right_m, w_tr_left_m (any order);
     lines starting with '#' are comments.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    elif isinstance(source, bytes):
-        text = source.decode()
-    elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode() if isinstance(raw, bytes) else raw
-    else:
-        text = str(source)
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for ln in Path(path).read_text().splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise MalformedRow("empty track file")
-    reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter)
+    reader = csv.reader(lines)
     header = [h.strip() for h in next(reader)]
     try:
         cols = [header.index(c) for c in REQUIRED_COLUMNS]

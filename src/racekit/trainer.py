@@ -17,8 +17,8 @@ packed w_x in one GEMM before the time loop, then runs `policy.gru_cell`
 once per step, which writes each step's gate activations over its slice
 of that projection. Backpropagation mirrors the packed layout: one GEMM
 with u_h per step for the hidden-state gradient, one each for the w_x
-and u_h gradients, and Adam steps every tensor by the row blocks of
-`policy.CHECKPOINT_LAYOUT`.
+and u_h gradients, and Adam steps each whole tensor in cache-sized
+tiles; only `policy` knows the checkpoint's per-gate layout.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import atomic_open
-from .policy import (PolicyConfig, PolicyParameters, encode_inputs, gru_cell, init_params,
-                     layout_blocks)
+from .policy import PolicyConfig, PolicyParameters, encode_inputs, gru_cell, init_params
 from .scenario import Dataset, EpisodeRecord
 from .seeding import rng_for
 
@@ -236,7 +235,7 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     return grads, losses
 
 
-# Adam works through each parameter block in tiles of this many elements:
+# Adam works through each parameter tensor in tiles of this many elements:
 # a tile of each of the six arrays it touches (tensor, gradient, m, v and
 # two scratch arrays) fits in a 2 MB L2 cache, so its fourteen elementwise
 # operations read main memory about once per array instead of once each.
@@ -246,8 +245,8 @@ _ADAM_TILE = 32768
 def adam_update(state: TrainState, grads: dict[str, np.ndarray],
                 cfg: TrainerConfig) -> TrainState:
     """Standard bias-corrected Adam step over every parameter tensor, in
-    place, one checkpoint-layout block and one tile of it at a time. Two
-    tile-sized scratch arrays hold the temporaries, and every element sees
+    place, one tensor and one tile of it at a time. Two tile-sized scratch
+    arrays hold the temporaries, and every element sees
     the float operations of m = b1*m + g*(1-b1), v = b2*v + (g*(1-b2))*g
     and tensor -= (m/c1)*lr / (sqrt(v/c2) + eps) in that order."""
     state.step += 1
@@ -255,11 +254,11 @@ def adam_update(state: TrainState, grads: dict[str, np.ndarray],
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    blocks = [layout_blocks(d) for d in (state.params.tensors(), grads, state.m, state.v)]
     scratch = np.empty((2, _ADAM_TILE))
-    for (_, tensor), (_, g), (_, m), (_, v) in zip(*blocks):
+    for name, tensor in state.params.tensors().items():
+        g, m, v = grads[name], state.m[name], state.v[name]
         if not (tensor.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise TrainerError("Adam updates C-contiguous parameter blocks in place")
+            raise TrainerError("Adam updates C-contiguous parameter tensors in place")
         tensor, g, m, v = (a.reshape(-1) for a in (tensor, g, m, v))
         for lo in range(0, len(g), _ADAM_TILE):
             tile = slice(lo, lo + _ADAM_TILE)

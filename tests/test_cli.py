@@ -221,6 +221,13 @@ class TestTrain:
                        "--dataset", str(tmp_path / "dataset.json"), "--epochs", "1") == 4
         assert "training error" in capsys.readouterr().err
 
+    def test_empty_dataset_exit_4(self, tmp_path, capsys):
+        # EmptyDataset is a ScenarioError, yet an empty dataset is a training error
+        save_dataset(tmp_path, [])
+        assert run_cli("--out", str(tmp_path / "o"), "train",
+                       "--dataset", str(tmp_path / "dataset.json"), "--epochs", "1") == 4
+        assert "training error" in capsys.readouterr().err
+
     def test_missing_dataset_exit_4(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "train",
                        "--dataset", str(tmp_path / "nope.json")) == 4
@@ -469,18 +476,13 @@ class TestConfig:
         h2 = config_hash(load_config(a, {"trainer.epochs": "200"}))
         assert h1 != h2
 
-    @pytest.mark.parametrize("flag, env, expected", [
-        (None, None, "2"),      # [global] workers
-        (None, "3", "3"),       # E2R_WORKERS over the config
-        ("1", "3", "1"),        # --workers over both
+    @pytest.mark.parametrize("flag, expected", [
+        (None, "2"),      # [global] workers
+        ("1", "1"),       # --workers over the config
     ])
-    def test_workers_resolution(self, tmp_path, monkeypatch, flag, env, expected):
+    def test_workers_resolution(self, tmp_path, flag, expected):
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[global]\nworkers = 2\n")
-        if env is None:
-            monkeypatch.delenv("E2R_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("E2R_WORKERS", env)
         out = tmp_path / "o"
         argv = ["--config", str(cfgfile), "--out", str(out)]
         if flag is not None:
@@ -490,6 +492,48 @@ class TestConfig:
         want = load_config(cfgfile, {"workers": expected})
         assert want.workers == int(expected)
         assert manifest["config_hash"] == config_hash(want)
+
+    @pytest.mark.parametrize("flag", ["--scenarios", "--epochs", "--ablation=lidar-only",
+                                      "--ablation=2x", "--track", "--checkpoint"])
+    def test_manifest_hash_covers_setting_flag(self, tmp_path, trained8, single_rendered,
+                                               track_dir, flag):
+        # the manifest hashes the config that ran, setting flags included
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[scenario]\nduration = 0.5\n")
+        track = str(track_dir / "track_stadium.csv")
+        dataset = str(trained8.parent / "collect" / "dataset.json")
+        ckpt = str(trained8 / "policy.ckpt")
+        argv, overrides = {
+            "--scenarios": (["collect", "--track", track, "--scenarios", "1"],
+                            {"paths.track": track, "scenario.k_positions": "1"}),
+            "--epochs": (["train", "--dataset", dataset, "--epochs", "1"],
+                         {"trainer.epochs": "1"}),
+            "--ablation=lidar-only": (
+                ["train", "--dataset", dataset, "--epochs", "1", "--ablation", "lidar-only"],
+                {"trainer.epochs": "1", "policy.use_speed_input": "false"}),
+            "--ablation=2x": (
+                ["train", "--dataset", dataset, "--epochs", "1", "--ablation", "2x"],
+                {"trainer.epochs": "1", "policy.hidden_multiplier": "2"}),
+            "--track": (["render", "--trace", str(single_rendered / "single.trace.csv"),
+                         "--track", track], {"paths.track": track}),
+            "--checkpoint": (["eval", "latency", "--checkpoint", ckpt, "--samples", "10"],
+                             {"paths.checkpoint": ckpt}),
+        }[flag]
+        out = tmp_path / "o"
+        assert run_cli("--config", str(cfgfile), "--out", str(out), *argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(load_config(cfgfile, overrides))
+        assert manifest["config_hash"] != config_hash(load_config(cfgfile))
+
+    def test_epochs_change_the_hash(self, tmp_path, trained8):
+        dataset = str(trained8.parent / "collect" / "dataset.json")
+        hashes = []
+        for epochs in ("1", "2"):
+            out = tmp_path / epochs
+            assert run_cli("--out", str(out), "train", "--dataset", dataset,
+                           "--epochs", epochs) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
 
     def test_tuple_field_parsing(self, tmp_path):
         a = tmp_path / "a.ini"

@@ -1,5 +1,4 @@
 import functools
-import io
 import pickle
 
 import numpy as np
@@ -30,34 +29,36 @@ def csv_text(rows, header="x_m,y_m,w_tr_right_m,w_tr_left_m"):
     return header + "\n" + "\n".join(",".join(str(v) for v in r) for r in rows)
 
 
+def load_text(tmp_path, text):
+    """load_track of CSV text, written to a file first."""
+    path = tmp_path / "track.csv"
+    path.write_text(text)
+    return load_track(path)
+
+
 class TestLoadTrack:
-    def test_unit_square_perimeter(self):
+    def test_unit_square_perimeter(self, tmp_path):
         rows = [(0, 0, 0.5, 0.5), (1, 0, 0.5, 0.5), (1, 1, 0.5, 0.5), (0, 1, 0.5, 0.5)]
-        tm = load_track(csv_text(rows))
+        tm = load_text(tmp_path, csv_text(rows))
         assert tm.total_length == pytest.approx(4.0, abs=1e-12)
 
     def test_circle_circumference(self, circle10):
         assert abs(circle10.total_length - 2 * np.pi * 10) / (2 * np.pi * 10) < 1e-3
 
-    def test_malformed_row(self):
+    def test_malformed_row(self, tmp_path):
         with pytest.raises(MalformedRow):
-            load_track("x_m,y_m,w_tr_right_m,w_tr_left_m\na,b,c,d")
+            load_text(tmp_path, "x_m,y_m,w_tr_right_m,w_tr_left_m\na,b,c,d")
 
-    def test_open_loop(self):
+    def test_open_loop(self, tmp_path):
         # a straight run of waypoints that never comes back
         rows = [(i, 0, 1, 1) for i in range(10)]
         with pytest.raises(OpenLoop):
-            load_track(csv_text(rows))
+            load_text(tmp_path, csv_text(rows))
 
-    def test_comment_lines_skipped(self):
+    def test_comment_lines_skipped(self, tmp_path):
         rows = [(0, 0, 0.5, 0.5), (1, 0, 0.5, 0.5), (1, 1, 0.5, 0.5), (0, 1, 0.5, 0.5)]
         text = "# a comment\n" + csv_text(rows)
-        assert load_track(text).total_length == pytest.approx(4.0)
-
-    def test_stream_input(self):
-        rows = [(0, 0, 0.5, 0.5), (1, 0, 0.5, 0.5), (1, 1, 0.5, 0.5), (0, 1, 0.5, 0.5)]
-        tm = load_track(io.BytesIO(csv_text(rows).encode()))
-        assert tm.total_length == pytest.approx(4.0)
+        assert load_text(tmp_path, text).total_length == pytest.approx(4.0)
 
     def test_self_intersecting_boundary(self):
         # offsetting an ellipse beyond its tip curvature radius folds the
@@ -208,10 +209,10 @@ class TestProjection:
         assert d == pytest.approx(0.0, abs=1e-9)
         assert s == pytest.approx(rl.s[idx], abs=1e-9)
 
-    def test_left_offset_positive(self):
+    def test_left_offset_positive(self, tmp_path):
         # straight raceline along +x: left is +y
         rows = [(0, 0, 1.5, 1.5), (10, 0, 1.5, 1.5), (10, 10, 1.5, 1.5), (0, 10, 1.5, 1.5)]
-        tm = load_track(csv_text(rows))
+        tm = load_text(tmp_path, csv_text(rows))
         rl = generate_raceline(tm, 0.0)
         s, d = project(rl, (5.0, 0.4))
         assert d == pytest.approx(0.4, abs=1e-9)
