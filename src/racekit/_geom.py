@@ -32,27 +32,20 @@ def wrap_angle(a):
     return np.pi - np.mod(np.pi - np.asarray(a), 2.0 * np.pi)
 
 
-def polyline_segments(verts: np.ndarray, closed: bool = True) -> np.ndarray:
-    """Turn an (N, 2) vertex array into an (M, 2, 2) segment array."""
+def polyline_segments(verts: np.ndarray) -> np.ndarray:
+    """Turn a closed polyline's (N, 2) vertex array into its (N, 2, 2)
+    segment array, the closing segment last."""
     verts = np.asarray(verts, dtype=float)
-    if closed:
-        nxt = np.roll(verts, -1, axis=0)
-    else:
-        nxt = verts[1:]
-        verts = verts[:-1]
-    return np.stack([verts, nxt], axis=1)
+    return np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
 
 
-def cumulative_arclength(verts: np.ndarray, closed: bool = True):
-    """Per-vertex cumulative arc length starting at 0, plus total length.
-
-    For a closed polyline the returned table has N+1 entries; the final
-    entry is the total length including the closing segment.
-    """
+def cumulative_arclength(verts: np.ndarray):
+    """Per-vertex cumulative arc length of a closed polyline starting at 0,
+    plus total length: the table has N+1 entries, the final one the total
+    length including the closing segment."""
     verts = np.asarray(verts, dtype=float)
     d = np.linalg.norm(np.diff(verts, axis=0), axis=1)
-    if closed:
-        d = np.append(d, np.linalg.norm(verts[0] - verts[-1]))
+    d = np.append(d, np.linalg.norm(verts[0] - verts[-1]))
     table = np.concatenate([[0.0], np.cumsum(d)])
     return table, float(table[-1])
 
@@ -70,16 +63,12 @@ def _runs(counts):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def ray_hits(origin, heading, n_beams: int, segments, max_range: float) -> np.ndarray:
-    """Minimum hit distance per beam against a segment soup, for one sensor
-    or a batch of sensors.
-
-    One sensor: origin (2,), a float heading and segments (M, 2, 2) give
-    (n_beams,). A batch: origins (B, 2), headings (B,) and segments
-    (B, M, 2, 2), each row its own soup, give (B, n_beams); one sensor is
-    the batch of one. Beam i points at heading + i * (2*pi / n_beams).
-    Beams that miss every segment report max_range. Beams exactly parallel
-    to a segment are treated as misses.
+def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.ndarray:
+    """Minimum hit distance per beam of a batch of sensors, each against
+    its own segment soup: origins (B, 2), headings (B,) and segments
+    (B, M, 2, 2) give (B, n_beams). Beam i of a sensor points at its
+    heading + i * (2*pi / n_beams). Beams that miss every segment report
+    max_range. Beams exactly parallel to a segment are treated as misses.
 
     Exact angular binning: a beam can only hit a segment if its direction
     lies inside the cone the segment subtends from the origin, so each
@@ -95,17 +84,14 @@ def ray_hits(origin, heading, n_beams: int, segments, max_range: float) -> np.nd
     cone arithmetic runs over the segments of all rows at once, the pairs
     row by row; a row's result does not depend on the other rows.
     """
-    o = np.asarray(origin, dtype=float)
-    one = o.ndim == 1
-    if one:
-        o, heading, segments = o[None], [heading], np.asarray(segments)[None]
-    heading = np.asarray(heading, dtype=float)
+    o = np.asarray(origins, dtype=float)
+    heading = np.asarray(headings, dtype=float)
     step = 2.0 * np.pi / n_beams
     angles = heading[:, None] + np.arange(n_beams) * step       # (B, n_beams)
     out = np.full(angles.shape, float(max_range))
     n_seg = segments.shape[1]
     if n_seg == 0:
-        return out[0] if one else out
+        return out
     segs = segments.reshape(-1, 4)                          # (B*M,): ax, ay, bx, by
     row = np.repeat(np.arange(len(o)), n_seg)
     h = heading[row]
@@ -161,7 +147,7 @@ def ray_hits(origin, heading, n_beams: int, segments, max_range: float) -> np.nd
         valid &= aox_s >= 0.0
         valid &= aox_s <= 1.0
         np.minimum.at(out[b], beam[valid], t[valid])
-    return out[0] if one else out
+    return out
 
 
 def arc_windows(arc_table, s, half_width: float) -> np.ndarray:
@@ -306,7 +292,7 @@ def polyline_self_intersects(verts: np.ndarray) -> bool:
     overlap predicates then run on the candidates only. Near-linear unless
     a long run of midpoints shares one window.
     """
-    segs = polyline_segments(verts, closed=True)
+    segs = polyline_segments(verts)
     n = len(segs)
     if n < 4:
         return False

@@ -26,8 +26,9 @@ scan at the checkpoint's. `eval latency` without a checkpoint file times a
 random-init policy and says so in its manifest (`random_init`).
 
 Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors,
-5 evaluation errors, 6 config errors (an unreadable or invalid --config
-file or override); argparse usage errors also exit 2.
+5 evaluation errors, 6 config errors (an unreadable --config file, an
+unknown key, or a value its field cannot hold or its section rejects);
+argparse usage errors also exit 2.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cmd_train(args, cfg: KitConfig) -> int:
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
             print(f"epoch {epoch:4d}  loss {loss:.6f}  lr {lr:.2e}", flush=True)
-    best, curve, state = rtrain.train(dataset, pol_cfg, cfg.trainer, progress=progress)
+    best, curve, _ = rtrain.train(dataset.episodes, pol_cfg, cfg.trainer, progress=progress)
     run.write(args.checkpoint_name, partial(save_checkpoint_file, best, pol_cfg))
     run.write("loss_curve.csv", partial(rtrain.write_loss_curve_csv, curve))
     run.finish("train", cfg)
@@ -255,9 +256,9 @@ def cmd_eval(args, cfg: KitConfig) -> int:
               + (", collided" if report.collided else ""))
     elif args.suite == "h2h":
         scenarios, _ = rscn.enumerate_scenarios(cfg.scenario, env)
-        report, _ = reval.run_h2h(params, pol_cfg, scenarios, env, noise_eta=args.eta,
-                                  seed=cfg.seed, duration=cfg.scenario.duration,
-                                  workers=cfg.workers)
+        report = reval.run_h2h(params, pol_cfg, scenarios, env, noise_eta=args.eta,
+                               seed=cfg.seed, duration=cfg.scenario.duration,
+                               workers=cfg.workers)
         run.write("report_h2h.json", reval.report_json(report))
         run.write("report_h2h.csv", partial(reval.write_h2h_csv, [("h2h", report)]))
         print(f"h2h over {report.n}: {report.car_following} follow / "

@@ -10,6 +10,9 @@ formatting and key order don't change it.
 
 A field that copies another setting (_COPIES: the policy's beam count, the
 scenario and trainer seeds) is filled from that one home and is not a key.
+Each section dataclass checks its own values as it is built (say, `[sim]
+dt` must split a frame into whole steps), and any failure to build the
+config is a ConfigError that names the key.
 """
 
 from __future__ import annotations

@@ -140,26 +140,25 @@ class PolicySource:
 
 
 def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,
-                     env: RaceEnvironment, raceline_id: str = "center",
-                     laps_target: int = 10, noise_eta: float = 0.0,
+                     env: RaceEnvironment, laps_target: int = 10, noise_eta: float = 0.0,
                      seed: int = 0, timeout_s: float | None = None,
-                     start_s: float = 0.0,
                      observers: Sequence[Observer] = ()) -> SingleAgentReport:
-    """Policy alone at 10 Hz on a 100 Hz world until laps_target laps,
-    collision, or timeout; observers watch the episode beside the lap
-    timer. Speed statistics sample every sim step; lap times interpolate
-    the crossing instant inside the crossing step."""
+    """Policy alone at 10 Hz on a 100 Hz world, from the start of the
+    center raceline, until laps_target laps, collision, or timeout;
+    observers watch the episode beside the lap timer. Speed statistics
+    sample every sim step; lap times interpolate the crossing instant
+    inside the crossing step."""
     length = env.track.total_length
     if timeout_s is None:
         timeout_s = laps_target * length + 60.0
-    scenario = Scenario(id="single", ego_raceline=raceline_id, ego_s=start_s, seed=seed)
+    scenario = Scenario(id="single", ego_raceline="center", ego_s=0.0, seed=seed)
     source = PolicySource(params, policy_cfg, noise_eta, seed, noise_stage="single-noise")
     timer = LapTimer(length, env.sim.dt, laps_target)
     record = rollout(scenario, source, env, duration=timeout_s, observers=[timer, *observers])
     per_lap = np.diff(np.concatenate([[0.0], timer.lap_times]))
     speeds = np.asarray(timer.speeds)
     report = SingleAgentReport(
-        track_id=raceline_id,
+        track_id=scenario.ego_raceline,
         mean_speed=float(speeds.mean()) if len(speeds) else 0.0,
         speed_variance=float(speeds.var()) if len(speeds) else 0.0,
         mean_laptime=float(per_lap.mean()) if len(per_lap) else None,
@@ -173,17 +172,15 @@ def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,
 def run_h2h(params: PolicyParameters, policy_cfg: PolicyConfig,
             scenarios: list[Scenario], env: RaceEnvironment,
             noise_eta: float = 0.0, seed: int = 0,
-            duration: float = 8.0, workers: int = 1) -> tuple[H2HReport, list[str]]:
+            duration: float = 8.0, workers: int = 1) -> H2HReport:
     """Roll the policy as ego against the expert leader over a scenario
-    pool on `workers` processes; returns the aggregate report and the
-    per-scenario outcomes."""
+    pool on `workers` processes; returns the outcome counts."""
     source = PolicySource(params, policy_cfg, noise_eta, seed)
     outcomes = [r.outcome for r in rollout_many(scenarios, source, env, duration, workers)]
-    report = H2HReport(car_following=outcomes.count(Outcome.CAR_FOLLOWING),
-                       overtaking=outcomes.count(Outcome.OVERTAKING),
-                       collision=outcomes.count(Outcome.COLLISION),
-                       noise_eta=noise_eta)
-    return report, outcomes
+    return H2HReport(car_following=outcomes.count(Outcome.CAR_FOLLOWING),
+                     overtaking=outcomes.count(Outcome.OVERTAKING),
+                     collision=outcomes.count(Outcome.COLLISION),
+                     noise_eta=noise_eta)
 
 
 def run_noise_sweep(params: PolicyParameters, policy_cfg: PolicyConfig,
@@ -205,10 +202,9 @@ def run_noise_sweep(params: PolicyParameters, policy_cfg: PolicyConfig,
         if mode in ("h2h", "both"):
             if scenarios is None:
                 raise ValueError("h2h sweep needs scenarios")
-            h2h, _ = run_h2h(params, policy_cfg, scenarios, env,
-                             noise_eta=eta, seed=sub_seed(seed, f"sweep:{eta}"),
-                             duration=duration, workers=workers)
-            report.h2h.append(h2h)
+            report.h2h.append(run_h2h(params, policy_cfg, scenarios, env,
+                                      noise_eta=eta, seed=sub_seed(seed, f"sweep:{eta}"),
+                                      duration=duration, workers=workers))
     return report
 
 
@@ -260,18 +256,17 @@ def _transform(pts, bounds, scale, pad):
 
 
 def render_episode(trace: Trace | None, track, outcome: str | None = None,
-                   footprint_every: float = 0.5, width_px: int = 900,
                    sim_cfg: SimConfig = SimConfig()) -> str:
-    """Draw boundaries, color-coded trajectories, sampled vehicle
-    footprints (sim_cfg's vehicle size) and the outcome label into a
-    standalone SVG document. Without a trace only the boundaries are
-    drawn."""
+    """Draw boundaries, color-coded trajectories, vehicle footprints
+    (sim_cfg's vehicle size) every 0.5 s and the outcome label into a
+    standalone SVG document 900 px wide. Without a trace only the
+    boundaries are drawn."""
     if trace is not None and not trace.times:
         raise ValueError("empty trace")
     allpts = np.vstack([track.inner_boundary, track.outer_boundary])
     xmin, ymin = allpts.min(axis=0) - 1.0
     xmax, ymax = allpts.max(axis=0) + 1.0
-    pad = 10.0
+    width_px, pad = 900, 10.0
     scale = (width_px - 2 * pad) / (xmax - xmin)
     height_px = int((ymax - ymin) * scale + 2 * pad)
     bounds = (xmin, xmax, ymax, ymin)
@@ -282,15 +277,12 @@ def render_episode(trace: Trace | None, track, outcome: str | None = None,
     ET.SubElement(svg, "rect", x="0", y="0", width=str(width_px),
                   height=str(height_px), fill="white")
 
-    def poly(points, color, w="1.5", closed=True, dash=None):
+    def poly(points, color, w="1.5", closed=True):
         pts = _transform(points, bounds, scale, pad)
         if closed:
             pts = np.vstack([pts, pts[:1]])
-        attrs = {"points": " ".join(f"{x:.2f},{y:.2f}" for x, y in pts),
-                 "fill": "none", "stroke": color, "stroke-width": w}
-        if dash:
-            attrs["stroke-dasharray"] = dash
-        ET.SubElement(svg, "polyline", **attrs)
+        ET.SubElement(svg, "polyline", points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts),
+                      fill="none", stroke=color, **{"stroke-width": w})
 
     poly(track.inner_boundary, "#333333")
     poly(track.outer_boundary, "#333333")
@@ -300,7 +292,7 @@ def render_episode(trace: Trace | None, track, outcome: str | None = None,
         for a in range(poses.shape[1]):
             poly(poses[:, a, :2], colors[a % 2], w="1.2", closed=False)
         dt = trace.times[1] - trace.times[0] if len(trace.times) > 1 else 1.0
-        stride = max(1, int(round(footprint_every / dt)))
+        stride = max(1, int(round(0.5 / dt)))
         for a in range(poses.shape[1]):
             for pose in poses[::stride, a].tolist():
                 corners = _geom.obb_corners(*pose[:3], sim_cfg.veh_length, sim_cfg.veh_width)

@@ -46,10 +46,6 @@ class NoFeasibleCandidate(ExpertError):
     """Every lattice candidate leaves the track; caller must brake straight."""
 
 
-class NonPositiveSpeed(ExpertError):
-    pass
-
-
 @dataclass(frozen=True)
 class ExpertConfig:
     lambda_v: float = 1.0
@@ -73,6 +69,8 @@ class ExpertConfig:
     def __post_init__(self):
         if not 0.0 < self.leader_speed_discount <= 1.0:
             raise ExpertError("leader_speed_discount must be in (0, 1]")
+        if not self.v_floor > 0.0:   # every candidate speed is at least v_floor
+            raise ExpertError(f"v_floor must be > 0, got {self.v_floor}")
 
 
 def _blend(u: np.ndarray) -> np.ndarray:
@@ -268,8 +266,6 @@ def ego_commands(states: np.ndarray, opponents: np.ndarray | None, raceline: Rac
     lattice = sample_lattices(states, raceline, cfg, sim)
     if not lattice.kept.any():
         return out
-    if np.any(lattice.v[lattice.kept.any(axis=2)] <= 0):
-        raise NonPositiveSpeed("candidate contains non-positive speeds")
     opp = None if opponents is None else predict_opponents(opponents, cfg, sim)[:, None, None]
     rewards = _mean_rewards(lattice.v, lattice.xy, lattice.d, lattice.kappa, opp, cfg)
     # commanding a preview sample lets the proportional speed tracker

@@ -12,11 +12,12 @@ b_cand_h (H,) is the candidate's hidden-side bias. `gru_cell` is the only
 GRU update. It takes the input projection px = x W_x^T + b_x, which
 inference forms per step and the trainer for a whole batch of sequences
 in one GEMM, and makes one h U_h^T product. `gru_step`, `forward_step`,
-`InferenceSession` and the trainer's forward pass all call it. A
-single-observation step may pass a `StepBuffers` workspace, which holds
-its intermediates and their fixed gate views so that the step's ufuncs
-write in place and it slices nothing; the operations and their order are
-the same with and without one. InferenceSession keeps one per session.
+`InferenceSession` and the trainer's forward pass all call it, and all
+decode through `decode`. A single-observation step may pass a
+`StepBuffers` workspace, which holds its intermediates and their fixed
+gate views so that the step's ufuncs write in place and it slices
+nothing; the operations and their order are the same with and without
+one. InferenceSession keeps one per session.
 
 Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
 each of its 17 names to a stored tensor and a gate block, and init, save
@@ -283,16 +284,17 @@ def gru_step(x: np.ndarray, h: np.ndarray, params: PolicyParameters,
 
 
 def decode(h: np.ndarray, params: PolicyParameters,
-           work: StepBuffers | None = None) -> np.ndarray:
-    """Two-layer rectifier MLP head -> raw (speed, steering). No clamping;
-    the simulator's actuator model saturates on application."""
+           work: StepBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Two-layer rectifier MLP head -> (raw (speed, steering), its
+    rectified hidden layer, which backpropagation needs). No clamping; the
+    simulator's actuator model saturates on application."""
     if h.shape[-1] != params.dec_w1.shape[1]:
         raise ShapeMismatch(f"decode: h{h.shape} vs W1{params.dec_w1.shape}")
     hidden = _times_transpose(h, params.dec_w1, None if work is None else work.hidden)
     hidden += params.dec_b1
     np.maximum(hidden, 0.0, out=hidden)
     out = _times_transpose(hidden, params.dec_w2, None if work is None else work.action)
-    return out + params.dec_b2
+    return out + params.dec_b2, hidden
 
 
 def forward_step(scan: np.ndarray, v: float, h: np.ndarray,
@@ -304,7 +306,8 @@ def forward_step(scan: np.ndarray, v: float, h: np.ndarray,
     intermediates; the returned arrays are fresh either way."""
     x = encode_inputs(scan, v, params, cfg, masked, work).astype(params.w_x.dtype, copy=False)
     h_next = gru_step(x, h, params, work)
-    return decode(h_next, params, work), h_next
+    action, _ = decode(h_next, params, work)
+    return action, h_next
 
 
 class InferenceSession:

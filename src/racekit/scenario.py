@@ -44,8 +44,8 @@ from . import simulator as rsim
 from ._atomic import atomic_open
 from .expert import ExpertConfig
 from .seeding import sub_seed
-from .simulator import SimConfig, WorldBatch
-from .track import Raceline, SpeedConfig, TrackModel, generate_raceline
+from .simulator import FRAME_HZ, SimConfig, WorldBatch
+from .track import NAMED_OFFSETS, Raceline, SpeedConfig, TrackModel, generate_raceline
 
 
 class ScenarioError(Exception):
@@ -67,7 +67,6 @@ class Outcome:
     ALL = (CAR_FOLLOWING, OVERTAKING, COLLISION)
 
 
-FRAME_HZ = 10.0
 LEGACY_N_BEAMS = 360  # beams per frame of an episode header without "n_beams"
 
 
@@ -84,8 +83,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.k_positions < 1:
             raise ScenarioError("k_positions must be >= 1")
-        if self.duration <= 0:
-            raise ScenarioError("duration must be positive")
+        if not self.duration >= 1.0 / FRAME_HZ:
+            raise ScenarioError(f"duration must be at least one {1.0 / FRAME_HZ} s frame, "
+                                f"got {self.duration}")
+        for key in ("ego_racelines", "leader_racelines"):
+            ids = getattr(self, key)
+            if not ids or not set(ids) <= set(NAMED_OFFSETS):
+                raise ScenarioError(f"{key} must list ids of {'|'.join(NAMED_OFFSETS)}, got {ids}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,8 @@ class RaceEnvironment:
     @classmethod
     def build(cls, track: TrackModel, sim: SimConfig = SimConfig(),
               expert_cfg: ExpertConfig = ExpertConfig(),
-              speed: SpeedConfig = SpeedConfig(),
-              raceline_ids: tuple[str, ...] = ("left", "center", "right")):
-        racelines = {rid: generate_raceline(track, rid, speed) for rid in raceline_ids}
+              speed: SpeedConfig = SpeedConfig()):
+        racelines = {rid: generate_raceline(track, rid, speed) for rid in NAMED_OFFSETS}
         return cls(track=track, racelines=racelines, sim=sim, expert=expert_cfg)
 
 
@@ -315,19 +318,8 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
     interval it died in. Each of a row's observers is called at the start
     and then after every sim step with the batch, the row and the ego's
     unwrapped centerline progress; a true return from any of them ends that
-    episode. Rows with and without a leader run as separate batches."""
+    episode. Either every scenario names a leader or none does."""
     observers = observers or [()] * len(scenarios)
-    solo = [sc.leader_raceline is None for sc in scenarios]
-    if len(set(solo)) > 1:
-        out: list = [None] * len(scenarios)
-        for flag in (False, True):
-            idx = [i for i, s in enumerate(solo) if s == flag]
-            results = rollout_batch([scenarios[i] for i in idx], source, env, duration,
-                                    [observers[i] for i in idx])
-            for i, res in zip(idx, results):
-                out[i] = res
-        return out
-
     sim_cfg, track = env.sim, env.track
     poses = np.array([start_world(sc, env) for sc in scenarios])
     n_rows, n_agents = poses.shape[:2]
@@ -342,7 +334,7 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
                               world.poses[..., 1].ravel()).reshape(n_rows, n_agents)
     leaders = [sc.leader_raceline for sc in scenarios]
 
-    steps_per_frame = max(1, int(round(1.0 / (FRAME_HZ * sim_cfg.dt))))
+    steps_per_frame = round(1.0 / (FRAME_HZ * sim_cfg.dt))   # whole, as SimConfig checks
     max_frames = int(round(duration * FRAME_HZ))
     frames: list[list] = [[] for _ in range(n_rows)]
     watched = any(observers)

@@ -39,6 +39,11 @@ class NonFiniteState(SimulationError):
     """A dynamics update produced NaN or infinity."""
 
 
+# the episode engine's action-query and recording rate; SimConfig.dt must
+# split its frame into a whole number of sim steps (within 1e-9)
+FRAME_HZ = 10.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.01
@@ -53,6 +58,16 @@ class SimConfig:
     speed_gain: float = 2.0
     lidar_range_max: float = 30.0
     n_beams: int = 360
+
+    def __post_init__(self):
+        steps = 1.0 / (FRAME_HZ * self.dt) if self.dt > 0 else 0.0
+        if not (steps >= 1.0 and abs(steps - round(steps)) <= 1e-9):
+            raise SimulationError(f"dt must be > 0 and split the {1.0 / FRAME_HZ} s frame "
+                                  f"into whole steps, got {self.dt}")
+        if self.n_beams < 1:
+            raise SimulationError(f"n_beams must be >= 1, got {self.n_beams}")
+        if not self.lidar_range_max > 0:
+            raise SimulationError(f"lidar_range_max must be > 0, got {self.lidar_range_max}")
 
 
 MAX_AGENTS = 2  # LiDAR, the ego expert and the car-car test see one other car

@@ -162,7 +162,7 @@ def build_track(xy, w_right, w_left) -> TrackModel:
         raise OpenLoop(
             f"endpoints {closing:.3f} m apart exceed 2x mean spacing {mean_spacing:.3f} m"
         )
-    arc_table, total_length = _geom.cumulative_arclength(xy, closed=True)
+    arc_table, total_length = _geom.cumulative_arclength(xy)
     normals = _left_normals(xy)
     left_bound = xy + w_left[:, None] * normals
     right_bound = xy - w_right[:, None] * normals
@@ -324,7 +324,7 @@ def generate_raceline(track: TrackModel, offset, speed_cfg: SpeedConfig = SpeedC
     seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
     if np.any(seg <= 1e-9):
         raise DegenerateGeometry("offset raceline collapsed neighboring points")
-    arc_table, length = _geom.cumulative_arclength(xy, closed=True)
+    arc_table, length = _geom.cumulative_arclength(xy)
     tang = np.roll(xy, -1, axis=0) - np.roll(xy, 1, axis=0)
     heading = np.arctan2(tang[:, 1], tang[:, 0])
     kappa = _three_point_curvature(xy)
@@ -403,7 +403,7 @@ def make_stadium_track(length: float = 60.0, width: float = 3.0, curve_frac: flo
 def _resample_closed(xy: np.ndarray, length: float, n_points: int) -> np.ndarray:
     """A closed polyline scaled to arc length `length` and resampled at
     n_points uniformly spaced arc positions."""
-    table, total = _geom.cumulative_arclength(xy, closed=True)
+    table, total = _geom.cumulative_arclength(xy)
     xy = xy * (length / total)
     table = table * (length / total)
     s_new = np.linspace(0.0, length, n_points, endpoint=False)
@@ -441,11 +441,11 @@ TRACK_GENERATORS = {
 }
 
 
-def make_track(shape: str, length: float = 60.0, width: float = 3.0, **kwargs) -> TrackModel:
+def make_track(shape: str, length: float = 60.0, width: float = 3.0) -> TrackModel:
     try:
         gen = TRACK_GENERATORS[shape]
     except KeyError:
         raise TrackError(f"unknown track shape {shape!r}; have {sorted(TRACK_GENERATORS)}")
     if shape == "circle":
-        return gen(radius=length / (2.0 * np.pi), width=width, **kwargs)
-    return gen(length=length, width=width, **kwargs)
+        return gen(radius=length / (2.0 * np.pi), width=width)
+    return gen(length=length, width=width)

@@ -1,7 +1,8 @@
 """Behavior-cloning trainer.
 
-Full-sequence teacher forcing over recorded episodes: the policy is rolled
-from a zero hidden state across every frame, the loss is a weighted sum of
+Full-sequence teacher forcing over recorded episodes (a dataset's
+`scenario.EpisodeRecord`s, read as they are): the policy is rolled from a
+zero hidden state across every frame, the loss is a weighted sum of
 speed and steering mean squared errors (weight 0.05 on speed), gradients
 come from exact backpropagation through the whole recurrence, parameters
 move under Adam, and the learning rate halves whenever the epoch loss
@@ -10,12 +11,14 @@ shortcut copying of the current speed into the speed command.
 
 Episodes inside a batch are padded to a common length and masked out of
 the loss, which reproduces independent per-episode rolls exactly while
-keeping the matmuls batched. Double precision throughout.
+keeping the matmuls batched. The records' float32 frames widen to double
+precision as they are padded; double precision throughout.
 
 The forward pass projects the inputs of all B x T frames through the
 packed w_x in one GEMM before the time loop, then runs `policy.gru_cell`
 once per step, which writes each step's gate activations over its slice
-of that projection. Backpropagation mirrors the packed layout: one GEMM
+of that projection, and decodes all frames at once through
+`policy.decode`. Backpropagation mirrors the packed layout: one GEMM
 with u_h per step for the hidden-state gradient, one each for the w_x
 and u_h gradients, and Adam steps each whole tensor in cache-sized
 tiles; only `policy` knows the checkpoint's per-gate layout.
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import atomic_open
-from .policy import PolicyConfig, PolicyParameters, encode_inputs, gru_cell, init_params
-from .scenario import Dataset, EpisodeRecord
+from .policy import PolicyConfig, PolicyParameters, decode, encode_inputs, gru_cell, init_params
+from .scenario import EpisodeRecord
 from .seeding import rng_for
 
 
@@ -65,6 +68,11 @@ class TrainerConfig:
     eps: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise TrainerError(f"{key} must be >= 1, got {getattr(self, key)}")
+
 
 @dataclass
 class TrainState:
@@ -86,42 +94,23 @@ class TrainState:
                    lr=cfg.lr0)
 
 
-@dataclass
-class TrainingEpisode:
-    """Episode tensors ready for teacher forcing (float64)."""
-
-    scans: np.ndarray    # (T, n_beams)
-    speeds: np.ndarray   # (T,)
-    labels: np.ndarray   # (T, 2) expert (v_cmd, delta_cmd)
-
-    @classmethod
-    def from_record(cls, rec: EpisodeRecord) -> "TrainingEpisode":
-        if rec.n_frames == 0:
-            raise EmptyEpisode(f"episode {rec.scenario_id} has no frames")
-        return cls(scans=rec.scans.astype(np.float64),
-                   speeds=rec.ego_v.astype(np.float64),
-                   labels=rec.actions.astype(np.float64))
-
-    def __len__(self):
-        return len(self.speeds)
-
-
-def _pack_batch(episodes, mask_draws, cfg: PolicyConfig):
-    """Pad episodes to the longest length; active[b, t] marks real frames."""
+def _pack_batch(episodes: list[EpisodeRecord], mask_draws, cfg: PolicyConfig):
+    """Pad the records' scans, speeds and expert actions (the labels) to
+    the longest length; active[b, t] marks real frames."""
     B = len(episodes)
-    T = max(len(ep) for ep in episodes)
+    T = max(ep.n_frames for ep in episodes)
     scans = np.zeros((B, T, cfg.n_beams))
     speeds = np.zeros((B, T))
     labels = np.zeros((B, T, 2))
     masked = np.zeros((B, T), dtype=bool)
     active = np.zeros((B, T), dtype=bool)
     for b, (ep, draws) in enumerate(zip(episodes, mask_draws)):
-        t = len(ep)
+        t = ep.n_frames
         if len(draws) != t:
             raise TrainerError(f"mask draws length {len(draws)} != episode length {t}")
         scans[b, :t] = ep.scans
-        speeds[b, :t] = ep.speeds
-        labels[b, :t] = ep.labels
+        speeds[b, :t] = ep.ego_v
+        labels[b, :t] = ep.actions
         masked[b, :t] = draws
         active[b, :t] = True
     return scans, speeds, labels, masked, active
@@ -139,12 +128,9 @@ def _forward_batch(params: PolicyParameters, cfg: PolicyConfig, scans, speeds, m
     m = np.empty((B, T, H))   # u_cand @ h_prev + b_cand_h
     for t in range(T):
         hs[:, t + 1], gates[:, t], m[:, t] = gru_cell(gates[:, t], hs[:, t], params)
-    flat_h = hs[:, 1:].reshape(B * T, H)
-    pre1 = flat_h @ params.dec_w1.T + params.dec_b1          # (B*T, M)
-    relu1 = np.maximum(pre1, 0.0)
-    preds = (relu1 @ params.dec_w2.T + params.dec_b2).reshape(B, T, 2)
-    caches = dict(x=x, hs=hs, gates=gates, m=m, relu1=relu1.reshape(B, T, -1))
-    return preds, caches
+    preds, relu1 = decode(hs[:, 1:].reshape(B * T, H), params)   # (B*T, 2), (B*T, M)
+    caches = dict(x=x, hs=hs, gates=gates, m=m, relu1=relu1)
+    return preds.reshape(B, T, 2), caches
 
 
 def _episode_losses(preds, labels, active, speed_weight):
@@ -157,7 +143,7 @@ def _episode_losses(preds, labels, active, speed_weight):
 
 
 def backward(params: PolicyParameters, cfg: PolicyConfig,
-             episodes: list[TrainingEpisode], mask_draws: list[np.ndarray],
+             episodes: list[EpisodeRecord], mask_draws: list[np.ndarray],
              speed_weight: float = 0.05):
     """Exact gradients of the batch-mean sequence loss for every tensor.
 
@@ -177,12 +163,11 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     dpred[..., 1] = 2.0 * err[..., 1] / counts[:, None] / B
 
     x, hs, gates, m_all = caches["x"], caches["hs"], caches["gates"], caches["m"]
-    relu1 = caches["relu1"]
+    flat_relu = caches["relu1"]
     H = cfg.hidden_dim
 
     # decoder backward (batched over all frames at once)
     flat_dpred = dpred.reshape(B * T, 2)
-    flat_relu = relu1.reshape(B * T, -1)
     g_dec_w2 = flat_dpred.T @ flat_relu
     g_dec_b2 = flat_dpred.sum(axis=0)
     dz1 = (flat_dpred @ params.dec_w2) * (flat_relu > 0)
@@ -297,18 +282,15 @@ def lr_schedule_step(state: TrainState, epoch_loss: float, cfg: TrainerConfig) -
     return state
 
 
-def train(dataset, policy_cfg: PolicyConfig, trainer_cfg: TrainerConfig,
-          progress=None):
-    """Full behavior-cloning run.
-
-    dataset: a scenario.Dataset, a list of EpisodeRecord, or a list of
-    TrainingEpisode. Returns (best parameters, loss curve rows
-    (epoch, mean_loss, lr), final TrainState)."""
-    records = dataset.episodes if isinstance(dataset, Dataset) else dataset
-    episodes = [ep if isinstance(ep, TrainingEpisode) else TrainingEpisode.from_record(ep)
-                for ep in records]
+def train(episodes: list[EpisodeRecord], policy_cfg: PolicyConfig,
+          trainer_cfg: TrainerConfig, progress=None):
+    """Full behavior-cloning run on recorded episodes. Returns (best
+    parameters, loss curve rows (epoch, mean_loss, lr), final TrainState)."""
     if not episodes:
         raise EmptyDatasetError("no episodes to train on")
+    for ep in episodes:
+        if ep.n_frames == 0:
+            raise EmptyEpisode(f"episode {ep.scenario_id} has no frames")
     beams = sorted({ep.scans.shape[1] for ep in episodes})
     if beams != [policy_cfg.n_beams]:
         raise TrainerError(f"episodes of {beams} beams; the policy reads {policy_cfg.n_beams}")
@@ -326,7 +308,7 @@ def train(dataset, policy_cfg: PolicyConfig, trainer_cfg: TrainerConfig,
         for start in range(0, n, trainer_cfg.batch_size):
             batch_idx = order[start:start + trainer_cfg.batch_size]
             batch = [episodes[i] for i in batch_idx]
-            draws = [mask_rng.random(len(ep)) < trainer_cfg.mask_p for ep in batch]
+            draws = [mask_rng.random(ep.n_frames) < trainer_cfg.mask_p for ep in batch]
             grads, losses = backward(state.params, policy_cfg, batch, draws,
                                      trainer_cfg.speed_loss_weight)
             state = adam_update(state, grads, trainer_cfg)

@@ -7,7 +7,7 @@ import pytest
 from racekit import _geom
 from racekit import simulator as rsim
 from racekit import track as rtrack
-from racekit.expert import ExpertError, NoFeasibleCandidate, NonPositiveSpeed
+from racekit.expert import ExpertError, NoFeasibleCandidate
 from racekit.scenario import FRAME_HZ, EpisodeRecord, classify_outcome, start_world
 from racekit.seeding import rng_for, sub_seed
 from racekit.simulator import NonFiniteState, SimConfig
@@ -380,7 +380,7 @@ def reference_score_candidates(candidates, opponent_pred, raceline, cfg):
     """Mean per-sample composite reward of lattice candidates."""
     V = np.stack([c.v for c in candidates])          # (C, K)
     if np.any(V <= 0):
-        raise NonPositiveSpeed("candidate contains non-positive speeds")
+        raise ExpertError("candidate contains non-positive speeds")
     XY = np.stack([c.xy for c in candidates])        # (C, K, 2)
     n_c, n_k = V.shape
     s_proj = np.stack([c.s_path for c in candidates]).reshape(-1)

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from racekit import config as rconfig
 from racekit.config import KitConfig, config_hash, load_config
 from racekit.policy import load_checkpoint_file
 from racekit.scenario import EpisodeRecord, Outcome, load_episode, save_dataset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -248,6 +254,36 @@ class TestTrain:
         _, cfg = load_checkpoint_file(out / "policy.ckpt")
         assert cfg.hidden_multiplier == 8
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """`train --epochs 1` in a fresh interpreter at 1 and 2 BLAS threads
+        writes the same checkpoint and loss curve. At 16 episodes of 80
+        frames and 32 beams (I = 48, H = 96, one batch of 16) every GEMM
+        of the epoch, from the 1280 x 48 x 288 input projection to the
+        16 x 96 x 288 per-step u_h product, is above OpenBLAS's
+        single-thread bound (m n k <= 4 * 65536), so each is split across
+        the threads. About 1 s on a 2-vCPU host; the tier-1 budget is 10 s."""
+        rng = np.random.default_rng(0)
+        save_dataset(tmp_path, [(f"ep_{i}.bin", EpisodeRecord(
+            scenario_id=f"x:{i}", seed=i,
+            scans=rng.uniform(0.2, 30.0, (80, 32)).astype(np.float32),
+            ego_v=rng.uniform(0.0, 7.0, 80).astype(np.float32),
+            actions=rng.uniform(-0.4, 7.0, (80, 2)).astype(np.float32),
+            outcome=Outcome.OVERTAKING, duration_actual=8.0)) for i in range(16)])
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[policy]\nhidden_multiplier = 2\n")
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "racekit.cli", "--config", str(cfgfile),
+                            "--out", str(out), "train", "--dataset",
+                            str(tmp_path / "dataset.json"), "--epochs", "1"],
+                           env=env, check=True, capture_output=True, timeout=60)
+            digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("policy.ckpt", "loss_curve.csv")])
+        assert digests[0] == digests[1]
+
 
 class TestEval:
     def test_h2h_counts_sum(self, tmp_path, trained, track_dir, capsys):
@@ -454,6 +490,33 @@ class TestConfig:
         assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
                        "track", "gen", "--shape", "circle") == 6
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[sim]\ndt = 0\n",
+        "[sim]\ndt = -0.01\n",
+        "[sim]\ndt = 0.03\n",                 # 3.33 steps per 0.1 s frame
+        "[sim]\nn_beams = 0\n",
+        "[sim]\nlidar_range_max = -1\n",
+        "[scenario]\nduration = 0.04\n",       # shorter than one frame
+        "[scenario]\nego_racelines = fast\n",
+        "[scenario]\nleader_racelines =\n",
+        "[expert]\nv_floor = 0\n",
+        "[trainer]\nbatch_size = 0\n",
+        "[trainer]\nepochs = 0\n",
+    ], ids=["dt-zero", "dt-negative", "dt-not-whole-steps", "n_beams-zero",
+            "lidar_range_max-negative", "duration-below-frame", "ego_racelines-unknown",
+            "leader_racelines-empty", "v_floor-zero", "batch_size-zero", "epochs-zero"])
+    def test_invalid_value_exits_6(self, tmp_path, capsys, collected, track_dir, text):
+        # rejected at load, naming the key, before the command that reads it runs
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        command = (["train", "--dataset", str(collected / "dataset.json")]
+                   if text.startswith("[trainer]") else
+                   ["collect", "--track", str(track_dir / "track_stadium.csv"), "--scenarios", "1"])
+        assert run_cli("--config", str(path), "--out", str(tmp_path / "o"), *command) == 6
+        key = text.splitlines()[1].split("=")[0].strip()
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

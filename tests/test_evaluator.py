@@ -1,4 +1,5 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -55,9 +56,8 @@ class TestRunners:
         params, cfg = rand_policy
         scenarios, _ = enumerate_scenarios(
             ScenarioConfig(k_positions=3, seed=5), env)
-        report, outcomes = run_h2h(params, cfg, scenarios, env, seed=1, duration=1.0)
+        report = run_h2h(params, cfg, scenarios, env, seed=1, duration=1.0)
         assert report.n == 3
-        assert len(outcomes) == 3
         assert report.car_following + report.overtaking + report.collision == 3
 
     def test_single_agent_truncates_on_collision(self, env, rand_policy):
@@ -83,9 +83,8 @@ class TestRunners:
     def test_seeded_reproducibility(self, env, rand_policy):
         params, cfg = rand_policy
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=2, seed=5), env)
-        r1, o1 = run_h2h(params, cfg, scenarios, env, noise_eta=0.2, seed=9, duration=1.0)
-        r2, o2 = run_h2h(params, cfg, scenarios, env, noise_eta=0.2, seed=9, duration=1.0)
-        assert o1 == o2
+        r1 = run_h2h(params, cfg, scenarios, env, noise_eta=0.2, seed=9, duration=1.0)
+        r2 = run_h2h(params, cfg, scenarios, env, noise_eta=0.2, seed=9, duration=1.0)
         assert report_json(r1) == report_json(r2)
 
     def test_noise_sweep_levels_and_eta_zero_identity(self, env, rand_policy):
@@ -102,20 +101,27 @@ class TestRunners:
 
 
 class TestLatency:
-    def test_tiny_config_fast_and_ordered(self):
+    """What host load cannot move: the report's fields and the order of
+    its timings. How fast a step is belongs to racebench's `latency`
+    workload, not to a wall-clock bound here."""
+
+    def test_tiny_config_report_ordered(self):
         cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
         params = init_params(cfg, np.random.default_rng(0))
         rep = bench_latency(params, cfg, n_samples=1000, warmup=50)
-        assert rep.median_ms <= rep.p99_ms <= rep.max_ms
-        assert rep.median_ms < 0.05
-        assert rep.samples == 1000
+        assert (rep.samples, rep.precision, rep.input_dim, rep.hidden_dim) == (
+            1000, "float32", cfg.input_dim, cfg.hidden_dim)
+        assert all(math.isfinite(t) for t in (rep.median_ms, rep.p99_ms, rep.max_ms))
+        assert 0.0 < rep.median_ms <= rep.p99_ms <= rep.max_ms
 
     def test_two_runs_stable(self):
+        # two runs agree on every field but the timings, which are the host's
         cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
         params = init_params(cfg, np.random.default_rng(0))
-        m1 = bench_latency(params, cfg, n_samples=1000, warmup=50).median_ms
-        m2 = bench_latency(params, cfg, n_samples=1000, warmup=50).median_ms
-        assert abs(m1 - m2) / max(m1, m2) < 0.5
+        fields = [{k: v for k, v in bench_latency(params, cfg, n_samples=1000, warmup=50)
+                   .to_dict().items() if not k.endswith("_ms")} for _ in range(2)]
+        assert fields[0] == fields[1] == {"samples": 1000, "precision": "float32",
+                                          "input_dim": 10, "hidden_dim": 20}
 
 
 class TestRender:

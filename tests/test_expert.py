@@ -72,11 +72,10 @@ class TestScore:
         assert fast > slow
 
     def test_nonpositive_speed_rejected(self):
-        # from rest with no speed floor, the lattice's first samples are 0 m/s
-        rl = straight_raceline()
-        with pytest.raises(rexpert.NonPositiveSpeed):
-            ego_commands(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), None, rl,
-                         ExpertConfig(v_floor=0.0), SIM)
+        # from rest with no speed floor the lattice's first samples would be
+        # 0 m/s and ln(0) unbounded, so the floor must be positive
+        with pytest.raises(rexpert.ExpertError, match="v_floor"):
+            ExpertConfig(v_floor=0.0)
 
     def test_no_opponent_drops_proximity_term(self):
         cfg = ExpertConfig(lambda_v=0, lambda_p=0, lambda_d=99.0, lambda_kappa=0)
@@ -283,7 +282,7 @@ class TestExpertAction:
 
     def test_leader_nonreactive(self, stadium):
         # the leader drives the same path whatever the ego behind it does
-        env = RaceEnvironment.build(stadium, raceline_ids=("center",))
+        env = RaceEnvironment.build(stadium)
         scenario = Scenario(id="x", ego_raceline="center", ego_s=0.0, seed=0,
                             leader_raceline="center", leader_s=3.0)
 
@@ -315,7 +314,7 @@ class TestExpertAction:
 @pytest.mark.slow
 def test_expert_three_laps_stadium(stadium):
     """Closed-loop competence: the expert alone drives 3 clean laps."""
-    env = RaceEnvironment.build(stadium, raceline_ids=("center",))
+    env = RaceEnvironment.build(stadium)
     L = stadium.total_length
     record = rollout(Scenario(id="laps", ego_raceline="center", ego_s=0.0, seed=0),
                      ExpertSource(), env, duration=3 * L + 30.0,

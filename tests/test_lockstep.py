@@ -29,7 +29,8 @@ from racekit.evaluator import PolicySource
 from racekit.expert import ExpertConfig, NoFeasibleCandidate
 from racekit.policy import PolicyConfig, init_params
 from racekit.scenario import (ExpertSource, NoValidSpawn, RaceEnvironment, Scenario,
-                              ScenarioConfig, enumerate_scenarios, rollout_many, track_progress)
+                              ScenarioConfig, enumerate_scenarios, rollout, rollout_many,
+                              track_progress)
 from racekit.simulator import SimConfig, WorldBatch
 from racekit.track import FarFromRaceline
 
@@ -98,15 +99,14 @@ class TestEngine:
         assert_same_records(got, [reference_rollout(sc, reference, env, 3.0)
                                   for sc in scenarios])
 
-    def test_leaderless_rows_in_a_pool(self):
+    def test_leaderless_rollout_matches_reference(self):
+        # the single-agent harness's form: one scenario without a leader
         env = race_env("stadium", 3.0)
-        scenarios = enumerate_scenarios(ScenarioConfig(k_positions=3, seed=2), env)[0]
         solo = [Scenario(id=f"solo:{i}", ego_raceline="center", ego_s=10.0 * i, seed=i)
                 for i in range(2)]
-        pool = [solo[0], scenarios[0], scenarios[1], solo[1], scenarios[2]]
-        got = rollout_many(pool, ExpertSource(), env, 0.5)
-        assert_same_records(got, [reference_rollout(sc, ReferenceExpertSource(), env, 0.5)
-                                  for sc in pool])
+        assert_same_records([rollout(sc, ExpertSource(), env, 0.5) for sc in solo],
+                            [reference_rollout(sc, ReferenceExpertSource(), env, 0.5)
+                             for sc in solo])
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,9 @@ class TestSensing:
         soups = np.broadcast_to(segs, (len(rows),) + segs.shape)
         got = _geom.ray_hits(origins, headings, n_beams, soups, 30.0)
         for b in range(len(rows)):
-            assert_same_bits(got[b], _geom.ray_hits(origins[b], float(headings[b]), n_beams,
-                                                    segs, 30.0))
+            one = slice(b, b + 1)
+            assert_same_bits(got[b], _geom.ray_hits(origins[one], headings[one], n_beams,
+                                                    soups[one], 30.0)[0])
             assert_same_bits(got[b], reference_ray_hits(origins[b], float(headings[b]), n_beams,
                                                         segs, 30.0))
 

@@ -125,12 +125,12 @@ class TestGruStep:
 class TestDecode:
     def test_all_zero(self):
         p = zero_params()
-        assert np.array_equal(decode(np.zeros(TINY.hidden_dim), p), np.zeros(2))
+        assert np.array_equal(decode(np.zeros(TINY.hidden_dim), p)[0], np.zeros(2))
 
     def test_bias_passthrough(self):
         p = zero_params()
         p.dec_b2[:] = [3.0, 0.1]
-        out = decode(np.linspace(-1, 1, TINY.hidden_dim), p)
+        out, _ = decode(np.linspace(-1, 1, TINY.hidden_dim), p)
         assert np.array_equal(out, [3.0, 0.1])
 
     def test_hand_matrix_case(self):
@@ -141,7 +141,9 @@ class TestDecode:
         h = np.array([0.1, -0.2, 0.3, -0.4])
         pre = p.dec_w1 @ h + p.dec_b1
         expected = p.dec_w2 @ np.maximum(pre, 0) + p.dec_b2
-        assert np.allclose(decode(h, p), expected, atol=1e-12)
+        action, hidden = decode(h, p)
+        assert np.allclose(action, expected, atol=1e-12)
+        assert np.allclose(hidden, np.maximum(pre, 0), atol=1e-12)
 
 
 class TestForwardStep:

@@ -211,8 +211,9 @@ class TestBinnedRaycast:
         assert np.array_equal(scan_batch(track, one_row(ego, other), 0, cfg)[0], ref)
 
     def test_empty_soup_reports_max_range(self):
-        out = _geom.ray_hits((0.0, 0.0), 0.3, 16, np.zeros((0, 2, 2)), 30.0)
-        assert np.array_equal(out, np.full(16, 30.0))
+        out = _geom.ray_hits(np.zeros((2, 2)), np.array([0.3, -1.0]), 16,
+                             np.zeros((2, 0, 2, 2)), 30.0)
+        assert np.array_equal(out, np.full((2, 16), 30.0))
 
 
 class TestNoise:

@@ -78,7 +78,7 @@ class TestLoadTrack:
 
 def dense_self_intersects(verts):
     """Reference: every unordered non-adjacent segment pair, O(N^2)."""
-    segs = _geom.polyline_segments(verts, closed=True)
+    segs = _geom.polyline_segments(verts)
     n = len(segs)
     if n < 4:
         return False

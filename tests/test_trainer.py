@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from racekit import trainer
 from racekit.policy import InferenceSession, PolicyConfig, TENSOR_ORDER, init_params
+from racekit.scenario import EpisodeRecord, Outcome
 from racekit.trainer import (
     EmptyDatasetError,
     TrainerConfig,
-    TrainingEpisode,
     TrainState,
     adam_update,
     backward,
@@ -27,7 +29,7 @@ def sequence_loss(params, cfg, episode, mask_draws, speed_weight=0.05):
     through the trainer's batch kernels as a batch of one: the oracle the
     batched gradients are checked against. Returns (loss, (l_speed,
     l_steer))."""
-    if len(episode) == 0:
+    if episode.n_frames == 0:
         raise EmptyEpisode("empty episode")
     scans, speeds, labels, masked, active = _pack_batch(
         [episode], [np.asarray(mask_draws, dtype=bool)], cfg)
@@ -37,12 +39,15 @@ def sequence_loss(params, cfg, episode, mask_draws, speed_weight=0.05):
 
 
 def tiny_episode(T=5, seed=0, n_beams=8):
+    """A recorded episode of T frames (float32, as collect records them)."""
     rng = np.random.default_rng(seed)
-    return TrainingEpisode(
-        scans=rng.uniform(0.1, 30.0, (T, n_beams)),
-        speeds=rng.uniform(1.0, 8.0, T),
-        labels=np.stack([rng.uniform(2, 8, T), rng.uniform(-0.4, 0.4, T)], axis=1),
-    )
+    return EpisodeRecord(
+        scenario_id=f"tiny:{seed}", seed=seed,
+        scans=rng.uniform(0.1, 30.0, (T, n_beams)).astype(np.float32),
+        ego_v=rng.uniform(1.0, 8.0, T).astype(np.float32),
+        actions=np.stack([rng.uniform(2, 8, T), rng.uniform(-0.4, 0.4, T)],
+                         axis=1).astype(np.float32),
+        outcome=Outcome.OVERTAKING, duration_actual=T / 10.0)
 
 
 def finite_difference_grads(params, cfg, episodes, draws, speed_weight, step=1e-6):
@@ -80,8 +85,8 @@ class TestSequenceLoss:
         for name in TENSOR_ORDER:
             getattr(params, name)[:] = 0.0
         ep = tiny_episode()
-        ep.labels = np.tile([2.0, 0.1], (len(ep), 1))
-        loss, (l_speed, l_steer) = sequence_loss(params, TINY, ep, np.zeros(len(ep), bool))
+        ep.actions = np.tile([2.0, 0.1], (ep.n_frames, 1))
+        loss, (l_speed, l_steer) = sequence_loss(params, TINY, ep, np.zeros(ep.n_frames, bool))
         assert l_speed == pytest.approx(4.0, abs=1e-12)
         assert l_steer == pytest.approx(0.01, abs=1e-12)
         assert loss == pytest.approx(0.21, abs=1e-12)
@@ -94,17 +99,15 @@ class TestSequenceLoss:
         # forge labels equal to the model's own outputs
         scans, speeds, labels, masked, active = _pack_batch([ep], [draws], TINY)
         preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
-        ep.labels = preds[0]
+        ep.actions = preds[0]
         loss, _ = sequence_loss(params, TINY, ep, draws)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_full_masking_ignores_speeds(self):
         params = init_params(TINY, np.random.default_rng(4))
         ep1 = tiny_episode(seed=1)
-        ep2 = TrainingEpisode(scans=ep1.scans.copy(),
-                              speeds=ep1.speeds + 3.7,
-                              labels=ep1.labels.copy())
-        draws = np.ones(len(ep1), bool)
+        ep2 = replace(ep1, ego_v=ep1.ego_v + np.float32(3.7))
+        draws = np.ones(ep1.n_frames, bool)
         l1, _ = sequence_loss(params, TINY, ep1, draws)
         l2, _ = sequence_loss(params, TINY, ep2, draws)
         assert l1 == l2
@@ -122,8 +125,8 @@ class TestForwardBatch:
         session = InferenceSession(params, TINY, dtype=np.float64)
         for b, (ep, d) in enumerate(zip(episodes, draws)):
             h = session.zero_hidden()
-            for t in range(len(ep)):
-                action, h = session.step(ep.scans[t], ep.speeds[t], h, masked=d[t])
+            for t in range(ep.n_frames):
+                action, h = session.step(ep.scans[t], ep.ego_v[t], h, masked=d[t])
                 assert np.allclose(preds[b, t], action, rtol=0.0, atol=1e-12)
 
 
@@ -160,7 +163,7 @@ class TestBackward:
         draws = np.zeros(4, bool)
         scans, speeds, labels, masked, active = _pack_batch([ep], [draws], TINY)
         preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
-        ep.labels = preds[0]
+        ep.actions = preds[0]
         grads, losses = backward(params, TINY, [ep], [draws])
         assert losses[0] == pytest.approx(0.0, abs=1e-24)
         for name in TENSOR_ORDER:
@@ -297,6 +300,10 @@ class TestTrain:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDatasetError):
             train([], TINY, TrainerConfig(epochs=1))
+
+    def test_zero_frame_episode_raises(self):
+        with pytest.raises(EmptyEpisode, match="tiny:1"):
+            train([tiny_episode(T=4), tiny_episode(T=0, seed=1)], TINY, TrainerConfig(epochs=1))
 
     def test_loss_curve_csv(self, tmp_path):
         eps = [tiny_episode(T=4, seed=1)]
