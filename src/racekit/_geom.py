@@ -16,8 +16,8 @@ project_to_polyline, the one projection kernel, takes all of a
 polyline's segments, one window of them shared by every point or a
 window per point (arc_windows), and reads the polyline's segment_table
 (start point, edge, floored squared length, start arc and arc length per
-segment), which its owner derives once and caches, instead of gathering
-vertices and recomputing edges on every call.
+segment), which its owner derives once and caches, and returns each
+point's arc position and signed lateral distance.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ def project_to_polyline(points, table, seg_idx=None):
     points (P, 2) or one (2,) point; table the polyline's segment_table.
     seg_idx optionally restricts the candidate segments: one window (M,)
     shared by every point, e.g. one row of arc_windows, or one window per
-    point (P, M), e.g. arc_windows. Returns (s, d, idx): arc position, signed
-    lateral distance (positive left of travel direction) and segment index,
-    each (P,). Ties go to the segment listed first.
+    point (P, M), e.g. arc_windows. Returns (s, d): arc position and signed
+    lateral distance (positive left of travel direction), each (P,), on
+    the nearest segment; ties go to the segment listed first.
 
     The points broadcast as (P, 1) against their windows' columns, so the
     arithmetic per (point, segment) is the same for every kind of window.
@@ -221,9 +221,7 @@ def project_to_polyline(points, table, seg_idx=None):
     col = best if cols.ndim == 2 else pick         # shared or per-point columns
     s = s0[col] + t[pick] * seg_len[col]
     cross = ex[col] * dy[pick] - ey[col] * dx[pick]
-    d = np.sign(cross) * np.sqrt(dist2[pick])
-    seg = best if seg_idx is None else np.asarray(seg_idx)[col]
-    return s, d, seg
+    return s, np.sign(cross) * np.sqrt(dist2[pick])
 
 
 def obb_corners(cx, cy, theta, length, width) -> np.ndarray:

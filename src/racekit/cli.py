@@ -203,11 +203,11 @@ def cmd_train(args, cfg: KitConfig) -> int:
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
             print(f"epoch {epoch:4d}  loss {loss:.6f}  lr {lr:.2e}", flush=True)
-    best, curve, _ = rtrain.train(dataset.episodes, pol_cfg, cfg.trainer, progress=progress)
-    run.write(args.checkpoint_name, partial(save_checkpoint_file, best, pol_cfg))
+    best, curve = rtrain.train(dataset.episodes, pol_cfg, cfg.trainer, progress=progress)
+    run.write("policy.ckpt", partial(save_checkpoint_file, best, pol_cfg))
     run.write("loss_curve.csv", partial(rtrain.write_loss_curve_csv, curve))
     run.finish("train", cfg)
-    print(f"best loss {min(r[1] for r in curve):.6f} -> {run.dir / args.checkpoint_name}")
+    print(f"best loss {min(r[1] for r in curve):.6f} -> {run.dir / 'policy.ckpt'}")
     return EXIT_OK
 
 
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dataset", default=None, help="dataset manifest path")
     p_train.add_argument("--epochs", type=_positive_int, default=None)
     p_train.add_argument("--ablation", default=None, choices=list(_ABLATIONS))
-    p_train.add_argument("--checkpoint-name", default="policy.ckpt")
 
     p_eval = sub.add_parser("eval", help="evaluation suites")
     p_eval.set_defaults(run=cmd_eval)

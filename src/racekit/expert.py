@@ -19,9 +19,9 @@ profiles integrate as one (rows, speed scales) array (one v_ref lookup
 per coarse step, located through the raceline's cached segment table);
 the raceline's pose, free space and curvature are interpolated from one
 location of the (rows, speed, time) arc grid; containment is one (rows,
-speed, offset) mask; and the candidates' points and headings come out of
-one broadcast and are scored as one array, with the floats a
-per-candidate loop would give. `_mean_rewards` (the composite reward over
+speed, offset) mask; and the candidates' points come out of one
+broadcast and are scored as one array, with the floats a per-candidate
+loop would give. `_mean_rewards` (the composite reward over
 any broadcast grid of candidates) and `_best` (argmax with its tie rules)
 are the only scoring and selection; selection and pure pursuit run per
 row.
@@ -81,15 +81,14 @@ def _blend(u: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class Lattice:
     """The lattices of n states on one raceline as (row, speed, offset)
-    grids of K samples. A candidate is a (speed, offset) pair; kept (n, S,
-    L) marks those that stay on the track, and a row's candidates are its
-    kept pairs in (speed, offset) order. v and kappa depend on the speed
-    only, d on the offset only; errors holds, per row, why it keeps none."""
+    grids of K samples of what the reward reads. A candidate is a (speed,
+    offset) pair; kept (n, S, L) marks those that stay on the track, and a
+    row's candidates are its kept pairs in (speed, offset) order. v and
+    kappa depend on the speed only, d on the offset only; errors holds, per
+    row, why it keeps none."""
 
     offsets: np.ndarray       # (L,)
-    scales: np.ndarray        # (S,)
     xy: np.ndarray            # (n, S, L, K, 2)
-    heading: np.ndarray       # (n, S, L, K)
     v: np.ndarray             # (n, S, 1, K)
     kappa: np.ndarray         # (n, S, 1, K) raceline curvature at the sample's arc
     d: np.ndarray             # (n, 1, L, K) signed lateral deviation
@@ -158,11 +157,7 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
         errors[r] = errors[r] or NoFeasibleCandidate(
             f"all {cfg.n_lateral * cfg.n_speed} candidates leave the track at s={s0[r]:.2f}")
     kept[[e is not None for e in errors]] = False
-    xy = base + d_path[..., None] * normals                         # (n, S, L, K, 2)
-    diffs = np.diff(xy, axis=3)
-    heading = np.arctan2(diffs[..., 1], diffs[..., 0])
-    heading = np.concatenate([heading, heading[..., -1:]], axis=3)
-    return Lattice(offsets=offsets, scales=scales, xy=xy, heading=heading, v=v_fine,
+    return Lattice(offsets=offsets, xy=base + d_path[..., None] * normals, v=v_fine,
                    kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept, errors=errors)
 
 

@@ -62,6 +62,12 @@ class PolicyConfig:
     use_speed_input: bool = True
     mlp_hidden: int | None = None  # defaults to hidden_dim // 4
 
+    def __post_init__(self):
+        for key in ("n_beams", "embed_dim", "hidden_multiplier", "mlp_hidden", "sigmoid_k"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise PolicyError(f"{key} must be > 0, got {value}")
+
     @property
     def input_dim(self) -> int:
         return self.n_beams + (self.embed_dim if self.use_speed_input else 0)

@@ -213,7 +213,7 @@ def track_progress(track: TrackModel, progress: np.ndarray, x: np.ndarray,
     the progress moves by the projected arc's shortest signed distance
     around the loop. A point's result does not depend on the others."""
     windows = _geom.arc_windows(track.arc_table, progress, PROGRESS_WINDOW)
-    s, _, _ = _geom.project_to_polyline(np.stack([x, y], axis=1), track.segment_table, windows)
+    s, _ = _geom.project_to_polyline(np.stack([x, y], axis=1), track.segment_table, windows)
     length = track.total_length
     delta = np.mod(s - progress, length)
     delta = np.where(delta > length / 2, delta - length, delta)

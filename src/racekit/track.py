@@ -67,6 +67,11 @@ class SpeedConfig:
     v_max: float = 8.0
     a_lat_max: float = 6.0
 
+    def __post_init__(self):
+        for key in ("v_max", "a_lat_max"):
+            if not getattr(self, key) > 0.0:
+                raise TrackError(f"{key} must be > 0, got {getattr(self, key)}")
+
 
 @dataclass(frozen=True)
 class TrackModel:
@@ -236,7 +241,6 @@ class Raceline:
     the raceline to the track boundaries, used for candidate containment.
     """
 
-    offset_id: float          # signed fraction of available width, + = right
     s: np.ndarray             # (N,) strictly increasing, s[0] == 0
     xy: np.ndarray            # (N, 2)
     heading: np.ndarray       # (N,)
@@ -244,7 +248,6 @@ class Raceline:
     v_ref: np.ndarray         # (N,) > 0
     w_left_avail: np.ndarray
     w_right_avail: np.ndarray
-    center_offset: np.ndarray  # (N,) signed meters from centerline, + = left
     length: float
     arc_table: np.ndarray = field(repr=False)  # (N+1,) incl. closing segment
 
@@ -292,8 +295,7 @@ class Raceline:
 
     def project_many(self, points):
         """(s, d) of points (P, 2) on the raceline, each (P,)."""
-        s, d, _ = _geom.project_to_polyline(points, self.segment_table)
-        return s, d
+        return _geom.project_to_polyline(points, self.segment_table)
 
 
 def normal_of(heading):
@@ -330,7 +332,6 @@ def generate_raceline(track: TrackModel, offset, speed_cfg: SpeedConfig = SpeedC
     kappa = _three_point_curvature(xy)
     v_ref = np.minimum(speed_cfg.v_max, np.sqrt(speed_cfg.a_lat_max / np.maximum(np.abs(kappa), 1e-12)))
     rl = Raceline(
-        offset_id=offset,
         s=arc_table[:-1].copy(),
         xy=xy,
         heading=heading,
@@ -338,7 +339,6 @@ def generate_raceline(track: TrackModel, offset, speed_cfg: SpeedConfig = SpeedC
         v_ref=v_ref,
         w_left_avail=track.w_left - center_off,
         w_right_avail=track.w_right + center_off,
-        center_offset=center_off,
         length=length,
         arc_table=arc_table,
     )

@@ -26,7 +26,7 @@ tiles; only `policy` knows the checkpoint's per-gate layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class TrainState:
     best_loss: float = float("inf")
     stall: int = 0
     cooldown: int = 0
-    loss_history: list[float] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, params: PolicyParameters, cfg: TrainerConfig) -> "TrainState":
@@ -134,12 +133,12 @@ def _forward_batch(params: PolicyParameters, cfg: PolicyConfig, scans, speeds, m
 
 
 def _episode_losses(preds, labels, active, speed_weight):
-    """Per-episode loss and (speed, steer) MSE terms, masked means."""
+    """Per-episode loss (masked means), the masked errors and frame counts."""
     counts = active.sum(axis=1)
     err = np.where(active[..., None], preds - labels, 0.0)
     l_speed = (err[..., 0] ** 2).sum(axis=1) / counts
     l_steer = (err[..., 1] ** 2).sum(axis=1) / counts
-    return speed_weight * l_speed + l_steer, l_speed, l_steer
+    return speed_weight * l_speed + l_steer, err, counts
 
 
 def backward(params: PolicyParameters, cfg: PolicyConfig,
@@ -153,10 +152,8 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     scans, speeds, labels, masked, active = _pack_batch(episodes, mask_draws, cfg)
     B, T, _ = scans.shape
     preds, caches = _forward_batch(params, cfg, scans, speeds, masked)
-    losses, _, _ = _episode_losses(preds, labels, active, speed_weight)
+    losses, err, counts = _episode_losses(preds, labels, active, speed_weight)
 
-    counts = active.sum(axis=1).astype(float)                # frames per episode
-    err = np.where(active[..., None], preds - labels, 0.0)
     dpred = np.empty_like(err)
     # d(batch mean loss)/d(pred): each episode mean-normalized, batch-averaged
     dpred[..., 0] = 2.0 * speed_weight * err[..., 0] / counts[:, None] / B
@@ -284,8 +281,9 @@ def lr_schedule_step(state: TrainState, epoch_loss: float, cfg: TrainerConfig) -
 
 def train(episodes: list[EpisodeRecord], policy_cfg: PolicyConfig,
           trainer_cfg: TrainerConfig, progress=None):
-    """Full behavior-cloning run on recorded episodes. Returns (best
-    parameters, loss curve rows (epoch, mean_loss, lr), final TrainState)."""
+    """Full behavior-cloning run on recorded episodes. Returns the
+    parameters of the lowest-loss epoch and the loss curve rows (epoch,
+    mean_loss, lr)."""
     if not episodes:
         raise EmptyDatasetError("no episodes to train on")
     for ep in episodes:
@@ -314,7 +312,6 @@ def train(episodes: list[EpisodeRecord], policy_cfg: PolicyConfig,
             state = adam_update(state, grads, trainer_cfg)
             total += float(losses.sum())
         epoch_loss = total / n
-        state.loss_history.append(epoch_loss)
         curve.append((epoch, epoch_loss, state.lr))
         state = lr_schedule_step(state, epoch_loss, trainer_cfg)
         if epoch_loss < best_epoch_loss:
@@ -322,7 +319,7 @@ def train(episodes: list[EpisodeRecord], policy_cfg: PolicyConfig,
             best_params = state.params.copy()
         if progress is not None:
             progress(epoch, epoch_loss, state.lr)
-    return best_params, curve, state
+    return best_params, curve
 
 
 def write_loss_curve_csv(curve, path) -> None:

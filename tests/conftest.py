@@ -75,7 +75,7 @@ def reference_project_to_polyline(points, verts, arc_table, seg_idx=None):
     eb = e[best]
     cross = eb[:, 0] * db[:, 1] - eb[:, 1] * db[:, 0]
     d = np.sign(cross) * np.sqrt(dist2[rows, best])
-    return s, d, seg
+    return s, d
 
 
 def assert_same_bits(got, want):
@@ -171,8 +171,8 @@ class ReferenceProgressTracker:
 
     def update(self, x, y):
         window = reference_arc_window(self.track.arc_table, self.progress, self.WINDOW)
-        s, _, _ = reference_project_to_polyline(np.array([[x, y]]), self.track.xy,
-                                                self.track.arc_table, seg_idx=window)
+        s, _ = reference_project_to_polyline(np.array([[x, y]]), self.track.xy,
+                                             self.track.arc_table, seg_idx=window)
         length = self.track.total_length
         delta = (float(s[0]) - self.progress) % length
         if delta > length / 2:
@@ -294,8 +294,8 @@ def reference_scan_lidar(world, agent, cfg):
 def reference_project(raceline, point):
     """(s, d) of one point on a raceline; FarFromRaceline beyond
     PROJECTION_RADIUS."""
-    s, d, _ = reference_project_to_polyline(np.asarray(point, dtype=float)[None, :],
-                                            raceline.xy, raceline.arc_table)
+    s, d = reference_project_to_polyline(np.asarray(point, dtype=float)[None, :],
+                                         raceline.xy, raceline.arc_table)
     if abs(d[0]) > PROJECTION_RADIUS:
         raise FarFromRaceline(f"point {point} is {abs(d[0]):.2f} m from the raceline")
     return float(s[0]), float(d[0])
@@ -304,13 +304,17 @@ def reference_project(raceline, point):
 @dataclass(eq=False)
 class ReferenceCandidate:
     xy: np.ndarray
-    heading: np.ndarray
     v: np.ndarray
     lateral_offset: float
     speed_scale: float
     s_path: np.ndarray
     d_path: np.ndarray
     reward: float = math.nan
+
+
+def lattice_scales(cfg):
+    """The speed scales (S,) of a lattice's speed axis, in order."""
+    return np.linspace(cfg.speed_scale_min, 1.0, cfg.n_speed)
 
 
 def reference_sample_lattice(state, raceline, cfg, sim):
@@ -322,7 +326,7 @@ def reference_sample_lattice(state, raceline, cfg, sim):
     u = np.clip(tau / min(cfg.blend_T, cfg.horizon_T), 0.0, 1.0)
     beta = 3.0 * u * u - 2.0 * u * u * u
     offsets = np.linspace(-cfg.lateral_max, cfg.lateral_max, cfg.n_lateral)
-    scales = np.linspace(cfg.speed_scale_min, 1.0, cfg.n_speed)
+    scales = lattice_scales(cfg)
     sub = 5
     dt_int = sim.dt * sub
     n_int = (n_steps - 1) // sub + 2
@@ -355,12 +359,8 @@ def reference_sample_lattice(state, raceline, cfg, sim):
             if (np.any(d_path > avail_l - cfg.safety_margin)
                     or np.any(-d_path > avail_r - cfg.safety_margin)):
                 continue
-            xy = base + d_path[:, None] * normals
-            diffs = np.diff(xy, axis=0)
-            heading = np.arctan2(diffs[:, 1], diffs[:, 0])
-            heading = np.append(heading, heading[-1])
             candidates.append(ReferenceCandidate(
-                xy=xy, heading=heading, v=v_fine[j].copy(),
+                xy=base + d_path[:, None] * normals, v=v_fine[j].copy(),
                 lateral_offset=float(d_target), speed_scale=float(scale),
                 s_path=s_fine[j].copy(), d_path=d_path))
     if not candidates:

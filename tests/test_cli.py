@@ -503,16 +503,26 @@ class TestConfig:
         "[expert]\nv_floor = 0\n",
         "[trainer]\nbatch_size = 0\n",
         "[trainer]\nepochs = 0\n",
+        "[policy]\nembed_dim = 0\n",
+        "[policy]\nhidden_multiplier = 0\n",
+        "[policy]\nmlp_hidden = 0\n",
+        "[policy]\nsigmoid_k = 0\n",
+        "[raceline]\nv_max = -1\n",
+        "[raceline]\na_lat_max = 0\n",
     ], ids=["dt-zero", "dt-negative", "dt-not-whole-steps", "n_beams-zero",
             "lidar_range_max-negative", "duration-below-frame", "ego_racelines-unknown",
-            "leader_racelines-empty", "v_floor-zero", "batch_size-zero", "epochs-zero"])
+            "leader_racelines-empty", "v_floor-zero", "batch_size-zero", "epochs-zero",
+            "embed_dim-zero", "hidden_multiplier-zero", "mlp_hidden-zero", "sigmoid_k-zero",
+            "v_max-negative", "a_lat_max-zero"])
     def test_invalid_value_exits_6(self, tmp_path, capsys, collected, track_dir, text):
         # rejected at load, naming the key, before the command that reads it runs
         path = tmp_path / "bad.ini"
         path.write_text(text)
-        command = (["train", "--dataset", str(collected / "dataset.json")]
-                   if text.startswith("[trainer]") else
-                   ["collect", "--track", str(track_dir / "track_stadium.csv"), "--scenarios", "1"])
+        train = ["train", "--dataset", str(collected / "dataset.json")]
+        command = {"[trainer]": train,
+                   "[policy]": train + ["--epochs", "1"]}.get(  # short, should the value pass
+            text.splitlines()[0],
+            ["collect", "--track", str(track_dir / "track_stadium.csv"), "--scenarios", "1"])
         assert run_cli("--config", str(path), "--out", str(tmp_path / "o"), *command) == 6
         key = text.splitlines()[1].split("=")[0].strip()
         err = capsys.readouterr().err

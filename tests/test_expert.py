@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VehicleState, reference_project, reference_sample_lattice
+from conftest import VehicleState, lattice_scales, reference_project, reference_sample_lattice
 from racekit import expert as rexpert
 from racekit import track as rtrack
 from racekit.expert import (
@@ -35,10 +35,10 @@ def straight_raceline(length=100.0, kappa=0.0, v_ref=5.0, n=101):
     xy = np.stack([s, np.zeros(n)], axis=1)
     arc = np.append(s, length)
     return Raceline(
-        offset_id=0.0, s=s, xy=xy, heading=np.zeros(n),
+        s=s, xy=xy, heading=np.zeros(n),
         kappa=np.full(n, kappa), v_ref=np.full(n, v_ref),
         w_left_avail=np.full(n, 5.0), w_right_avail=np.full(n, 5.0),
-        center_offset=np.zeros(n), length=length, arc_table=arc,
+        length=length, arc_table=arc,
     )
 
 
@@ -162,8 +162,9 @@ class TestLattice:
 
     def test_zero_offset_identity_blend(self):
         rl = straight_raceline()
-        lattice = sample_lattices(ONE_STATE, rl, ExpertConfig(), SIM)
-        center = lattice.xy[0, lattice.scales == 1.0, lattice.offsets == 0.0][0]
+        cfg = ExpertConfig()
+        lattice = sample_lattices(ONE_STATE, rl, cfg, SIM)
+        center = lattice.xy[0, lattice_scales(cfg) == 1.0, lattice.offsets == 0.0][0]
         assert np.max(np.abs(center[:, 1])) < 1e-3
 
     def test_narrow_corridor_prunes(self):
@@ -228,11 +229,10 @@ class TestOneShotLattice:
             assert type(lattice.errors[0]) is type(exc)
             return
         js, is_ = np.nonzero(lattice.kept[0])
-        assert list(zip(lattice.scales[js].tolist(), lattice.offsets[is_].tolist())) == \
+        assert list(zip(lattice_scales(cfg)[js].tolist(), lattice.offsets[is_].tolist())) == \
             [(c.speed_scale, c.lateral_offset) for c in want]
         for j, i, w in zip(js, is_, want):
             assert np.array_equal(lattice.xy[0, j, i], w.xy), "xy"
-            assert np.array_equal(lattice.heading[0, j, i], w.heading), "heading"
             assert np.array_equal(lattice.v[0, j, 0], w.v), "v"
             assert np.array_equal(lattice.d[0, 0, i], w.d_path), "d_path"
             assert np.array_equal(lattice.kappa[0, j, 0], rl._interp(rl.kappa, w.s_path))
@@ -255,7 +255,7 @@ class TestExpertAction:
         lattice = sample_lattices(np.array([[*rl.xy[0], rl.heading[0], rl.v_ref[0], 0.0]]), rl,
                                   cfg, SIM)
         js, is_, _, k = best_candidate(lattice, None, cfg)
-        assert lattice.scales[js[k]] == 1.0
+        assert lattice_scales(cfg)[js[k]] == 1.0
         assert abs(lattice.offsets[is_[k]]) <= cfg.lateral_max / (cfg.n_lateral - 1)
 
     def test_blocking_opponent_forces_deviation(self, stadium):
@@ -267,7 +267,7 @@ class TestExpertAction:
         opp = np.array([[opp_pos[0], opp_pos[1], rl.heading_at(rl.s[0] + 1.0), 1.0, 0.0]])
         opp_pred = predict_opponents(opp, cfg, SIM)[0]
         js, is_, rewards, k = best_candidate(lattice, opp_pred, cfg)
-        scales, offsets = lattice.scales[js], lattice.offsets[is_]
+        scales, offsets = lattice_scales(cfg)[js], lattice.offsets[is_]
         center_full = np.flatnonzero((offsets == 0.0) & (scales == 1.0))[0]
         assert rewards[k] > rewards[center_full]
         assert abs(offsets[k]) > 0 or scales[k] < 1.0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (ReferenceExpertSource, ReferencePolicySource, ReferenceProgressTracker,
                       Role, VehicleCommand, VehicleState, WorldState, assert_same_bits,
-                      make_room_track, reference_advance, reference_check_collision,
+                      lattice_scales, make_room_track, reference_advance, reference_check_collision,
                       reference_expert_action, reference_leader_command, reference_ray_hits,
                       reference_rollout, reference_sample_lattice, reference_scan_lidar,
                       reference_step)
@@ -322,10 +322,9 @@ class TestExpert:
             assert lattice.errors[b] is None
             js, is_ = np.nonzero(lattice.kept[b])
             assert [(c.speed_scale, c.lateral_offset) for c in want] == \
-                list(zip(lattice.scales[js].tolist(), lattice.offsets[is_].tolist()))
+                list(zip(lattice_scales(cfg)[js].tolist(), lattice.offsets[is_].tolist()))
             for j, i, w in zip(js, is_, want):
                 assert_same_bits(lattice.xy[b, j, i], w.xy)
-                assert_same_bits(lattice.heading[b, j, i], w.heading)
                 assert_same_bits(lattice.v[b, j, 0], w.v)
                 assert_same_bits(lattice.d[b, 0, i], w.d_path)
                 assert_same_bits(lattice.kappa[b, j, 0], rl._interp(rl.kappa, w.s_path))

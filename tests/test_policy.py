@@ -11,6 +11,7 @@ from racekit.policy import (
     CorruptCheckpoint,
     InferenceSession,
     PolicyConfig,
+    PolicyError,
     ShapeMismatch,
     TENSOR_ORDER,
     VersionMismatch,
@@ -192,6 +193,13 @@ class TestForwardStep:
         scan2[0] = 2.0
         a2, _ = forward_step(scan2, 2.0, h, p, TINY)
         assert not np.array_equal(a1, a2)
+
+
+class TestPolicyConfig:
+    def test_zero_beams_rejected(self):
+        # the beam count is copied from [sim] n_beams, so no INI reaches this check
+        with pytest.raises(PolicyError, match="n_beams"):
+            PolicyConfig(n_beams=0)
 
 
 class TestInitParams:

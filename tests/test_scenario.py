@@ -148,8 +148,8 @@ class TestProgressTracker:
             s += ds
             x, y = track_point(track, s, off)
             window = reference_arc_window(track.arc_table, progress, PROGRESS_WINDOW)
-            s_ref, _, _ = reference_project_to_polyline(np.array([[x, y]]), track.xy,
-                                                        track.arc_table, seg_idx=window)
+            s_ref, _ = reference_project_to_polyline(np.array([[x, y]]), track.xy,
+                                                     track.arc_table, seg_idx=window)
             delta = (float(s_ref[0]) - progress) % L
             if delta > L / 2:
                 delta -= L

@@ -173,17 +173,18 @@ class TestRaceline:
     def test_named_offsets(self, stadium):
         left = generate_raceline(stadium, "left")
         right = generate_raceline(stadium, "right")
-        assert left.offset_id == -0.5 and right.offset_id == 0.5
-        # left line sits left of center: positive center_offset
-        assert np.all(left.center_offset > 0)
-        assert np.all(right.center_offset < 0)
+        # left line sits left of center: positive offset from the centerline
+        _, d_left = _geom.project_to_polyline(left.xy, stadium.segment_table)
+        _, d_right = _geom.project_to_polyline(right.xy, stadium.segment_table)
+        assert np.all(d_left > 0)
+        assert np.all(d_right < 0)
 
     def test_raceline_inside_boundaries_with_margin(self, stadium):
         for off in (-0.5, 0.0, 0.5, 0.7, -0.7):
             rl = generate_raceline(stadium, off)
             assert np.all(rl.w_left_avail >= VEH_HALF_WIDTH)
             assert np.all(rl.w_right_avail >= VEH_HALF_WIDTH)
-            s, d, _ = _geom.project_to_polyline(rl.xy, stadium.segment_table)
+            s, d = _geom.project_to_polyline(rl.xy, stadium.segment_table)
             idx, frac = rtrack._locate(stadium.segment_table, s % stadium.total_length)
             nxt = (idx + 1) % len(stadium.xy)
             wr = stadium.w_right[idx] * (1 - frac) + stadium.w_right[nxt] * frac
@@ -309,7 +310,7 @@ query_point = st.tuples(st.floats(0.0, 1.0, exclude_max=True),
 
 class TestProjectionKernel:
     """project_to_polyline over cached segment tables equals the reference
-    kernel bit for bit: arc position, signed distance and segment."""
+    kernel bit for bit: arc position and signed distance."""
 
     @given(name=st.sampled_from(["stadium", "serpentine", "uneven", "left-raceline"]),
            queries=st.lists(query_point, min_size=1, max_size=30),

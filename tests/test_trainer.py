@@ -28,14 +28,15 @@ def sequence_loss(params, cfg, episode, mask_draws, speed_weight=0.05):
     """Loss of one episode under teacher forcing from a zero hidden state,
     through the trainer's batch kernels as a batch of one: the oracle the
     batched gradients are checked against. Returns (loss, (l_speed,
-    l_steer))."""
+    l_steer)), the two mean squared errors taken from the masked errors."""
     if episode.n_frames == 0:
         raise EmptyEpisode("empty episode")
     scans, speeds, labels, masked, active = _pack_batch(
         [episode], [np.asarray(mask_draws, dtype=bool)], cfg)
     preds, _ = _forward_batch(params, cfg, scans, speeds, masked)
-    loss, l_speed, l_steer = _episode_losses(preds, labels, active, speed_weight)
-    return float(loss[0]), (float(l_speed[0]), float(l_steer[0]))
+    loss, err, counts = _episode_losses(preds, labels, active, speed_weight)
+    l_speed, l_steer = (err[0] ** 2).sum(axis=0) / counts[0]
+    return float(loss[0]), (float(l_speed), float(l_steer))
 
 
 def tiny_episode(T=5, seed=0, n_beams=8):
@@ -236,7 +237,7 @@ class TestAdam:
         def run():
             cfg = TrainerConfig(epochs=3, batch_size=2, seed=77)
             eps = [tiny_episode(T=4, seed=i) for i in range(5)]
-            best, curve, state = train(eps, TINY, cfg)
+            best, curve = train(eps, TINY, cfg)
             return best, curve
         p1, c1 = run()
         p2, c2 = run()
@@ -285,7 +286,7 @@ class TestTrain:
         cfg = TrainerConfig(epochs=500, batch_size=1, mask_p=0.0, seed=1,
                             lr0=0.05, sched_threshold=1e-7, sched_patience=30)
         ep = tiny_episode(T=10, seed=42)
-        best, curve, state = train([ep], TINY, cfg)
+        best, curve = train([ep], TINY, cfg)
         losses = [row[1] for row in curve]
         assert min(losses) < 1e-4
         assert losses[-1] < 0.01 * losses[0]
@@ -307,7 +308,7 @@ class TestTrain:
 
     def test_loss_curve_csv(self, tmp_path):
         eps = [tiny_episode(T=4, seed=1)]
-        best, curve, _ = train(eps, TINY, TrainerConfig(epochs=3, seed=0))
+        best, curve = train(eps, TINY, TrainerConfig(epochs=3, seed=0))
         path = tmp_path / "curve.csv"
         write_loss_curve_csv(curve, path)
         lines = path.read_text().strip().splitlines()
