@@ -8,9 +8,12 @@ suites run on the scenario module's episode engine: single-agent laps are
 one `rollout` of a leaderless scenario with a `LapTimer` observer (and any
 further observers, such as a `simulator.Trace` to render), and a
 head-to-head pool is one `rollout_many` call, serial or pooled, whose
-chunks step in lockstep with the policy run per row. `render_episode`
-draws a trace's poses, or the bare track. Reports serialize to JSON and
-CSV with stable formatting so equal-seed runs are byte-identical.
+chunks step in lockstep. The policy steps each chunk as one batch: its
+rows are the rows of one GEMM per product, and a chunk of one (a
+single-agent run, or a pool's lone last scenario) goes through the GEMV
+path of `InferenceSession.step`. `render_episode` draws a trace's poses,
+or the bare track. Reports serialize to JSON and CSV with stable
+formatting so equal-seed runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 from . import _geom
 from . import simulator as rsim
 from ._atomic import atomic_open
-from .policy import InferenceSession, PolicyConfig, PolicyParameters
+from .policy import (InferenceSession, PolicyConfig, PolicyParameters, decode, encode_inputs,
+                     gru_cell)
 from .scenario import (LapTimer, Observer, Outcome, RaceEnvironment, Scenario, rollout,
                        rollout_many)
 from .seeding import rng_for, sub_seed
@@ -106,37 +110,45 @@ class LatencyReport:
 class PolicySource:
     """A trained policy as a 10 Hz action source with optional beam dropout.
 
-    Each row of a batch keeps its own hidden state, zero at episode start
-    and carried across queries, and its own dropout stream,
-    rng_for(sub_seed(noise_seed, stage), f"noise:{id}"), where stage is
-    noise_stage with "{id}" replaced by the scenario id. Inference runs
-    per row in double precision for exact reproducibility.
+    `act` steps the whole chunk that `reset` started as one batch of B
+    rows, B fixed for the chunk: each running row applies beam dropout
+    from its own stream, rng_for(sub_seed(noise_seed, stage), f"noise:{id}")
+    with stage the noise_stage with "{id}" replaced by the scenario id,
+    and then all B rows go through one (B, I) x W_x^T product,
+    `policy.gru_cell` and `policy.decode`, in double precision. Hidden
+    states are zero at episode start; a row whose episode has ended keeps
+    stepping on its last input, so a row's floats depend neither on when
+    its chunk-mates end nor on the worker count. A chunk of one computes
+    what `InferenceSession.step` does, bit for bit.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
                  noise_eta: float = 0.0, noise_seed: int = 0,
                  noise_stage: str = "h2h-noise:{id}"):
-        self.session = InferenceSession(params, cfg, dtype=np.float64)
+        self.params = params
         self.cfg = cfg
         self.noise_eta = noise_eta
         self.noise_seed = noise_seed
         self.noise_stage = noise_stage
-        self._h: list = []
+        self._x = self._h = None
         self._rng: list = []
 
     def reset(self, scenarios, env):
-        self._h = [self.session.zero_hidden() for _ in scenarios]
+        self._x = np.zeros((len(scenarios), self.cfg.input_dim))
+        self._h = np.zeros((len(scenarios), self.cfg.hidden_dim))
         self._rng = [rng_for(sub_seed(self.noise_seed, self.noise_stage.replace("{id}", sc.id)),
                              f"noise:{sc.id}") for sc in scenarios]
 
     def act(self, world, rows, scans):
-        out = np.empty((len(rows), 2))
-        for k, b in enumerate(rows):
-            scan = scans[k]
-            if self.noise_eta > 0.0:
-                scan = rsim.apply_noise(scan, self.noise_eta, self._rng[b])
-            out[k], self._h[b] = self.session.step(scan, world.poses[b, 0, 3], self._h[b])
-        return out
+        if self.noise_eta > 0.0:
+            scans = [rsim.apply_noise(scan, self.noise_eta, self._rng[b])
+                     for scan, b in zip(scans, rows)]
+        p = self.params
+        self._x[rows] = encode_inputs(scans, world.poses[rows, 0, 3], p, self.cfg)
+        px = self._x @ p.w_x.T
+        px += p.b_x
+        self._h = gru_cell(px, self._h, p)[0]
+        return decode(self._h, p)[0][rows]
 
 
 def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,

@@ -10,9 +10,11 @@ The GRU weights are stored packed: w_x (3H, I), u_h (3H, H) and b_x (3H,)
 stack the update, reset and candidate gates in that row order, and
 b_cand_h (H,) is the candidate's hidden-side bias. `gru_cell` is the only
 GRU update. It takes the input projection px = x W_x^T + b_x, which
-inference forms per step and the trainer for a whole batch of sequences
-in one GEMM, and makes one h U_h^T product. `gru_step`, `forward_step`,
-`InferenceSession` and the trainer's forward pass all call it, and all
+single-observation inference forms per step, the evaluator's
+`PolicySource` for a chunk of episodes in one GEMM per frame, and the
+trainer for a whole batch of sequences in one GEMM, and makes one
+h U_h^T product. `gru_step`, `forward_step`, `InferenceSession`,
+`PolicySource` and the trainer's forward pass all call it, and all
 decode through `decode`. A single-observation step may pass a
 `StepBuffers` workspace, which holds its intermediates and their fixed
 gate views so that the step's ufuncs write in place and it slices
@@ -355,14 +357,10 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(params: PolicyParameters, cfg: PolicyConfig) -> bytes:
     params.validate(cfg)
     cfg_json = json.dumps(asdict(cfg), sort_keys=True).encode()
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", len(cfg_json))
-    blob += cfg_json
-    for _, block in layout_blocks(params.tensors()):
-        blob += np.ascontiguousarray(block, dtype="<f8").tobytes()
-    return bytes(blob)
+    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json)) + cfg_json
+    # the blocks join as buffers: the one copy is into the result
+    return b"".join([header] + [np.ascontiguousarray(block, dtype="<f8")
+                                for _, block in layout_blocks(params.tensors())])
 
 
 def load_checkpoint(data: bytes) -> tuple[PolicyParameters, PolicyConfig]:
@@ -384,7 +382,8 @@ def load_checkpoint(data: bytes) -> tuple[PolicyParameters, PolicyConfig]:
         nbytes = block.size * 8
         if len(data) < offset + nbytes:
             raise CorruptCheckpoint(f"truncated tensor {disk_name}")
-        block[...] = np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(block.shape)
+        stored = np.frombuffer(data, "<f8", count=block.size, offset=offset)
+        block[...] = stored.reshape(block.shape)
         offset += nbytes
     if offset != len(data):
         raise CorruptCheckpoint(f"{len(data) - offset} trailing bytes")

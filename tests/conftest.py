@@ -8,7 +8,7 @@ from racekit import _geom
 from racekit import simulator as rsim
 from racekit import track as rtrack
 from racekit.expert import ExpertError, NoFeasibleCandidate
-from racekit.scenario import FRAME_HZ, EpisodeRecord, classify_outcome, start_world
+from racekit.scenario import CHUNK, FRAME_HZ, EpisodeRecord, classify_outcome, start_world
 from racekit.seeding import rng_for, sub_seed
 from racekit.simulator import NonFiniteState, SimConfig
 from racekit.track import PROJECTION_RADIUS, FarFromRaceline
@@ -500,32 +500,48 @@ class ReferencePolicySource:
     """A trained policy as a 10 Hz action source with optional beam dropout.
 
     The hidden state persists across queries within an episode and resets
-    to zero at episode start. Inference runs in double precision for exact
-    reproducibility. Dropout draws from a per-episode stream,
-    rng_for(sub_seed(noise_seed, stage), f"noise:{id}"), where stage is
-    noise_stage with "{id}" replaced by the scenario id.
+    to zero at episode start. Inference runs in double precision, with the
+    scenario as row `pos` of an M-row batch whose other rows are zero: M
+    is the size of the scenario's chunk of the pool (CHUNK scenarios in
+    pool order; one row without a pool) and `pos` its index in that
+    chunk, so every product has the shape the engine's has. Dropout draws
+    from a per-episode stream, rng_for(sub_seed(noise_seed, stage),
+    f"noise:{id}"), where stage is noise_stage with "{id}" replaced by the
+    scenario id.
     """
 
-    def __init__(self, params, cfg, noise_eta=0.0, noise_seed=0, noise_stage="h2h-noise:{id}"):
+    def __init__(self, params, cfg, noise_eta=0.0, noise_seed=0, noise_stage="h2h-noise:{id}",
+                 pool=()):
         self.params = params
         self.cfg = cfg
         self.noise_eta = noise_eta
         self.noise_seed = noise_seed
         self.noise_stage = noise_stage
+        self.pool = [sc.id for sc in pool]
         self._h = None
         self._rng = None
+        self._pos = self._rows = None
 
     def reset(self, scenario, env):
         self._h = np.zeros(self.cfg.hidden_dim)
         stage = self.noise_stage.replace("{id}", scenario.id)
         self._rng = rng_for(sub_seed(self.noise_seed, stage), f"noise:{scenario.id}")
+        self._pos, self._rows = 0, 1
+        if self.pool:
+            i = self.pool.index(scenario.id)
+            self._pos = i % CHUNK
+            self._rows = len(self.pool[i - self._pos:i - self._pos + CHUNK])
 
     def act(self, world, agent, scan):
         if self.noise_eta > 0.0:
             scan = rsim.apply_noise(scan, self.noise_eta, self._rng)
-        action, self._h = reference_forward_step(scan, world.agents[agent].v, self._h,
-                                                 self.params, self.cfg)
-        return VehicleCommand(float(action[0]), float(action[1]))
+        scans = np.zeros((self._rows, self.cfg.n_beams))
+        v = np.zeros(self._rows)
+        h = np.zeros((self._rows, self.cfg.hidden_dim))
+        scans[self._pos], v[self._pos], h[self._pos] = scan, world.agents[agent].v, self._h
+        action, h_next = reference_forward_step(scans, v, h, self.params, self.cfg)
+        self._h = h_next[self._pos]
+        return VehicleCommand(float(action[self._pos, 0]), float(action[self._pos, 1]))
 
 
 def reference_rollout(scenario, ego_source, env, duration=8.0, observer=None):

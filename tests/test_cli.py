@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from racekit import cli
 from racekit import config as rconfig
 from racekit.config import KitConfig, config_hash, load_config
-from racekit.policy import load_checkpoint_file
+from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
 from racekit.scenario import EpisodeRecord, Outcome, load_episode, save_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -316,6 +317,32 @@ class TestEval:
         assert (out / "report_single.json").exists()
         assert (out / "report_single.csv").exists()
         ET.fromstring((out / "single.svg").read_text())
+
+    # sha256 over `eval single --eta 0.1 --render`'s outputs for a
+    # random-init 32-beam checkpoint (H = 36), as written while the policy
+    # stepped each row alone: a chunk of one must keep these bytes. The
+    # trace's bits follow numpy's float64 exp dispatch (AVX-512 or not),
+    # so each dispatch path has its digest.
+    SINGLE_DIGESTS = {
+        True: "17bff725df097542765fc6e37c4da08db87654b9edecc1cfed0c76debe5465b6",
+        False: "3524b071deed637bbd3e23860e8c6a48603f5083a3e181a8f264da2aa7d30342",
+    }
+
+    def test_single_golden_digest(self, tmp_path, track_dir):
+        cfg = PolicyConfig(n_beams=32, embed_dim=4, hidden_multiplier=1)
+        save_checkpoint_file(init_params(cfg, np.random.default_rng(0)), cfg,
+                             tmp_path / "tiny.ckpt")
+        out = tmp_path / "single"
+        assert run_cli("--out", str(out), "--seed", "5", "eval", "single",
+                       "--checkpoint", str(tmp_path / "tiny.ckpt"),
+                       "--track", str(track_dir / "track_stadium.csv"),
+                       "--laps", "1", "--timeout", "10", "--eta", "0.1", "--render") == 0
+        digest = hashlib.sha256()
+        for name in ("report_single.json", "report_single.csv", "single.trace.csv",
+                     "single.svg"):
+            digest.update(name.encode())
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == self.SINGLE_DIGESTS[bool(__cpu_features__["AVX512_SKX"])]
 
     @pytest.mark.parametrize("suite, extra", [
         ("h2h", ["--eta", "0.2"]),

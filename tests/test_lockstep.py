@@ -7,6 +7,7 @@ sources). Each batched kernel is checked row by row against the
 one-world reference it replaced (conftest), which shares no code with it.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -28,9 +29,9 @@ from racekit import track as rtrack
 from racekit.evaluator import PolicySource
 from racekit.expert import ExpertConfig, NoFeasibleCandidate
 from racekit.policy import PolicyConfig, init_params
-from racekit.scenario import (ExpertSource, NoValidSpawn, RaceEnvironment, Scenario,
-                              ScenarioConfig, enumerate_scenarios, rollout, rollout_many,
-                              track_progress)
+from racekit.scenario import (ExpertSource, NoValidSpawn, Outcome, RaceEnvironment, Scenario,
+                              ScenarioConfig, enumerate_scenarios, rollout, rollout_batch,
+                              rollout_many, track_progress)
 from racekit.simulator import SimConfig, WorldBatch
 from racekit.track import FarFromRaceline
 
@@ -47,12 +48,13 @@ def tiny_params():
     return init_params(TINY, np.random.default_rng(3))
 
 
-def sources(kind, seed):
-    """(batched source, reference source) of one kind."""
+def sources(kind, seed, pool):
+    """(batched source, reference source) of one kind, for the given pool."""
     if kind == "expert":
         return ExpertSource(), ReferenceExpertSource()
     return (PolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=seed),
-            ReferencePolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=seed))
+            ReferencePolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=seed,
+                                  pool=pool))
 
 
 def assert_same_records(got, want):
@@ -83,7 +85,7 @@ class TestEngine:
             scenarios = enumerate_scenarios(cfg, env)[0][:9]
         except NoValidSpawn:
             assume(False)
-        source, reference = sources(kind, seed)
+        source, reference = sources(kind, seed, scenarios)
         got = rollout_many(scenarios, source, env, duration, workers)
         want = [reference_rollout(sc, reference, env, duration) for sc in scenarios]
         assert_same_records(got, want)
@@ -93,11 +95,65 @@ class TestEngine:
         env = race_env("serpentine", 1.5)
         cfg = ScenarioConfig(ego_racelines=("left", "right"), k_positions=2, d_gap=0.8, seed=4)
         scenarios = enumerate_scenarios(cfg, env)[0]
-        source, reference = sources(kind, 4)
+        source, reference = sources(kind, 4, scenarios)
         got = rollout_many(scenarios, source, env, 3.0)
         assert len({r.n_frames for r in got[:4]}) > 1
         assert_same_records(got, [reference_rollout(sc, reference, env, 3.0)
                                   for sc in scenarios])
+
+    def test_policy_record_does_not_depend_on_when_chunk_mates_end(self):
+        """Row 0 of a four-row chunk gives the same record whether its
+        mates run to the time limit or collide in their first sim step:
+        ended rows keep stepping, so the products keep their shape."""
+        env = race_env("stadium", 3.0)
+        pool = enumerate_scenarios(ScenarioConfig(k_positions=4, seed=6), env)[0]
+        # a leader half a car length ahead: in contact from the start
+        crashing = [dataclasses.replace(sc, id=f"crash:{i}", leader_s=sc.ego_s + 0.3)
+                    for i, sc in enumerate(pool[1:])]
+        source = PolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=6)
+        running = rollout_batch(pool, source, env, 0.5)
+        ended = rollout_batch(pool[:1] + crashing, source, env, 0.5)
+        assert [r.n_frames for r in running] == [5] * 4
+        assert [(r.n_frames, r.outcome) for r in ended[1:]] == [(1, Outcome.COLLISION)] * 3
+        assert_same_records(running[:1], ended[:1])
+
+    def test_policy_records_equal_across_worker_counts(self):
+        # six scenarios: chunks of four and two, one per worker
+        env = race_env("serpentine", 2.0)
+        pool = enumerate_scenarios(ScenarioConfig(ego_racelines=("left", "right"),
+                                                  k_positions=3, seed=8), env)[0]
+        assert len(pool) == 6
+        source = PolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=8)
+        assert_same_records(rollout_many(pool, source, env, 1.0, workers=2),
+                            rollout_many(pool, source, env, 1.0, workers=1))
+
+    def test_policy_steps_match_reference_rows(self):
+        """Open loop, where no actuator limit can hide a last bit: every
+        running row of each chunk's batched step is the reference's row of
+        an M-row product, in double precision, as rows end one by one."""
+        rng = np.random.default_rng(7)
+        pool = [Scenario(id=f"row:{i}", ego_raceline="center", ego_s=0.0, seed=i)
+                for i in range(6)]
+        for chunk in (pool[:4], pool[4:]):
+            source = PolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=7)
+            source.reset(chunk, None)
+            references = [ReferencePolicySource(tiny_params(), TINY, noise_eta=0.3,
+                                                noise_seed=7, pool=pool) for _ in chunk]
+            for sc, reference in zip(chunk, references):
+                reference.reset(sc, None)
+            rows = np.arange(len(chunk))
+            for t in range(6):
+                poses = np.zeros((len(chunk), 1, 5))
+                poses[:, 0, 3] = rng.uniform(0.0, 8.0, len(chunk))
+                world = WorldBatch(None, poses, np.zeros(len(chunk)),
+                                   np.zeros((len(chunk), 1), dtype=bool))
+                scans = rng.uniform(0.1, 30.0, (len(rows), TINY.n_beams))
+                got = source.act(world, rows, scans)
+                for g, b, scan in zip(got, rows, scans):
+                    want = references[b].act(WorldState(None, [VehicleState(*poses[b, 0])]),
+                                             0, scan)
+                    assert_same_bits(g, np.array([want.v_cmd, want.delta_cmd]))
+                rows = rows[1:] if t % 2 and len(rows) > 1 else rows
 
     def test_leaderless_rollout_matches_reference(self):
         # the single-agent harness's form: one scenario without a leader
