@@ -23,7 +23,13 @@ one. InferenceSession keeps one per session.
 
 Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
 each of its 17 names to a stored tensor and a gate block, and init, save
-and load walk that table; no other module knows it. Everything is plain
+and load walk that table; no other module knows it. Checkpoints stream
+through a binary file object: `save_checkpoint` is the one writer, and
+writes the header and then each block from its tensor's memory;
+`load_checkpoint` is the one parser, and reads each block into its place
+in the new tensors. Neither holds the file as one `bytes`, so a save or a
+load holds the weights once, and `save_checkpoint_file` and
+`load_checkpoint_file` only open the file. Everything is plain
 numpy in double precision; the inference session can also run in single
 precision.
 """
@@ -352,49 +358,63 @@ class InferenceSession:
 
 CHECKPOINT_MAGIC = b"E2R1"
 CHECKPOINT_VERSION = 1
+# a PolicyConfig's JSON is a few hundred bytes; a corrupt length must not
+# size an allocation
+_MAX_CONFIG_BYTES = 1 << 16
 
 
-def save_checkpoint(params: PolicyParameters, cfg: PolicyConfig) -> bytes:
+def save_checkpoint(params: PolicyParameters, cfg: PolicyConfig, fh) -> None:
+    """Write the checkpoint to the binary file object fh: the header, then
+    each CHECKPOINT_LAYOUT block straight from its tensor's memory."""
     params.validate(cfg)
     cfg_json = json.dumps(asdict(cfg), sort_keys=True).encode()
-    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json)) + cfg_json
-    # the blocks join as buffers: the one copy is into the result
-    return b"".join([header] + [np.ascontiguousarray(block, dtype="<f8")
-                                for _, block in layout_blocks(params.tensors())])
+    fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json)) + cfg_json)
+    for _, block in layout_blocks(params.tensors()):
+        fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def load_checkpoint(data: bytes) -> tuple[PolicyParameters, PolicyConfig]:
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
+def _read_into(fh, buf, what: str) -> None:
+    """Fill the writable buffer buf from fh, looping on short reads."""
+    view = memoryview(buf).cast("B")
+    filled = 0
+    while filled < len(view):
+        n = fh.readinto(view[filled:])
+        if not n:
+            raise CorruptCheckpoint(f"truncated {what}")
+        filled += n
+
+
+def load_checkpoint(fh) -> tuple[PolicyParameters, PolicyConfig]:
+    """Read a checkpoint from the binary file object fh, each block into
+    its place in a freshly allocated tensor; the stream must end there."""
+    head = bytearray(12)
+    _read_into(fh, head, "header")
+    if head[:4] != CHECKPOINT_MAGIC:
         raise CorruptCheckpoint("bad magic")
-    version = struct.unpack("<I", data[4:8])[0]
+    version, cfg_len = struct.unpack("<II", head[4:])
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    (cfg_len,) = struct.unpack("<I", data[8:12])
-    if len(data) < 12 + cfg_len:
-        raise CorruptCheckpoint("truncated config block")
+    if cfg_len > _MAX_CONFIG_BYTES:
+        raise CorruptCheckpoint(f"config block of {cfg_len} bytes")
+    cfg_json = bytearray(cfg_len)
+    _read_into(fh, cfg_json, "config block")
     try:
-        cfg = PolicyConfig(**json.loads(data[12:12 + cfg_len].decode()))
+        cfg = PolicyConfig(**json.loads(cfg_json.decode()))
     except (ValueError, TypeError) as exc:
         raise CorruptCheckpoint(f"unreadable config block: {exc}") from exc
-    offset = 12 + cfg_len
-    tensors = {name: np.empty(shape) for name, shape in _tensor_shapes(cfg).items()}
+    tensors = {name: np.empty(shape, "<f8") for name, shape in _tensor_shapes(cfg).items()}
     for disk_name, block in layout_blocks(tensors):
-        nbytes = block.size * 8
-        if len(data) < offset + nbytes:
-            raise CorruptCheckpoint(f"truncated tensor {disk_name}")
-        stored = np.frombuffer(data, "<f8", count=block.size, offset=offset)
-        block[...] = stored.reshape(block.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise CorruptCheckpoint(f"{len(data) - offset} trailing bytes")
+        _read_into(fh, block, f"tensor {disk_name}")
+    if fh.read(1):
+        raise CorruptCheckpoint("trailing bytes after the last tensor")
     return PolicyParameters(**tensors), cfg
 
 
 def save_checkpoint_file(params: PolicyParameters, cfg: PolicyConfig, path) -> None:
     with atomic_open(path, "wb") as fh:
-        fh.write(save_checkpoint(params, cfg))
+        save_checkpoint(params, cfg, fh)
 
 
 def load_checkpoint_file(path) -> tuple[PolicyParameters, PolicyConfig]:
     with open(path, "rb") as fh:
-        return load_checkpoint(fh.read())
+        return load_checkpoint(fh)

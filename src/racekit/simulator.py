@@ -102,21 +102,30 @@ def collision_events(track: TrackModel, poses: np.ndarray, cfg: SimConfig) -> np
     Broad phase: only segments whose midpoint lies within half the longest
     segment plus the rectangle's half-diagonal are tested, and the cars'
     rectangles only when their centres are within two half-diagonals;
-    anything farther apart cannot touch. The broad phase runs over every
-    agent of every row at once; the narrow phase, for the few agents it
-    leaves, runs per agent.
+    anything farther apart cannot touch. The midpoints sorted by x bound
+    each agent's candidates to an x window, and the distance test runs
+    over those windows for every agent of every row at once; the narrow
+    phase, for the few agents it leaves, runs per agent.
     """
     n, n_agents = poses.shape[:2]
     rect_half = 0.5 * math.hypot(cfg.veh_length, cfg.veh_width)
     reach = track.segment_half_max + rect_half + 1e-6
     flat = poses.reshape(-1, 5)
-    mids = track.segment_midpoints
-    d2 = (mids[:, 0] - flat[:, :1]) ** 2 + (mids[:, 1] - flat[:, 1:2]) ** 2
-    near = d2 <= reach * reach                              # (B*A, M)
+    order, mid_x, mid_y = track.midpoint_sweep
+    # each agent's run [lo, hi) of midpoints in an x window wider than
+    # reach, so that it keeps every midpoint the distance test keeps
+    # whatever the rounding; all runs are read at the longest one's
+    # length, and what lies past a run is farther than reach in x
+    window = reach + 1e-6
+    lo, hi = np.searchsorted(mid_x, flat[:, :1] + (-window, window)).T
+    pos = lo[:, None] + np.arange((hi - lo).max(initial=0))
+    dx = mid_x.take(pos, mode="clip") - flat[:, :1]
+    dy = mid_y.take(pos, mode="clip") - flat[:, 1:2]
+    near = dx * dx + dy * dy <= reach * reach                 # (B*A, run)
     hits = np.zeros(len(flat), dtype=bool)
     for k in np.flatnonzero(near.any(axis=1)):
         hits[k] = _geom.obb_hits_segments(_corners(flat[k].tolist(), cfg),
-                                          track.boundary_segments[near[k]])
+                                          track.boundary_segments[np.sort(order[pos[k, near[k]]])])
     hits = hits.reshape(n, n_agents)
     if n_agents == 2:
         # |dx| and |dy| bound the centre distance from below

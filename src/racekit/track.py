@@ -100,6 +100,19 @@ class TrackModel:
         return self.boundary_segments.mean(axis=1)
 
     @cached_property
+    def midpoint_sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, x, y): boundary segment indices in ascending midpoint x
+        (a stable sort), and those midpoints' x and y in that order, each
+        followed by M entries of +inf. The collision broad phase bounds
+        each agent's candidates to a run of at most M entries with
+        searchsorted on x; the padding keeps any run inside the arrays and
+        fails every distance test."""
+        order = np.argsort(self.segment_midpoints[:, 0], kind="stable")
+        pad = np.full(len(order), np.inf)
+        x, y = self.segment_midpoints[order].T
+        return order, np.concatenate([x, pad]), np.concatenate([y, pad])
+
+    @cached_property
     def segment_half_max(self) -> float:
         """Half the length of the longest boundary segment."""
         seg = self.boundary_segments

@@ -22,6 +22,15 @@ of that projection, and decodes all frames at once through
 with u_h per step for the hidden-state gradient, one each for the w_x
 and u_h gradients, and Adam steps each whole tensor in cache-sized
 tiles; only `policy` knows the checkpoint's per-gate layout.
+
+Every large array is held once. Backpropagation writes each frame's
+gate gradients da over that frame's gate activations, once it has read
+them, and the candidate's pre-activation gradient over the frame's m, so
+da reuses the gate cache; it drops the decoder caches as soon as nothing
+reads them. A run drops each batch's gradients after its Adam step, and
+copies an improving epoch's parameters into one best set allocated at the
+start. The float operations, and so the bytes, are those of separate
+arrays.
 """
 
 from __future__ import annotations
@@ -152,6 +161,7 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     scans, speeds, labels, masked, active = _pack_batch(episodes, mask_draws, cfg)
     B, T, _ = scans.shape
     preds, caches = _forward_batch(params, cfg, scans, speeds, masked)
+    del scans
     losses, err, counts = _episode_losses(preds, labels, active, speed_weight)
 
     dpred = np.empty_like(err)
@@ -159,44 +169,49 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     dpred[..., 0] = 2.0 * speed_weight * err[..., 0] / counts[:, None] / B
     dpred[..., 1] = 2.0 * err[..., 1] / counts[:, None] / B
 
-    x, hs, gates, m_all = caches["x"], caches["hs"], caches["gates"], caches["m"]
-    flat_relu = caches["relu1"]
+    x, hs, gates, m_all, relu = (caches.pop(k) for k in ("x", "hs", "gates", "m", "relu1"))
     H = cfg.hidden_dim
 
     # decoder backward (batched over all frames at once)
     flat_dpred = dpred.reshape(B * T, 2)
-    g_dec_w2 = flat_dpred.T @ flat_relu
+    g_dec_w2 = flat_dpred.T @ relu
     g_dec_b2 = flat_dpred.sum(axis=0)
-    dz1 = (flat_dpred @ params.dec_w2) * (flat_relu > 0)
+    dz1 = (flat_dpred @ params.dec_w2) * (relu > 0)
+    del relu
     g_dec_w1 = dz1.T @ hs[:, 1:].reshape(B * T, H)
     g_dec_b1 = dz1.sum(axis=0)
     dh_dec = (dz1 @ params.dec_w1).reshape(B, T, H)
+    del dz1
 
-    # da holds [a_u | a_r | dm] per frame, the gradients that reach u_h;
-    # the candidate pre-activation gradient a_n replaces dm after the u_h
-    # gradient is taken, for the input-side gradients
-    da = np.empty((B, T, 3 * H))
-    a_n_all = np.empty((B, T, H))
+    # Step t reads the gate activations and m of frame t, then writes over
+    # them: da = [a_u | a_r | dm], the gradients that reach u_h, over the
+    # gates, and the candidate pre-activation gradient a_n over m.
     dh_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_dec[:, t] + dh_next
         g = gates[:, t]
         u, r, n = g[:, :H], g[:, H:2 * H], g[:, 2 * H:]
         a_n = dh * (1.0 - u) * (1.0 - n * n)
-        da[:, t, :H] = dh * (hs[:, t] - n) * u * (1.0 - u)
-        da[:, t, H:2 * H] = a_n * m_all[:, t] * r * (1.0 - r)
-        da[:, t, 2 * H:] = a_n * r
-        a_n_all[:, t] = a_n
-        dh_next = dh * u + da[:, t] @ params.u_h
+        carry = dh * u
+        a_u = dh * (hs[:, t] - n) * u * (1.0 - u)
+        a_r = a_n * m_all[:, t] * r * (1.0 - r)
+        dm = a_n * r
+        g[:, :H], g[:, H:2 * H], g[:, 2 * H:] = a_u, a_r, dm
+        m_all[:, t] = a_n
+        dh_next = carry + g @ params.u_h
+    del dh_dec
 
-    da_flat = da.reshape(B * T, 3 * H)
+    da_flat = gates.reshape(B * T, 3 * H)
     grads = {
         "u_h": da_flat.T @ hs[:, :-1].reshape(B * T, H),
         "b_cand_h": da_flat[:, 2 * H:].sum(axis=0),
         "dec_w1": g_dec_w1, "dec_b1": g_dec_b1,
         "dec_w2": g_dec_w2, "dec_b2": g_dec_b2,
     }
-    da[..., 2 * H:] = a_n_all
+    # a_n replaces dm for the input-side gradients; hs and m are not read
+    # again, so they go before those gradients are allocated
+    da_flat[:, 2 * H:] = m_all.reshape(B * T, H)
+    del hs, m_all
     grads["w_x"] = da_flat.T @ x.reshape(B * T, -1)
     grads["b_x"] = da_flat.sum(axis=0)
     if cfg.use_speed_input:
@@ -310,13 +325,15 @@ def train(episodes: list[EpisodeRecord], policy_cfg: PolicyConfig,
             grads, losses = backward(state.params, policy_cfg, batch, draws,
                                      trainer_cfg.speed_loss_weight)
             state = adam_update(state, grads, trainer_cfg)
+            del grads   # freed before the next backward allocates its own
             total += float(losses.sum())
         epoch_loss = total / n
         curve.append((epoch, epoch_loss, state.lr))
         state = lr_schedule_step(state, epoch_loss, trainer_cfg)
         if epoch_loss < best_epoch_loss:
             best_epoch_loss = epoch_loss
-            best_params = state.params.copy()
+            for best, now in zip(best_params.tensors().values(), state.params.tensors().values()):
+                np.copyto(best, now)
         if progress is not None:
             progress(epoch, epoch_loss, state.lr)
     return best_params, curve

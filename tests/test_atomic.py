@@ -57,7 +57,8 @@ class TestWritersAreAtomic:
         save_checkpoint_file(init_params(cfg, np.random.default_rng(0)), cfg, path)
         before = path.read_bytes()
 
-        def failing_save(params, cfg):
+        def failing_save(params, cfg, fh):
+            fh.write(b"E2R1")
             raise Boom
 
         monkeypatch.setattr(rpolicy, "save_checkpoint", failing_save)

@@ -285,6 +285,40 @@ class TestTrain:
                             for name in ("policy.ckpt", "loss_curve.csv")])
         assert digests[0] == digests[1]
 
+    # sha256 over `train --epochs 2`'s checkpoint and loss curve, as written
+    # before backpropagation reused its forward caches for its gradients:
+    # six seeded episodes of 9 to 14 frames and 16 beams, three batches of
+    # two per epoch (padding, the masks and Adam all in play). The bits
+    # follow numpy's float64 exp and tanh dispatch and the OpenBLAS kernels
+    # of each CI leg (AVX-512 and SkylakeX, or neither and Haswell), so each
+    # leg has its digest: with numpy's AVX-512 targets off, the BLAS must
+    # run the Haswell kernels too (OPENBLAS_CORETYPE=Haswell on a CPU that
+    # has AVX-512), as the no-avx512 leg sets.
+    TRAIN_DIGESTS = {
+        True: "4f72b71005dff50f1b97bb28aed627c27f380c480f09470d8dc295329916e209",
+        False: "9d726e87cb089640110d6e917134ffc81ee1f3fbeee4f1638289d52153cc1a71",
+    }
+
+    def test_golden_digest(self, tmp_path):
+        rng = np.random.default_rng(3)
+        save_dataset(tmp_path, [(f"ep_{i}.bin", EpisodeRecord(
+            scenario_id=f"g:{i}", seed=i,
+            scans=rng.uniform(0.2, 30.0, (t, 16)).astype(np.float32),
+            ego_v=rng.uniform(0.0, 7.0, t).astype(np.float32),
+            actions=rng.uniform(-0.4, 7.0, (t, 2)).astype(np.float32),
+            outcome=Outcome.OVERTAKING, duration_actual=t / 10.0))
+            for i, t in enumerate((9, 14, 11, 12, 10, 13))])
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[policy]\nhidden_multiplier = 2\n[trainer]\nbatch_size = 2\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfgfile), "--out", str(out), "--seed", "3", "train",
+                       "--dataset", str(tmp_path / "dataset.json"), "--epochs", "2") == 0
+        digest = hashlib.sha256()
+        for name in ("policy.ckpt", "loss_curve.csv"):
+            digest.update(name.encode())
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == self.TRAIN_DIGESTS[bool(__cpu_features__["AVX512_SKX"])]
+
 
 class TestEval:
     def test_h2h_counts_sum(self, tmp_path, trained, track_dir, capsys):

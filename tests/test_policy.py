@@ -1,5 +1,7 @@
 import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +22,12 @@ from racekit.policy import (
     forward_step,
     gru_step,
     init_params,
+    layout_blocks,
     load_checkpoint,
+    load_checkpoint_file,
     normalize_scan,
     save_checkpoint,
+    save_checkpoint_file,
 )
 
 TINY = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
@@ -279,45 +284,143 @@ class TestInferenceSession:
         assert np.allclose(a64, a32, atol=1e-4)
 
 
+def saved(params, cfg=TINY) -> bytes:
+    fh = io.BytesIO()
+    save_checkpoint(params, cfg, fh)
+    return fh.getvalue()
+
+
+def loaded(blob: bytes):
+    return load_checkpoint(io.BytesIO(blob))
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self):
         p = tiny_params(21)
-        blob = save_checkpoint(p, TINY)
-        p2, cfg2 = load_checkpoint(blob)
+        blob = saved(p)
+        p2, cfg2 = loaded(blob)
         assert cfg2 == TINY
         for name in TENSOR_ORDER:
             assert np.array_equal(getattr(p, name), getattr(p2, name))
 
     def test_golden_bytes(self):
         # pins the per-gate v1 tensor layout and the init draw order
-        blob = save_checkpoint(init_params(TINY, np.random.default_rng(0)), TINY)
+        blob = saved(init_params(TINY, np.random.default_rng(0)))
         assert hashlib.sha256(blob).hexdigest() == (
             "2602462f8b742f6ea1166f781c8c5c14af9fbc475dfe3dbbc7646287901834d1")
 
     def test_truncated_raises(self):
-        blob = save_checkpoint(tiny_params(), TINY)
+        blob = saved(tiny_params())
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(blob[:-16])
+            loaded(blob[:-16])
 
     def test_bad_magic(self):
-        blob = save_checkpoint(tiny_params(), TINY)
+        blob = saved(tiny_params())
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(b"XXXX" + blob[4:])
+            loaded(b"XXXX" + blob[4:])
 
     def test_version_mismatch(self):
-        blob = bytearray(save_checkpoint(tiny_params(), TINY))
+        blob = bytearray(saved(tiny_params()))
         blob[4:8] = (99).to_bytes(4, "little")
         with pytest.raises(VersionMismatch):
-            load_checkpoint(bytes(blob))
+            loaded(bytes(blob))
 
     def test_trailing_bytes_rejected(self):
-        blob = save_checkpoint(tiny_params(), TINY)
+        blob = saved(tiny_params())
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(blob + b"\x00")
+            loaded(blob + b"\x00")
 
     def test_config_travels(self):
         cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=8)
         p = init_params(cfg, np.random.default_rng(0))
-        p2, cfg2 = load_checkpoint(save_checkpoint(p, cfg))
+        p2, cfg2 = loaded(saved(p, cfg))
         assert cfg2.hidden_multiplier == 8
         assert p2.w_x.shape == (3 * cfg.hidden_dim, cfg.input_dim)
+
+
+class Trickle(io.RawIOBase):
+    """A readable stream whose readinto returns at most `most` bytes."""
+
+    def __init__(self, data: bytes, most: int):
+        self._data, self._pos, self._most = data, 0, most
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), self._most, len(self._data) - self._pos)
+        buf[:n] = self._data[self._pos:self._pos + n]
+        self._pos += n
+        return n
+
+
+class TestCheckpointStream:
+    @pytest.mark.parametrize("most", [1, 5, 4096])
+    def test_short_reads_load_bitwise(self, most):
+        p = tiny_params(21)
+        with Trickle(saved(p), most) as stream:
+            p2, cfg2 = load_checkpoint(stream)
+        assert cfg2 == TINY
+        for name in TENSOR_ORDER:
+            assert getattr(p2, name).tobytes() == getattr(p, name).tobytes(), name
+
+    def test_truncation_anywhere_raises(self):
+        """A cut inside the header, inside the config and inside each
+        tensor block is a corrupt checkpoint, whatever the read sizes."""
+        blob = saved(tiny_params())
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        cuts = {"header": [0, 3, 11], "config block": [12, 12 + cfg_len // 2]}
+        offset = 12 + cfg_len
+        for disk_name, block in layout_blocks(tiny_params().tensors()):
+            cuts[f"tensor {disk_name}"] = [offset, offset + block.nbytes - 8]
+            offset += block.nbytes
+        assert offset == len(blob)
+        for what, ends in cuts.items():
+            for end in ends:
+                for most in (3, len(blob)):
+                    with Trickle(blob[:end], most) as stream, \
+                            pytest.raises(CorruptCheckpoint, match=f"truncated {what}"):
+                        load_checkpoint(stream)
+
+    def test_huge_config_length_rejected(self):
+        blob = bytearray(saved(tiny_params()))
+        blob[8:12] = (2 ** 32 - 1).to_bytes(4, "little")
+        with pytest.raises(CorruptCheckpoint, match="config block"):
+            loaded(bytes(blob))
+
+
+# a default-size checkpoint's tensors are 68 MB; these use ~2.5 MB, large
+# beside the interpreter's own small allocations
+MID = PolicyConfig(n_beams=64, embed_dim=8, hidden_multiplier=4)
+
+
+def tensor_bytes(cfg) -> int:
+    return sum(t.nbytes for t in init_params(cfg, np.random.default_rng(0)).tensors().values())
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointMemory:
+    def test_load_holds_the_weights_once(self, tmp_path):
+        """The new tensors, and not a second copy of them in a file image."""
+        path = tmp_path / "mid.ckpt"
+        save_checkpoint_file(init_params(MID, np.random.default_rng(0)), MID, path)
+        size = tensor_bytes(MID)
+        peak = traced_peak(load_checkpoint_file, path)
+        assert size <= peak < 1.1 * size
+
+    def test_save_allocates_far_less_than_the_file(self, tmp_path):
+        """The largest allocation is the validation's finiteness mask of
+        one tensor, one byte per float64 entry: at most an eighth of the
+        file. 64 KiB covers the header and the file's buffer."""
+        params = init_params(MID, np.random.default_rng(0))
+        path = tmp_path / "mid.ckpt"
+        peak = traced_peak(save_checkpoint_file, params, MID, path)
+        assert peak < path.stat().st_size / 8 + 2 ** 16

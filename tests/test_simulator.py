@@ -254,6 +254,35 @@ class TestNoise:
 
 
 class TestCollision:
+    @given(st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-15.0, 15.0)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_broad_phase_keeps_the_dense_near_sets(self, stadium, sim_cfg, points):
+        """The x-sorted windows hand the narrow phase each agent's
+        segments within reach, as the all-midpoints distance test picks
+        them and in boundary order."""
+        rect_half = 0.5 * math.hypot(sim_cfg.veh_length, sim_cfg.veh_width)
+        reach = stadium.segment_half_max + rect_half + 1e-6
+        mids = stadium.segment_midpoints
+        seen = []
+
+        def record(corners, segments):
+            seen.append(segments)
+            return False
+
+        poses = np.array([[(x, y, 0.0, 0.0, 0.0)] for x, y in points])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim._geom, "obb_hits_segments", record)
+            collision_events(stadium, poses, sim_cfg)
+        want = []
+        for x, y in points:
+            near = (mids[:, 0] - x) ** 2 + (mids[:, 1] - y) ** 2 <= reach * reach
+            if near.any():
+                want.append(stadium.boundary_segments[near])
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got, ref)
+
     def test_full_overlap(self, room, sim_cfg):
         got = collision_events(room, one_row((0, 0, 0.0, 0), (0, 0, 0.0, 0)), sim_cfg)
         assert got[0].tolist() == [True, True]

@@ -143,6 +143,14 @@ def test_collision_constants_cached_and_pickled(stadium):
     clone = pickle.loads(pickle.dumps(stadium))
     assert np.array_equal(vars(clone)["segment_midpoints"], mids)
     assert clone.segment_half_max == stadium.segment_half_max
+    order, x, y = stadium.midpoint_sweep
+    m = len(order)
+    assert stadium.midpoint_sweep[0] is order
+    assert np.array_equal(x[:m], mids[order, 0]) and np.all(np.diff(x[:m]) >= 0)
+    assert np.array_equal(y[:m], mids[order, 1])
+    assert len(x) == len(y) == 2 * m and np.all(np.isinf(x[m:])) and np.all(np.isinf(y[m:]))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(pickle.loads(pickle.dumps(stadium)).midpoint_sweep, stadium.midpoint_sweep))
 
 
 class TestRaceline:

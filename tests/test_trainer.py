@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +176,28 @@ class TestBackward:
         ep = tiny_episode(T=6, seed=3)
         grads, _ = backward(params, TINY, [ep], [np.zeros(6, bool)])
         assert np.array_equal(grads["mask_embed"], np.zeros_like(params.mask_embed))
+
+    def test_peak_memory_holds_the_caches_once(self):
+        """One backward holds the forward caches (gates, hs, m, x), the
+        gradients and one copy of hs for the u_h GEMM at its peak, plus 10%
+        for the smaller arrays: da is written over the gate cache and a_n
+        over m, so a separate da (as large as the gates) cannot fit."""
+        cfg = PolicyConfig(n_beams=32, embed_dim=4, hidden_multiplier=2)
+        params = init_params(cfg, np.random.default_rng(0))
+        B, T = 4, 60
+        episodes = [tiny_episode(T=T, seed=i, n_beams=32) for i in range(B)]
+        draws = [np.zeros(T, bool) for _ in range(B)]
+        I, H = cfg.input_dim, cfg.hidden_dim
+        caches = 8 * (B * T * 3 * H + B * (T + 1) * H + B * T * H + B * T * I)
+        grads = sum(t.nbytes for t in params.tensors().values())
+        hs_copy = 8 * B * T * H
+        tracemalloc.start()
+        try:
+            backward(params, cfg, episodes, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert caches < peak < 1.1 * (caches + grads + hs_copy)
 
     def test_speed_grads_zero_when_fully_masked(self):
         params = init_params(TINY, np.random.default_rng(1))
