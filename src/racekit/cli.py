@@ -26,9 +26,11 @@ scan at the checkpoint's. `eval latency` without a checkpoint file times a
 random-init policy and says so in its manifest (`random_init`).
 
 Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors,
-5 evaluation errors, 6 config errors (an unreadable --config file, an
-unknown key, or a value its field cannot hold or its section rejects);
-argparse usage errors also exit 2.
+5 evaluation errors (an unreadable checkpoint, or a missing, empty or
+malformed `render --trace` file), 6 config errors (an unreadable --config
+file, an unknown key, or a value its field cannot hold or its section
+rejects); argparse usage errors also exit 2, among them a count below 1
+or a length, width or timeout that is not a finite positive number.
 """
 
 from __future__ import annotations
@@ -294,9 +296,15 @@ def cmd_eval(args, cfg: KitConfig) -> int:
 
 
 def cmd_render(args, cfg: KitConfig) -> int:
+    try:
+        trace = rsim.read_trace_csv(args.trace)
+        if not trace.times:
+            raise rsim.MalformedTrace(f"{args.trace}: no rows")
+    except (OSError, rsim.MalformedTrace) as exc:
+        print(f"cannot read trace: {exc}", file=sys.stderr)
+        return EXIT_EVAL
     run = _Outputs(args.out)
     track = _load_track(cfg)
-    trace = rsim.read_trace_csv(args.trace)
     name = Path(args.trace).stem + ".svg"
     run.write(name, reval.render_episode(trace, track, outcome=args.outcome, sim_cfg=cfg.sim))
     run.finish("render", cfg)
@@ -329,6 +337,17 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a length or a duration: a finite float above 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
+    return x
+
+
 def _noise_levels(text: str) -> list[float]:
     return [_noise_level(part) for part in text.split(",")]
 
@@ -349,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(run=cmd_track_gen)
     p_gen.add_argument("--shape", required=True,
                        choices=sorted(rtrack.TRACK_GENERATORS))
-    p_gen.add_argument("--length", type=float, default=60.0)
-    p_gen.add_argument("--width", type=float, default=3.0)
+    p_gen.add_argument("--length", type=_positive_float, default=60.0)
+    p_gen.add_argument("--width", type=_positive_float, default=3.0)
     p_info = track_sub.add_parser("info", help="validate and describe a track")
     p_info.set_defaults(run=cmd_track_info)
     p_info.add_argument("--track", default=None)
@@ -382,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--samples", type=_positive_int, default=10000)
     p_eval.add_argument("--precision", default="float32",
                         choices=["float32", "float64"])
-    p_eval.add_argument("--timeout", type=float, default=None)
+    p_eval.add_argument("--timeout", type=_positive_float, default=None)
     p_eval.add_argument("--render", action="store_true")
 
     p_render = sub.add_parser("render", help="trace CSV -> SVG")

@@ -8,12 +8,14 @@ suites run on the scenario module's episode engine: single-agent laps are
 one `rollout` of a leaderless scenario with a `LapTimer` observer (and any
 further observers, such as a `simulator.Trace` to render), and a
 head-to-head pool is one `rollout_many` call, serial or pooled, whose
-chunks step in lockstep. The policy steps each chunk as one batch: its
-rows are the rows of one GEMM per product, and a chunk of one (a
-single-agent run, or a pool's lone last scenario) goes through the GEMV
-path of `InferenceSession.step`. `render_episode` draws a trace's poses,
-or the bare track. Reports serialize to JSON and CSV with stable
-formatting so equal-seed runs are byte-identical.
+chunks step in lockstep. The policy steps each chunk as one batch through
+`policy.forward`, the one policy step, which the latency benchmark's
+`InferenceSession.step` also runs: a chunk's rows are the rows of one
+GEMM per product, and a chunk of one (a single-agent run, or a pool's
+lone last scenario) computes what a float64 session step does, bit for
+bit. `render_episode` draws a trace's poses, or the bare track. Reports
+serialize to JSON and CSV with stable formatting so equal-seed runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 from . import _geom
 from . import simulator as rsim
 from ._atomic import atomic_open
-from .policy import (InferenceSession, PolicyConfig, PolicyParameters, decode, encode_inputs,
-                     gru_cell)
+from .policy import InferenceSession, PolicyConfig, PolicyParameters, encode_inputs, forward
 from .scenario import (LapTimer, Observer, Outcome, RaceEnvironment, Scenario, rollout,
                        rollout_many)
 from .seeding import rng_for, sub_seed
@@ -114,12 +115,12 @@ class PolicySource:
     rows, B fixed for the chunk: each running row applies beam dropout
     from its own stream, rng_for(sub_seed(noise_seed, stage), f"noise:{id}")
     with stage the noise_stage with "{id}" replaced by the scenario id,
-    and then all B rows go through one (B, I) x W_x^T product,
-    `policy.gru_cell` and `policy.decode`, in double precision. Hidden
-    states are zero at episode start; a row whose episode has ended keeps
-    stepping on its last input, so a row's floats depend neither on when
-    its chunk-mates end nor on the worker count. A chunk of one computes
-    what `InferenceSession.step` does, bit for bit.
+    and then all B rows go through one `policy.forward` step, one GEMM
+    per product, in double precision. Hidden states are zero at episode
+    start; a row whose episode has ended keeps stepping on its last input,
+    so a row's floats depend neither on when its chunk-mates end nor on
+    the worker count. A chunk of one computes what a float64
+    `InferenceSession.step` does, bit for bit.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
@@ -143,12 +144,9 @@ class PolicySource:
         if self.noise_eta > 0.0:
             scans = [rsim.apply_noise(scan, self.noise_eta, self._rng[b])
                      for scan, b in zip(scans, rows)]
-        p = self.params
-        self._x[rows] = encode_inputs(scans, world.poses[rows, 0, 3], p, self.cfg)
-        px = self._x @ p.w_x.T
-        px += p.b_x
-        self._h = gru_cell(px, self._h, p)[0]
-        return decode(self._h, p)[0][rows]
+        self._x[rows] = encode_inputs(scans, world.poses[rows, 0, 3], self.params, self.cfg)
+        action, self._h = forward(self._x, self._h, self.params)
+        return action[rows]
 
 
 def run_single_agent(params: PolicyParameters, policy_cfg: PolicyConfig,

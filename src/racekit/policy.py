@@ -8,18 +8,14 @@ two-layer MLP decodes the hidden state into (speed, steering) commands.
 
 The GRU weights are stored packed: w_x (3H, I), u_h (3H, H) and b_x (3H,)
 stack the update, reset and candidate gates in that row order, and
-b_cand_h (H,) is the candidate's hidden-side bias. `gru_cell` is the only
-GRU update. It takes the input projection px = x W_x^T + b_x, which
-single-observation inference forms per step, the evaluator's
-`PolicySource` for a chunk of episodes in one GEMM per frame, and the
-trainer for a whole batch of sequences in one GEMM, and makes one
-h U_h^T product. `gru_step`, `forward_step`, `InferenceSession`,
-`PolicySource` and the trainer's forward pass all call it, and all
-decode through `decode`. A single-observation step may pass a
-`StepBuffers` workspace, which holds its intermediates and their fixed
-gate views so that the step's ufuncs write in place and it slices
-nothing; the operations and their order are the same with and without
-one. InferenceSession keeps one per session.
+b_cand_h (H,) is the candidate's hidden-side bias. `forward` is the one
+policy step: it forms the input projection px = x W_x^T + b_x, runs
+`gru_cell` and decodes through `decode`, for one observation or a batch
+of rows. `InferenceSession` (single-observation inference) and the
+evaluator's `PolicySource` (a chunk of episodes, one GEMM per frame) both
+step through it. `gru_cell` is the only GRU update, with one h U_h^T
+product; the trainer calls it too, after forming px for a whole batch of
+sequences in one GEMM, and decodes through `decode`.
 
 Checkpoints keep the per-gate tensors of format v1: CHECKPOINT_LAYOUT maps
 each of its 17 names to a stored tensor and a gate block, and init, save
@@ -167,43 +163,35 @@ def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> PolicyParameters
     return PolicyParameters(**tensors)
 
 
-def normalize_scan(z: np.ndarray, sigmoid_k: float, out=None, scratch=None) -> np.ndarray:
+def normalize_scan(z: np.ndarray, sigmoid_k: float) -> np.ndarray:
     """Pressure token per beam: 2 / (1 + e^(k x)); 1 at contact, -> 0 far.
-    Computed in double precision; out receives the tokens and scratch the
-    intermediate, if given."""
-    t = np.multiply(z, sigmoid_k, out=scratch, dtype=float)
+    Computed in double precision."""
+    t = np.multiply(z, sigmoid_k, dtype=float)
     np.minimum(t, 700.0, out=t)
     np.exp(t, out=t)
     t += 1.0
-    return np.divide(2.0, t, out=out)
+    return np.divide(2.0, t, out=t)
 
 
-def embed_speed(v, params: PolicyParameters, masked=False, out=None) -> np.ndarray:
+def embed_speed(v, params: PolicyParameters, masked=False) -> np.ndarray:
     """Affine lift of the speed v (scalar or (...) array) to (..., E), or
-    the mask token where masked; out receives it, if given."""
-    emb = np.add(np.multiply(np.asarray(v)[..., None], params.speed_w), params.speed_b, out=out)
+    the mask token where masked."""
+    emb = np.multiply(np.asarray(v)[..., None], params.speed_w)
+    emb += params.speed_b
     if masked is not False:
         np.copyto(emb, params.mask_embed, where=np.asarray(masked)[..., None])
     return emb
 
 
 def encode_inputs(scan, v, params: PolicyParameters, cfg: PolicyConfig,
-                  masked=False, work: StepBuffers | None = None) -> np.ndarray:
+                  masked=False) -> np.ndarray:
     """Observations -> GRU inputs x (..., I): pressure tokens, then the speed
     embedding unless the policy is LiDAR-only, joined in double precision
-    (the tokens are computed in it); with a workspace the result lands in
-    its x, in its dtype."""
-    if work is None:
-        tokens = normalize_scan(scan, cfg.sigmoid_k)
-        if not cfg.use_speed_input:
-            return tokens
-        return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
-    normalize_scan(scan, cfg.sigmoid_k, out=work.x_tokens, scratch=work.tokens)
-    if cfg.use_speed_input:
-        embed_speed(v, params, masked, out=work.x_speed)
-    if work.x is not work.x64:
-        np.copyto(work.x, work.x64, casting="same_kind")
-    return work.x
+    (the tokens are computed in it)."""
+    tokens = normalize_scan(scan, cfg.sigmoid_k)
+    if not cfg.use_speed_input:
+        return tokens
+    return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
 
 
 def _logistic(x, out=None):
@@ -213,49 +201,7 @@ def _logistic(x, out=None):
     return np.divide(1.0, t, out=t)
 
 
-class StepBuffers:
-    """Preallocated intermediates of single-observation steps of one set
-    of parameters: the double-precision encoding (tokens and the input x),
-    x in the parameters' dtype, the projections px = x W_x^T + b_x and
-    h U_h^T, the gate activations and the decoder's hidden layer, and the
-    views of x and of the gate blocks that a step writes through. An
-    InferenceSession keeps one, so a step allocates little more than the
-    action and hidden state it returns."""
-
-    def __init__(self, params: PolicyParameters, cfg: PolicyConfig):
-        dtype = params.w_x.dtype
-        h = cfg.hidden_dim
-        self.tokens = np.empty(cfg.n_beams)
-        self.x64 = np.empty(cfg.input_dim)
-        self.x = self.x64 if dtype == np.float64 else np.empty(cfg.input_dim, dtype)
-        self.px = np.empty(3 * h, dtype)
-        self.ph = np.empty(3 * h, dtype)
-        self.gates = np.empty(3 * h, dtype)
-        self.keep = np.empty(h, dtype)      # (1 - u) * n
-        self.mix = np.empty(h, dtype)       # u * h
-        self.hidden = np.empty(cfg.mlp_hidden_dim, dtype)
-        self.action = np.empty(2, dtype)
-        self.x_tokens, self.x_speed = self.x64[:cfg.n_beams], self.x64[cfg.n_beams:]
-        self.gate_views = _gate_views(self.px, self.ph, self.gates, h)
-
-
-def _times_transpose(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """x W^T. Into out (a workspace's, so x is one vector) through np.dot,
-    which calls the BLAS gemv that np.matmul calls, at a third of its call
-    overhead."""
-    return np.matmul(x, w.T) if out is None else np.dot(x, w.T, out=out)
-
-
-def _gate_views(px, ph, gates, H: int):
-    """(px_ur, px_n, ph_ur, m, u, r, n, ur): the update-and-reset and the
-    candidate blocks of the projections px and ph, and the gate blocks of
-    the activations."""
-    return (px[..., :2 * H], px[..., 2 * H:], ph[..., :2 * H], ph[..., 2 * H:],
-            gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:], gates[..., :2 * H])
-
-
-def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters,
-             work: StepBuffers | None = None):
+def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters):
     """The GRU update, from the input projection px = x W_x^T + b_x (..., 3H)
     and the hidden state h (..., H), with one h U_h^T product.
 
@@ -264,74 +210,54 @@ def gru_cell(px: np.ndarray, h: np.ndarray, params: PolicyParameters,
     are what backpropagation needs. The update and reset pre-activations
     sum as (x W + b) + h U, the candidate's as
     (x W_cand + b_cand_x) + r * (h U_cand + b_cand_h); the float64 eval
-    outputs depend on this order bit for bit. With a workspace, px is its
-    px, and gates and m are views of its buffers; h_next is always a fresh
-    array."""
-    ph = _times_transpose(h, params.u_h, None if work is None else work.ph)
-    if work is None:
-        gates = np.empty_like(px)
-        px_ur, px_n, ph_ur, m, u, r, n, ur = _gate_views(px, ph, gates, h.shape[-1])
-    else:
-        gates = work.gates
-        px_ur, px_n, ph_ur, m, u, r, n, ur = work.gate_views
-    np.add(px_ur, ph_ur, out=ur)
+    outputs depend on this order bit for bit."""
+    H = h.shape[-1]
+    ph = h @ params.u_h.T
+    gates = np.empty_like(px)
+    u, r, n, ur = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:], gates[..., :2 * H]
+    m = ph[..., 2 * H:]
+    np.add(px[..., :2 * H], ph[..., :2 * H], out=ur)
     _logistic(ur, out=ur)
     m += params.b_cand_h
     np.multiply(r, m, out=n)
-    np.add(px_n, n, out=n)
+    np.add(px[..., 2 * H:], n, out=n)
     np.tanh(n, out=n)
-    keep = np.subtract(1.0, u, out=None if work is None else work.keep)
+    keep = np.subtract(1.0, u)
     keep *= n
-    return keep + np.multiply(u, h, out=None if work is None else work.mix), gates, m
+    return keep + u * h, gates, m
 
 
-def gru_step(x: np.ndarray, h: np.ndarray, params: PolicyParameters,
-             work: StepBuffers | None = None) -> np.ndarray:
-    """One GRU cell update. Supports (I,)/(H,) vectors or (B, I)/(B, H)
-    batches. Hidden entries stay inside (-1, 1) for in-range inputs."""
-    if x.shape[-1] != params.w_x.shape[1] or h.shape[-1] != params.u_h.shape[1]:
-        raise ShapeMismatch(
-            f"gru_step: x{x.shape} / h{h.shape} vs W_x{params.w_x.shape}")
-    px = _times_transpose(x, params.w_x, None if work is None else work.px)
-    px += params.b_x
-    return gru_cell(px, h, params, work)[0]
-
-
-def decode(h: np.ndarray, params: PolicyParameters,
-           work: StepBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+def decode(h: np.ndarray, params: PolicyParameters) -> tuple[np.ndarray, np.ndarray]:
     """Two-layer rectifier MLP head -> (raw (speed, steering), its
     rectified hidden layer, which backpropagation needs). No clamping; the
     simulator's actuator model saturates on application."""
     if h.shape[-1] != params.dec_w1.shape[1]:
         raise ShapeMismatch(f"decode: h{h.shape} vs W1{params.dec_w1.shape}")
-    hidden = _times_transpose(h, params.dec_w1, None if work is None else work.hidden)
+    hidden = h @ params.dec_w1.T
     hidden += params.dec_b1
     np.maximum(hidden, 0.0, out=hidden)
-    out = _times_transpose(hidden, params.dec_w2, None if work is None else work.action)
-    return out + params.dec_b2, hidden
+    return hidden @ params.dec_w2.T + params.dec_b2, hidden
 
 
-def forward_step(scan: np.ndarray, v: float, h: np.ndarray,
-                 params: PolicyParameters, cfg: PolicyConfig,
-                 masked: bool = False,
-                 work: StepBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One observation -> (action, next hidden state), in the dtype of the
-    parameters. A workspace (StepBuffers) of that dtype holds the
-    intermediates; the returned arrays are fresh either way."""
-    x = encode_inputs(scan, v, params, cfg, masked, work).astype(params.w_x.dtype, copy=False)
-    h_next = gru_step(x, h, params, work)
-    action, _ = decode(h_next, params, work)
-    return action, h_next
+def forward(x: np.ndarray, h: np.ndarray,
+            params: PolicyParameters) -> tuple[np.ndarray, np.ndarray]:
+    """One policy step: GRU inputs x (I,) or (B, I) and hidden state h (H,)
+    or (B, H) -> (action, next hidden state), in the dtype of the
+    parameters. Hidden entries stay inside (-1, 1) for in-range inputs."""
+    if x.shape[-1] != params.w_x.shape[1] or h.shape[-1] != params.u_h.shape[1]:
+        raise ShapeMismatch(f"forward: x{x.shape} / h{h.shape} vs W_x{params.w_x.shape}")
+    px = x @ params.w_x.T
+    px += params.b_x
+    h_next = gru_cell(px, h, params)[0]
+    return decode(h_next, params)[0], h_next
 
 
 class InferenceSession:
-    """Single-step inference at a fixed precision, through one workspace
-    of preallocated intermediates.
+    """Single-observation inference at a fixed precision.
 
     float64 uses the parameter arrays as they are, without a copy (so the
-    session sees later in-place changes to them), and is forward_step bit
-    for bit. float32 casts them once; it halves the memory traffic that
-    bounds per-step latency.
+    session sees later in-place changes to them). float32 casts them once;
+    it halves the memory traffic that bounds per-step latency.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
@@ -340,11 +266,10 @@ class InferenceSession:
         self.dtype = np.dtype(dtype)
         self.params = PolicyParameters(**{
             k: t.astype(self.dtype, copy=False) for k, t in params.tensors().items()})
-        self._work = StepBuffers(self.params, cfg)
 
-    def step(self, scan: np.ndarray, v: float, h: np.ndarray,
-             masked: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        return forward_step(scan, v, h, self.params, self.cfg, masked, self._work)
+    def step(self, scan: np.ndarray, v: float, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = encode_inputs(scan, v, self.params, self.cfg).astype(self.dtype, copy=False)
+        return forward(x, h, self.params)
 
     def zero_hidden(self) -> np.ndarray:
         return np.zeros(self.cfg.hidden_dim, dtype=self.dtype)

@@ -39,6 +39,11 @@ class NonFiniteState(SimulationError):
     """A dynamics update produced NaN or infinity."""
 
 
+class MalformedTrace(SimulationError):
+    """A trace CSV lacks a column, holds an unparsable value or changes its
+    number of agents."""
+
+
 # the episode engine's action-query and recording rate; SimConfig.dt must
 # split its frame into a whole number of sim steps (within 1e-9)
 FRAME_HZ = 10.0
@@ -253,12 +258,25 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
+    """The trace that write_trace_csv wrote to path; MalformedTrace if the
+    file lacks a column, holds a value that does not parse or lists a
+    different number of agents at different times. A header alone is the
+    empty trace."""
     steps: dict[float, list] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            steps.setdefault(float(row["t_s"]), []).append(
-                (int(row["agent"]), [float(row[k]) for k in TRACE_CSV_HEADER[2:7]],
-                 bool(int(row["collided"]))))
+        reader = csv.DictReader(fh)
+        missing = [k for k in TRACE_CSV_HEADER if k not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedTrace(f"{path}: no column {', '.join(missing)}")
+        try:
+            for row in reader:
+                steps.setdefault(float(row["t_s"]), []).append(
+                    (int(row["agent"]), [float(row[k]) for k in TRACE_CSV_HEADER[2:7]],
+                     bool(int(row["collided"]))))
+        except (TypeError, ValueError) as exc:
+            raise MalformedTrace(f"{path}, line {reader.line_num}: {exc}") from None
+    if len({len(entries) for entries in steps.values()}) > 1:
+        raise MalformedTrace(f"{path}: the number of agents changes between time steps")
     trace = Trace()
     for t, entries in steps.items():
         entries.sort(key=lambda e: e[0])

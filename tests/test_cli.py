@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -22,6 +23,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def dispatch_key() -> tuple[bool, str]:
+    """(numpy dispatches to its AVX-512 kernels, the OpenBLAS core): the two
+    settings that float64 bits follow. The core is the kernel set that
+    numpy's bundled OpenBLAS runs (SkylakeX, Haswell, ...), which
+    OPENBLAS_CORETYPE overrides."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    assert libs, "numpy bundles no libscipy_openblas64_*.so to read the OpenBLAS core from"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return bool(__cpu_features__["AVX512_SKX"]), corename().decode()
+
+
+def golden_digest(digests: dict, name: str) -> str:
+    key = dispatch_key()
+    assert key in digests, (f"no {name} digest recorded for numpy AVX-512 dispatch {key[0]} "
+                            f"with OpenBLAS core {key[1]}")
+    return digests[key]
 
 
 def default_config_text() -> str:
@@ -289,14 +310,14 @@ class TestTrain:
     # before backpropagation reused its forward caches for its gradients:
     # six seeded episodes of 9 to 14 frames and 16 beams, three batches of
     # two per epoch (padding, the masks and Adam all in play). The bits
-    # follow numpy's float64 exp and tanh dispatch and the OpenBLAS kernels
-    # of each CI leg (AVX-512 and SkylakeX, or neither and Haswell), so each
-    # leg has its digest: with numpy's AVX-512 targets off, the BLAS must
-    # run the Haswell kernels too (OPENBLAS_CORETYPE=Haswell on a CPU that
-    # has AVX-512), as the no-avx512 leg sets.
+    # follow numpy's float64 exp and tanh dispatch and the OpenBLAS kernels,
+    # so each (AVX-512 dispatch, OpenBLAS core) pair has its digest; a pair
+    # with none recorded fails and names itself.
     TRAIN_DIGESTS = {
-        True: "4f72b71005dff50f1b97bb28aed627c27f380c480f09470d8dc295329916e209",
-        False: "9d726e87cb089640110d6e917134ffc81ee1f3fbeee4f1638289d52153cc1a71",
+        (True, "SkylakeX"): "4f72b71005dff50f1b97bb28aed627c27f380c480f09470d8dc295329916e209",
+        (False, "Haswell"): "9d726e87cb089640110d6e917134ffc81ee1f3fbeee4f1638289d52153cc1a71",
+        (False, "SkylakeX"): "9b5c68a15aa4e095735c8d18f7e74a06674476e9da0d7192822ed36e68a6d85b",
+        (True, "Haswell"): "8cc50d1c8b5a7226f2f51bee8f231e3be032dd13d33db0b755ac7aebaeada24e",
     }
 
     def test_golden_digest(self, tmp_path):
@@ -317,7 +338,7 @@ class TestTrain:
         for name in ("policy.ckpt", "loss_curve.csv"):
             digest.update(name.encode())
             digest.update((out / name).read_bytes())
-        assert digest.hexdigest() == self.TRAIN_DIGESTS[bool(__cpu_features__["AVX512_SKX"])]
+        assert digest.hexdigest() == golden_digest(self.TRAIN_DIGESTS, "train")
 
 
 class TestEval:
@@ -355,11 +376,13 @@ class TestEval:
     # sha256 over `eval single --eta 0.1 --render`'s outputs for a
     # random-init 32-beam checkpoint (H = 36), as written while the policy
     # stepped each row alone: a chunk of one must keep these bytes. The
-    # trace's bits follow numpy's float64 exp dispatch (AVX-512 or not),
-    # so each dispatch path has its digest.
+    # trace's bits follow numpy's float64 exp dispatch (AVX-512 or not);
+    # keyed like TRAIN_DIGESTS, they are the same on both OpenBLAS cores.
     SINGLE_DIGESTS = {
-        True: "17bff725df097542765fc6e37c4da08db87654b9edecc1cfed0c76debe5465b6",
-        False: "3524b071deed637bbd3e23860e8c6a48603f5083a3e181a8f264da2aa7d30342",
+        (True, "SkylakeX"): "17bff725df097542765fc6e37c4da08db87654b9edecc1cfed0c76debe5465b6",
+        (True, "Haswell"): "17bff725df097542765fc6e37c4da08db87654b9edecc1cfed0c76debe5465b6",
+        (False, "SkylakeX"): "3524b071deed637bbd3e23860e8c6a48603f5083a3e181a8f264da2aa7d30342",
+        (False, "Haswell"): "3524b071deed637bbd3e23860e8c6a48603f5083a3e181a8f264da2aa7d30342",
     }
 
     def test_single_golden_digest(self, tmp_path, track_dir):
@@ -376,7 +399,7 @@ class TestEval:
                      "single.svg"):
             digest.update(name.encode())
             digest.update((out / name).read_bytes())
-        assert digest.hexdigest() == self.SINGLE_DIGESTS[bool(__cpu_features__["AVX512_SKX"])]
+        assert digest.hexdigest() == golden_digest(self.SINGLE_DIGESTS, "single")
 
     @pytest.mark.parametrize("suite, extra", [
         ("h2h", ["--eta", "0.2"]),
@@ -475,6 +498,31 @@ class TestRender:
         ET.fromstring(svg)
         assert svg == (single_rendered / "single.svg").read_bytes()
 
+    HEADER = "t_s,agent,x_m,y_m,theta_rad,v_mps,delta_rad,collided\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("", "no column t_s"),
+        (HEADER, "no rows"),
+        (HEADER.replace("t_s,", "") + "0,0.0,0.0,0.0,0.0,0.0,0\n", "no column t_s"),
+        (HEADER + "0.0,0,1.0,2.0,0.0,zero,0.0,0\n", "line 2: could not convert"),
+        (HEADER + "0.0,0,1.0,2.0\n", "line 2:"),
+        (HEADER + "0.0,0,1,2,0,0,0,0\n0.0,1,3,2,0,0,0,0\n0.01,0,1,2,0,0,0,0\n",
+         "number of agents changes"),
+    ], ids=["missing", "empty", "header-only", "missing-column", "unparsable-value",
+            "short-row", "agents-change"])
+    def test_unreadable_trace_is_evaluation_error(self, tmp_path, capsys, track_dir, text,
+                                                  message):
+        trace = tmp_path / "t.trace.csv"
+        if text is not None:
+            trace.write_text(text)
+        out = tmp_path / "render"
+        assert run_cli("--out", str(out), "render", "--trace", str(trace),
+                       "--track", str(track_dir / "track_stadium.csv")) == cli.EXIT_EVAL
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read trace: ") and message in err
+        assert not out.exists()
+
 
 class TestCounts:
     @pytest.mark.parametrize("argv", [
@@ -489,6 +537,26 @@ class TestCounts:
             run_cli("--out", str(tmp_path), *argv)
         assert exc.value.code == 2
         assert f"{argv[-2]}: 0 is not a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["track", "gen", "--shape", "stadium", "--length", "0"],
+        ["track", "gen", "--shape", "oval", "--length", "-10"],
+        ["track", "gen", "--shape", "serpentine", "--length", "nan"],
+        ["track", "gen", "--shape", "stadium", "--length", "inf"],
+        ["track", "gen", "--shape", "stadium", "--width", "nan"],
+        ["track", "gen", "--shape", "stadium", "--width", "inf"],
+        ["track", "gen", "--shape", "stadium", "--width", "0"],
+        ["eval", "single", "--timeout", "-1"],
+        ["eval", "single", "--timeout", "nan"],
+        ["eval", "single", "--timeout", "inf"],
+        ["eval", "single", "--timeout", "0"],
+    ], ids=lambda argv: f"{argv[-2][2:]}={argv[-1]}")
+    def test_nonpositive_or_nonfinite_float_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", str(tmp_path / "out"), *argv)
+        assert exc.value.code == 2
+        assert f"{argv[-2]}: {argv[-1]} is not a finite positive number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfig:

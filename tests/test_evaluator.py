@@ -7,6 +7,7 @@ import pytest
 
 from racekit.evaluator import (
     H2HReport,
+    PolicySource,
     SingleAgentReport,
     bench_latency,
     render_episode,
@@ -18,10 +19,10 @@ from racekit.evaluator import (
     write_h2h_csv,
     write_single_csv,
 )
-from racekit.policy import PolicyConfig, init_params
+from racekit.policy import InferenceSession, PolicyConfig, init_params
 from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout)
-from racekit.simulator import SimConfig, Trace
+from racekit.simulator import SimConfig, Trace, WorldBatch
 
 TINY360 = PolicyConfig(n_beams=360, embed_dim=4, hidden_multiplier=2, mlp_hidden=16)
 
@@ -98,6 +99,30 @@ class TestRunners:
         # eta = 0 sweep entry equals a plain no-noise run (noise stream unused)
         assert sweep.single[0].mean_speed == base.mean_speed
         assert sweep.single[0].laps_completed == base.laps_completed
+
+
+class TestPolicySource:
+    @pytest.mark.parametrize("cfg", [PolicyConfig(n_beams=32, embed_dim=4, hidden_multiplier=1),
+                                     PolicyConfig()], ids=["H36", "H1504"])
+    def test_chunk_of_one_is_the_float64_session(self, cfg):
+        """A chunk of one scenario steps through the GEMV path of
+        `InferenceSession.step` at float64, bit for bit."""
+        params = init_params(cfg, np.random.default_rng(2))
+        source = PolicySource(params, cfg)
+        source.reset([Scenario(id="one", ego_raceline="center", ego_s=0.0, seed=0)], None)
+        session = InferenceSession(params, cfg, dtype=np.float64)
+        h = session.zero_hidden()
+        rng = np.random.default_rng(6)
+        rows = np.arange(1)
+        for _ in range(8):
+            poses = np.zeros((1, 1, 5))
+            poses[0, 0, 3] = rng.uniform(0.0, 8.0)
+            world = WorldBatch(None, poses, np.zeros(1), np.zeros((1, 1), dtype=bool))
+            scan = rng.uniform(0.1, 30.0, cfg.n_beams)
+            got = source.act(world, rows, scan[None])
+            want, h = session.step(scan, poses[0, 0, 3], h)
+            assert got.tobytes() == want[None].tobytes()
+            assert source._h.tobytes() == h[None].tobytes()
 
 
 class TestLatency:

@@ -19,8 +19,8 @@ from racekit.policy import (
     VersionMismatch,
     decode,
     embed_speed,
-    forward_step,
-    gru_step,
+    encode_inputs,
+    forward,
     init_params,
     layout_blocks,
     load_checkpoint,
@@ -35,6 +35,12 @@ TINY = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
 
 def tiny_params(seed=0, cfg=TINY):
     return init_params(cfg, np.random.default_rng(seed))
+
+
+def observe(scan, v, h, params, cfg=TINY, masked=False):
+    """One observation through `forward`, in the parameters' dtype."""
+    x = encode_inputs(scan, v, params, cfg, masked).astype(params.w_x.dtype, copy=False)
+    return forward(x, h, params)
 
 
 def zero_params(cfg=TINY):
@@ -94,18 +100,20 @@ class TestGruStep:
         p = zero_params()
         h = np.linspace(-0.9, 0.9, TINY.hidden_dim)
         x = np.ones(TINY.input_dim)
-        h2 = gru_step(x, h, p)
+        _, h2 = forward(x, h, p)
         assert np.array_equal(h2, 0.5 * h)
 
     def test_zero_fixed_point(self):
         p = zero_params()
         h = np.zeros(TINY.hidden_dim)
-        assert np.array_equal(gru_step(np.ones(TINY.input_dim), h, p), h)
+        assert np.array_equal(forward(np.ones(TINY.input_dim), h, p)[1], h)
 
     def test_shape_mismatch(self):
         p = tiny_params()
         with pytest.raises(ShapeMismatch):
-            gru_step(np.ones(3), np.zeros(TINY.hidden_dim), p)
+            forward(np.ones(3), np.zeros(TINY.hidden_dim), p)
+        with pytest.raises(ShapeMismatch):
+            forward(np.ones(TINY.input_dim), np.zeros(3), p)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -115,7 +123,7 @@ class TestGruStep:
         h = rng.uniform(-1, 1, TINY.hidden_dim) * 0.999
         x = rng.uniform(0, 1, TINY.input_dim)
         for _ in range(5):
-            h = gru_step(x, h, p)
+            _, h = forward(x, h, p)
             assert np.all(np.abs(h) < 1.0)
 
     def test_batched_matches_loop(self):
@@ -123,9 +131,11 @@ class TestGruStep:
         rng = np.random.default_rng(5)
         xs = rng.uniform(0, 1, (4, TINY.input_dim))
         hs = rng.uniform(-0.5, 0.5, (4, TINY.hidden_dim))
-        batched = gru_step(xs, hs, p)
+        actions, batched = forward(xs, hs, p)
         for i in range(4):
-            assert np.allclose(batched[i], gru_step(xs[i], hs[i], p), atol=1e-15)
+            action, h = forward(xs[i], hs[i], p)
+            assert np.allclose(batched[i], h, atol=1e-15)
+            assert np.allclose(actions[i], action, atol=1e-15)
 
 
 class TestDecode:
@@ -157,8 +167,8 @@ class TestForwardStep:
         p = tiny_params(1)
         scan = np.random.default_rng(2).uniform(0.1, 30, TINY.n_beams)
         h = np.zeros(TINY.hidden_dim)
-        a1, h1 = forward_step(scan, 2.0, h, p, TINY)
-        a2, h2 = forward_step(scan, 2.0, h, p, TINY)
+        a1, h1 = observe(scan, 2.0, h, p)
+        a2, h2 = observe(scan, 2.0, h, p)
         assert np.array_equal(a1, a2) and np.array_equal(h1, h2)
 
     def test_zeroed_beam_max_pressure(self):
@@ -174,8 +184,8 @@ class TestForwardStep:
         p.mask_embed[:] = embed_speed(v, p)
         scan = np.random.default_rng(0).uniform(0.1, 30, TINY.n_beams)
         h = np.zeros(TINY.hidden_dim)
-        a1, h1 = forward_step(scan, v, h, p, TINY, masked=False)
-        a2, h2 = forward_step(scan, v, h, p, TINY, masked=True)
+        a1, h1 = observe(scan, v, h, p, masked=False)
+        a2, h2 = observe(scan, v, h, p, masked=True)
         assert np.array_equal(a1, a2) and np.array_equal(h1, h2)
 
     def test_lidar_only_invariant_to_speed(self):
@@ -184,8 +194,8 @@ class TestForwardStep:
         p = init_params(cfg, np.random.default_rng(0))
         scan = np.random.default_rng(1).uniform(0.1, 30, cfg.n_beams)
         h = np.zeros(cfg.hidden_dim)
-        a1, _ = forward_step(scan, 0.0, h, p, cfg)
-        a2, _ = forward_step(scan, 9.0, h, p, cfg)
+        a1, _ = observe(scan, 0.0, h, p, cfg)
+        a2, _ = observe(scan, 9.0, h, p, cfg)
         assert np.array_equal(a1, a2)
 
     def test_input_sensitivity(self):
@@ -193,10 +203,10 @@ class TestForwardStep:
         p = tiny_params(7)
         scan = np.full(TINY.n_beams, 3.0)
         h = np.zeros(TINY.hidden_dim)
-        a1, _ = forward_step(scan, 2.0, h, p, TINY)
+        a1, _ = observe(scan, 2.0, h, p)
         scan2 = scan.copy()
         scan2[0] = 2.0
-        a2, _ = forward_step(scan2, 2.0, h, p, TINY)
+        a2, _ = observe(scan2, 2.0, h, p)
         assert not np.array_equal(a1, a2)
 
 
@@ -227,20 +237,25 @@ class TestInitParams:
 
 class TestInferenceSession:
     def test_matches_reference_forward(self):
-        p = tiny_params(9)
-        sess = InferenceSession(p, TINY, dtype=np.float64)
-        rng = np.random.default_rng(3)
-        h_ref = np.zeros(TINY.hidden_dim)
-        h_fast = sess.zero_hidden()
-        for _ in range(10):
-            scan = rng.uniform(0.0, 30.0, TINY.n_beams)
-            v = rng.uniform(0, 8)
-            a_ref, h_ref = forward_step(scan, v, h_ref, p, TINY)
-            a_fast, h_fast = sess.step(scan, v, h_fast)
-            assert np.allclose(a_ref, a_fast, atol=1e-12)
-            assert np.allclose(h_ref, h_fast, atol=1e-13)
+        lidar_only = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2,
+                                  use_speed_input=False)
+        for cfg in (TINY, lidar_only):
+            p = tiny_params(9, cfg)
+            sess = InferenceSession(p, cfg, dtype=np.float64)
+            rng = np.random.default_rng(3)
+            h_ref = np.zeros(cfg.hidden_dim)
+            h_fast = sess.zero_hidden()
+            for _ in range(10):
+                scan = rng.uniform(0.0, 30.0, cfg.n_beams)
+                v = rng.uniform(0, 8)
+                a_ref, h_ref = reference_forward_step(scan, v, h_ref, p, cfg)
+                a_fast, h_fast = sess.step(scan, v, h_fast)
+                assert np.allclose(a_ref, a_fast, atol=1e-12)
+                assert np.allclose(h_ref, h_fast, atol=1e-13)
 
     def test_float64_is_forward_step_bit_for_bit(self):
+        """At float64 the session steps through `forward` on the caller's
+        own arrays, so it sees an in-place change to them."""
         p = tiny_params(9)
         sess = InferenceSession(p, TINY, dtype=np.float64)
         assert all(np.shares_memory(a, b) for a, b in
@@ -249,37 +264,43 @@ class TestInferenceSession:
         h_ref = np.zeros(TINY.hidden_dim)
         h_fast = sess.zero_hidden()
         for i in range(10):
+            if i == 5:
+                p.u_h *= 1.5
             scan = rng.uniform(0.0, 30.0, TINY.n_beams)
             v = rng.uniform(0, 8)
-            a_ref, h_ref = forward_step(scan, v, h_ref, p, TINY, masked=i % 3 == 0)
-            a_fast, h_fast = sess.step(scan, v, h_fast, masked=i % 3 == 0)
+            a_ref, h_ref = forward(encode_inputs(scan, v, p, TINY), h_ref, p)
+            a_fast, h_fast = sess.step(scan, v, h_fast)
             assert np.array_equal(a_ref, a_fast)
             assert np.array_equal(h_ref, h_fast)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_steps_match_reference_bit_for_bit(self, dtype):
-        """The session's step through its workspace, and forward_step
-        without one, compute what the step before the workspace computed:
-        the same operations in the same order and dtypes."""
+        """The session's step, and `forward` on masked and unmasked
+        inputs, compute what the reference step computes: the same
+        operations in the same order and dtypes."""
         sess = InferenceSession(tiny_params(9), TINY, dtype=dtype)
         rng = np.random.default_rng(5)
-        h_ref = h_session = h_plain = sess.zero_hidden()
+        h_ref = h_session = sess.zero_hidden()
         for i in range(10):
             scan = rng.uniform(0.0, 30.0, TINY.n_beams)
             v = rng.uniform(0, 8)
             masked = i % 3 == 0
-            a_ref, h_ref = reference_forward_step(scan, v, h_ref, sess.params, TINY, masked)
-            a_session, h_session = sess.step(scan, v, h_session, masked)
-            a_plain, h_plain = forward_step(scan, v, h_plain, sess.params, TINY, masked)
-            for a, h in ((a_session, h_session), (a_plain, h_plain)):
-                assert_same_bits(a, a_ref)
-                assert_same_bits(h, h_ref)
+            a_ref, h_ref_next = reference_forward_step(scan, v, h_ref, sess.params, TINY)
+            a_session, h_session = sess.step(scan, v, h_session)
+            assert_same_bits(a_session, a_ref)
+            assert_same_bits(h_session, h_ref_next)
+            a_ref, h_ref_masked = reference_forward_step(scan, v, h_ref, sess.params, TINY,
+                                                         masked)
+            a_masked, h_masked = observe(scan, v, h_ref, sess.params, masked=masked)
+            assert_same_bits(a_masked, a_ref)
+            assert_same_bits(h_masked, h_ref_masked)
+            h_ref = h_ref_next
 
     def test_float32_close(self):
         p = tiny_params(9)
         sess = InferenceSession(p, TINY, dtype=np.float32)
         scan = np.random.default_rng(1).uniform(0.1, 30, TINY.n_beams)
-        a64, _ = forward_step(scan, 3.0, np.zeros(TINY.hidden_dim), p, TINY)
+        a64, _ = reference_forward_step(scan, 3.0, np.zeros(TINY.hidden_dim), p, TINY)
         a32, _ = sess.step(scan, 3.0, sess.zero_hidden())
         assert np.allclose(a64, a32, atol=1e-4)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from racekit import trainer
-from racekit.policy import InferenceSession, PolicyConfig, TENSOR_ORDER, init_params
+from racekit.policy import PolicyConfig, TENSOR_ORDER, encode_inputs, forward, init_params
 from racekit.scenario import EpisodeRecord, Outcome
 from racekit.trainer import (
     EmptyDatasetError,
@@ -117,18 +117,18 @@ class TestSequenceLoss:
 
 class TestForwardBatch:
     def test_matches_step_by_step_inference(self):
-        # teacher-forced training rolls equal the deployed session's rolls
+        # teacher-forced training rolls equal step-by-step `forward` rolls
         params = init_params(TINY, np.random.default_rng(8))
         episodes = [tiny_episode(T=7, seed=3), tiny_episode(T=4, seed=4)]
         draws = [np.array([False, True, False, False, True, False, True]),
                  np.array([True, False, False, False])]
         scans, speeds, _, masked, _ = _pack_batch(episodes, draws, TINY)
         preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
-        session = InferenceSession(params, TINY, dtype=np.float64)
         for b, (ep, d) in enumerate(zip(episodes, draws)):
-            h = session.zero_hidden()
+            h = np.zeros(TINY.hidden_dim)
             for t in range(ep.n_frames):
-                action, h = session.step(ep.scans[t], ep.ego_v[t], h, masked=d[t])
+                x = encode_inputs(ep.scans[t], ep.ego_v[t], params, TINY, masked=d[t])
+                action, h = forward(x, h, params)
                 assert np.allclose(preds[b, t], action, rtol=0.0, atol=1e-12)
 
 
