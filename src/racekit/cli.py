@@ -18,7 +18,10 @@ Every command reads its settings from the resolved config alone, so the
 `config_hash` of the run manifest it writes under --out covers every one of
 these flags. `eval single --render` writes the episode's trace as
 single.trace.csv next to single.svg, and `render --trace` redraws such a
-trace as an SVG.
+trace as an SVG. `collect` writes each episode as the pool yields it, then
+dataset.json and manifest.json: one that fails mid-pool may leave episode
+files, never those two, and it stops the pool's workers before the error
+leaves the command.
 
 `[sim] n_beams` is the one beam count: `collect` scans at it, `train` sizes
 the policy from the dataset's episode headers, and `eval single|h2h|noise`
@@ -39,6 +42,7 @@ import argparse
 import datetime
 import json
 import sys
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -139,8 +143,8 @@ def _load_track(cfg: KitConfig) -> rtrack.TrackModel:
 
 
 def cmd_track_gen(args, cfg: KitConfig) -> int:
-    run = _Outputs(args.out)
     track = rtrack.make_track(args.shape, length=args.length, width=args.width)
+    run = _Outputs(args.out)
     run.write(f"track_{args.shape}.csv", partial(rtrack.write_track_csv, track))
     run.write(f"track_{args.shape}_boundaries.csv", "boundary,x_m,y_m\n" + "".join(
         f"{name},{x!r},{y!r}\n"
@@ -176,17 +180,16 @@ def cmd_collect(args, cfg: KitConfig) -> int:
     run = _Outputs(args.out)
     env = RaceEnvironment.build(_load_track(cfg), cfg.sim, cfg.expert, cfg.raceline)
     scenarios, skipped = rscn.enumerate_scenarios(cfg.scenario, env)
-    records = rscn.rollout_many(scenarios, ExpertSource(), env, cfg.scenario.duration,
-                                cfg.workers)
     names = [f"episodes/ep_{sc.id.replace(':', '_')}.bin" for sc in scenarios]
-    dataset = run.write("dataset.json", lambda path: rscn.save_dataset(
-        path.parent, list(zip(names, records)), skipped), *names)
-    counts = dataset.pool_counts
+    with closing(rscn.rollout_many(scenarios, ExpertSource(), env, cfg.scenario.duration,
+                                   cfg.workers)) as records:
+        counts, samples = run.write("dataset.json", lambda path: rscn.save_dataset(
+            path.parent, zip(names, records), skipped), *names)
     run.finish("collect", cfg)
-    print(f"collected {len(records)} episodes "
+    print(f"collected {len(scenarios)} episodes "
           f"({counts[Outcome.CAR_FOLLOWING]}/{counts[Outcome.OVERTAKING]}/"
           f"{counts[Outcome.COLLISION]} follow/overtake/collision, "
-          f"{skipped} spawns skipped), {dataset.total_samples} training samples")
+          f"{skipped} spawns skipped), {samples} training samples")
     return EXIT_OK
 
 
@@ -200,12 +203,12 @@ def cmd_train(args, cfg: KitConfig) -> int:
     if not manifest.exists():
         print(f"dataset manifest not found: {manifest}", file=sys.stderr)
         return EXIT_TRAIN
-    dataset = rscn.load_manifest_dataset(manifest)
-    pol_cfg = replace(cfg.policy, n_beams=dataset.episodes[0].scans.shape[1])
+    episodes = rscn.load_manifest_dataset(manifest)
+    pol_cfg = replace(cfg.policy, n_beams=episodes[0].scans.shape[1])
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
             print(f"epoch {epoch:4d}  loss {loss:.6f}  lr {lr:.2e}", flush=True)
-    best, curve = rtrain.train(dataset.episodes, pol_cfg, cfg.trainer, progress=progress)
+    best, curve = rtrain.train(episodes, pol_cfg, cfg.trainer, progress=progress)
     run.write("policy.ckpt", partial(save_checkpoint_file, best, pol_cfg))
     run.write("loss_curve.csv", partial(rtrain.write_loss_curve_csv, curve))
     run.finish("train", cfg)

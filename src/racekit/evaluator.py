@@ -7,8 +7,9 @@ suite, and a single-step inference latency benchmark. The closed-loop
 suites run on the scenario module's episode engine: single-agent laps are
 one `rollout` of a leaderless scenario with a `LapTimer` observer (and any
 further observers, such as a `simulator.Trace` to render), and a
-head-to-head pool is one `rollout_many` call, serial or pooled, whose
-chunks step in lockstep. The policy steps each chunk as one batch through
+head-to-head pool counts the outcomes of one `rollout_many` stream as
+they arrive, holding no pool's records; serial or pooled, its chunks step
+in lockstep. The policy steps each chunk as one batch through
 `policy.forward`, the one policy step, which the latency benchmark's
 `InferenceSession.step` also runs: a chunk's rows are the rows of one
 GEMM per product, and a chunk of one (a single-agent run, or a pool's
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -186,11 +188,8 @@ def run_h2h(params: PolicyParameters, policy_cfg: PolicyConfig,
     """Roll the policy as ego against the expert leader over a scenario
     pool on `workers` processes; returns the outcome counts."""
     source = PolicySource(params, policy_cfg, noise_eta, seed)
-    outcomes = [r.outcome for r in rollout_many(scenarios, source, env, duration, workers)]
-    return H2HReport(car_following=outcomes.count(Outcome.CAR_FOLLOWING),
-                     overtaking=outcomes.count(Outcome.OVERTAKING),
-                     collision=outcomes.count(Outcome.COLLISION),
-                     noise_eta=noise_eta)
+    counts = Counter(r.outcome for r in rollout_many(scenarios, source, env, duration, workers))
+    return H2HReport(*(counts[k] for k in Outcome.ALL), noise_eta=noise_eta)
 
 
 def run_noise_sweep(params: PolicyParameters, policy_cfg: PolicyConfig,

@@ -21,11 +21,12 @@ tracker, projects every agent onto the centerline every sim step, inside
 an arc window around its last progress, through the track's cached
 segment table (`TrackModel.segment_table`). `rollout_many` is the one
 pooled runner: it hands out chunks of CHUNK scenarios in scenario order,
-in-process or one chunk per worker task. A lap harness is `rollout` with a
-`LapTimer`. Episode files and the dataset manifest are written atomically;
-`save_dataset` (behind `collect`) lists collision episodes in the manifest
-as excluded, and `load_manifest_dataset` reads back the kept ones for
-training (collision episodes remain valid for evaluation).
+in-process or one chunk per worker task, and yields their records as the
+chunks end; neither `collect` nor `eval` holds a pool's records. A lap
+harness is `rollout` with a `LapTimer`. Episode files and the dataset
+manifest are written atomically; `save_dataset` (behind `collect`) writes
+each episode as it arrives, then the manifest, which lists collision
+episodes as excluded; `load_manifest_dataset` reads back the kept ones.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -120,13 +121,6 @@ class EpisodeRecord:
     @property
     def n_frames(self) -> int:
         return len(self.scans)
-
-
-@dataclass
-class Dataset:
-    episodes: list[EpisodeRecord]
-    pool_counts: dict[str, int]
-    total_samples: int
 
 
 @dataclass(frozen=True)
@@ -387,14 +381,13 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
         outcome = classify_outcome(ego_prog, leader_prog, bool(world.collided[b, 0]),
                                    bool(world.collided[b, 1:].any()))
         scans, speeds, actions = zip(*frames[b]) if frames[b] else ((), (), ())
-        record = EpisodeRecord(
+        results.append(EpisodeRecord(
             scenario_id=sc.id, seed=sc.seed,
             scans=np.stack(scans) if scans else np.zeros((0, sim_cfg.n_beams), dtype=np.float32),
             ego_v=np.asarray(speeds, dtype=np.float32),
             actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
             outcome=outcome, duration_actual=float(world.t[b]),
-            ego_progress=ego_prog, leader_progress=leader_prog)
-        results.append(record)
+            ego_progress=ego_prog, leader_progress=leader_prog))
     return results
 
 
@@ -421,16 +414,20 @@ def _rollout_chunk_in_worker(chunk: list[Scenario]) -> list[EpisodeRecord]:
 
 
 def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
-                 duration: float, workers: int = 1) -> list[EpisodeRecord]:
-    """Roll every scenario with the same action source, in chunks of CHUNK
-    scenarios taken in order; records come back in scenario order and
-    equal for any worker count."""
+                 duration: float, workers: int = 1) -> Iterator[EpisodeRecord]:
+    """Roll every scenario with the same action source in chunks of CHUNK
+    scenarios taken in order, and yield the records in scenario order, equal
+    for any worker count. A chunk runs in-process when its first record is
+    asked for; closing early cancels the chunks that no worker has taken."""
     chunks = [scenarios[i:i + CHUNK] for i in range(0, len(scenarios), CHUNK)]
     if workers <= 1:
-        return [r for chunk in chunks for r in rollout_batch(chunk, source, env, duration)]
+        for chunk in chunks:
+            yield from rollout_batch(chunk, source, env, duration)
+        return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(source, env, duration)) as pool:
-        return [r for records in pool.map(_rollout_chunk_in_worker, chunks) for r in records]
+        for records in pool.map(_rollout_chunk_in_worker, chunks):
+            yield from records
 
 
 # ---------------------------------------------------------------------------
@@ -491,34 +488,32 @@ def write_manifest(path, episode_files: list[str], excluded_files: list[str],
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def save_dataset(out_dir, episodes: list[tuple[str, EpisodeRecord]],
-                 skipped_spawns: int = 0) -> Dataset:
-    """Write each (file name, record) pair under out_dir and the manifest
-    out_dir/dataset.json, which lists collision episodes as excluded and
-    counts the outcomes of the whole pool. Returns the kept episodes as the
-    training Dataset (possibly empty; `load_manifest_dataset` refuses that)."""
+def save_dataset(out_dir, episodes: Iterable[tuple[str, EpisodeRecord]],
+                 skipped_spawns: int = 0) -> tuple[dict[str, int], int]:
+    """Write each (file name, record) pair under out_dir as it arrives, then
+    the manifest out_dir/dataset.json, which lists collision episodes as
+    excluded and counts the pool's outcomes; returns those counts and the
+    number of kept frames. A failure mid-stream writes no manifest."""
     out_dir = Path(out_dir)
     counts = {k: 0 for k in Outcome.ALL}
-    kept, kept_files, excluded_files = [], [], []
+    kept_files, excluded_files, total = [], [], 0
     for fname, record in episodes:
         save_episode(record, out_dir / fname)
         counts[record.outcome] += 1
         if record.outcome == Outcome.COLLISION:
             excluded_files.append(fname)
         else:
-            kept.append(record)
             kept_files.append(fname)
-    total = sum(ep.n_frames for ep in kept)
+            total += record.n_frames
     write_manifest(out_dir / "dataset.json", kept_files, excluded_files, counts,
                    total, skipped_spawns)
-    return Dataset(episodes=kept, pool_counts=counts, total_samples=total)
+    return counts, total
 
 
-def load_manifest_dataset(manifest_path) -> Dataset:
+def load_manifest_dataset(manifest_path) -> list[EpisodeRecord]:
     manifest = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
     episodes = [load_episode(base / f) for f in manifest["episodes"]]
     if not episodes:
         raise EmptyDataset(f"manifest {manifest_path} lists no episodes")
-    return Dataset(episodes=episodes, pool_counts=manifest["counts"],
-                   total_samples=manifest["total_samples"])
+    return episodes

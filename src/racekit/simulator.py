@@ -259,9 +259,9 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 def read_trace_csv(path) -> Trace:
     """The trace that write_trace_csv wrote to path; MalformedTrace if the
-    file lacks a column, holds a value that does not parse or lists a
-    different number of agents at different times. A header alone is the
-    empty trace."""
+    file lacks a column, holds a value that does not parse, a non-finite
+    time or pose, or lists a different number of agents at different
+    times. A header alone is the empty trace."""
     steps: dict[float, list] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -270,9 +270,11 @@ def read_trace_csv(path) -> Trace:
             raise MalformedTrace(f"{path}: no column {', '.join(missing)}")
         try:
             for row in reader:
-                steps.setdefault(float(row["t_s"]), []).append(
-                    (int(row["agent"]), [float(row[k]) for k in TRACE_CSV_HEADER[2:7]],
-                     bool(int(row["collided"]))))
+                t, pose = float(row["t_s"]), [float(row[k]) for k in TRACE_CSV_HEADER[2:7]]
+                if not np.isfinite([t, *pose]).all():
+                    raise ValueError("non-finite time or pose")
+                steps.setdefault(t, []).append(
+                    (int(row["agent"]), pose, bool(int(row["collided"]))))
         except (TypeError, ValueError) as exc:
             raise MalformedTrace(f"{path}, line {reader.line_num}: {exc}") from None
     if len({len(entries) for entries in steps.values()}) > 1:

@@ -188,10 +188,11 @@ def build_track(xy, w_right, w_left) -> TrackModel:
         if _geom.polyline_self_intersects(bound):
             raise SelfIntersectingBoundary(f"{name} boundary is not simple")
     # smaller enclosed area = inner boundary
-    if abs(_signed_area(left_bound)) <= abs(_signed_area(right_bound)):
-        inner, outer = left_bound, right_bound
-    else:
-        inner, outer = right_bound, left_bound
+    a_left, a_right = abs(_signed_area(left_bound)), abs(_signed_area(right_bound))
+    inner, outer = (left_bound, right_bound) if a_left <= a_right else (right_bound, left_bound)
+    # an over-wide inward offset passes the loop's centre and comes out beyond it, still simple
+    if not min(a_left, a_right) < abs(_signed_area(xy)) < max(a_left, a_right):
+        raise DegenerateGeometry("inner boundary encloses more area than the centerline")
     segments = np.concatenate(
         [_geom.polyline_segments(inner), _geom.polyline_segments(outer)]
     )

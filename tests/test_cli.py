@@ -1,6 +1,7 @@
 import ctypes
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from racekit import cli
 from racekit import config as rconfig
+from racekit import scenario as rscn
 from racekit.config import KitConfig, config_hash, load_config
 from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
 from racekit.scenario import EpisodeRecord, Outcome, load_episode, save_dataset
@@ -146,6 +148,15 @@ class TestTrackCommands:
     def test_missing_track_exit_2(self):
         assert run_cli("track", "info") == 2
 
+    @pytest.mark.parametrize("shape", ["circle", "oval"])
+    @pytest.mark.parametrize("flag", [("--width", "100"), ("--length", "0.5")],
+                             ids=lambda flag: "=".join(flag))
+    def test_too_wide_exit_2(self, tmp_path, capsys, shape, flag):
+        out = tmp_path / "out"
+        assert run_cli("--out", str(out), "track", "gen", "--shape", shape, *flag) == 2
+        assert "track error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCollect:
     def test_manifest_partition(self, collected):
@@ -216,6 +227,36 @@ class TestCollect:
             digest.update(f.encode())
             digest.update((out / f).read_bytes())
         assert digest.hexdigest() == self.GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_writer_failing_mid_pool_leaves_no_manifest(self, tmp_path, track_dir, monkeypatch,
+                                                        workers):
+        """The writer fails on the third episode: the two episodes before it
+        stay, neither dataset.json nor manifest.json is written, and no pool
+        worker is left running while the error, whose traceback holds every
+        frame it passed through, is still alive."""
+        written = []
+
+        def save_episode(record, path):
+            if len(written) == 2:
+                raise OSError("disk full")
+            save(record, path)
+            written.append(path.name)
+
+        save = rscn.save_episode
+        monkeypatch.setattr(rscn, "save_episode", save_episode)
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[scenario]\nduration = 0.5\n")
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full") as failure:
+            run_cli("--config", str(cfgfile), "--out", str(out), "--workers", workers,
+                    "collect", "--track", str(track_dir / "track_stadium.csv"),
+                    "--scenarios", "16")
+        assert len(written) == 2
+        assert sorted(p.name for p in (out / "episodes").iterdir()) == sorted(written)
+        assert sorted(p.name for p in out.iterdir()) == ["episodes"]
+        assert not multiprocessing.active_children()
+        assert failure.traceback
 
     def test_no_valid_spawn_exit_3(self, tmp_path, track_dir, capsys):
         cfgfile = tmp_path / "cfg.ini"
@@ -509,8 +550,10 @@ class TestRender:
         (HEADER + "0.0,0,1.0,2.0\n", "line 2:"),
         (HEADER + "0.0,0,1,2,0,0,0,0\n0.0,1,3,2,0,0,0,0\n0.01,0,1,2,0,0,0,0\n",
          "number of agents changes"),
+        (HEADER + "0.0,0,nan,2.0,0.0,0.0,0.0,0\n", "line 2: non-finite time or pose"),
+        (HEADER + "inf,0,1.0,2.0,0.0,0.0,0.0,0\n", "line 2: non-finite time or pose"),
     ], ids=["missing", "empty", "header-only", "missing-column", "unparsable-value",
-            "short-row", "agents-change"])
+            "short-row", "agents-change", "nan-pose", "inf-time"])
     def test_unreadable_trace_is_evaluation_error(self, tmp_path, capsys, track_dir, text,
                                                   message):
         trace = tmp_path / "t.trace.csv"

@@ -10,6 +10,8 @@ one-world reference it replaced (conftest), which shares no code with it.
 import dataclasses
 import functools
 import math
+import multiprocessing
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from racekit import track as rtrack
 from racekit.evaluator import PolicySource
 from racekit.expert import ExpertConfig, NoFeasibleCandidate
 from racekit.policy import PolicyConfig, init_params
-from racekit.scenario import (ExpertSource, NoValidSpawn, Outcome, RaceEnvironment, Scenario,
+from racekit.scenario import (CHUNK, ExpertSource, NoValidSpawn, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout, rollout_batch,
                               rollout_many, track_progress)
 from racekit.simulator import SimConfig, WorldBatch
@@ -55,6 +57,23 @@ def sources(kind, seed, pool):
     return (PolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=seed),
             ReferencePolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=seed,
                                   pool=pool))
+
+
+class ChunkLog(ExpertSource):
+    """The expert, logging the scenario ids of each chunk it starts to a
+    file, which pool workers append to as well."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def reset(self, scenarios, env):
+        with open(self.path, "a") as fh:
+            fh.write(" ".join(sc.id for sc in scenarios) + "\n")
+        super().reset(scenarios, env)
+
+    def started(self) -> list[list[str]]:
+        return [line.split() for line in self.path.read_text().splitlines()]
 
 
 def assert_same_records(got, want):
@@ -86,7 +105,7 @@ class TestEngine:
         except NoValidSpawn:
             assume(False)
         source, reference = sources(kind, seed, scenarios)
-        got = rollout_many(scenarios, source, env, duration, workers)
+        got = list(rollout_many(scenarios, source, env, duration, workers))
         want = [reference_rollout(sc, reference, env, duration) for sc in scenarios]
         assert_same_records(got, want)
 
@@ -96,7 +115,7 @@ class TestEngine:
         cfg = ScenarioConfig(ego_racelines=("left", "right"), k_positions=2, d_gap=0.8, seed=4)
         scenarios = enumerate_scenarios(cfg, env)[0]
         source, reference = sources(kind, 4, scenarios)
-        got = rollout_many(scenarios, source, env, 3.0)
+        got = list(rollout_many(scenarios, source, env, 3.0))
         assert len({r.n_frames for r in got[:4]}) > 1
         assert_same_records(got, [reference_rollout(sc, reference, env, 3.0)
                                   for sc in scenarios])
@@ -124,8 +143,34 @@ class TestEngine:
                                                   k_positions=3, seed=8), env)[0]
         assert len(pool) == 6
         source = PolicySource(tiny_params(), TINY, noise_eta=0.3, noise_seed=8)
-        assert_same_records(rollout_many(pool, source, env, 1.0, workers=2),
-                            rollout_many(pool, source, env, 1.0, workers=1))
+        assert_same_records(list(rollout_many(pool, source, env, 1.0, workers=2)),
+                            list(rollout_many(pool, source, env, 1.0, workers=1)))
+
+    def test_pool_runs_a_chunk_when_its_first_record_is_asked_for(self, tmp_path):
+        env = race_env("stadium", 3.0)
+        pool = enumerate_scenarios(ScenarioConfig(k_positions=6, seed=2), env)[0]
+        source = ChunkLog(tmp_path / "chunks")
+        records = rollout_many(pool, source, env, 0.3)
+        assert source.started() == []
+        assert next(records).scenario_id == pool[0].id
+        assert source.started() == [[sc.id for sc in pool[:4]]]
+        assert [r.scenario_id for r in records] == [sc.id for sc in pool[1:]]
+        assert source.started() == [[sc.id for sc in pool[:4]], [sc.id for sc in pool[4:]]]
+
+    def test_a_failing_consumer_stops_the_pool(self, tmp_path):
+        """The consumer raises on the first of twelve chunks' records:
+        closing the stream cancels the chunks no worker has taken, the pool
+        shuts down, and the error reaches the caller with no worker left."""
+        env = race_env("stadium", 3.0)
+        pool = enumerate_scenarios(ScenarioConfig(k_positions=48, seed=2), env)[0]
+        assert len(pool) == 12 * CHUNK
+        source = ChunkLog(tmp_path / "chunks")
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with closing(rollout_many(pool, source, env, 0.3, workers=2)) as records:
+                for _ in records:
+                    raise RuntimeError("consumer failed")
+        assert not multiprocessing.active_children()
+        assert 1 <= len(source.started()) < 12
 
     def test_policy_steps_match_reference_rows(self):
         """Open loop, where no actuator limit can hide a last bit: every

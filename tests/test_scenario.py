@@ -239,27 +239,24 @@ class TestDataset:
         pool = ([fake_record(Outcome.CAR_FOLLOWING) for _ in range(4)]
                 + [fake_record(Outcome.OVERTAKING) for _ in range(3)]
                 + [fake_record(Outcome.COLLISION) for _ in range(2)])
-        ds = save_dataset(tmp_path, named(pool))
-        assert len(ds.episodes) == 7
-        assert ds.pool_counts == {Outcome.CAR_FOLLOWING: 4, Outcome.OVERTAKING: 3,
-                                  Outcome.COLLISION: 2}
-        assert all(ep.outcome != Outcome.COLLISION for ep in ds.episodes)
+        counts, samples = save_dataset(tmp_path, named(pool))
+        assert counts == {Outcome.CAR_FOLLOWING: 4, Outcome.OVERTAKING: 3,
+                          Outcome.COLLISION: 2}
+        assert samples == 7 * 5
         back = load_manifest_dataset(tmp_path / "dataset.json")
-        assert [ep.outcome for ep in back.episodes] == [ep.outcome for ep in ds.episodes]
-        assert back.pool_counts == ds.pool_counts
+        assert [ep.outcome for ep in back] == [Outcome.CAR_FOLLOWING] * 4 + [Outcome.OVERTAKING] * 3
+        assert json.loads((tmp_path / "dataset.json").read_text())["counts"] == counts
 
     def test_all_safe_keeps_everything(self, tmp_path):
         pool = [fake_record(Outcome.OVERTAKING, frames=7) for _ in range(5)]
-        ds = save_dataset(tmp_path, named(pool))
-        assert len(ds.episodes) == 5
-        assert ds.total_samples == 35
-        assert load_manifest_dataset(tmp_path / "dataset.json").total_samples == 35
+        assert save_dataset(tmp_path, named(pool))[1] == 35
+        assert len(load_manifest_dataset(tmp_path / "dataset.json")) == 5
+        assert json.loads((tmp_path / "dataset.json").read_text())["total_samples"] == 35
 
     def test_total_samples_counts_frames(self, tmp_path):
         pool = [fake_record(Outcome.CAR_FOLLOWING, frames=80, n_beams=8) for _ in range(572)]
-        ds = save_dataset(tmp_path, named(pool))
-        assert ds.total_samples == 45760
-        assert load_manifest_dataset(tmp_path / "dataset.json").total_samples == 45760
+        assert save_dataset(tmp_path, named(pool))[1] == 45760
+        assert json.loads((tmp_path / "dataset.json").read_text())["total_samples"] == 45760
 
     def test_empty_dataset_raises(self, tmp_path):
         manifest = tmp_path / "dataset.json"
@@ -348,6 +345,6 @@ class TestEpisodeIO:
         rscn.write_manifest(tmp_path / "manifest.json", files, [],
                             {Outcome.CAR_FOLLOWING: 0, Outcome.OVERTAKING: 3,
                              Outcome.COLLISION: 0}, 18)
-        ds = rscn.load_manifest_dataset(tmp_path / "manifest.json")
-        assert len(ds.episodes) == 3
-        assert ds.total_samples == 18
+        back = rscn.load_manifest_dataset(tmp_path / "manifest.json")
+        assert [ep.scenario_id for ep in back] == [f"c:c:{i}" for i in range(3)]
+        assert sum(ep.n_frames for ep in back) == 18

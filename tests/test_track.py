@@ -509,3 +509,30 @@ class TestGenerators:
     def test_unknown_shape(self):
         with pytest.raises(rtrack.TrackError):
             rtrack.make_track("mobius")
+
+    @pytest.mark.parametrize("shape, length, width", [
+        ("circle", 60.0, 100.0), ("circle", 0.5, 3.0), ("oval", 60.0, 100.0), ("oval", 0.5, 3.0)])
+    def test_too_wide_for_its_loop(self, shape, length, width):
+        """The inward offset of a loop narrower than the track passes
+        through the centre and comes out as a simple loop on the far side,
+        around more area than the centreline (a 60 m circle 100 m wide:
+        5,140 square metres inside against 286)."""
+        with pytest.raises(rtrack.TrackError, match="inner boundary"):
+            rtrack.make_track(shape, length=length, width=width)
+
+    @pytest.mark.parametrize("shape", sorted(rtrack.TRACK_GENERATORS))
+    @pytest.mark.parametrize("length, width", [(60.0, 3.0), (1000.0, 3.0), (60.0, 0.01),
+                                               (20.0, 6.0), (60.0, 12.0)])
+    def test_boundaries_nest_around_the_centreline(self, shape, length, width):
+        """Every generated track that builds encloses less area inside its
+        inner boundary than inside its centreline, and less there than
+        inside its outer boundary; the rest fold (not simple)."""
+        try:
+            tm = rtrack.make_track(shape, length=length, width=width)
+        except SelfIntersectingBoundary:
+            assert (shape, length, width) in {("oval", 60.0, 12.0), ("serpentine", 20.0, 6.0),
+                                              ("serpentine", 60.0, 12.0)}
+            return
+        area = [abs(rtrack._signed_area(v)) for v in (tm.inner_boundary, tm.xy,
+                                                      tm.outer_boundary)]
+        assert area[0] < area[1] < area[2]
