@@ -12,12 +12,11 @@ inside the angular interval it subtends from the sensor;
 polyline_self_intersects tests only segment pairs whose midpoints are
 within the longest segment length of each other.
 
-project_to_polyline, the one projection kernel, takes all of a
-polyline's segments, one window of them shared by every point or a
-window per point (arc_windows), and reads the polyline's segment_table
-(start point, edge, floored squared length, start arc and arc length per
-segment), which its owner derives once and caches, and returns each
-point's arc position and signed lateral distance.
+segment_distances, the one projection kernel, reads a polyline's
+segment_table (start point, edge, floored squared length, start arc and
+arc length per segment), which its owner derives once and caches, for
+all of its segments or a window of them per point (arc_windows);
+project_to_polyline picks each point's nearest segment of them all.
 """
 
 from __future__ import annotations
@@ -72,17 +71,18 @@ def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.
 
     Exact angular binning: a beam can only hit a segment if its direction
     lies inside the cone the segment subtends from the origin, so each
-    segment is tested only against the beams of that cone plus one beam of
-    margin on each side. Rounding moves the cone edges the float filter
-    accepts by far less than a beam (see _ANGLE_SLACK). Segments for which
-    that bound fails - the origin on or near the segment's line (a cone of
-    nearly pi, or a sliver whose orientation is in doubt) or near an
-    endpoint - are tested against every beam. Each pair tested goes through
-    the all-pairs arithmetic unchanged and a pair skipped has no valid hit,
-    so the result equals the all-pairs minimum; only the sign of a zero
-    distance (the sensor exactly on a segment) may differ. The per-segment
-    cone arithmetic runs over the segments of all rows at once, the pairs
-    row by row; a row's result does not depend on the other rows.
+    segment is tested only against the beams of that cone widened on each
+    side by the segment's rounding bound `slack`: rounding moves the cone
+    edges the float filter accepts, and the beam angles, by less than that
+    (see _ANGLE_SLACK), and slack is at most half a beam. Segments for
+    which that bound fails - the origin on or near the segment's line (a
+    cone of nearly pi, or a sliver whose orientation is in doubt) or near
+    an endpoint - are tested against every beam. Each pair tested goes
+    through the all-pairs arithmetic unchanged and a pair skipped has no
+    valid hit, so the result equals the all-pairs minimum; only the sign of
+    a zero distance (the sensor exactly on a segment) may differ. The
+    per-segment cone arithmetic runs over the segments of all rows at once,
+    the pairs row by row; a row's result does not depend on the other rows.
     """
     o = np.asarray(origins, dtype=float)
     heading = np.asarray(headings, dtype=float)
@@ -115,8 +115,9 @@ def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.
             | (span > np.pi - step)                         # nearly pi: origin beside the segment
             | (np.abs(t_num) <= _ANGLE_SLACK * la * le))    # on or near the segment's line
     rel = np.mod(start - h, 2.0 * np.pi)
-    first = np.floor(rel / step) - 1
-    last = np.ceil((rel + span) / step) + 1
+    # the beams in the widened cone; 1e-9 of a beam covers the divisions
+    first = np.ceil((rel - slack) / step - 1e-9)
+    last = np.floor((rel + span + slack) / step + 1e-9)
     first = np.where(full, 0, first).astype(np.int64)
     counts = np.where(full, n_beams, np.minimum(last - first + 1, n_beams)).astype(np.int64)
 
@@ -150,6 +151,18 @@ def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.
     return out
 
 
+def _arc_bounds(arc_table, s, half_width: float):
+    """The segments lo and hi (P,) holding the ends of each arc interval
+    [s_p - half_width, s_p + half_width], and whether it wraps past 0."""
+    total = float(arc_table[-1])
+    # the second mod maps a value that rounded up to `total` back to 0
+    lo_s = np.mod(np.mod(s - half_width, total), total)
+    hi_s = np.mod(np.mod(s + half_width, total), total)
+    lo = arc_table.searchsorted(lo_s, side="right") - 1
+    hi = arc_table.searchsorted(hi_s, side="right") - 1
+    return lo, hi, lo_s > hi_s
+
+
 def arc_windows(arc_table, s, half_width: float) -> np.ndarray:
     """The arc windows of positions s (P,) on a closed polyline, as a
     (P, M) index array: row p lists, in increasing order, the segments that
@@ -160,15 +173,9 @@ def arc_windows(arc_table, s, half_width: float) -> np.ndarray:
     mean spacing, so the windows hold on unevenly spaced polylines."""
     s = np.asarray(s, dtype=float).reshape(-1)
     n = len(arc_table) - 1
-    total = float(arc_table[-1])
-    if 2.0 * half_width >= total:
+    if 2.0 * half_width >= float(arc_table[-1]):
         return np.tile(np.arange(n), (len(s), 1))
-    # the second mod maps a value that rounded up to `total` back to 0
-    lo_s = np.mod(np.mod(s - half_width, total), total)
-    hi_s = np.mod(np.mod(s + half_width, total), total)
-    lo = arc_table.searchsorted(lo_s, side="right")[:, None] - 1
-    hi = arc_table.searchsorted(hi_s, side="right")[:, None] - 1
-    wrapped = (lo_s > hi_s)[:, None]
+    lo, hi, wrapped = (a[:, None] for a in _arc_bounds(arc_table, s, half_width))
     # two runs: [lo, hi] and none or, wrapped, [0, hi] and [lo, n) (one
     # long segment may hold both ends)
     start1 = np.where(wrapped, 0, lo)
@@ -179,8 +186,18 @@ def arc_windows(arc_table, s, half_width: float) -> np.ndarray:
     return np.where(j < len1, start1 + j, start2 + (j - len1))
 
 
+def in_arc_windows(arc_table, s, half_width: float, seg_idx) -> np.ndarray:
+    """Mask (P, M) of the segment ids seg_idx (P, M) that lie in the arc
+    window of their row's position s (P,), as arc_windows forms it."""
+    if 2.0 * half_width >= float(arc_table[-1]):
+        return np.ones(np.shape(seg_idx), dtype=bool)
+    lo, hi, wrapped = (a[:, None] for a in _arc_bounds(arc_table, s, half_width))
+    # wrapped: [0, hi] and [lo, n), or every segment when lo <= hi
+    return np.where(wrapped, (seg_idx <= hi) | (seg_idx >= lo), (seg_idx >= lo) & (seg_idx <= hi))
+
+
 def segment_table(verts, arc_table) -> np.ndarray:
-    """Per-segment constants of a closed polyline for project_to_polyline,
+    """Per-segment constants of a closed polyline for segment_distances,
     derived once per polyline: a (7, N) read-only array whose rows are the
     start x and y, the edge x and y, the squared length floored at _EPS,
     the start arc and the arc length of each segment (the closing segment
@@ -194,33 +211,29 @@ def segment_table(verts, arc_table) -> np.ndarray:
     return table
 
 
-def project_to_polyline(points, table, seg_idx=None):
-    """Project points onto a closed polyline.
-
-    points (P, 2) or one (2,) point; table the polyline's segment_table.
-    seg_idx optionally restricts the candidate segments: one window (M,)
-    shared by every point, e.g. one row of arc_windows, or one window per
-    point (P, M), e.g. arc_windows. Returns (s, d): arc position and signed
-    lateral distance (positive left of travel direction), each (P,), on
-    the nearest segment; ties go to the segment listed first.
-
-    The points broadcast as (P, 1) against their windows' columns, so the
-    arithmetic per (point, segment) is the same for every kind of window.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    cols = table if seg_idx is None else table.take(seg_idx, axis=1)
-    ax, ay, ex, ey, ee, s0, seg_len = cols
-    px, py = pts[:, :1], pts[:, 1:]
+def segment_distances(px, py, cols):
+    """The clamped projection parameter t, the offsets dx and dy from the
+    projected point and their squared length, of points (px, py) against
+    segment_table columns cols, broadcast: the one projection kernel."""
+    ax, ay, ex, ey, ee = cols[:5]
     # maximum(0, t) keeps a -0.0 as np.clip(t, 0, 1) does; maximum(t, 0) would not
     t = np.minimum(np.maximum(0.0, ((px - ax) * ex + (py - ay) * ey) / ee), 1.0)
     dx = px - (ax + t * ex)
     dy = py - (ay + t * ey)
-    dist2 = dx * dx + dy * dy                      # (P, M)
+    return t, dx, dy, dx * dx + dy * dy
+
+
+def project_to_polyline(points, table):
+    """Project points (P, 2), or one (2,) point, onto the closed polyline
+    whose segment_table is table. Returns (s, d): arc position and signed
+    lateral distance (positive left of travel direction), each (P,), on
+    the nearest segment; ties go to the segment listed first."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    t, dx, dy, dist2 = segment_distances(pts[:, :1], pts[:, 1:], table)     # (P, N)
     best = dist2.argmin(axis=1)                    # first minimum
     pick = np.arange(len(pts)), best
-    col = best if cols.ndim == 2 else pick         # shared or per-point columns
-    s = s0[col] + t[pick] * seg_len[col]
-    cross = ex[col] * dy[pick] - ey[col] * dx[pick]
+    s = table[5, best] + t[pick] * table[6, best]
+    cross = table[2, best] * dy[pick] - table[3, best] * dx[pick]
     return s, np.sign(cross) * np.sqrt(dist2[pick])
 
 

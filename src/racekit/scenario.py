@@ -8,19 +8,23 @@ engine, `rollout_batch`, which steps a chunk of scenarios in lockstep: the
 worlds are rows of a `simulator.WorldBatch`, the simulation steps at
 100 Hz, the ego's action source is queried at 10 Hz for every running row
 at once with commands held in between, and a frame (raw scan, ego speed,
-issued action) is recorded per row at every query instant. A row whose
-episode ends leaves the set of running rows, and its record is the one it
-would get alone. `rollout` is the batch of one. A row's observers are
-called with the batch, the row and the ego's unwrapped progress at the
-start and after every sim step, and any of them may end the episode:
-`LapTimer` times laps and `simulator.Trace` records the poses.
-Episodes terminate on collision, on an observer's word or at the time
-limit, and are classified CarFollowing / Overtaking / Collision by
-unwrapped centerline progress; `track_progress`, the one progress
-tracker, projects every agent onto the centerline every sim step, inside
-an arc window around its last progress, through the track's cached
-segment table (`TrackModel.segment_table`). `rollout_many` is the one
-pooled runner: it hands out chunks of CHUNK scenarios in scenario order,
+issued action) is recorded per row at every query instant. The rows step
+a frame at a time: `simulator.step_frame` runs its sim steps and then
+checks collisions on all of them, `track_progress` tracks progress over
+its trajectory, and a row keeps the state of the first step that ends its
+episode. A row whose episode ends leaves the set of running rows, and its
+record is the one it would get alone. `rollout` is the batch of one. A
+row's observers are called with the batch, the row and the ego's
+unwrapped progress at the start and after every sim step (replayed from
+the frame), and any of them may end the episode: `LapTimer` times laps
+and `simulator.Trace` records the poses. Episodes terminate on collision,
+on an observer's word or at the time limit, and are classified
+CarFollowing / Overtaking / Collision by unwrapped centerline progress;
+`track_progress`, the one progress tracker, projects every agent onto
+the centerline every sim step, inside an arc window around its last
+progress, through the track's cached segment table
+(`TrackModel.segment_table`). `rollout_many` is the one pooled runner:
+it hands out chunks of CHUNK scenarios in scenario order,
 in-process or one chunk per worker task, and yields their records as the
 chunks end; neither `collect` nor `eval` holds a pool's records. A lap
 harness is `rollout` with a `LapTimer`. Episode files and the dataset
@@ -194,24 +198,40 @@ def start_world(scenario: Scenario, env: RaceEnvironment) -> np.ndarray:
 
 
 PROGRESS_WINDOW = 6.0  # meters of centerline searched on each side of the last position
+# meters a call widens its windows by: at the default 10 m/s speed cap a car
+# moves at most 1 m in a 0.1 s frame, so one wide window serves the frame
+PROGRESS_MARGIN = 2.5
 
 
 def track_progress(track: TrackModel, progress: np.ndarray, x: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """Unwrapped centerline progress (N,) of N points after each moved from
-    its last progress to (x, y).
+    """Unwrapped centerline progress (S, ...) of points along trajectories
+    of S steps, x and y (S, ...), from their progress (...) before step 0.
 
-    Each point is projected onto the centerline segments of the arc window
-    of PROGRESS_WINDOW around its last progress (_geom.arc_windows and
-    _geom.project_to_polyline), ties going to the segment listed first, and
-    the progress moves by the projected arc's shortest signed distance
-    around the loop. A point's result does not depend on the others."""
-    windows = _geom.arc_windows(track.arc_table, progress, PROGRESS_WINDOW)
-    s, _ = _geom.project_to_polyline(np.stack([x, y], axis=1), track.segment_table, windows)
-    length = track.total_length
-    delta = np.mod(s - progress, length)
-    delta = np.where(delta > length / 2, delta - length, delta)
-    return progress + delta
+    Step j of a point is projected onto the centerline segments in the arc
+    window of PROGRESS_WINDOW around its progress after step j - 1
+    (_geom.arc_windows), ties going to the segment listed first, and moves
+    by the projected arc's shortest signed distance around the loop: what
+    a one-step call gives, whatever the other points. All steps are
+    projected at once onto windows PROGRESS_MARGIN wider, and each step
+    picks among the columns inside its own window (_geom.in_arc_windows);
+    once a point has moved the margin less a millimetre, they are rebuilt."""
+    shape, progress = np.shape(x), np.ravel(progress)
+    x, y = np.reshape(x, (len(x), -1)), np.reshape(y, (len(y), -1))
+    wide = _geom.arc_windows(track.arc_table, progress, PROGRESS_WINDOW + PROGRESS_MARGIN)
+    cols = track.segment_table.take(wide, axis=1)
+    t, _, _, dist2 = _geom.segment_distances(x[..., None], y[..., None], cols)   # (S, N, M)
+    s, out, length = cols[5] + t * cols[6], np.empty(x.shape), track.total_length
+    points, last = np.arange(len(progress)), progress
+    for j in range(len(out)):
+        if (np.abs(last - progress) > PROGRESS_MARGIN - 1e-3).any():
+            out[j:] = track_progress(track, last, x[j:], y[j:])
+            break
+        inside = _geom.in_arc_windows(track.arc_table, last, PROGRESS_WINDOW, wide)
+        best = np.where(inside, dist2[j], np.inf).argmin(axis=1)     # first minimum
+        delta = np.mod(s[j, points, best] - last, length)
+        last = out[j] = last + np.where(delta > length / 2, delta - length, delta)
+    return out.reshape(shape)
 
 
 def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list[Scenario], int]:
@@ -324,8 +344,7 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
         hints[b, 0] = sc.ego_s
         if n_agents > 1:
             hints[b, 1] = sc.ego_s + (sc.leader_s - sc.ego_s) % track.total_length
-    progress = track_progress(track, hints.ravel(), world.poses[..., 0].ravel(),
-                              world.poses[..., 1].ravel()).reshape(n_rows, n_agents)
+    progress = track_progress(track, hints, poses[None, ..., 0], poses[None, ..., 1])[0]
     leaders = [sc.leader_raceline for sc in scenarios]
 
     steps_per_frame = round(1.0 / (FRAME_HZ * sim_cfg.dt))   # whole, as SimConfig checks
@@ -359,20 +378,26 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
             for rid, sel in _by_raceline(leaders, active):
                 cmds[sel, 1] = rexpert.leader_commands(world.poses[active[sel], 1],
                                                        env.racelines[rid], env.expert, sim_cfg)
-        rows = active
-        for _ in range(steps_per_frame):
-            rsim.step_rows(world, rows, cmds, sim_cfg)
-            xy = world.poses[rows, :, :2]
-            progress[rows] = track_progress(track, progress[rows].ravel(), xy[..., 0].ravel(),
-                                            xy[..., 1].ravel()).reshape(len(rows), n_agents)
-            ended = world.collided[rows].any(axis=1)
-            if watched:
-                ended |= watch(rows)
-            if ended.any():
-                rows, cmds = rows[~ended], cmds[~ended]
-                if not len(rows):
+        # the frame's sim steps first, then its checks on all of them; a row
+        # keeps the state of the first step that ends it and drops the rest
+        path, times, flags = rsim.step_frame(world, active, cmds, steps_per_frame, sim_cfg)
+        reached = track_progress(track, progress[active], path[..., 0], path[..., 1])
+        ended = flags.any(axis=2)                                  # (steps, rows)
+        if watched:   # the observers see each step as it happened
+            running = np.arange(len(active))
+            for j in range(steps_per_frame):
+                b = active[running]
+                world.poses[b], world.t[b] = path[j, running], times[j, running]
+                world.collided[b], progress[b] = flags[j, running], reached[j, running]
+                ended[j, running] |= watch(b)
+                running = running[~ended[j, running]]
+                if not len(running):
                     break
-        active = rows
+        stopped = ended.any(axis=0)
+        kept = np.where(stopped, ended.argmax(axis=0), steps_per_frame - 1), np.arange(len(active))
+        world.poses[active], world.t[active] = path[kept], times[kept]
+        world.collided[active], progress[active] = flags[kept], reached[kept]
+        active = active[~stopped]
 
     results = []
     for b, sc in enumerate(scenarios):

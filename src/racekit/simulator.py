@@ -9,13 +9,14 @@ beam-dropout noise injection.
 An agent's state is a pose row (x, y, theta, v, delta); the reference
 point (x, y) is the footprint center, rays originate there and the
 collision rectangle is centered on it. A `WorldBatch` holds B worlds on
-one track as a (B, agents, 5) pose array. `advance`, `collision_events`,
-`step_rows` and `scan_batch` step and sense any subset of its rows
-together, and each row gets the floats it would get alone: the same float
-operations per element, numpy's `cos`/`sin` (which round as `math` does)
-and a per-element `math.tan`/`math.hypot` where numpy's SIMD versions may
-round differently. A `Trace` records one row's poses per sim step, for
-the trace CSV and rendering.
+one track as a (B, agents, 5) pose array. `advance`, `collision_events`
+and `scan_batch` step and sense any subset of its rows together, and each
+row gets the floats it would get alone: the same float operations per
+element, numpy's `cos`/`sin` (which round as `math` does) and a
+per-element `math.tan`/`math.hypot` where numpy's SIMD versions may round
+differently. `step_frame` runs a frame's sim steps, then checks them all
+for collisions at once. A `Trace` records one row's poses per sim step,
+for the trace CSV and rendering.
 """
 
 from __future__ import annotations
@@ -179,15 +180,22 @@ def advance(poses: np.ndarray, cmds: np.ndarray, cfg: SimConfig) -> np.ndarray:
     return out
 
 
-def step_rows(world: WorldBatch, rows: np.ndarray, cmds: np.ndarray, cfg: SimConfig) -> None:
-    """Advance the given rows of the batch by one dt in place under
-    commands (len(rows), A, 2); collision flags latch once set."""
-    n_agents = world.poses.shape[1]
-    new = advance(world.poses[rows].reshape(-1, 5), cmds.reshape(-1, 2), cfg)
-    new = new.reshape(len(rows), n_agents, 5)
-    world.poses[rows] = new
-    world.t[rows] += cfg.dt
-    world.collided[rows] |= collision_events(world.track, new, cfg)
+def step_frame(world: WorldBatch, rows: np.ndarray, cmds: np.ndarray, n_steps: int,
+               cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poses (n_steps, R, A, 5), times (n_steps, R) and latched collision
+    flags (n_steps, R, A) of the given rows after each of n_steps sim steps
+    under held commands (R, A, 2), not written back: advance and t += dt
+    once per step, then collision_events once over every step's poses."""
+    n, n_agents = len(rows), world.poses.shape[1]
+    poses, times = np.empty((n_steps, n, n_agents, 5)), np.empty((n_steps, n))
+    pose, t, cmds = world.poses[rows].reshape(-1, 5), world.t[rows], cmds.reshape(-1, 2)
+    for j in range(n_steps):
+        pose = advance(pose, cmds, cfg)
+        poses[j] = pose.reshape(n, n_agents, 5)
+        t = times[j] = t + cfg.dt
+    events = collision_events(world.track, poses.reshape(-1, n_agents, 5), cfg)
+    flags = np.logical_or.accumulate(events.reshape(n_steps, n, n_agents), axis=0)
+    return poses, times, flags | world.collided[rows]
 
 
 def scan_batch(track: TrackModel, poses: np.ndarray, agent: int, cfg: SimConfig) -> np.ndarray:

@@ -47,6 +47,17 @@ def golden_digest(digests: dict, name: str) -> str:
     return digests[key]
 
 
+def dataset_digest(out: Path) -> str:
+    """sha256 over a collect output's dataset.json and every episode file
+    (name, then bytes)."""
+    manifest = json.loads((out / "dataset.json").read_text())
+    digest = hashlib.sha256()
+    for f in ["dataset.json"] + sorted(manifest["episodes"] + manifest["excluded"]):
+        digest.update(f.encode())
+        digest.update((out / f).read_bytes())
+    return digest.hexdigest()
+
+
 def default_config_text() -> str:
     """An INI template with every key at its default; the fields that copy
     another setting are not keys."""
@@ -221,12 +232,28 @@ class TestCollect:
                        "--workers", "1", "collect",
                        "--track", str(track_dir / "track_stadium.csv"),
                        "--scenarios", "4") == 0
-        manifest = json.loads((out / "dataset.json").read_text())
-        digest = hashlib.sha256()
-        for f in ["dataset.json"] + sorted(manifest["episodes"] + manifest["excluded"]):
-            digest.update(f.encode())
-            digest.update((out / f).read_bytes())
-        assert digest.hexdigest() == self.GOLDEN_DIGEST
+        assert dataset_digest(out) == self.GOLDEN_DIGEST
+
+    # the same digest over a serpentine pool in which right:center:0001
+    # collides at sim step 4 of frame 19 (duration_actual 1.94), as written
+    # while the engine checked every sim step on its own: a row that ends
+    # inside a frame keeps its bytes. The same on both CI legs.
+    MID_FRAME_DIGEST = "67c5893c359e7378592729a58b38caa7529e9a3dd7ef0d7b32a691af8fe1ebd1"
+
+    def test_mid_frame_end_golden_digest(self, tmp_path):
+        assert run_cli("--out", str(tmp_path / "track"), "track", "gen",
+                       "--shape", "serpentine", "--width", "1.5") == 0
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[scenario]\nego_racelines = left, right\nd_gap = 0.8\n"
+                           "duration = 3.0\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfgfile), "--out", str(out), "--seed", "4",
+                       "--workers", "1", "collect",
+                       "--track", str(tmp_path / "track" / "track_serpentine.csv"),
+                       "--scenarios", "2") == 0
+        collided = load_episode(out / "episodes" / "ep_right_center_0001.bin")
+        assert collided.duration_actual == 1.9400000000000015
+        assert dataset_digest(out) == self.MID_FRAME_DIGEST
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_writer_failing_mid_pool_leaves_no_manifest(self, tmp_path, track_dir, monkeypatch,

@@ -12,6 +12,7 @@ import functools
 import math
 import multiprocessing
 from contextlib import closing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ class ChunkLog(ExpertSource):
         return [line.split() for line in self.path.read_text().splitlines()]
 
 
+class Seen:
+    """Rollout observer that logs each call's time, poses, collided flags
+    and ego progress, and ends the episode at call number `stop` (call 0
+    is the start). Called as the engine calls observers, or through
+    one_world as conftest.reference_rollout calls them."""
+
+    def __init__(self, stop=None):
+        self.stop, self.calls = stop, []
+
+    def __call__(self, world, row, progress):
+        return self._log(world.t[row], world.poses[row], world.collided[row], progress)
+
+    def one_world(self, world, progress):
+        return self._log(world.t, [(a.x, a.y, a.theta, a.v, a.delta) for a in world.agents],
+                         world.collided, progress)
+
+    def _log(self, t, poses, collided, progress):
+        self.calls.append((np.float64(t), np.array(poses, dtype=float), np.array(collided),
+                           np.float64(progress)))
+        return len(self.calls) - 1 == self.stop
+
+
 def assert_same_records(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -119,6 +142,30 @@ class TestEngine:
         assert len({r.n_frames for r in got[:4]}) > 1
         assert_same_records(got, [reference_rollout(sc, reference, env, 3.0)
                                   for sc in scenarios])
+
+    @pytest.mark.parametrize("stop", [23, 192, 197])
+    def test_rows_ending_inside_a_frame_match_reference(self, stop):
+        """right:center:0001 collides at sim step 194 (step 4 of frame 19);
+        its chunk mate's observer ends that row at sim step `stop`, inside
+        frame 2 or inside frame 19 before or after the collision. Records,
+        and every call each row's observer saw, equal the reference's."""
+        env = race_env("serpentine", 1.5)
+        cfg = ScenarioConfig(ego_racelines=("left", "right"), k_positions=2, d_gap=0.8, seed=4)
+        pool = enumerate_scenarios(cfg, env)[0]
+        chunk = [pool[3], pool[0]]
+        assert chunk[0].id == "right:center:0001"
+        seen = [Seen(), Seen(stop)]
+        got = rollout_batch(chunk, ExpertSource(), env, 3.0, [[obs] for obs in seen])
+        assert [r.duration_actual for r in got] == [1.9400000000000015, seen[1].calls[-1][0]]
+        assert [len(obs.calls) for obs in seen] == [195, stop + 1]
+        for record, sc, obs in zip(got, chunk, seen):
+            reference = Seen(obs.stop)
+            assert_same_records([record], [reference_rollout(sc, ReferenceExpertSource(), env, 3.0,
+                                                             reference.one_world)])
+            assert len(obs.calls) == len(reference.calls)
+            for call, want in zip(obs.calls, reference.calls):
+                for g, w in zip(call, want):
+                    assert_same_bits(g, w)
 
     def test_policy_record_does_not_depend_on_when_chunk_mates_end(self):
         """Row 0 of a four-row chunk gives the same record whether its
@@ -255,25 +302,26 @@ class TestDynamics:
             assert_same_bits(g, np.array([want.x, want.y, want.theta, want.v, want.delta]))
 
     @given(rows=st.lists(st.tuples(poses, poses, commands, commands), min_size=1, max_size=5),
-           name=st.sampled_from(["room", "stadium"]))
+           name=st.sampled_from(["room", "stadium"]), n_steps=st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
-    def test_step_rows_match_one_world_steps(self, rows, name):
+    def test_step_frame_matches_one_world_steps(self, rows, name, n_steps):
         track = kernel_track(name)
         worlds = [WorldState(track, [VehicleState(*a), VehicleState(*b)]) for a, b, _, _ in rows]
         batch = WorldBatch(track, np.array([[a, b] for a, b, _, _ in rows]),
                            np.zeros(len(rows)), np.zeros((len(rows), 2), dtype=bool))
         cmds = np.array([[ca, cb] for _, _, ca, cb in rows])
         picked = np.arange(0, len(rows), 2)
-        rsim.step_rows(batch, picked, cmds[picked], SimConfig())
-        for b, world in enumerate(worlds):
-            if b in picked:
-                one = reference_step(world, [VehicleCommand(*c) for c in cmds[b]], SimConfig())
-            else:
-                one = world
-            assert_same_bits(batch.poses[b], np.array([(s.x, s.y, s.theta, s.v, s.delta)
-                                                       for s in one.agents]))
-            assert_same_bits(batch.t[b], np.float64(one.t))
-            assert_same_bits(batch.collided[b], np.array(one.collided))
+        before = batch.poses.copy()
+        got = rsim.step_frame(batch, picked, cmds[picked], n_steps, SimConfig())
+        assert_same_bits(batch.poses, before)              # nothing is written back
+        for k, b in enumerate(picked):
+            one = worlds[b]
+            for poses, times, flags in zip(*got):
+                one = reference_step(one, [VehicleCommand(*c) for c in cmds[b]], SimConfig())
+                assert_same_bits(poses[k], np.array([(s.x, s.y, s.theta, s.v, s.delta)
+                                                     for s in one.agents]))
+                assert_same_bits(times[k], np.float64(one.t))
+                assert_same_bits(flags[k], np.array(one.collided))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +332,7 @@ class TestDynamics:
 def kernel_track(name):
     if name == "room":
         return make_room_track()
-    return rtrack.make_track(name, length=60.0, width=3.0)
+    return rtrack.make_track(name, length=14.0 if name == "circle" else 60.0, width=3.0)
 
 
 def near_boundary(track, pick, off, gap, turn):
@@ -357,14 +405,66 @@ class TestProgress:
                                      st.floats(-2.0, 2.0)), min_size=1, max_size=9))
     @settings(max_examples=200, deadline=None)
     def test_rows_match_one_point_trackers(self, name, points):
+        """One step (S = 1) of N points."""
         track = kernel_track(name)
         hints = np.array([p[0] for p in points])
         xy = np.array([track_xy(track, s + ds, off) for s, ds, off in points])
-        got = track_progress(track, hints, xy[:, 0], xy[:, 1])
+        got = track_progress(track, hints, xy[None, :, 0], xy[None, :, 1])[0]
         for g, (hint, _, _), (x, y) in zip(got, points, xy):
-            one = track_progress(track, np.array([hint]), np.array([x]), np.array([y]))[0]
+            one = track_progress(track, np.array([hint]), np.array([[x]]), np.array([[y]]))[0, 0]
             assert_same_bits(g, np.float64(one))
             assert_same_bits(g, np.float64(ReferenceProgressTracker(track, hint).update(x, y)))
+
+    @given(data=st.data(), name=st.sampled_from(["stadium", "serpentine"]),
+           far=st.booleans(), n=st.integers(1, 4), n_steps=st.integers(10, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_trajectory_matches_one_step_calls(self, data, name, far, n, n_steps):
+        """S steps of N points that start 0.05-0.4 m short of the lap seam and
+        cross it, forward or backward, at most 1 m off the line. Steps of
+        0.05-0.2 m stay inside the wide windows; steps of 0.5-1.5 m (far)
+        leave them, so they are rebuilt during the trajectory."""
+        track = kernel_track(name)
+        length = track.total_length
+        hints, path = [], []
+        for _ in range(n):
+            lap, sign = data.draw(st.integers(-2, 3)), data.draw(st.sampled_from([-1, 1]))
+            moves = data.draw(st.lists(st.floats(0.5, 1.5) if far else st.floats(0.05, 0.2),
+                                       min_size=n_steps, max_size=n_steps))
+            offs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_steps, max_size=n_steps))
+            hints.append(lap * length - sign * data.draw(st.floats(0.05, 0.4)))
+            arcs = hints[-1] + sign * np.cumsum(moves)
+            path.append([track_xy(track, s, off) for s, off in zip(arcs, offs)])
+        hints, path = np.array(hints), np.array(path).transpose(1, 0, 2)      # (S, N, 2)
+        with mock.patch.object(_geom, "arc_windows", wraps=_geom.arc_windows) as builds:
+            got = track_progress(track, hints, path[..., 0], path[..., 1])
+        assert (np.floor(got[-1] / length) != np.floor(hints / length)).all()
+        assert (builds.call_count > 1) == far
+        last = hints
+        for j in range(n_steps):
+            one = track_progress(track, last, path[j:j + 1, :, 0], path[j:j + 1, :, 1])[0]
+            assert_same_bits(got[j], one)
+            last = one
+        for i, hint in enumerate(hints):
+            reference = ReferenceProgressTracker(track, hint)
+            assert_same_bits(got[:, i], np.array([reference.update(x, y) for x, y in path[:, i]]))
+
+    @given(start=st.floats(0.0, 14.0),
+           steps=st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(2.5, 3.5)), min_size=1,
+                          max_size=10))
+    @settings(max_examples=50, deadline=None)
+    def test_steps_pick_only_in_their_exact_window(self, start, steps):
+        """On a 14 m circle (radius 2.2 m), a point past the centre lies
+        nearest the far side, 7 m of arc away: outside its 6 m window, and
+        inside the wide one, which spans the loop. Each step still picks
+        inside its own window."""
+        track = kernel_track("circle")
+        arcs = start + np.cumsum([ds for ds, _ in steps])
+        path = np.array([track_xy(track, s, off) for s, (_, off) in zip(arcs, steps)])[:, None]
+        got = track_progress(track, np.array([start]), path[..., 0], path[..., 1])
+        nearest, _ = _geom.project_to_polyline(path[:, 0], track.segment_table)
+        assert not np.array_equal(np.mod(got[:, 0], track.total_length), nearest)
+        reference = ReferenceProgressTracker(track, start)
+        assert_same_bits(got[:, 0], np.array([reference.update(x, y) for x, y in path[:, 0]]))
 
 
 def track_xy(track, s, off):

@@ -108,9 +108,9 @@ class TestClassify:
 
 
 def progress_after(track, progress, x, y):
-    """track_progress of one point."""
-    return float(track_progress(track, np.array([progress]), np.array([x], dtype=float),
-                                np.array([y], dtype=float))[0])
+    """track_progress of one point's one step."""
+    return float(track_progress(track, np.array([progress]), np.array([[x]], dtype=float),
+                                np.array([[y]], dtype=float))[0, 0])
 
 
 class TestProgressTracker:

@@ -18,7 +18,7 @@ from racekit.simulator import (
     apply_noise,
     collision_events,
     scan_batch,
-    step_rows,
+    step_frame,
 )
 from conftest import assert_same_bits, make_room_track
 
@@ -43,12 +43,19 @@ def commands(*cmds):
     return np.array([cmds], dtype=float)
 
 
+def run_frame(w, cmds, n_steps, cfg):
+    """step_frame of the batch's one row over n_steps, written back; the
+    (poses, times, flags) of every step."""
+    poses, times, flags = step_frame(w, ROW, cmds, n_steps, cfg)
+    w.poses[ROW], w.t[ROW], w.collided[ROW] = poses[-1], times[-1], flags[-1]
+    return poses, times, flags
+
+
 class TestDynamics:
     def test_straight_displacement(self, sim_cfg):
         w = world_in_room((-2.5, 0, 0.0, 5.0))
         cmd = commands((5.0, 0.0))
-        for _ in range(100):
-            step_rows(w, ROW, cmd, sim_cfg)
+        run_frame(w, cmd, 100, sim_cfg)
         assert w.poses[0, 0, 0] == pytest.approx(-2.5 + 5.0, abs=1e-6)
         assert w.poses[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
         assert w.t[0] == pytest.approx(1.0)
@@ -60,13 +67,9 @@ class TestDynamics:
         v = 2.0
         w = one_world(big, (0.0, 0.0, 0.0, v, delta))
         cmd = commands((v, delta))
-        pts = []
         # one full revolution
         n = int(2 * math.pi / ((v / cfg.wheelbase) * math.tan(delta) * cfg.dt)) + 1
-        for _ in range(n):
-            step_rows(w, ROW, cmd, cfg)
-            pts.append(tuple(w.poses[0, 0, :2]))
-        pts = np.array(pts)
+        pts = run_frame(w, cmd, n, cfg)[0][:, 0, 0, :2]
         center = pts.mean(axis=0)
         radius = np.linalg.norm(pts - center, axis=1).mean()
         expected = cfg.wheelbase / math.tan(delta)
@@ -75,7 +78,7 @@ class TestDynamics:
     def test_rest_state(self, sim_cfg):
         w = world_in_room((0, 0, 0.3, 0.0))
         before = w.poses.copy()
-        step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+        run_frame(w, commands((0.0, 0.0)), 1, sim_cfg)
         assert before.tolist() == w.poses.tolist()
         assert w.t[0] == pytest.approx(sim_cfg.dt)
 
@@ -85,34 +88,30 @@ class TestDynamics:
         horizon = abs(v0 / sim_cfg.a_min) + sim_cfg.dt
         last_v = v0
         while w.t[0] < horizon:
-            step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+            run_frame(w, commands((0.0, 0.0)), 1, sim_cfg)
             assert w.poses[0, 0, 3] <= last_v + 1e-12
             last_v = w.poses[0, 0, 3]
         assert w.poses[0, 0, 3] == pytest.approx(0.0, abs=1e-9)
 
     def test_steering_rate_limit(self, sim_cfg):
         w = world_in_room((0, 0, 0, 1.0, 0.0))
-        step_rows(w, ROW, commands((1.0, 10.0)), sim_cfg)
+        run_frame(w, commands((1.0, 10.0)), 1, sim_cfg)
         assert w.poses[0, 0, 4] == pytest.approx(sim_cfg.steer_rate_max * sim_cfg.dt)
         # and saturates at delta_max eventually
-        for _ in range(200):
-            step_rows(w, ROW, commands((1.0, 10.0)), sim_cfg)
+        run_frame(w, commands((1.0, 10.0)), 200, sim_cfg)
         assert w.poses[0, 0, 4] == pytest.approx(sim_cfg.delta_max)
 
     def test_non_finite_raises(self, sim_cfg):
         w = world_in_room((0, 0, 0, float("nan")))
         with pytest.raises(NonFiniteState):
-            step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+            step_frame(w, ROW, commands((0.0, 0.0)), 1, sim_cfg)
 
     def test_determinism_bitwise(self, sim_cfg):
         def run():
             w = world_in_room((-2, 0.5, 0.1, 3.0), (1, -0.5, 0.2, 2.0))
             cmds = commands((4.0, 0.05), (2.0, -0.03))
-            out = []
-            for _ in range(150):
-                step_rows(w, ROW, cmds, sim_cfg)
-                out.append((w.poses[0, 0, 0], w.poses[0, 0, 1], w.poses[0, 1, 2], w.poses[0, 1, 3]))
-            return out
+            poses = run_frame(w, cmds, 150, sim_cfg)[0][:, 0]
+            return [(p[0, 0], p[0, 1], p[1, 2], p[1, 3]) for p in poses]
         assert run() == run()
 
 
@@ -316,11 +315,11 @@ class TestCollision:
 
     def test_latching(self, room, sim_cfg):
         w = one_world(room, (3.9, 0, 0.0, 2.0))
-        step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+        run_frame(w, commands((0.0, 0.0)), 1, sim_cfg)
         assert w.collided[0].tolist() == [True]
         # drive back into free space; flag must stay set
         w.poses[0, 0] = (0.0, 0.0, 0.0, 0.0, 0.0)
-        step_rows(w, ROW, commands((0.0, 0.0)), sim_cfg)
+        run_frame(w, commands((0.0, 0.0)), 1, sim_cfg)
         assert w.collided[0].tolist() == [True]
 
 
@@ -330,7 +329,7 @@ class TestTrace:
         trace = Trace()
         trace(w, 0, 0.0)
         for _ in range(5):
-            step_rows(w, ROW, commands((2.0, 0.01), (1.0, -0.01)), sim_cfg)
+            run_frame(w, commands((2.0, 0.01), (1.0, -0.01)), 1, sim_cfg)
             trace(w, 0, 0.0)
         path = tmp_path / "trace.csv"
         sim.write_trace_csv(trace, path)

@@ -296,6 +296,19 @@ class TestArcWindow:
             assert_same_bits(row[:len(want)], want)
             assert (row[len(want):] == want[-1]).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.01, 5.0), min_size=3, max_size=40),
+           st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=6), st.floats(0.0, 60.0))
+    def test_mask_marks_each_rows_window(self, seg_lengths, s, half_width):
+        """Of every segment id, in_arc_windows marks those in the window
+        that the one-window reference computes for the row's position."""
+        arc_table = np.concatenate([[0.0], np.cumsum(seg_lengths)])
+        ids = np.tile(np.arange(len(seg_lengths)), (len(s), 1))
+        got = _geom.in_arc_windows(arc_table, np.array(s), half_width, ids)
+        for row, s_p in zip(got, s):
+            want = reference_arc_window(arc_table, s_p, half_width)
+            assert np.flatnonzero(row).tolist() == sorted(set(want.tolist()))
+
 
 @functools.cache
 def projection_polyline(name):
@@ -321,11 +334,9 @@ class TestProjectionKernel:
     kernel bit for bit: arc position and signed distance."""
 
     @given(name=st.sampled_from(["stadium", "serpentine", "uneven", "left-raceline"]),
-           queries=st.lists(query_point, min_size=1, max_size=30),
-           window=st.one_of(st.none(), st.tuples(st.floats(-100.0, 100.0),
-                                                 st.floats(0.2, 40.0))))
+           queries=st.lists(query_point, min_size=1, max_size=30))
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, name, queries, window):
+    def test_matches_reference(self, name, queries):
         verts, arc_table, table = projection_polyline(name)
         pts = []
         for seg_pick, along, off in queries:
@@ -334,38 +345,12 @@ class TestProjectionKernel:
             e = b - a
             pts.append(a + along * e + off * np.array([-e[1], e[0]]) / np.hypot(*e))
         pts = np.array(pts)
-        seg_idx = None if window is None else _geom.arc_windows(arc_table, *window)[0]
-        want = reference_project_to_polyline(pts, verts, arc_table, seg_idx=seg_idx)
-        for got_part, want_part in zip(_geom.project_to_polyline(pts, table, seg_idx), want):
+        want = reference_project_to_polyline(pts, verts, arc_table)
+        for got_part, want_part in zip(_geom.project_to_polyline(pts, table), want):
             assert_same_bits(got_part, want_part)
         if len(pts) == 1:  # one (2,) point takes the same path as a (1, 2) batch
-            for got_part, want_part in zip(_geom.project_to_polyline(pts[0], table, seg_idx),
-                                           want):
+            for got_part, want_part in zip(_geom.project_to_polyline(pts[0], table), want):
                 assert_same_bits(got_part, want_part)
-
-    @given(name=st.sampled_from(["stadium", "serpentine", "uneven", "left-raceline"]),
-           queries=st.lists(st.tuples(query_point, st.floats(-100.0, 100.0)), min_size=1,
-                            max_size=8),
-           half_width=st.floats(0.2, 40.0))
-    @settings(max_examples=200, deadline=None)
-    def test_per_point_windows_match_reference(self, name, queries, half_width):
-        """A window per point (arc_windows, padded rows) projects each point
-        as the reference does on that point's own window."""
-        verts, arc_table, table = projection_polyline(name)
-        pts = []
-        for (seg_pick, along, off), _ in queries:
-            i = int(seg_pick * len(verts))
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            e = b - a
-            pts.append(a + along * e + off * np.array([-e[1], e[0]]) / np.hypot(*e))
-        s_at = np.array([s for _, s in queries])
-        got = _geom.project_to_polyline(np.array(pts), table,
-                                        _geom.arc_windows(arc_table, s_at, half_width))
-        for p, (pt, s) in enumerate(zip(pts, s_at)):
-            window = reference_arc_window(arc_table, s, half_width)
-            want = reference_project_to_polyline([pt], verts, arc_table, seg_idx=window)
-            for got_part, want_part in zip(got, want):
-                assert_same_bits(got_part[p:p + 1], want_part)
 
     def test_equidistant_point_matches_reference(self):
         # midway between the stadium's two straights: a tie between segments
