@@ -28,8 +28,9 @@ the policy from the dataset's episode headers, and `eval single|h2h|noise`
 scan at the checkpoint's. `eval latency` without a checkpoint file times a
 random-init policy and says so in its manifest (`random_init`).
 
-Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors,
-5 evaluation errors (an unreadable checkpoint, or a missing, empty or
+Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors
+(among them a missing, empty or unreadable dataset), 5 evaluation errors
+(an unreadable or non-finite checkpoint, or a missing, empty or
 malformed `render --trace` file), 6 config errors (an unreadable --config
 file, an unknown key, or a value its field cannot hold or its section
 rejects); argparse usage errors also exit 2, among them a count below 1
@@ -58,7 +59,7 @@ from . import trainer as rtrain
 from ._atomic import atomic_open
 from .config import ConfigError, KitConfig, config_hash, load_config
 from .policy import PolicyError, init_params, load_checkpoint_file, save_checkpoint_file
-from .scenario import EmptyDataset, ExpertSource, Outcome, RaceEnvironment, ScenarioError
+from .scenario import ExpertSource, Outcome, RaceEnvironment, ScenarioError
 from .seeding import rng_for
 
 EXIT_OK = 0
@@ -199,11 +200,12 @@ def cmd_collect(args, cfg: KitConfig) -> int:
 
 def cmd_train(args, cfg: KitConfig) -> int:
     run = _Outputs(args.out)
-    manifest = Path(args.dataset) if args.dataset else run.dir / "dataset.json"
-    if not manifest.exists():
-        print(f"dataset manifest not found: {manifest}", file=sys.stderr)
+    try:
+        episodes = rscn.load_manifest_dataset(
+            Path(args.dataset) if args.dataset else run.dir / "dataset.json")
+    except (OSError, ScenarioError) as exc:
+        print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    episodes = rscn.load_manifest_dataset(manifest)
     pol_cfg = replace(cfg.policy, n_beams=episodes[0].scans.shape[1])
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
@@ -428,8 +430,7 @@ def main(argv=None) -> int:
     except rtrack.TrackError as exc:
         print(f"track error: {exc}", file=sys.stderr)
         return EXIT_TRACK
-    # EmptyDataset is a ScenarioError, but an untrainable dataset is a training error
-    except (EmptyDataset, rtrain.TrainerError) as exc:
+    except rtrain.TrainerError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
     except ScenarioError as exc:

@@ -311,7 +311,8 @@ def _read_into(fh, buf, what: str) -> None:
 
 def load_checkpoint(fh) -> tuple[PolicyParameters, PolicyConfig]:
     """Read a checkpoint from the binary file object fh, each block into
-    its place in a freshly allocated tensor; the stream must end there."""
+    its place in a freshly allocated tensor; the stream must end there, and
+    every entry must be finite."""
     head = bytearray(12)
     _read_into(fh, head, "header")
     if head[:4] != CHECKPOINT_MAGIC:
@@ -330,6 +331,8 @@ def load_checkpoint(fh) -> tuple[PolicyParameters, PolicyConfig]:
     tensors = {name: np.empty(shape, "<f8") for name, shape in _tensor_shapes(cfg).items()}
     for disk_name, block in layout_blocks(tensors):
         _read_into(fh, block, f"tensor {disk_name}")
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):   # NaN reaches both
+            raise CorruptCheckpoint(f"tensor {disk_name} holds a non-finite entry")
     if fh.read(1):
         raise CorruptCheckpoint("trailing bytes after the last tensor")
     return PolicyParameters(**tensors), cfg

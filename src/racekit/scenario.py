@@ -480,23 +480,28 @@ def save_episode(record: EpisodeRecord, path) -> None:
 
 
 def load_episode(path) -> EpisodeRecord:
+    """The episode stored at path; ScenarioError naming the file if its
+    header does not parse or lacks a key, or its payload does not fit it."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        payload = fh.read()
-    n = header["frame_count"]
-    nb = header.get("n_beams", LEGACY_N_BEAMS)
-    expected = n * (nb + 3) * 4
-    if len(payload) != expected:
-        raise ScenarioError(
-            f"{path}: corrupt episode payload ({len(payload)} bytes, want {expected})")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(n, nb + 3)
-    return EpisodeRecord(
-        scenario_id=header["scenario_id"], seed=header["seed"],
-        scans=frames[:, :nb].copy(), ego_v=frames[:, nb].copy(),
-        actions=frames[:, nb + 1:].copy(), outcome=header["outcome"],
-        duration_actual=header["duration_actual"],
-        ego_progress=header.get("ego_progress", 0.0),
-        leader_progress=header.get("leader_progress", 0.0))
+        head, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(head)
+        n = header["frame_count"]
+        nb = header.get("n_beams", LEGACY_N_BEAMS)
+        expected = n * (nb + 3) * 4
+        if len(payload) != expected:
+            raise ScenarioError(
+                f"{path}: corrupt episode payload ({len(payload)} bytes, want {expected})")
+        frames = np.frombuffer(payload, dtype="<f4").reshape(n, nb + 3)
+        return EpisodeRecord(
+            scenario_id=header["scenario_id"], seed=header["seed"],
+            scans=frames[:, :nb].copy(), ego_v=frames[:, nb].copy(),
+            actions=frames[:, nb + 1:].copy(), outcome=header["outcome"],
+            duration_actual=header["duration_actual"],
+            ego_progress=header.get("ego_progress", 0.0),
+            leader_progress=header.get("leader_progress", 0.0))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ScenarioError(f"{path}: unreadable episode header: {exc!r}") from None
 
 
 def write_manifest(path, episode_files: list[str], excluded_files: list[str],
@@ -536,9 +541,16 @@ def save_dataset(out_dir, episodes: Iterable[tuple[str, EpisodeRecord]],
 
 
 def load_manifest_dataset(manifest_path) -> list[EpisodeRecord]:
-    manifest = json.loads(Path(manifest_path).read_text())
-    base = Path(manifest_path).parent
-    episodes = [load_episode(base / f) for f in manifest["episodes"]]
+    """The kept episodes a dataset manifest lists; ScenarioError naming the
+    manifest if it does not parse or lists no file names under "episodes"."""
+    manifest_path = Path(manifest_path)
+    try:
+        files = json.loads(manifest_path.read_text())["episodes"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"{manifest_path}: unreadable manifest: {exc!r}") from None
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise ScenarioError(f'{manifest_path}: "episodes" is not a list of file names')
+    episodes = [load_episode(manifest_path.parent / f) for f in files]
     if not episodes:
         raise EmptyDataset(f"manifest {manifest_path} lists no episodes")
     return episodes

@@ -9,14 +9,14 @@ beam-dropout noise injection.
 An agent's state is a pose row (x, y, theta, v, delta); the reference
 point (x, y) is the footprint center, rays originate there and the
 collision rectangle is centered on it. A `WorldBatch` holds B worlds on
-one track as a (B, agents, 5) pose array. `advance`, `collision_events`
-and `scan_batch` step and sense any subset of its rows together, and each
-row gets the floats it would get alone: the same float operations per
-element, numpy's `cos`/`sin` (which round as `math` does) and a
-per-element `math.tan`/`math.hypot` where numpy's SIMD versions may round
-differently. `step_frame` runs a frame's sim steps, then checks them all
-for collisions at once. A `Trace` records one row's poses per sim step,
-for the trace CSV and rendering.
+one track as a (B, agents, 5) pose array. `step_frame` runs a frame's sim
+steps for any subset of its rows, each car in Python floats with `math`'s
+trig, then checks them all for collisions at once. `collision_events` and
+`scan_batch` sense the rows together, and each row gets the floats it
+would get alone: the same float operations per element, and a
+per-element `math.hypot` where numpy's SIMD version may round
+differently. A `Trace` records one row's poses per sim step, for the
+trace CSV and rendering.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class SimConfig:
         if not (steps >= 1.0 and abs(steps - round(steps)) <= 1e-9):
             raise SimulationError(f"dt must be > 0 and split the {1.0 / FRAME_HZ} s frame "
                                   f"into whole steps, got {self.dt}")
+        if not self.wheelbase > 0:
+            raise SimulationError(f"wheelbase must be > 0, got {self.wheelbase}")
         if self.n_beams < 1:
             raise SimulationError(f"n_beams must be >= 1, got {self.n_beams}")
         if not self.lidar_range_max > 0:
@@ -145,53 +147,49 @@ def collision_events(track: TrackModel, poses: np.ndarray, cfg: SimConfig) -> np
     return hits
 
 
-def _clamp(x, lo: float, hi: float):
-    """min(max(x, lo), hi) per element as the builtins compute it. They
-    keep their first argument on a tie, so a -0.0 survives a 0.0 bound,
-    where np.maximum may return the bound; np.maximum and np.minimum agree
-    with them whenever neither bound is zero."""
-    if lo != 0.0 and hi != 0.0:
-        return np.minimum(np.maximum(x, lo), hi)
-    x = np.where(lo > x, lo, x)
-    return np.where(hi < x, hi, x)
-
-
-def advance(poses: np.ndarray, cmds: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Poses (N, 5) one dt later under commands (N, 2) of v_cmd and
-    delta_cmd. Raises NonFiniteState if any row leaves the finite range."""
-    x, y, theta, v, delta = poses.T
-    v_cmd, delta_cmd = cmds.T
-    delta_target = _clamp(delta_cmd, -cfg.delta_max, cfg.delta_max)
-    max_step = cfg.steer_rate_max * cfg.dt
-    delta = delta + _clamp(delta_target - delta, -max_step, max_step)
-    # a non-positive speed command is an emergency brake
-    a = np.where(v_cmd <= 0.0, cfg.a_min,
-                 _clamp(cfg.speed_gain * (v_cmd - v), cfg.a_min, cfg.a_max))
-    tan = np.array([math.tan(d) for d in delta.tolist()])
-    out = np.stack([x + v * np.cos(theta) * cfg.dt,
-                    y + v * np.sin(theta) * cfg.dt,
-                    theta + (v / cfg.wheelbase) * tan * cfg.dt,
-                    _clamp(v + a * cfg.dt, 0.0, cfg.v_hard_max),
-                    delta], axis=-1)
-    if not np.isfinite(out).all():
-        pose = tuple(out[~np.isfinite(out).all(axis=1)][0].tolist())
-        raise NonFiniteState(f"non-finite vehicle state (x, y, theta, v, delta) after "
-                             f"update: {pose}")
-    return out
+def _require_finite(poses: np.ndarray, when: str) -> None:
+    """NonFiniteState naming the first row of poses (N, 5) that holds a NaN
+    or an infinity."""
+    finite = np.isfinite(poses).all(axis=1)
+    if not finite.all():
+        raise NonFiniteState(f"non-finite vehicle state (x, y, theta, v, delta) {when} "
+                             f"update: {tuple(poses[~finite][0].tolist())}")
 
 
 def step_frame(world: WorldBatch, rows: np.ndarray, cmds: np.ndarray, n_steps: int,
                cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Poses (n_steps, R, A, 5), times (n_steps, R) and latched collision
     flags (n_steps, R, A) of the given rows after each of n_steps sim steps
-    under held commands (R, A, 2), not written back: advance and t += dt
-    once per step, then collision_events once over every step's poses."""
+    under held commands (R, A, 2) of v_cmd and delta_cmd, not written back:
+    each car's steps in Python floats and t += dt once per step, then
+    collision_events once over every step's poses. Raises NonFiniteState
+    on the first non-finite pose in (step, car) order, the start included."""
     n, n_agents = len(rows), world.poses.shape[1]
-    poses, times = np.empty((n_steps, n, n_agents, 5)), np.empty((n_steps, n))
-    pose, t, cmds = world.poses[rows].reshape(-1, 5), world.t[rows], cmds.reshape(-1, 2)
+    start, t = world.poses[rows].reshape(-1, 5), world.t[rows]
+    _require_finite(start, "before")
+    dt, max_step = cfg.dt, cfg.steer_rate_max * cfg.dt
+    cars = []
+    for (x, y, theta, v, delta), (v_cmd, delta_cmd) in zip(start.tolist(),
+                                                            cmds.reshape(-1, 2).tolist()):
+        delta_target = min(max(delta_cmd, -cfg.delta_max), cfg.delta_max)
+        brake = v_cmd <= 0.0   # a non-positive speed command is an emergency brake
+        steps = []
+        try:
+            for _ in range(n_steps):
+                delta = delta + min(max(delta_target - delta, -max_step), max_step)
+                a = (cfg.a_min if brake
+                     else min(max(cfg.speed_gain * (v_cmd - v), cfg.a_min), cfg.a_max))
+                x, y, theta, v = (x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt,
+                                  theta + (v / cfg.wheelbase) * math.tan(delta) * dt,
+                                  min(max(v + a * dt, 0.0), cfg.v_hard_max))
+                steps.append((x, y, theta, v, delta))
+        except ValueError:   # math's trig of an angle that overflowed to infinity
+            steps += [(math.nan,) * 5] * (n_steps - len(steps))
+        cars.append(steps)
+    poses = np.array(cars).reshape(-1, n_steps, 5).swapaxes(0, 1).reshape(n_steps, n, n_agents, 5)
+    _require_finite(poses.reshape(-1, 5), "after")
+    times = np.empty((n_steps, n))
     for j in range(n_steps):
-        pose = advance(pose, cmds, cfg)
-        poses[j] = pose.reshape(n, n_agents, 5)
         t = times[j] = t + cfg.dt
     events = collision_events(world.track, poses.reshape(-1, n_agents, 5), cfg)
     flags = np.logical_or.accumulate(events.reshape(n_steps, n, n_agents), axis=0)

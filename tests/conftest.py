@@ -29,17 +29,21 @@ def sim_cfg():
     return SimConfig()
 
 
-def make_room_track(half: float = 4.0) -> rtrack.TrackModel:
-    """A square room of side 2*half centered at the origin, built as a raw
-    TrackModel so the raycaster and collision checker see exactly one wall."""
-    room = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
+def make_room_track(half: float = 4.0, pieces: int = 1) -> rtrack.TrackModel:
+    """A square room of side 2*half centered at the origin, each wall cut
+    into `pieces` equal segments, built as a raw TrackModel so the
+    raycaster and collision checker see exactly one wall."""
+    corners = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
+    frac = np.arange(pieces)[:, None] / pieces
+    sides = np.roll(corners, -1, axis=0) - corners
+    room = (corners[:, None] + frac * sides[:, None]).reshape(-1, 2)
     segments = np.stack([room, np.roll(room, -1, axis=0)], axis=1)
-    arc = np.array([0.0, 2.0, 4.0, 6.0, 8.0]) * half
+    n = len(room)
     return rtrack.TrackModel(
-        xy=room, w_right=np.full(4, 0.1), w_left=np.full(4, 0.1),
+        xy=room, w_right=np.full(n, 0.1), w_left=np.full(n, 0.1),
         inner_boundary=room, outer_boundary=room,
-        arc_table=arc, total_length=8.0 * half,
-        normals=np.zeros((4, 2)), boundary_segments=segments,
+        arc_table=np.arange(n + 1) * (8.0 * half / n), total_length=8.0 * half,
+        normals=np.zeros((n, 2)), boundary_segments=segments,
     )
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -328,6 +329,28 @@ class TestTrain:
         assert run_cli("--out", str(tmp_path), "train",
                        "--dataset", str(tmp_path / "nope.json")) == 4
 
+    @pytest.mark.parametrize("damage", ["header-not-json", "episodes-not-a-list",
+                                        "episode-file-missing"])
+    def test_unreadable_dataset_exit_4(self, tmp_path, capsys, damage):
+        records = [(f"ep_{i}.bin", EpisodeRecord(
+            scenario_id=f"x:{i}", seed=i, scans=np.full((3, 8), 5.0, dtype=np.float32),
+            ego_v=np.ones(3, dtype=np.float32), actions=np.zeros((3, 2), dtype=np.float32),
+            outcome=Outcome.OVERTAKING, duration_actual=0.3)) for i in range(2)]
+        save_dataset(tmp_path, records)
+        manifest = tmp_path / "dataset.json"
+        if damage == "header-not-json":
+            episode = tmp_path / "ep_1.bin"
+            episode.write_bytes(b"{not json\n" + episode.read_bytes().split(b"\n", 1)[1])
+        elif damage == "episodes-not-a-list":
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "episodes": 2}))
+        else:
+            (tmp_path / "ep_1.bin").unlink()
+        assert run_cli("--out", str(tmp_path / "o"), "train",
+                       "--dataset", str(manifest), "--epochs", "1") == 4
+        err = capsys.readouterr().err
+        assert "training error" in err
+        assert ("ep_1.bin" if damage != "episodes-not-a-list" else "dataset.json") in err
+
     def test_lidar_only_ablation_flag(self, tmp_path, collected):
         out = tmp_path / "lo"
         assert run_cli("--out", str(out), "train",
@@ -552,6 +575,18 @@ class TestEval:
                        "--checkpoint", str(bad),
                        "--track", str(track_dir / "track_stadium.csv")) == 5
 
+    @pytest.mark.parametrize("suite", ["single", "h2h", "noise", "latency"])
+    def test_non_finite_checkpoint_exit_5(self, tmp_path, capsys, track_dir, suite):
+        ckpt = tmp_path / "nan.ckpt"
+        pol = PolicyConfig(n_beams=16, embed_dim=2, hidden_multiplier=1, mlp_hidden=8)
+        save_checkpoint_file(init_params(pol, np.random.default_rng(0)), pol, ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", float("nan")))  # in dec_b2
+        assert run_cli("--out", str(tmp_path / "o"), "eval", suite, "--checkpoint", str(ckpt),
+                       "--track", str(track_dir / "track_stadium.csv"), "--scenarios", "1",
+                       "--laps", "1", "--timeout", "1", "--samples", "5") == 5
+        err = capsys.readouterr().err
+        assert "cannot load checkpoint" in err and "dec_b2" in err
+
 
 class TestRender:
     def test_trace_to_svg(self, tmp_path, single_rendered, track_dir):
@@ -696,6 +731,7 @@ class TestConfig:
         "[sim]\ndt = 0.03\n",                 # 3.33 steps per 0.1 s frame
         "[sim]\nn_beams = 0\n",
         "[sim]\nlidar_range_max = -1\n",
+        "[sim]\nwheelbase = 0\n",            # the heading update divides by it
         "[scenario]\nduration = 0.04\n",       # shorter than one frame
         "[scenario]\nego_racelines = fast\n",
         "[scenario]\nleader_racelines =\n",
@@ -709,10 +745,10 @@ class TestConfig:
         "[raceline]\nv_max = -1\n",
         "[raceline]\na_lat_max = 0\n",
     ], ids=["dt-zero", "dt-negative", "dt-not-whole-steps", "n_beams-zero",
-            "lidar_range_max-negative", "duration-below-frame", "ego_racelines-unknown",
-            "leader_racelines-empty", "v_floor-zero", "batch_size-zero", "epochs-zero",
-            "embed_dim-zero", "hidden_multiplier-zero", "mlp_hidden-zero", "sigmoid_k-zero",
-            "v_max-negative", "a_lat_max-zero"])
+            "lidar_range_max-negative", "wheelbase-zero", "duration-below-frame",
+            "ego_racelines-unknown", "leader_racelines-empty", "v_floor-zero",
+            "batch_size-zero", "epochs-zero", "embed_dim-zero", "hidden_multiplier-zero",
+            "mlp_hidden-zero", "sigmoid_k-zero", "v_max-negative", "a_lat_max-zero"])
     def test_invalid_value_exits_6(self, tmp_path, capsys, collected, track_dir, text):
         # rejected at load, naming the key, before the command that reads it runs
         path = tmp_path / "bad.ini"

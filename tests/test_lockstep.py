@@ -272,18 +272,32 @@ sim_configs = st.builds(SimConfig, delta_max=st.sampled_from([0.4189, 0.0]),
                         v_hard_max=st.sampled_from([10.0, 0.0]))
 
 
+def assert_frames_match_reference(pose, cmd, cfg):
+    """step_frame over one-car rows at 1 and 10 sim steps, against
+    reference_advance step by step, in a room where nothing collides."""
+    room = make_room_track(200.0, pieces=40)
+    world = WorldBatch(room, pose[:, None], np.zeros(len(pose)),
+                       np.zeros((len(pose), 1), dtype=bool))
+    for n_steps in (1, 10):
+        got, _, flags = rsim.step_frame(world, np.arange(len(pose)), cmd[:, None], n_steps, cfg)
+        want = np.empty_like(got)
+        for k, (p, c) in enumerate(zip(pose.tolist(), cmd.tolist())):
+            state = VehicleState(*p)
+            for j in range(n_steps):
+                state = reference_advance(state, VehicleCommand(*c), cfg)
+                want[j, k, 0] = state.x, state.y, state.theta, state.v, state.delta
+        assert_same_bits(got, want)
+        assert not flags.any()
+
+
 class TestDynamics:
     @given(rows=st.lists(st.tuples(poses, commands), min_size=1, max_size=8), cfg=sim_configs)
     @settings(max_examples=300, deadline=None)
-    def test_advance_matches_reference(self, rows, cfg):
-        pose = np.array([p for p, _ in rows])
-        cmd = np.array([c for _, c in rows])
-        got = rsim.advance(pose, cmd, cfg)
-        for g, (p, c) in zip(got, rows):
-            want = reference_advance(VehicleState(*p), VehicleCommand(*c), cfg)
-            assert_same_bits(g, np.array([want.x, want.y, want.theta, want.v, want.delta]))
+    def test_step_frame_matches_reference(self, rows, cfg):
+        assert_frames_match_reference(np.array([p for p, _ in rows]),
+                                      np.array([c for _, c in rows]), cfg)
 
-    def test_advance_matches_reference_on_uniform_rows(self):
+    def test_step_frame_matches_reference_on_uniform_rows(self):
         """Uniform draws over the driving range: numpy's SIMD tan rounds
         differently from math.tan on ~0.5% of steering angles, which
         hypothesis's draws rarely reach. Half the headings are zero, where
@@ -295,11 +309,7 @@ class TestDynamics:
         pose = np.stack([rng.uniform(-30, 30, n), rng.uniform(-30, 30, n), theta,
                          rng.uniform(0, 9, n), rng.uniform(-0.42, 0.42, n)], axis=1)
         cmd = np.stack([rng.uniform(-1, 9, n), rng.uniform(-0.6, 0.6, n)], axis=1)
-        cfg = SimConfig()
-        got = rsim.advance(pose, cmd, cfg)
-        for g, p, c in zip(got, pose.tolist(), cmd.tolist()):
-            want = reference_advance(VehicleState(*p), VehicleCommand(*c), cfg)
-            assert_same_bits(g, np.array([want.x, want.y, want.theta, want.v, want.delta]))
+        assert_frames_match_reference(pose, cmd, SimConfig())
 
     @given(rows=st.lists(st.tuples(poses, poses, commands, commands), min_size=1, max_size=5),
            name=st.sampled_from(["room", "stadium"]), n_steps=st.integers(1, 12))

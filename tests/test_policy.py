@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,19 @@ class TestCheckpoint:
         blob = saved(tiny_params())
         with pytest.raises(CorruptCheckpoint):
             loaded(blob + b"\x00")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("disk_name", ["w_upd", "u_res", "dec_b2"])
+    def test_non_finite_tensor_rejected(self, disk_name, value):
+        blob = bytearray(saved(tiny_params()))
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        for name, block in layout_blocks(tiny_params().tensors()):
+            end += block.nbytes
+            if name == disk_name:
+                break
+        blob[end - 8:end] = struct.pack("<d", value)     # the block's last entry
+        with pytest.raises(CorruptCheckpoint, match=f"tensor {disk_name} "):
+            loaded(bytes(blob))
 
     def test_config_travels(self):
         cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=8)

@@ -106,6 +106,22 @@ class TestDynamics:
         with pytest.raises(NonFiniteState):
             step_frame(w, ROW, commands((0.0, 0.0)), 1, sim_cfg)
 
+    @pytest.mark.parametrize("pose", [(0, 0, math.inf, 1.0, 0.0), (0, 0, 0.0, 1.0, -math.inf)],
+                             ids=["theta", "delta"])
+    def test_non_finite_input_raises(self, sim_cfg, pose):
+        # math.cos and math.tan raise ValueError on an infinite angle
+        w = world_in_room((0, 0, 0, 1.0), pose)
+        with pytest.raises(NonFiniteState, match=r"before update: \(0\.0, 0\.0, .*inf"):
+            step_frame(w, ROW, commands((1.0, 0.0), (1.0, 0.0)), 1, sim_cfg)
+
+    def test_overflow_raises_at_its_step(self, sim_cfg):
+        # the second car's heading overflows in the first step, and the
+        # second step's math.cos of it raises ValueError: the first step's
+        # pose is reported
+        w = world_in_room((0, 0, 0, 1.0), (0, 0, 0, 1e308))
+        with pytest.raises(NonFiniteState, match=r"after update: \(1e\+306, 0\.0, inf, 10\.0, "):
+            step_frame(w, ROW, commands((1.0, 0.0), (10.0, 0.4)), 3, sim_cfg)
+
     def test_determinism_bitwise(self, sim_cfg):
         def run():
             w = world_in_room((-2, 0.5, 0.1, 3.0), (1, -0.5, 0.2, 2.0))
