@@ -32,8 +32,8 @@ Exit codes: 0 ok, 2 track errors, 3 scenario errors, 4 training errors
 (among them a missing, empty or unreadable dataset), 5 evaluation errors
 (an unreadable or non-finite checkpoint, or a missing, empty or
 malformed `render --trace` file), 6 config errors (an unreadable --config
-file, an unknown key, or a value its field cannot hold or its section
-rejects); argparse usage errors also exit 2, among them a count below 1
+file, an unknown key, or a value its field cannot hold, such as a float
+that is not finite, or that its section rejects); argparse usage errors also exit 2, among them a count below 1
 or a length, width or timeout that is not a finite positive number.
 """
 

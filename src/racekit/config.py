@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -65,8 +66,8 @@ _COPIES = {("policy", "n_beams"): "sim.n_beams",
 
 
 def _coerce(raw: str, annotation):
-    """raw as a value of a field annotated int, float, bool, str,
-    tuple[X, ...] (comma-separated) or X | None ('' or 'none')."""
+    """raw as a value of a field annotated int, float (finite only), bool,
+    str, tuple[X, ...] (comma-separated) or X | None ('' or 'none')."""
     raw = raw.strip()
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is tuple and args[1:] == (Ellipsis,):
@@ -83,7 +84,10 @@ def _coerce(raw: str, annotation):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
     if annotation in (int, float, str):
-        return annotation(raw)
+        value = annotation(raw)
+        if annotation is float and not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
     raise ValueError(f"unsupported type {annotation}")
 
 

@@ -6,7 +6,9 @@ counts and overtake/safety rates), beam-dropout noise sweeps over either
 suite, and a single-step inference latency benchmark. The closed-loop
 suites run on the scenario module's episode engine: single-agent laps are
 one `rollout` of a leaderless scenario with a `LapTimer` observer (and any
-further observers, such as a `simulator.Trace` to render), and a
+further observers, such as a `simulator.Trace` to render), each called as
+obs(t, poses (A, 5), collided (A,), ego progress) -> bool at the start
+and after every sim step, and a
 head-to-head pool counts the outcomes of one `rollout_many` stream as
 they arrive, holding no pool's records; serial or pooled, its chunks step
 in lockstep. The policy steps each chunk as one batch through
@@ -142,11 +144,11 @@ class PolicySource:
         self._rng = [rng_for(sub_seed(self.noise_seed, self.noise_stage.replace("{id}", sc.id)),
                              f"noise:{sc.id}") for sc in scenarios]
 
-    def act(self, world, rows, scans):
+    def act(self, rows, poses, scans):
         if self.noise_eta > 0.0:
             scans = [rsim.apply_noise(scan, self.noise_eta, self._rng[b])
                      for scan, b in zip(scans, rows)]
-        self._x[rows] = encode_inputs(scans, world.poses[rows, 0, 3], self.params, self.cfg)
+        self._x[rows] = encode_inputs(scans, poses[:, 0, 3], self.params, self.cfg)
         action, self._h = forward(self._x, self._h, self.params)
         return action[rows]
 

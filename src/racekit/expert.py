@@ -42,10 +42,6 @@ class ExpertError(Exception):
     pass
 
 
-class NoFeasibleCandidate(ExpertError):
-    """Every lattice candidate leaves the track; caller must brake straight."""
-
-
 @dataclass(frozen=True)
 class ExpertConfig:
     lambda_v: float = 1.0
@@ -71,6 +67,12 @@ class ExpertConfig:
             raise ExpertError("leader_speed_discount must be in (0, 1]")
         if not self.v_floor > 0.0:   # every candidate speed is at least v_floor
             raise ExpertError(f"v_floor must be > 0, got {self.v_floor}")
+        for key in ("n_lateral", "n_speed"):
+            if getattr(self, key) < 1:
+                raise ExpertError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("horizon_T", "blend_T", "d_scale"):
+            if not getattr(self, key) > 0.0:
+                raise ExpertError(f"{key} must be > 0, got {getattr(self, key)}")
 
 
 def _blend(u: np.ndarray) -> np.ndarray:
@@ -84,8 +86,7 @@ class Lattice:
     grids of K samples of what the reward reads. A candidate is a (speed,
     offset) pair; kept (n, S, L) marks those that stay on the track, and a
     row's candidates are its kept pairs in (speed, offset) order. v and
-    kappa depend on the speed only, d on the offset only; errors holds, per
-    row, why it keeps none."""
+    kappa depend on the speed only, d on the offset only."""
 
     offsets: np.ndarray       # (L,)
     xy: np.ndarray            # (n, S, L, K, 2)
@@ -93,7 +94,6 @@ class Lattice:
     kappa: np.ndarray         # (n, S, 1, K) raceline curvature at the sample's arc
     d: np.ndarray             # (n, 1, L, K) signed lateral deviation
     kept: np.ndarray          # (n, S, L)
-    errors: list
 
 
 def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
@@ -101,16 +101,11 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
     """The lattices of n vehicle states (n, 5) on one raceline: per row,
     n_lateral x n_speed candidates blending from the current offset to
     each target offset over the horizon. Candidates that would leave the
-    track (minus safety_margin) are not kept; a row more than
-    PROJECTION_RADIUS off the raceline, or whose every candidate leaves
-    the track, keeps none and has its FarFromRaceline or
-    NoFeasibleCandidate in `errors`."""
+    track (minus safety_margin) are not kept, and a row more than
+    PROJECTION_RADIUS off the raceline keeps none."""
     n = len(states)
-    errors: list = [None] * n
     s0, d0 = raceline.project_many(states[:, :2])
-    for r in np.flatnonzero(np.abs(d0) > PROJECTION_RADIUS):
-        point = tuple(states[r, :2].tolist())
-        errors[r] = FarFromRaceline(f"point {point} is {abs(d0[r]):.2f} m from the raceline")
+    far = np.abs(d0) > PROJECTION_RADIUS
     n_steps = max(2, int(round(cfg.horizon_T / sim.dt)) + 1)
     tau = np.arange(n_steps) * sim.dt
     u = np.minimum(np.maximum(tau / min(cfg.blend_T, cfg.horizon_T), 0.0), 1.0)
@@ -153,12 +148,9 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
     d0 = d0[:, None, None]
     d_path = (d0 + (offsets[:, None] - d0) * beta)[:, None]        # (n, 1, L, K)
     kept = ~(np.any(d_path > avail_l, axis=3) | np.any(-d_path > avail_r, axis=3))   # (n, S, L)
-    for r in np.flatnonzero(~kept.any(axis=(1, 2))):
-        errors[r] = errors[r] or NoFeasibleCandidate(
-            f"all {cfg.n_lateral * cfg.n_speed} candidates leave the track at s={s0[r]:.2f}")
-    kept[[e is not None for e in errors]] = False
+    kept[far] = False
     return Lattice(offsets=offsets, xy=base + d_path[..., None] * normals, v=v_fine,
-                   kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept, errors=errors)
+                   kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept)
 
 
 def predict_opponents(opponents: np.ndarray, cfg: ExpertConfig, sim: SimConfig) -> np.ndarray:

@@ -5,20 +5,21 @@ non-reactive leader a fixed arc distance ahead on its own raceline, both
 at flying-start speeds. Every closed-loop episode in the kit - expert
 collection, head-to-head evaluation, single-agent laps - runs through one
 engine, `rollout_batch`, which steps a chunk of scenarios in lockstep: the
-worlds are rows of a `simulator.WorldBatch`, the simulation steps at
-100 Hz, the ego's action source is queried at 10 Hz for every running row
-at once with commands held in between, and a frame (raw scan, ego speed,
-issued action) is recorded per row at every query instant. The rows step
-a frame at a time: `simulator.step_frame` runs its sim steps and then
-checks collisions on all of them, `track_progress` tracks progress over
-its trajectory, and a row keeps the state of the first step that ends its
+worlds are rows of its own pose (B, A, 5), time (B,) and contact flag
+(B, A) arrays, the simulation steps at 100 Hz, the ego's action source is
+queried at 10 Hz with the running rows' ids and poses at once, commands
+held in between, and a frame (raw scan, ego speed, issued action) is
+recorded per row at every query instant. The rows step a frame at a time:
+`simulator.step_frame` runs the running rows' sim steps and then checks
+collisions on all of them, `track_progress` tracks progress over their
+trajectories, and a row keeps the state of the first step that ends its
 episode. A row whose episode ends leaves the set of running rows, and its
 record is the one it would get alone. `rollout` is the batch of one. A
-row's observers are called with the batch, the row and the ego's
-unwrapped progress at the start and after every sim step (replayed from
-the frame), and any of them may end the episode: `LapTimer` times laps
-and `simulator.Trace` records the poses. Episodes terminate on collision,
-on an observer's word or at the time limit, and are classified
+row's observers are called as obs(t, poses (A, 5), collided (A,), ego's
+unwrapped progress) at the start and then, row by row, over the frame's
+stored sim steps, and any of them may end the episode: `LapTimer` times
+laps and `simulator.Trace` records the poses. Episodes terminate on
+collision, on an observer's word or at the time limit, and are classified
 CarFollowing / Overtaking / Collision by unwrapped centerline progress;
 `track_progress`, the one progress tracker, projects every agent onto
 the centerline every sim step, inside an arc window around its last
@@ -49,7 +50,7 @@ from . import simulator as rsim
 from ._atomic import atomic_open
 from .expert import ExpertConfig
 from .seeding import sub_seed
-from .simulator import FRAME_HZ, SimConfig, WorldBatch
+from .simulator import FRAME_HZ, SimConfig
 from .track import NAMED_OFFSETS, Raceline, SpeedConfig, TrackModel, generate_raceline
 
 
@@ -151,9 +152,10 @@ class ActionSource(Protocol):
     def reset(self, scenarios: list[Scenario], env: RaceEnvironment) -> None:
         """Start one episode per scenario; row b of the batch plays scenarios[b]."""
 
-    def act(self, world: WorldBatch, rows: np.ndarray, scans: np.ndarray) -> np.ndarray:
-        """Commands (len(rows), 2) of v_cmd and delta_cmd for the egos of
-        the given running rows, whose scans are (len(rows), n_beams)."""
+    def act(self, rows: np.ndarray, poses: np.ndarray, scans: np.ndarray) -> np.ndarray:
+        """Commands (R, 2) of v_cmd and delta_cmd for the egos of the R
+        running rows `rows` of the batch, whose poses are (R, A, 5) and
+        scans (R, n_beams)."""
 
 
 def _by_raceline(rids: list[str], rows: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
@@ -171,12 +173,11 @@ class ExpertSource:
         self._env = env
         self._racelines = [sc.ego_raceline for sc in scenarios]
 
-    def act(self, world, rows, scans):
+    def act(self, rows, poses, scans):
         out = np.empty((len(rows), 2))
         for rid, sel in _by_raceline(self._racelines, rows):
-            poses = world.poses[rows[sel]]
-            opponents = poses[:, 1] if poses.shape[1] > 1 else None
-            out[sel] = rexpert.ego_commands(poses[:, 0], opponents, self._env.racelines[rid],
+            opponents = poses[sel, 1] if poses.shape[1] > 1 else None
+            out[sel] = rexpert.ego_commands(poses[sel, 0], opponents, self._env.racelines[rid],
                                             self._env.expert, self._env.sim)
         return out
 
@@ -292,16 +293,16 @@ class LapTimer:
         self.lap_times: list[float] = []
         self._start = self._last = None
 
-    def __call__(self, world: WorldBatch, row: int, progress: float) -> bool:
+    def __call__(self, t: float, poses: np.ndarray, collided: np.ndarray, progress: float) -> bool:
         if self._start is None:  # the start world
             self._start = self._last = progress
             return False
-        self.speeds.append(float(world.poses[row, 0, 3]))
+        self.speeds.append(float(poses[0, 3]))
         covered, step = progress - self._start, progress - self._last
         while covered >= (len(self.lap_times) + 1) * self.length:
             over = covered - (len(self.lap_times) + 1) * self.length
             frac = over / step if step > 0 else 0.0
-            self.lap_times.append(float(world.t[row]) - frac * self.dt)
+            self.lap_times.append(float(t) - frac * self.dt)
         self._last = progress
         return self.done
 
@@ -317,8 +318,9 @@ class LapTimer:
         return (self._last - self._start) / self.length
 
 
-# Called with the batch, a row and that row's ego progress; True ends the row's episode.
-Observer = Callable[[WorldBatch, int, float], bool]
+# Called with one row's time, poses (A, 5), collided flags (A,) and ego
+# progress after a sim step, or at the start; True ends the row's episode.
+Observer = Callable[[float, np.ndarray, np.ndarray, float], bool]
 
 
 def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvironment,
@@ -330,14 +332,15 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
     Frames are recorded at the query instants before stepping, so an episode
     that collides mid-interval keeps every frame up to and including the
     interval it died in. Each of a row's observers is called at the start
-    and then after every sim step with the batch, the row and the ego's
-    unwrapped centerline progress; a true return from any of them ends that
-    episode. Either every scenario names a leader or none does."""
+    and then after every sim step with the row's time, poses, collided
+    flags and the ego's unwrapped centerline progress; a true return from
+    any of them ends that episode. Either every scenario names a leader or
+    none does."""
     observers = observers or [()] * len(scenarios)
     sim_cfg, track = env.sim, env.track
     poses = np.array([start_world(sc, env) for sc in scenarios])
     n_rows, n_agents = poses.shape[:2]
-    world = WorldBatch(track, poses, np.zeros(n_rows), np.zeros((n_rows, n_agents), dtype=bool))
+    t, collided = np.zeros(n_rows), np.zeros((n_rows, n_agents), dtype=bool)
     source.reset(scenarios, env)
     hints = np.empty((n_rows, n_agents))
     for b, sc in enumerate(scenarios):
@@ -350,68 +353,60 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
     steps_per_frame = round(1.0 / (FRAME_HZ * sim_cfg.dt))   # whole, as SimConfig checks
     max_frames = int(round(duration * FRAME_HZ))
     frames: list[list] = [[] for _ in range(n_rows)]
-    watched = any(observers)
 
-    def watch(rows) -> np.ndarray:
-        """Call the given rows' observers, every one of them; True where
-        one ends the episode."""
-        stop = np.zeros(len(rows), dtype=bool)
-        for k, b in enumerate(rows):
-            ego_progress = float(progress[b, 0])
-            stop[k] = any([obs(world, b, ego_progress) for obs in observers[b]])
-        return stop
+    def watch(b, *step) -> bool:
+        """Call each of row b's observers with one step of it; True if one
+        ends the episode."""
+        return any([obs(*step) for obs in observers[b]])
 
-    active = np.arange(n_rows)
-    if watched:
-        active = active[~watch(active)]
+    active = np.flatnonzero([not watch(b, t[b], poses[b], collided[b], float(progress[b, 0]))
+                             for b in range(n_rows)])
     for _ in range(max_frames):
         if not len(active):
             break
-        scans = rsim.scan_batch(track, world.poses[active], 0, sim_cfg)
-        ego = np.asarray(source.act(world, active, scans), dtype=float)
-        speeds = world.poses[active, 0, 3].astype(np.float32)
+        running = poses[active]
+        scans = rsim.scan_batch(track, running, 0, sim_cfg)
+        ego = np.asarray(source.act(active, running, scans), dtype=float)
+        speeds = running[:, 0, 3].astype(np.float32)
         for k, b in enumerate(active):
             frames[b].append((scans[k].astype(np.float32), speeds[k], ego[k].astype(np.float32)))
         cmds = np.empty((len(active), n_agents, 2))
         cmds[:, 0] = ego
         if n_agents > 1:
             for rid, sel in _by_raceline(leaders, active):
-                cmds[sel, 1] = rexpert.leader_commands(world.poses[active[sel], 1],
-                                                       env.racelines[rid], env.expert, sim_cfg)
+                cmds[sel, 1] = rexpert.leader_commands(running[sel, 1], env.racelines[rid],
+                                                       env.expert, sim_cfg)
         # the frame's sim steps first, then its checks on all of them; a row
         # keeps the state of the first step that ends it and drops the rest
-        path, times, flags = rsim.step_frame(world, active, cmds, steps_per_frame, sim_cfg)
+        path, times, flags = rsim.step_frame(track, running, t[active], collided[active], cmds,
+                                             steps_per_frame, sim_cfg)
         reached = track_progress(track, progress[active], path[..., 0], path[..., 1])
         ended = flags.any(axis=2)                                  # (steps, rows)
-        if watched:   # the observers see each step as it happened
-            running = np.arange(len(active))
-            for j in range(steps_per_frame):
-                b = active[running]
-                world.poses[b], world.t[b] = path[j, running], times[j, running]
-                world.collided[b], progress[b] = flags[j, running], reached[j, running]
-                ended[j, running] |= watch(b)
-                running = running[~ended[j, running]]
-                if not len(running):
+        for k, b in enumerate(active):   # the observers see each step as it happened
+            for j in range(steps_per_frame if observers[b] else 0):
+                ended[j, k] |= watch(b, times[j, k], path[j, k], flags[j, k],
+                                     float(reached[j, k, 0]))
+                if ended[j, k]:
                     break
         stopped = ended.any(axis=0)
         kept = np.where(stopped, ended.argmax(axis=0), steps_per_frame - 1), np.arange(len(active))
-        world.poses[active], world.t[active] = path[kept], times[kept]
-        world.collided[active], progress[active] = flags[kept], reached[kept]
+        poses[active], t[active] = path[kept], times[kept]
+        collided[active], progress[active] = flags[kept], reached[kept]
         active = active[~stopped]
 
     results = []
     for b, sc in enumerate(scenarios):
         ego_prog = float(progress[b, 0])
         leader_prog = float(progress[b, 1]) if n_agents > 1 else float("-inf")
-        outcome = classify_outcome(ego_prog, leader_prog, bool(world.collided[b, 0]),
-                                   bool(world.collided[b, 1:].any()))
+        outcome = classify_outcome(ego_prog, leader_prog, bool(collided[b, 0]),
+                                   bool(collided[b, 1:].any()))
         scans, speeds, actions = zip(*frames[b]) if frames[b] else ((), (), ())
         results.append(EpisodeRecord(
             scenario_id=sc.id, seed=sc.seed,
             scans=np.stack(scans) if scans else np.zeros((0, sim_cfg.n_beams), dtype=np.float32),
             ego_v=np.asarray(speeds, dtype=np.float32),
             actions=np.stack(actions) if actions else np.zeros((0, 2), dtype=np.float32),
-            outcome=outcome, duration_actual=float(world.t[b]),
+            outcome=outcome, duration_actual=float(t[b]),
             ego_progress=ego_prog, leader_progress=leader_prog))
     return results
 

@@ -8,10 +8,12 @@ beam-dropout noise injection.
 
 An agent's state is a pose row (x, y, theta, v, delta); the reference
 point (x, y) is the footprint center, rays originate there and the
-collision rectangle is centered on it. A `WorldBatch` holds B worlds on
-one track as a (B, agents, 5) pose array. `step_frame` runs a frame's sim
-steps for any subset of its rows, each car in Python floats with `math`'s
-trig, then checks them all for collisions at once. `collision_events` and
+collision rectangle is centered on it. B worlds on one track are a
+(B, agents, 5) pose array, with each world's time (B,) and latched
+contact flags (B, agents) beside it. `step_frame` runs a frame's sim
+steps for the worlds it is handed, each car in Python floats with
+`math`'s trig, then checks them all for collisions at once and writes
+nothing back. `collision_events` (at most two agents a world) and
 `scan_batch` sense the rows together, and each row gets the floats it
 would get alone: the same float operations per element, and a
 per-element `math.hypot` where numpy's SIMD version may round
@@ -76,26 +78,17 @@ class SimConfig:
             raise SimulationError(f"n_beams must be >= 1, got {self.n_beams}")
         if not self.lidar_range_max > 0:
             raise SimulationError(f"lidar_range_max must be > 0, got {self.lidar_range_max}")
+        for key in ("veh_length", "veh_width"):
+            if not getattr(self, key) > 0:
+                raise SimulationError(f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("delta_max", "steer_rate_max", "a_max", "v_hard_max", "speed_gain"):
+            if not getattr(self, key) >= 0:
+                raise SimulationError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not self.a_min <= 0:
+            raise SimulationError(f"a_min must be <= 0, got {self.a_min}")
 
 
 MAX_AGENTS = 2  # LiDAR, the ego expert and the car-car test see one other car
-
-
-@dataclass
-class WorldBatch:
-    """B worlds on one track, stepped in lockstep. poses (B, A, 5) holds
-    each agent's x, y, theta, v and delta; t (B,) each world's time and
-    collided (B, A) the latched contact flags."""
-
-    track: TrackModel
-    poses: np.ndarray
-    t: np.ndarray
-    collided: np.ndarray
-
-    def __post_init__(self):
-        if self.poses.shape[1] > MAX_AGENTS:
-            raise SimulationError(f"{self.poses.shape[1]} agents; the simulation supports "
-                                  f"at most {MAX_AGENTS}")
 
 
 def _corners(pose, cfg: SimConfig) -> np.ndarray:
@@ -113,9 +106,12 @@ def collision_events(track: TrackModel, poses: np.ndarray, cfg: SimConfig) -> np
     anything farther apart cannot touch. The midpoints sorted by x bound
     each agent's candidates to an x window, and the distance test runs
     over those windows for every agent of every row at once; the narrow
-    phase, for the few agents it leaves, runs per agent.
+    phase, for the few agents it leaves, runs per agent. SimulationError
+    for more than MAX_AGENTS agents, as the car-car test sees one pair.
     """
     n, n_agents = poses.shape[:2]
+    if n_agents > MAX_AGENTS:
+        raise SimulationError(f"{n_agents} agents; the simulation supports at most {MAX_AGENTS}")
     rect_half = 0.5 * math.hypot(cfg.veh_length, cfg.veh_width)
     reach = track.segment_half_max + rect_half + 1e-6
     flat = poses.reshape(-1, 5)
@@ -156,16 +152,18 @@ def _require_finite(poses: np.ndarray, when: str) -> None:
                              f"update: {tuple(poses[~finite][0].tolist())}")
 
 
-def step_frame(world: WorldBatch, rows: np.ndarray, cmds: np.ndarray, n_steps: int,
+def step_frame(track: TrackModel, poses: np.ndarray, t: np.ndarray, collided: np.ndarray,
+               cmds: np.ndarray, n_steps: int,
                cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Poses (n_steps, R, A, 5), times (n_steps, R) and latched collision
-    flags (n_steps, R, A) of the given rows after each of n_steps sim steps
-    under held commands (R, A, 2) of v_cmd and delta_cmd, not written back:
-    each car's steps in Python floats and t += dt once per step, then
+    flags (n_steps, R, A) after each of n_steps sim steps of R worlds at
+    poses (R, A, 5), times t (R,) and flags collided (R, A), under held
+    commands (R, A, 2) of v_cmd and delta_cmd; the inputs are not written.
+    Each car's steps run in Python floats and t += dt once per step, then
     collision_events once over every step's poses. Raises NonFiniteState
     on the first non-finite pose in (step, car) order, the start included."""
-    n, n_agents = len(rows), world.poses.shape[1]
-    start, t = world.poses[rows].reshape(-1, 5), world.t[rows]
+    n, n_agents = poses.shape[:2]
+    start = poses.reshape(-1, 5)
     _require_finite(start, "before")
     dt, max_step = cfg.dt, cfg.steer_rate_max * cfg.dt
     cars = []
@@ -186,14 +184,14 @@ def step_frame(world: WorldBatch, rows: np.ndarray, cmds: np.ndarray, n_steps: i
         except ValueError:   # math's trig of an angle that overflowed to infinity
             steps += [(math.nan,) * 5] * (n_steps - len(steps))
         cars.append(steps)
-    poses = np.array(cars).reshape(-1, n_steps, 5).swapaxes(0, 1).reshape(n_steps, n, n_agents, 5)
-    _require_finite(poses.reshape(-1, 5), "after")
+    path = np.array(cars).reshape(-1, n_steps, 5).swapaxes(0, 1).reshape(n_steps, n, n_agents, 5)
+    _require_finite(path.reshape(-1, 5), "after")
     times = np.empty((n_steps, n))
     for j in range(n_steps):
         t = times[j] = t + cfg.dt
-    events = collision_events(world.track, poses.reshape(-1, n_agents, 5), cfg)
+    events = collision_events(track, path.reshape(-1, n_agents, 5), cfg)
     flags = np.logical_or.accumulate(events.reshape(n_steps, n, n_agents), axis=0)
-    return poses, times, flags | world.collided[rows]
+    return path, times, flags | collided
 
 
 def scan_batch(track: TrackModel, poses: np.ndarray, agent: int, cfg: SimConfig) -> np.ndarray:
@@ -244,10 +242,10 @@ class Trace:
     poses: list[np.ndarray] = field(default_factory=list)
     collided: list[np.ndarray] = field(default_factory=list)
 
-    def __call__(self, world: WorldBatch, row: int, progress: float) -> bool:
-        self.times.append(float(world.t[row]))
-        self.poses.append(world.poses[row].copy())
-        self.collided.append(world.collided[row].copy())
+    def __call__(self, t: float, poses: np.ndarray, collided: np.ndarray, progress: float) -> bool:
+        self.times.append(float(t))
+        self.poses.append(poses.copy())
+        self.collided.append(collided.copy())
         return False
 
 

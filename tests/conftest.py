@@ -7,7 +7,7 @@ import pytest
 from racekit import _geom
 from racekit import simulator as rsim
 from racekit import track as rtrack
-from racekit.expert import ExpertError, NoFeasibleCandidate
+from racekit.expert import ExpertError
 from racekit.scenario import CHUNK, FRAME_HZ, EpisodeRecord, classify_outcome, start_world
 from racekit.seeding import rng_for, sub_seed
 from racekit.simulator import NonFiniteState, SimConfig
@@ -113,6 +113,10 @@ def uneven_circle():
 # references plan with the simulator's car (SimConfig). They work on the
 # small one-world value types below; the package itself holds agents only
 # as (x, y, theta, v, delta) pose rows.
+
+
+class NoFeasibleCandidate(ExpertError):
+    """Every candidate of the reference lattice leaves the track."""
 
 
 @dataclass(frozen=True)
@@ -553,9 +557,10 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, observer=None):
 
     Frames are recorded at the query instants before stepping, so an episode
     that collides mid-interval keeps every frame up to and including the
-    interval it died in. The observer, if any, is called with the start
-    world and then after every sim step with the world and the ego's
-    unwrapped centerline progress; a true return ends the episode."""
+    interval it died in. The observer, if any, is called at the start and
+    then after every sim step with the time, the agents' (A, 5) poses, their
+    (A,) collided flags and the ego's unwrapped centerline progress; a true
+    return ends the episode."""
     sim_cfg = env.sim
     world = WorldState(env.track, [VehicleState(*p) for p in start_world(scenario, env).tolist()])
     ego_source.reset(scenario, env)
@@ -572,7 +577,13 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, observer=None):
     max_frames = int(round(duration * FRAME_HZ))
     scans, speeds, actions = [], [], []
 
-    done = observer is not None and observer(world, progress[0])
+    def watch():
+        if observer is None:
+            return False
+        poses = np.array([(a.x, a.y, a.theta, a.v, a.delta) for a in world.agents], dtype=float)
+        return observer(world.t, poses, np.array(world.collided), progress[0])
+
+    done = watch()
     for _ in range(max_frames):
         if done:
             break
@@ -588,8 +599,7 @@ def reference_rollout(scenario, ego_source, env, duration=8.0, observer=None):
         for _ in range(steps_per_frame):
             world = reference_step(world, cmds, sim_cfg)
             progress = [t.update(a.x, a.y) for t, a in zip(trackers, world.agents)]
-            stop = observer is not None and observer(world, progress[0])
-            if stop or any(world.collided):
+            if watch() or any(world.collided):
                 done = True
                 break
 

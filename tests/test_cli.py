@@ -744,11 +744,37 @@ class TestConfig:
         "[policy]\nsigmoid_k = 0\n",
         "[raceline]\nv_max = -1\n",
         "[raceline]\na_lat_max = 0\n",
+        # a float key must be finite
+        "[scenario]\nd_gap = nan\n",
+        "[scenario]\nspawn_phase = nan\n",
+        "[scenario]\nduration = inf\n",
+        "[sim]\nspeed_gain = nan\n",
+        "[sim]\nlidar_range_max = inf\n",
+        "[expert]\nlateral_max = nan\n",
+        # the car and the lattice
+        "[sim]\nveh_length = 0\n",
+        "[sim]\nveh_width = 0\n",
+        "[sim]\ndelta_max = -0.4\n",
+        "[sim]\nsteer_rate_max = -1\n",
+        "[sim]\na_max = -1\n",
+        "[sim]\na_min = 5\n",
+        "[sim]\nv_hard_max = -1\n",
+        "[sim]\nspeed_gain = -1\n",
+        "[expert]\nn_lateral = 0\n",
+        "[expert]\nn_speed = 0\n",
+        "[expert]\nhorizon_T = 0\n",
+        "[expert]\nblend_T = 0\n",
+        "[expert]\nd_scale = 0\n",
     ], ids=["dt-zero", "dt-negative", "dt-not-whole-steps", "n_beams-zero",
             "lidar_range_max-negative", "wheelbase-zero", "duration-below-frame",
             "ego_racelines-unknown", "leader_racelines-empty", "v_floor-zero",
             "batch_size-zero", "epochs-zero", "embed_dim-zero", "hidden_multiplier-zero",
-            "mlp_hidden-zero", "sigmoid_k-zero", "v_max-negative", "a_lat_max-zero"])
+            "mlp_hidden-zero", "sigmoid_k-zero", "v_max-negative", "a_lat_max-zero",
+            "d_gap-nan", "spawn_phase-nan", "duration-inf", "speed_gain-nan",
+            "lidar_range_max-inf", "lateral_max-nan", "veh_length-zero", "veh_width-zero",
+            "delta_max-negative", "steer_rate_max-negative", "a_max-negative",
+            "a_min-positive", "v_hard_max-negative", "speed_gain-negative", "n_lateral-zero",
+            "n_speed-zero", "horizon_T-zero", "blend_T-zero", "d_scale-zero"])
     def test_invalid_value_exits_6(self, tmp_path, capsys, collected, track_dir, text):
         # rejected at load, naming the key, before the command that reads it runs
         path = tmp_path / "bad.ini"

@@ -22,7 +22,7 @@ from racekit.evaluator import (
 from racekit.policy import InferenceSession, PolicyConfig, init_params
 from racekit.scenario import (ExpertSource, LapTimer, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout)
-from racekit.simulator import SimConfig, Trace, WorldBatch
+from racekit.simulator import SimConfig, Trace
 
 TINY360 = PolicyConfig(n_beams=360, embed_dim=4, hidden_multiplier=2, mlp_hidden=16)
 
@@ -117,9 +117,8 @@ class TestPolicySource:
         for _ in range(8):
             poses = np.zeros((1, 1, 5))
             poses[0, 0, 3] = rng.uniform(0.0, 8.0)
-            world = WorldBatch(None, poses, np.zeros(1), np.zeros((1, 1), dtype=bool))
             scan = rng.uniform(0.1, 30.0, cfg.n_beams)
-            got = source.act(world, rows, scan[None])
+            got = source.act(rows, poses, scan[None])
             want, h = session.step(scan, poses[0, 0, 3], h)
             assert got.tobytes() == want[None].tobytes()
             assert source._h.tobytes() == h[None].tobytes()

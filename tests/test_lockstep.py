@@ -19,23 +19,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (ReferenceExpertSource, ReferencePolicySource, ReferenceProgressTracker,
-                      Role, VehicleCommand, VehicleState, WorldState, assert_same_bits,
-                      lattice_scales, make_room_track, reference_advance, reference_check_collision,
-                      reference_expert_action, reference_leader_command, reference_ray_hits,
-                      reference_rollout, reference_sample_lattice, reference_scan_lidar,
-                      reference_step)
+from conftest import (NoFeasibleCandidate, ReferenceExpertSource, ReferencePolicySource,
+                      ReferenceProgressTracker, Role, VehicleCommand, VehicleState, WorldState,
+                      assert_same_bits, lattice_scales, make_room_track, reference_advance,
+                      reference_check_collision, reference_expert_action,
+                      reference_leader_command, reference_ray_hits, reference_rollout,
+                      reference_sample_lattice, reference_scan_lidar, reference_step)
 from racekit import _geom
 from racekit import expert as rexpert
 from racekit import simulator as rsim
 from racekit import track as rtrack
 from racekit.evaluator import PolicySource
-from racekit.expert import ExpertConfig, NoFeasibleCandidate
+from racekit.expert import ExpertConfig
 from racekit.policy import PolicyConfig, init_params
 from racekit.scenario import (CHUNK, ExpertSource, NoValidSpawn, Outcome, RaceEnvironment, Scenario,
                               ScenarioConfig, enumerate_scenarios, rollout, rollout_batch,
                               rollout_many, track_progress)
-from racekit.simulator import SimConfig, WorldBatch
+from racekit.simulator import SimConfig
 from racekit.track import FarFromRaceline
 
 TINY = PolicyConfig(n_beams=360, embed_dim=4, hidden_multiplier=2, mlp_hidden=16)
@@ -80,20 +80,12 @@ class ChunkLog(ExpertSource):
 class Seen:
     """Rollout observer that logs each call's time, poses, collided flags
     and ego progress, and ends the episode at call number `stop` (call 0
-    is the start). Called as the engine calls observers, or through
-    one_world as conftest.reference_rollout calls them."""
+    is the start)."""
 
     def __init__(self, stop=None):
         self.stop, self.calls = stop, []
 
-    def __call__(self, world, row, progress):
-        return self._log(world.t[row], world.poses[row], world.collided[row], progress)
-
-    def one_world(self, world, progress):
-        return self._log(world.t, [(a.x, a.y, a.theta, a.v, a.delta) for a in world.agents],
-                         world.collided, progress)
-
-    def _log(self, t, poses, collided, progress):
+    def __call__(self, t, poses, collided, progress):
         self.calls.append((np.float64(t), np.array(poses, dtype=float), np.array(collided),
                            np.float64(progress)))
         return len(self.calls) - 1 == self.stop
@@ -161,7 +153,7 @@ class TestEngine:
         for record, sc, obs in zip(got, chunk, seen):
             reference = Seen(obs.stop)
             assert_same_records([record], [reference_rollout(sc, ReferenceExpertSource(), env, 3.0,
-                                                             reference.one_world)])
+                                                             reference)])
             assert len(obs.calls) == len(reference.calls)
             for call, want in zip(obs.calls, reference.calls):
                 for g, w in zip(call, want):
@@ -237,10 +229,8 @@ class TestEngine:
             for t in range(6):
                 poses = np.zeros((len(chunk), 1, 5))
                 poses[:, 0, 3] = rng.uniform(0.0, 8.0, len(chunk))
-                world = WorldBatch(None, poses, np.zeros(len(chunk)),
-                                   np.zeros((len(chunk), 1), dtype=bool))
                 scans = rng.uniform(0.1, 30.0, (len(rows), TINY.n_beams))
-                got = source.act(world, rows, scans)
+                got = source.act(rows, poses[rows], scans)
                 for g, b, scan in zip(got, rows, scans):
                     want = references[b].act(WorldState(None, [VehicleState(*poses[b, 0])]),
                                              0, scan)
@@ -276,10 +266,10 @@ def assert_frames_match_reference(pose, cmd, cfg):
     """step_frame over one-car rows at 1 and 10 sim steps, against
     reference_advance step by step, in a room where nothing collides."""
     room = make_room_track(200.0, pieces=40)
-    world = WorldBatch(room, pose[:, None], np.zeros(len(pose)),
-                       np.zeros((len(pose), 1), dtype=bool))
+    t, collided = np.zeros(len(pose)), np.zeros((len(pose), 1), dtype=bool)
     for n_steps in (1, 10):
-        got, _, flags = rsim.step_frame(world, np.arange(len(pose)), cmd[:, None], n_steps, cfg)
+        got, _, flags = rsim.step_frame(room, pose[:, None], t, collided, cmd[:, None], n_steps,
+                                        cfg)
         want = np.empty_like(got)
         for k, (p, c) in enumerate(zip(pose.tolist(), cmd.tolist())):
             state = VehicleState(*p)
@@ -317,13 +307,14 @@ class TestDynamics:
     def test_step_frame_matches_one_world_steps(self, rows, name, n_steps):
         track = kernel_track(name)
         worlds = [WorldState(track, [VehicleState(*a), VehicleState(*b)]) for a, b, _, _ in rows]
-        batch = WorldBatch(track, np.array([[a, b] for a, b, _, _ in rows]),
-                           np.zeros(len(rows)), np.zeros((len(rows), 2), dtype=bool))
-        cmds = np.array([[ca, cb] for _, _, ca, cb in rows])
         picked = np.arange(0, len(rows), 2)
-        before = batch.poses.copy()
-        got = rsim.step_frame(batch, picked, cmds[picked], n_steps, SimConfig())
-        assert_same_bits(batch.poses, before)              # nothing is written back
+        state = (np.array([[a, b] for a, b, _, _ in rows])[picked], np.zeros(len(picked)),
+                 np.zeros((len(picked), 2), dtype=bool))
+        cmds = np.array([[ca, cb] for _, _, ca, cb in rows])
+        before = [a.copy() for a in state]
+        got = rsim.step_frame(track, *state, cmds[picked], n_steps, SimConfig())
+        for a, b in zip(state, before):
+            assert_same_bits(a, b)                         # the inputs are not written
         for k, b in enumerate(picked):
             one = worlds[b]
             for poses, times, flags in zip(*got):
@@ -517,7 +508,7 @@ class TestExpert:
     def test_lattice_rows_match_one_state_lattices(self, where, rows, cfg, sim, far):
         """Row b's kept candidates are the reference lattice of its state:
         the same (speed, offset) pairs in the same order with the same
-        arrays; a row that keeps none fails as the reference does."""
+        arrays; a row the reference fails on keeps none."""
         rl = expert_raceline(*where)
         poses = np.array([pose_on(rl, *r) for r in rows])
         if far:
@@ -526,11 +517,9 @@ class TestExpert:
         for b, pose in enumerate(poses):
             try:
                 want = reference_sample_lattice(VehicleState(*pose.tolist()), rl, cfg, sim)
-            except (NoFeasibleCandidate, FarFromRaceline) as exc:
-                assert type(lattice.errors[b]) is type(exc)
+            except (NoFeasibleCandidate, FarFromRaceline):
                 assert not lattice.kept[b].any()
                 continue
-            assert lattice.errors[b] is None
             js, is_ = np.nonzero(lattice.kept[b])
             assert [(c.speed_scale, c.lateral_offset) for c in want] == \
                 list(zip(lattice_scales(cfg)[js].tolist(), lattice.offsets[is_].tolist()))

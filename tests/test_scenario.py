@@ -202,7 +202,7 @@ class TestRollout:
             def reset(self, scenarios, env):
                 pass
 
-            def act(self, world, rows, scans):
+            def act(self, rows, poses, scans):
                 return np.tile([8.0, 0.0], (len(rows), 1))
 
         scenarios, _ = enumerate_scenarios(ScenarioConfig(k_positions=1, d_gap=1.0), env)

@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from racekit.simulator import (
     SimConfig,
     SimulationError,
     Trace,
-    WorldBatch,
     apply_noise,
     collision_events,
     scan_batch,
@@ -31,8 +31,10 @@ def one_row(*poses):
 
 
 def one_world(track, *poses):
-    """The batch of one world at t = 0 whose agents stand at the given poses."""
-    return WorldBatch(track, one_row(*poses), np.zeros(1), np.zeros((1, len(poses)), dtype=bool))
+    """The track and the poses, times and collided flags of one world at
+    t = 0 whose agents stand at the given poses."""
+    return SimpleNamespace(track=track, poses=one_row(*poses), t=np.zeros(1),
+                           collided=np.zeros((1, len(poses)), dtype=bool))
 
 
 def world_in_room(*poses, half=4.0):
@@ -43,10 +45,15 @@ def commands(*cmds):
     return np.array([cmds], dtype=float)
 
 
+def frame(w, cmds, n_steps, cfg):
+    """step_frame of the one world over n_steps."""
+    return step_frame(w.track, w.poses, w.t, w.collided, cmds, n_steps, cfg)
+
+
 def run_frame(w, cmds, n_steps, cfg):
-    """step_frame of the batch's one row over n_steps, written back; the
-    (poses, times, flags) of every step."""
-    poses, times, flags = step_frame(w, ROW, cmds, n_steps, cfg)
+    """step_frame of the one world over n_steps, written back; the (poses,
+    times, flags) of every step."""
+    poses, times, flags = frame(w, cmds, n_steps, cfg)
     w.poses[ROW], w.t[ROW], w.collided[ROW] = poses[-1], times[-1], flags[-1]
     return poses, times, flags
 
@@ -104,7 +111,7 @@ class TestDynamics:
     def test_non_finite_raises(self, sim_cfg):
         w = world_in_room((0, 0, 0, float("nan")))
         with pytest.raises(NonFiniteState):
-            step_frame(w, ROW, commands((0.0, 0.0)), 1, sim_cfg)
+            frame(w, commands((0.0, 0.0)), 1, sim_cfg)
 
     @pytest.mark.parametrize("pose", [(0, 0, math.inf, 1.0, 0.0), (0, 0, 0.0, 1.0, -math.inf)],
                              ids=["theta", "delta"])
@@ -112,7 +119,7 @@ class TestDynamics:
         # math.cos and math.tan raise ValueError on an infinite angle
         w = world_in_room((0, 0, 0, 1.0), pose)
         with pytest.raises(NonFiniteState, match=r"before update: \(0\.0, 0\.0, .*inf"):
-            step_frame(w, ROW, commands((1.0, 0.0), (1.0, 0.0)), 1, sim_cfg)
+            frame(w, commands((1.0, 0.0), (1.0, 0.0)), 1, sim_cfg)
 
     def test_overflow_raises_at_its_step(self, sim_cfg):
         # the second car's heading overflows in the first step, and the
@@ -120,7 +127,7 @@ class TestDynamics:
         # pose is reported
         w = world_in_room((0, 0, 0, 1.0), (0, 0, 0, 1e308))
         with pytest.raises(NonFiniteState, match=r"after update: \(1e\+306, 0\.0, inf, 10\.0, "):
-            step_frame(w, ROW, commands((1.0, 0.0), (10.0, 0.4)), 3, sim_cfg)
+            frame(w, commands((1.0, 0.0), (10.0, 0.4)), 3, sim_cfg)
 
     def test_determinism_bitwise(self, sim_cfg):
         def run():
@@ -322,12 +329,13 @@ class TestCollision:
         clear = collision_events(room, one_row((x - 1e-6, 0, 0.0, 0)), sim_cfg)
         assert clear[0].tolist() == [False]
 
-    def test_third_agent_is_rejected(self, room):
+    def test_third_agent_is_rejected(self, room, sim_cfg):
         # LiDAR, the ego expert and the car-car test see at most one other
-        # car: collision_events would report no contact for this third car,
+        # car: the car-car test would report no contact for this third car,
         # which sits on the ego
         with pytest.raises(SimulationError):
-            one_world(room, (0, 0, 0.0, 0), (2.0, 0, 0.0, 0), (0.1, 0, 0.0, 0))
+            collision_events(room, one_row((0, 0, 0.0, 0), (2.0, 0, 0.0, 0), (0.1, 0, 0.0, 0)),
+                             sim_cfg)
 
     def test_latching(self, room, sim_cfg):
         w = one_world(room, (3.9, 0, 0.0, 2.0))
@@ -343,10 +351,10 @@ class TestTrace:
     def test_csv_roundtrip(self, room, sim_cfg, tmp_path):
         w = one_world(room, (0, 0, 0.0, 2.0), (1, 0, 0.0, 1.0))
         trace = Trace()
-        trace(w, 0, 0.0)
+        trace(w.t[0], w.poses[0], w.collided[0], 0.0)
         for _ in range(5):
             run_frame(w, commands((2.0, 0.01), (1.0, -0.01)), 1, sim_cfg)
-            trace(w, 0, 0.0)
+            trace(w.t[0], w.poses[0], w.collided[0], 0.0)
         path = tmp_path / "trace.csv"
         sim.write_trace_csv(trace, path)
         back = sim.read_trace_csv(path)
