@@ -21,7 +21,9 @@ single.trace.csv next to single.svg, and `render --trace` redraws such a
 trace as an SVG. `collect` writes each episode as the pool yields it, then
 dataset.json and manifest.json: one that fails mid-pool may leave episode
 files, never those two, and it stops the pool's workers before the error
-leaves the command.
+leaves the command. `train` writes policy.ckpt whenever an epoch's loss
+is the lowest yet, then loss_curve.csv and manifest.json: one that fails
+may leave the best-so-far policy.ckpt, never those two.
 
 `[sim] n_beams` is the one beam count: `collect` scans at it, `train` sizes
 the policy from the dataset's episode headers, and `eval single|h2h|noise`
@@ -58,7 +60,7 @@ from . import track as rtrack
 from . import trainer as rtrain
 from ._atomic import atomic_open
 from .config import ConfigError, KitConfig, config_hash, load_config
-from .policy import PolicyError, init_params, load_checkpoint_file, save_checkpoint_file
+from .policy import PolicyError, init_params, load_checkpoint_file
 from .scenario import ExpertSource, Outcome, RaceEnvironment, ScenarioError
 from .seeding import rng_for
 
@@ -200,18 +202,19 @@ def cmd_collect(args, cfg: KitConfig) -> int:
 
 def cmd_train(args, cfg: KitConfig) -> int:
     run = _Outputs(args.out)
-    try:
-        episodes = rscn.load_manifest_dataset(
-            Path(args.dataset) if args.dataset else run.dir / "dataset.json")
-    except (OSError, ScenarioError) as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAIN
-    pol_cfg = replace(cfg.policy, n_beams=episodes[0].scans.shape[1])
     def progress(epoch, loss, lr):
         if epoch == 1 or epoch % 10 == 0:
             print(f"epoch {epoch:4d}  loss {loss:.6f}  lr {lr:.2e}", flush=True)
-    best, curve = rtrain.train(episodes, pol_cfg, cfg.trainer, progress=progress)
-    run.write("policy.ckpt", partial(save_checkpoint_file, best, pol_cfg))
+    try:
+        # headers only: each batch reads its episodes' frames
+        episodes = rscn.load_manifest_dataset(
+            Path(args.dataset) if args.dataset else run.dir / "dataset.json")
+        pol_cfg = replace(cfg.policy, n_beams=episodes[0].n_beams)
+        curve = run.write("policy.ckpt", partial(rtrain.train, episodes, pol_cfg, cfg.trainer,
+                                                 progress=progress))
+    except ScenarioError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return EXIT_TRAIN
     run.write("loss_curve.csv", partial(rtrain.write_loss_curve_csv, curve))
     run.finish("train", cfg)
     print(f"best loss {min(r[1] for r in curve):.6f} -> {run.dir / 'policy.ckpt'}")
@@ -226,12 +229,14 @@ def cmd_eval(args, cfg: KitConfig) -> int:
     run = _Outputs(args.out)
     # latency depends only on the architecture; without a checkpoint a fresh init suffices
     random_init = args.suite == "latency" and not Path(cfg.paths.checkpoint).exists()
+    # the float32 latency session never needs the float64 set
+    dtype = np.float32 if args.suite == "latency" and args.precision == "float32" else np.float64
     try:
         if random_init:
             pol_cfg = cfg.policy
             params = init_params(pol_cfg, rng_for(cfg.seed, "latency-init"))
         else:
-            params, pol_cfg = load_checkpoint_file(cfg.paths.checkpoint)
+            params, pol_cfg = load_checkpoint_file(cfg.paths.checkpoint, dtype)
     except (OSError, PolicyError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return EXIT_EVAL

@@ -23,10 +23,11 @@ and load walk that table; no other module knows it. Checkpoints stream
 through a binary file object: `save_checkpoint` is the one writer, and
 writes the header and then each block from its tensor's memory;
 `load_checkpoint` is the one parser, and reads each block into its place
-in the new tensors. Neither holds the file as one `bytes`, so a save or a
-load holds the weights once, and `save_checkpoint_file` and
-`load_checkpoint_file` only open the file. Everything is plain
-numpy in double precision; the inference session can also run in single
+in the new tensors. Neither holds the file as one `bytes` nor makes a
+temporary the size of a tensor, so a save or a load holds the weights
+once, and `save_checkpoint_file` and `load_checkpoint_file` only open the
+file. A load can cast each block to single precision as it reads it, for
+the float32 inference session. Everything else is plain numpy in double
 precision.
 """
 
@@ -113,16 +114,29 @@ class PolicyParameters:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TENSOR_ORDER}
 
-    def copy(self) -> "PolicyParameters":
-        return PolicyParameters(**{k: v.copy() for k, v in self.tensors().items()})
-
     def validate(self, cfg: PolicyConfig) -> None:
         for name, shape in _tensor_shapes(cfg).items():
             t = getattr(self, name)
             if t.shape != shape:
                 raise ShapeMismatch(f"{name}: expected {shape}, got {t.shape}")
-            if not np.all(np.isfinite(t)):
+            if not all_finite(t):
                 raise PolicyError(f"{name} contains non-finite entries")
+
+
+# entries a load reads, and all_finite reduces, at a time: a float64 piece
+# of 512 KiB stays in cache from one pass over it to the next
+_PIECE = 1 << 16
+
+
+def all_finite(t: np.ndarray) -> bool:
+    """Whether every entry of t is finite, from the min and the max of each
+    piece of its rows (NaN reaches both): no temporary the size of t, and
+    the max reads the piece from cache."""
+    if t.size == 0:
+        return True
+    rows = max(1, _PIECE * len(t) // t.size)
+    return all(np.isfinite(piece.min()) and np.isfinite(piece.max())
+               for piece in (t[lo:lo + rows] for lo in range(0, len(t), rows)))
 
 
 TENSOR_ORDER = tuple(_tensor_shapes(PolicyConfig()).keys())
@@ -255,9 +269,11 @@ def forward(x: np.ndarray, h: np.ndarray,
 class InferenceSession:
     """Single-observation inference at a fixed precision.
 
-    float64 uses the parameter arrays as they are, without a copy (so the
-    session sees later in-place changes to them). float32 casts them once;
-    it halves the memory traffic that bounds per-step latency.
+    Parameter arrays already at the session's precision are used as they
+    are, without a copy (so the session sees later in-place changes to
+    them); others are cast once. float32 halves the memory traffic that
+    bounds per-step latency, and `load_checkpoint_file(path, np.float32)`
+    loads a checkpoint at it without holding the float64 set.
     """
 
     def __init__(self, params: PolicyParameters, cfg: PolicyConfig,
@@ -309,10 +325,12 @@ def _read_into(fh, buf, what: str) -> None:
         filled += n
 
 
-def load_checkpoint(fh) -> tuple[PolicyParameters, PolicyConfig]:
-    """Read a checkpoint from the binary file object fh, each block into
-    its place in a freshly allocated tensor; the stream must end there, and
-    every entry must be finite."""
+def load_checkpoint(fh, dtype=np.float64) -> tuple[PolicyParameters, PolicyConfig]:
+    """Read a checkpoint from the binary file object fh into fresh tensors
+    of dtype, a piece of a block at a time: each piece is checked finite
+    and, at another precision than float64, cast into place, so a load
+    never holds the float64 set beside the one it returns. The stream
+    must end after the last block."""
     head = bytearray(12)
     _read_into(fh, head, "header")
     if head[:4] != CHECKPOINT_MAGIC:
@@ -328,11 +346,19 @@ def load_checkpoint(fh) -> tuple[PolicyParameters, PolicyConfig]:
         cfg = PolicyConfig(**json.loads(cfg_json.decode()))
     except (ValueError, TypeError) as exc:
         raise CorruptCheckpoint(f"unreadable config block: {exc}") from exc
-    tensors = {name: np.empty(shape, "<f8") for name, shape in _tensor_shapes(cfg).items()}
+    dtype = np.dtype(dtype)
+    tensors = {name: np.empty(shape, dtype) for name, shape in _tensor_shapes(cfg).items()}
+    scratch = None if dtype == np.dtype("<f8") else np.empty(_PIECE, "<f8")
     for disk_name, block in layout_blocks(tensors):
-        _read_into(fh, block, f"tensor {disk_name}")
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):   # NaN reaches both
-            raise CorruptCheckpoint(f"tensor {disk_name} holds a non-finite entry")
+        flat = block.reshape(-1)   # a block is contiguous: a view
+        for lo in range(0, flat.size, _PIECE):
+            piece = flat[lo:lo + _PIECE]
+            raw = piece if scratch is None else scratch[:len(piece)]
+            _read_into(fh, raw, f"tensor {disk_name}")
+            if not all_finite(raw):
+                raise CorruptCheckpoint(f"tensor {disk_name} holds a non-finite entry")
+            if raw is not piece:
+                piece[...] = raw
     if fh.read(1):
         raise CorruptCheckpoint("trailing bytes after the last tensor")
     return PolicyParameters(**tensors), cfg
@@ -343,6 +369,6 @@ def save_checkpoint_file(params: PolicyParameters, cfg: PolicyConfig, path) -> N
         save_checkpoint(params, cfg, fh)
 
 
-def load_checkpoint_file(path) -> tuple[PolicyParameters, PolicyConfig]:
+def load_checkpoint_file(path, dtype=np.float64) -> tuple[PolicyParameters, PolicyConfig]:
     with open(path, "rb") as fh:
-        return load_checkpoint(fh)
+        return load_checkpoint(fh, dtype)

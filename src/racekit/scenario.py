@@ -31,12 +31,15 @@ chunks end; neither `collect` nor `eval` holds a pool's records. A lap
 harness is `rollout` with a `LapTimer`. Episode files and the dataset
 manifest are written atomically; `save_dataset` (behind `collect`) writes
 each episode as it arrives, then the manifest, which lists collision
-episodes as excluded; `load_manifest_dataset` reads back the kept ones.
+episodes as excluded. `load_manifest_dataset` opens the kept ones as
+`EpisodeFile`s: every header is read and every file size checked, and
+the frames stay on disk until `EpisodeFile.read` reads them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,9 +74,6 @@ class Outcome:
     OVERTAKING = "Overtaking"
     COLLISION = "Collision"
     ALL = (CAR_FOLLOWING, OVERTAKING, COLLISION)
-
-
-LEGACY_N_BEAMS = 360  # beams per frame of an episode header without "n_beams"
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,15 @@ class EpisodeRecord:
     @property
     def n_frames(self) -> int:
         return len(self.scans)
+
+    @property
+    def n_beams(self) -> int:
+        return self.scans.shape[1]
+
+    def read(self) -> "EpisodeRecord":
+        """The record itself: an episode in memory is read already (see
+        `EpisodeFile.read`)."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -461,7 +470,7 @@ def save_episode(record: EpisodeRecord, path) -> None:
         "seed": record.seed,
         "outcome": record.outcome,
         "frame_count": int(record.n_frames),
-        "n_beams": int(record.scans.shape[1]),
+        "n_beams": int(record.n_beams),
         "duration_actual": record.duration_actual,
         "ego_progress": record.ego_progress,
         "leader_progress": record.leader_progress,
@@ -474,29 +483,76 @@ def save_episode(record: EpisodeRecord, path) -> None:
         fh.write(frames.tobytes())
 
 
-def load_episode(path) -> EpisodeRecord:
-    """The episode stored at path; ScenarioError naming the file if its
-    header does not parse or lacks a key, or its payload does not fit it."""
-    with open(path, "rb") as fh:
-        head, payload = fh.readline(), fh.read()
+@dataclass(frozen=True)
+class EpisodeFile:
+    """An episode file whose header parsed and whose size fits it: the
+    header's fields, and where the frames start. `read` reads the frames."""
+
+    path: str
+    offset: int              # bytes before the first frame: the header line
+    scenario_id: str
+    seed: int
+    outcome: str
+    n_frames: int
+    n_beams: int
+    duration_actual: float
+    ego_progress: float
+    leader_progress: float
+
+    def read(self) -> EpisodeRecord:
+        """The episode, its scans, speeds and actions views of one float32
+        frame array read from the file; ScenarioError naming the file if
+        it cannot be read or no longer fits the header."""
+        frames = np.empty((self.n_frames, self.n_beams + 3), dtype="<f4")
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.offset)
+                got, more = fh.readinto(frames.reshape(-1).view(np.uint8)), fh.read(1)
+        except OSError as exc:
+            raise ScenarioError(f"{self.path}: cannot read episode: {exc}") from None
+        if got != frames.nbytes or more:
+            raise ScenarioError(f"{self.path}: episode file changed since its header was read")
+        nb = self.n_beams
+        return EpisodeRecord(
+            scenario_id=self.scenario_id, seed=self.seed, scans=frames[:, :nb],
+            ego_v=frames[:, nb], actions=frames[:, nb + 1:], outcome=self.outcome,
+            duration_actual=self.duration_actual, ego_progress=self.ego_progress,
+            leader_progress=self.leader_progress)
+
+
+def open_episode(path) -> EpisodeFile:
+    """The header of the episode stored at path, its frames left on disk;
+    ScenarioError naming the file if it cannot be opened, its header does
+    not parse or lacks a key, or its size does not fit the header."""
+    path = str(path)
+    try:
+        with open(path, "rb") as fh:
+            head, size = fh.readline(), os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read episode: {exc}") from None
     try:
         header = json.loads(head)
-        n = header["frame_count"]
-        nb = header.get("n_beams", LEGACY_N_BEAMS)
-        expected = n * (nb + 3) * 4
-        if len(payload) != expected:
-            raise ScenarioError(
-                f"{path}: corrupt episode payload ({len(payload)} bytes, want {expected})")
-        frames = np.frombuffer(payload, dtype="<f4").reshape(n, nb + 3)
-        return EpisodeRecord(
-            scenario_id=header["scenario_id"], seed=header["seed"],
-            scans=frames[:, :nb].copy(), ego_v=frames[:, nb].copy(),
-            actions=frames[:, nb + 1:].copy(), outcome=header["outcome"],
-            duration_actual=header["duration_actual"],
-            ego_progress=header.get("ego_progress", 0.0),
-            leader_progress=header.get("leader_progress", 0.0))
+        n, nb = header["frame_count"], header["n_beams"]
+        if not all(type(k) is int and k >= 0 for k in (n, nb)):
+            raise ValueError(f"frame_count {n!r} and n_beams {nb!r} must be counts")
+        episode = EpisodeFile(
+            path=path, offset=len(head), scenario_id=header["scenario_id"],
+            seed=header["seed"], outcome=header["outcome"], n_frames=n, n_beams=nb,
+            duration_actual=header["duration_actual"], ego_progress=header["ego_progress"],
+            leader_progress=header["leader_progress"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ScenarioError(f"{path}: unreadable episode header: {exc!r}") from None
+    expected = n * (nb + 3) * 4
+    if size - len(head) != expected:
+        raise ScenarioError(
+            f"{path}: corrupt episode payload ({size - len(head)} bytes, want {expected})")
+    return episode
+
+
+def load_episode(path) -> EpisodeRecord:
+    """The episode stored at path, frames and all; ScenarioError as
+    `open_episode` and `EpisodeFile.read` raise it."""
+    return open_episode(path).read()
 
 
 def write_manifest(path, episode_files: list[str], excluded_files: list[str],
@@ -535,17 +591,22 @@ def save_dataset(out_dir, episodes: Iterable[tuple[str, EpisodeRecord]],
     return counts, total
 
 
-def load_manifest_dataset(manifest_path) -> list[EpisodeRecord]:
-    """The kept episodes a dataset manifest lists; ScenarioError naming the
-    manifest if it does not parse or lists no file names under "episodes"."""
+def load_manifest_dataset(manifest_path) -> list[EpisodeFile]:
+    """The kept episodes a dataset manifest lists, opened (`open_episode`):
+    every header read and every file size checked, no frame read.
+    ScenarioError naming the file if the manifest cannot be read or parsed,
+    lists no file names under "episodes", or lists an episode that does
+    not open."""
     manifest_path = Path(manifest_path)
     try:
         files = json.loads(manifest_path.read_text())["episodes"]
+    except OSError as exc:
+        raise ScenarioError(f"{manifest_path}: cannot read manifest: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{manifest_path}: unreadable manifest: {exc!r}") from None
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
         raise ScenarioError(f'{manifest_path}: "episodes" is not a list of file names')
-    episodes = [load_episode(manifest_path.parent / f) for f in files]
+    episodes = [open_episode(manifest_path.parent / f) for f in files]
     if not episodes:
         raise EmptyDataset(f"manifest {manifest_path} lists no episodes")
     return episodes

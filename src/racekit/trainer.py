@@ -1,18 +1,20 @@
 """Behavior-cloning trainer.
 
-Full-sequence teacher forcing over recorded episodes (a dataset's
-`scenario.EpisodeRecord`s, read as they are): the policy is rolled from a
-zero hidden state across every frame, the loss is a weighted sum of
-speed and steering mean squared errors (weight 0.05 on speed), gradients
-come from exact backpropagation through the whole recurrence, parameters
-move under Adam, and the learning rate halves whenever the epoch loss
-plateaus. Random speed-embedding masking (Bernoulli per frame) fights
-shortcut copying of the current speed into the speed command.
+Full-sequence teacher forcing over recorded episodes: the policy is
+rolled from a zero hidden state across every frame, the loss is a
+weighted sum of speed and steering mean squared errors (weight 0.05 on
+speed), gradients come from exact backpropagation through the whole
+recurrence, parameters move under Adam, and the learning rate halves
+whenever the epoch loss plateaus. Random speed-embedding masking
+(Bernoulli per frame) fights shortcut copying of the current speed into
+the speed command.
 
 Episodes inside a batch are padded to a common length and masked out of
 the loss, which reproduces independent per-episode rolls exactly while
-keeping the matmuls batched. The records' float32 frames widen to double
-precision as they are padded; double precision throughout.
+keeping the matmuls batched. An episode is a `scenario.EpisodeRecord` or
+an opened `scenario.EpisodeFile`, whose frames stay on disk: each batch
+reads its episodes' float32 frames as it widens them to double precision
+and pads them, so a run holds no dataset; double precision throughout.
 
 The forward pass projects the inputs of all B x T frames through the
 packed w_x in one GEMM before the time loop, then runs `policy.gru_cell`
@@ -27,22 +29,31 @@ Every large array is held once. Backpropagation writes each frame's
 gate gradients da over that frame's gate activations, once it has read
 them, and the candidate's pre-activation gradient over the frame's m, so
 da reuses the gate cache; it drops the decoder caches as soon as nothing
-reads them. A run drops each batch's gradients after its Adam step, and
-copies an improving epoch's parameters into one best set allocated at the
-start. The float operations, and so the bytes, are those of separate
-arrays.
+reads them. A run drops each batch's gradients after its Adam step. It
+holds one parameter set: an epoch whose loss is the lowest yet is written
+to the checkpoint file on a background thread while the next epoch's
+first forward and backward passes compute, and the write is joined before
+the Adam step that changes those parameters. The float operations, and
+so the bytes, are those of separate arrays.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._atomic import atomic_open
-from .policy import PolicyConfig, PolicyParameters, decode, encode_inputs, gru_cell, init_params
-from .scenario import EpisodeRecord
+from .policy import (PolicyConfig, PolicyParameters, all_finite, decode, encode_inputs, gru_cell,
+                     init_params, save_checkpoint_file)
+from .scenario import EpisodeFile, EpisodeRecord
 from .seeding import rng_for
+
+# what the trainer reads: a record in memory, or an opened file whose
+# frames `read` fetches; both give n_frames and n_beams without reading
+Episode = EpisodeRecord | EpisodeFile
 
 
 class TrainerError(Exception):
@@ -102,9 +113,10 @@ class TrainState:
                    lr=cfg.lr0)
 
 
-def _pack_batch(episodes: list[EpisodeRecord], mask_draws, cfg: PolicyConfig):
-    """Pad the records' scans, speeds and expert actions (the labels) to
-    the longest length; active[b, t] marks real frames."""
+def _pack_batch(episodes: Sequence[Episode], mask_draws, cfg: PolicyConfig):
+    """Read each episode's frames and pad its scans, speeds and expert
+    actions (the labels) to the longest length; active[b, t] marks real
+    frames."""
     B = len(episodes)
     T = max(ep.n_frames for ep in episodes)
     scans = np.zeros((B, T, cfg.n_beams))
@@ -116,9 +128,10 @@ def _pack_batch(episodes: list[EpisodeRecord], mask_draws, cfg: PolicyConfig):
         t = ep.n_frames
         if len(draws) != t:
             raise TrainerError(f"mask draws length {len(draws)} != episode length {t}")
-        scans[b, :t] = ep.scans
-        speeds[b, :t] = ep.ego_v
-        labels[b, :t] = ep.actions
+        record = ep.read()
+        scans[b, :t] = record.scans
+        speeds[b, :t] = record.ego_v
+        labels[b, :t] = record.actions
         masked[b, :t] = draws
         active[b, :t] = True
     return scans, speeds, labels, masked, active
@@ -151,7 +164,7 @@ def _episode_losses(preds, labels, active, speed_weight):
 
 
 def backward(params: PolicyParameters, cfg: PolicyConfig,
-             episodes: list[EpisodeRecord], mask_draws: list[np.ndarray],
+             episodes: Sequence[Episode], mask_draws: list[np.ndarray],
              speed_weight: float = 0.05):
     """Exact gradients of the batch-mean sequence loss for every tensor.
 
@@ -227,7 +240,7 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
         grads["speed_b"] = np.zeros_like(params.speed_b)
         grads["mask_embed"] = np.zeros_like(params.mask_embed)
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise NonFiniteGradient(f"gradient for {name} is not finite")
     return grads, losses
 
@@ -294,49 +307,64 @@ def lr_schedule_step(state: TrainState, epoch_loss: float, cfg: TrainerConfig) -
     return state
 
 
-def train(episodes: list[EpisodeRecord], policy_cfg: PolicyConfig,
-          trainer_cfg: TrainerConfig, progress=None):
-    """Full behavior-cloning run on recorded episodes. Returns the
-    parameters of the lowest-loss epoch and the loss curve rows (epoch,
-    mean_loss, lr)."""
+def train(episodes: Sequence[Episode], policy_cfg: PolicyConfig,
+          trainer_cfg: TrainerConfig, checkpoint_path, progress=None):
+    """Full behavior-cloning run on recorded episodes; returns the loss
+    curve rows (epoch, mean_loss, lr).
+
+    The checkpoint file at checkpoint_path always holds the lowest-loss
+    epoch so far: each epoch that improves on it is written there, through
+    atomic_open, on one background thread. The write overlaps the next
+    epoch's first forward and backward passes and is joined before its
+    first Adam step, and before the run returns; an error in it is raised
+    there. If no epoch's loss is below infinity, the file holds the
+    initial parameters, drawn again from the seed."""
     if not episodes:
         raise EmptyDatasetError("no episodes to train on")
     for ep in episodes:
         if ep.n_frames == 0:
             raise EmptyEpisode(f"episode {ep.scenario_id} has no frames")
-    beams = sorted({ep.scans.shape[1] for ep in episodes})
+    beams = sorted({ep.n_beams for ep in episodes})
     if beams != [policy_cfg.n_beams]:
         raise TrainerError(f"episodes of {beams} beams; the policy reads {policy_cfg.n_beams}")
     n = len(episodes)
     shuffle_rng = rng_for(trainer_cfg.seed, "train:shuffle")
     mask_rng = rng_for(trainer_cfg.seed, "train:mask")
-    params = init_params(policy_cfg, rng_for(trainer_cfg.seed, "train:init"))
-    state = TrainState.fresh(params, trainer_cfg)
-    best_params = params.copy()
+    state = TrainState.fresh(init_params(policy_cfg, rng_for(trainer_cfg.seed, "train:init")),
+                             trainer_cfg)
     best_epoch_loss = float("inf")
     curve = []
-    for epoch in range(1, trainer_cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, trainer_cfg.batch_size):
-            batch_idx = order[start:start + trainer_cfg.batch_size]
-            batch = [episodes[i] for i in batch_idx]
-            draws = [mask_rng.random(ep.n_frames) < trainer_cfg.mask_p for ep in batch]
-            grads, losses = backward(state.params, policy_cfg, batch, draws,
-                                     trainer_cfg.speed_loss_weight)
-            state = adam_update(state, grads, trainer_cfg)
-            del grads   # freed before the next backward allocates its own
-            total += float(losses.sum())
-        epoch_loss = total / n
-        curve.append((epoch, epoch_loss, state.lr))
-        state = lr_schedule_step(state, epoch_loss, trainer_cfg)
-        if epoch_loss < best_epoch_loss:
-            best_epoch_loss = epoch_loss
-            for best, now in zip(best_params.tensors().values(), state.params.tensors().values()):
-                np.copyto(best, now)
-        if progress is not None:
-            progress(epoch, epoch_loss, state.lr)
-    return best_params, curve
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint") as writer:
+        snapshot = None   # the pending write of the best epoch's parameters
+        for epoch in range(1, trainer_cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, trainer_cfg.batch_size):
+                batch = [episodes[i] for i in order[start:start + trainer_cfg.batch_size]]
+                draws = [mask_rng.random(ep.n_frames) < trainer_cfg.mask_p for ep in batch]
+                grads, losses = backward(state.params, policy_cfg, batch, draws,
+                                         trainer_cfg.speed_loss_weight)
+                if snapshot is not None:   # the step below changes what it writes
+                    snapshot.result()
+                    snapshot = None
+                state = adam_update(state, grads, trainer_cfg)
+                del grads   # freed before the next backward allocates its own
+                total += float(losses.sum())
+            epoch_loss = total / n
+            curve.append((epoch, epoch_loss, state.lr))
+            state = lr_schedule_step(state, epoch_loss, trainer_cfg)
+            if epoch_loss < best_epoch_loss:
+                best_epoch_loss = epoch_loss
+                snapshot = writer.submit(save_checkpoint_file, state.params, policy_cfg,
+                                         checkpoint_path)
+            if progress is not None:
+                progress(epoch, epoch_loss, state.lr)
+        if snapshot is not None:
+            snapshot.result()
+    if best_epoch_loss == float("inf"):
+        save_checkpoint_file(init_params(policy_cfg, rng_for(trainer_cfg.seed, "train:init")),
+                             policy_cfg, checkpoint_path)
+    return curve
 
 
 def write_loss_curve_csv(curve, path) -> None:

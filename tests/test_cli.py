@@ -330,7 +330,7 @@ class TestTrain:
                        "--dataset", str(tmp_path / "nope.json")) == 4
 
     @pytest.mark.parametrize("damage", ["header-not-json", "episodes-not-a-list",
-                                        "episode-file-missing"])
+                                        "episode-file-missing", "episode-truncated"])
     def test_unreadable_dataset_exit_4(self, tmp_path, capsys, damage):
         records = [(f"ep_{i}.bin", EpisodeRecord(
             scenario_id=f"x:{i}", seed=i, scans=np.full((3, 8), 5.0, dtype=np.float32),
@@ -343,6 +343,9 @@ class TestTrain:
             episode.write_bytes(b"{not json\n" + episode.read_bytes().split(b"\n", 1)[1])
         elif damage == "episodes-not-a-list":
             manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "episodes": 2}))
+        elif damage == "episode-truncated":
+            episode = tmp_path / "ep_1.bin"
+            episode.write_bytes(episode.read_bytes()[:-4])
         else:
             (tmp_path / "ep_1.bin").unlink()
         assert run_cli("--out", str(tmp_path / "o"), "train",
@@ -350,6 +353,103 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "training error" in err
         assert ("ep_1.bin" if damage != "episodes-not-a-list" else "dataset.json") in err
+        # the dataset is checked before any training: no output at all
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+    @staticmethod
+    def small_dataset(directory):
+        """Six seeded episodes of 9 to 14 frames and 16 beams."""
+        rng = np.random.default_rng(3)
+        save_dataset(directory, [(f"ep_{i}.bin", EpisodeRecord(
+            scenario_id=f"g:{i}", seed=i,
+            scans=rng.uniform(0.2, 30.0, (t, 16)).astype(np.float32),
+            ego_v=rng.uniform(0.0, 7.0, t).astype(np.float32),
+            actions=rng.uniform(-0.4, 7.0, (t, 2)).astype(np.float32),
+            outcome=Outcome.OVERTAKING, duration_actual=t / 10.0))
+            for i, t in enumerate((9, 14, 11, 12, 10, 13))])
+        return directory / "dataset.json"
+
+    def test_checkpoint_is_the_best_epoch_not_the_last(self, tmp_path):
+        """At a learning rate that makes the loss rise, `--epochs 8` writes
+        the checkpoint `--epochs e` writes, e being the curve's argmin."""
+        dataset = self.small_dataset(tmp_path)
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[policy]\nhidden_multiplier = 1\n"
+                           "[trainer]\nbatch_size = 2\nlr0 = 0.3\n")
+
+        def train(epochs):
+            out = tmp_path / f"e{epochs}"
+            assert run_cli("--config", str(cfgfile), "--out", str(out), "--seed", "3", "train",
+                           "--dataset", str(dataset), "--epochs", str(epochs)) == 0
+            return out
+
+        last = train(8)
+        losses = [float(row.split(",")[1])
+                  for row in (last / "loss_curve.csv").read_text().splitlines()[1:]]
+        best = int(np.argmin(losses)) + 1
+        assert best < 8 and losses[-1] > losses[best - 1]
+        assert (last / "policy.ckpt").read_bytes() == (train(best) / "policy.ckpt").read_bytes()
+
+    def test_failed_snapshot_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """When the second epoch's checkpoint cannot replace the first's,
+        the command fails with that error, the first epoch's checkpoint stays
+        whole, no temporary file is left, and neither loss_curve.csv nor
+        manifest.json is written."""
+        dataset = self.small_dataset(tmp_path)
+        assert run_cli("--out", str(tmp_path / "one"), "--seed", "3", "train",
+                       "--dataset", str(dataset), "--epochs", "1") == 0
+        first = (tmp_path / "one" / "policy.ckpt").read_bytes()
+        replace_file, snapshots = os.replace, []
+
+        def replace_once(src, dst):
+            if str(dst).endswith("policy.ckpt"):
+                snapshots.append(dst)
+                if len(snapshots) == 2:
+                    raise OSError(28, "No space left on device")
+            replace_file(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        out = tmp_path / "two"
+        with pytest.raises(OSError, match="No space"):
+            run_cli("--out", str(out), "--seed", "3", "train",
+                    "--dataset", str(dataset), "--epochs", "3")
+        assert len(snapshots) == 2
+        assert (out / "policy.ckpt").read_bytes() == first
+        assert sorted(p.name for p in out.iterdir()) == ["policy.ckpt"]
+
+    def test_peak_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        """`train --epochs 1` on 20 and on 400 episodes of 80 frames at 360
+        beams (hidden_multiplier 1), each in a fresh interpreter: the peak
+        resident sets differ by less than 8 MB, where holding the episodes
+        would add 44 MB. The child reads its own high-water mark, VmHWM:
+        its ru_maxrss starts at the forking test process's resident set.
+        About 5 s on a 2-vCPU host."""
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[policy]\nhidden_multiplier = 1\n")
+        rng = np.random.default_rng(0)
+        record = EpisodeRecord(
+            scenario_id="m", seed=0, scans=rng.uniform(0.2, 30.0, (80, 360)).astype(np.float32),
+            ego_v=rng.uniform(0.0, 7.0, 80).astype(np.float32),
+            actions=rng.uniform(-0.4, 7.0, (80, 2)).astype(np.float32),
+            outcome=Outcome.OVERTAKING, duration_actual=8.0)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        peaks = []
+        for n in (20, 400):
+            data = tmp_path / f"d{n}"
+            data.mkdir()
+            save_dataset(data, [(f"ep_{i}.bin", record) for i in range(n)])
+            child = subprocess.run(
+                [sys.executable, "-c", "import re, sys; from racekit import cli; "
+                 "code = cli.main(sys.argv[1:]); status = open('/proc/self/status').read(); "
+                 "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])",
+                 "--config", str(cfgfile), "--out", str(tmp_path / f"o{n}"), "train",
+                 "--dataset", str(data / "dataset.json"), "--epochs", "1"],
+                env=env, check=True, capture_output=True, text=True, timeout=120)
+            code, peak_kb = child.stdout.split()[-2:]
+            assert code == "0"
+            peaks.append(int(peak_kb) / 1024)
+        assert peaks[1] - peaks[0] < 8, peaks
 
     def test_lidar_only_ablation_flag(self, tmp_path, collected):
         out = tmp_path / "lo"
@@ -412,14 +512,7 @@ class TestTrain:
     }
 
     def test_golden_digest(self, tmp_path):
-        rng = np.random.default_rng(3)
-        save_dataset(tmp_path, [(f"ep_{i}.bin", EpisodeRecord(
-            scenario_id=f"g:{i}", seed=i,
-            scans=rng.uniform(0.2, 30.0, (t, 16)).astype(np.float32),
-            ego_v=rng.uniform(0.0, 7.0, t).astype(np.float32),
-            actions=rng.uniform(-0.4, 7.0, (t, 2)).astype(np.float32),
-            outcome=Outcome.OVERTAKING, duration_actual=t / 10.0))
-            for i, t in enumerate((9, 14, 11, 12, 10, 13))])
+        self.small_dataset(tmp_path)
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[policy]\nhidden_multiplier = 2\n[trainer]\nbatch_size = 2\n")
         out = tmp_path / "out"

@@ -18,6 +18,7 @@ from racekit.policy import (
     ShapeMismatch,
     TENSOR_ORDER,
     VersionMismatch,
+    all_finite,
     decode,
     embed_speed,
     encode_inputs,
@@ -373,6 +374,29 @@ class TestCheckpoint:
         assert p2.w_x.shape == (3 * cfg.hidden_dim, cfg.input_dim)
 
 
+class TestAllFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 131 * 500 - 1, 131 * 500, -1])
+    def test_any_entry_of_any_piece(self, value, index):
+        """A 600 x 500 tensor is checked in pieces of 131 rows: a
+        non-finite entry is found on either side of a piece boundary, and
+        at both ends."""
+        t = np.ones((600, 500))
+        assert all_finite(t)
+        t.flat[index] = value
+        assert not all_finite(t)
+
+    def test_validate_rejects_a_non_finite_entry(self):
+        params = tiny_params()
+        params.u_h[-1, -1] = math.inf
+        with pytest.raises(PolicyError, match="u_h"):
+            params.validate(TINY)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_tensor_is_finite(self, shape):
+        assert all_finite(np.empty(shape))
+
+
 class Trickle(io.RawIOBase):
     """A readable stream whose readinto returns at most `most` bytes."""
 
@@ -452,10 +476,43 @@ class TestCheckpointMemory:
         assert size <= peak < 1.1 * size
 
     def test_save_allocates_far_less_than_the_file(self, tmp_path):
-        """The largest allocation is the validation's finiteness mask of
-        one tensor, one byte per float64 entry: at most an eighth of the
-        file. 64 KiB covers the header and the file's buffer."""
+        """Blocks stream from the tensors' memory and the finiteness check
+        makes no mask, so nothing the size of a tensor is allocated: 64 KiB
+        covers the header and the file's buffer, where a one-byte-per-entry
+        mask of u_h alone would take 243 KiB."""
         params = init_params(MID, np.random.default_rng(0))
         path = tmp_path / "mid.ckpt"
         peak = traced_peak(save_checkpoint_file, params, MID, path)
-        assert peak < path.stat().st_size / 8 + 2 ** 16
+        assert peak < 2 ** 16
+
+    def test_float32_load_never_holds_the_float64_set(self, tmp_path):
+        """A float32 load holds its float32 tensors and one 512 KiB piece
+        of a block, well below the float64 set, and gives the cast of the
+        float64 load, bit for bit."""
+        path = tmp_path / "mid.ckpt"
+        save_checkpoint_file(init_params(MID, np.random.default_rng(0)), MID, path)
+        peak = traced_peak(load_checkpoint_file, path, np.float32)
+        assert peak < tensor_bytes(MID) / 2 + 2 ** 19 + 2 ** 16 < tensor_bytes(MID)
+        p32, cfg = load_checkpoint_file(path, np.float32)
+        p64, _ = load_checkpoint_file(path)
+        assert cfg == MID
+        for name in TENSOR_ORDER:
+            got = getattr(p32, name)
+            assert got.tobytes() == getattr(p64, name).astype(np.float32).tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_entry_past_the_first_piece_rejected(self, tmp_path, dtype):
+        """The finiteness check covers every piece of a block read in
+        pieces, at either precision: here u_cand's last entry, in the
+        second of its block's two 512 KiB pieces."""
+        blob = bytearray(saved(init_params(MID, np.random.default_rng(0)), MID))
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        for name, block in layout_blocks(init_params(MID, np.random.default_rng(0)).tensors()):
+            end += block.nbytes
+            if name == "u_cand":
+                break
+        blob[end - 8:end] = struct.pack("<d", math.nan)
+        path = tmp_path / "mid.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptCheckpoint, match="tensor u_cand "):
+            load_checkpoint_file(path, dtype)

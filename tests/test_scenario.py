@@ -316,15 +316,18 @@ class TestEpisodeIO:
         save_episode(back, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_header_without_beam_count_holds_360(self, tmp_path):
+    @pytest.mark.parametrize("key", ["n_beams", "ego_progress", "leader_progress"])
+    def test_header_without_a_field_is_rejected(self, tmp_path, key):
+        """No field has a default: a header that lacks one does not load."""
         rec = fake_record(Outcome.OVERTAKING, frames=4)
         path = tmp_path / "ep.bin"
         save_episode(rec, path)
         header, payload = path.read_bytes().split(b"\n", 1)
         fields = json.loads(header)
-        del fields["n_beams"]
+        del fields[key]
         path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
-        assert np.array_equal(load_episode(path).scans, rec.scans)
+        with pytest.raises(ScenarioError, match=key):
+            load_episode(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         rec = fake_record(Outcome.OVERTAKING, frames=13)
@@ -334,6 +337,35 @@ class TestEpisodeIO:
         path.write_bytes(data[:-8])
         with pytest.raises(ScenarioError):
             load_episode(path)
+
+    def test_open_reads_no_frame(self, tmp_path):
+        """An opened episode knows its header; its frames are read, from
+        the file as it is then, only when asked for."""
+        rec = fake_record(Outcome.OVERTAKING, frames=6, sid="c:c:1", n_beams=12)
+        path = tmp_path / "ep.bin"
+        save_episode(rec, path)
+        episode = rscn.open_episode(path)
+        assert (episode.scenario_id, episode.n_frames, episode.n_beams) == ("c:c:1", 6, 12)
+        assert (episode.ego_progress, episode.leader_progress) == (12.0, 10.0)
+        back = episode.read()
+        for name in ("scans", "ego_v", "actions"):
+            assert_same_bits(getattr(back, name), getattr(rec, name))
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ScenarioError, match="changed since its header was read"):
+            episode.read()
+        path.unlink()
+        with pytest.raises(ScenarioError, match="ep.bin"):
+            episode.read()
+
+    @pytest.mark.parametrize("value", ["3", 3.0, -1, True])
+    def test_frame_count_must_be_a_count(self, tmp_path, value):
+        path = tmp_path / "ep.bin"
+        save_episode(fake_record(Outcome.OVERTAKING, frames=3, n_beams=4), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = {**json.loads(header), "frame_count": value}
+        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(ScenarioError, match="frame_count"):
+            rscn.open_episode(path)
 
     def test_manifest_roundtrip(self, tmp_path):
         recs = [fake_record(Outcome.OVERTAKING, frames=6, sid=f"c:c:{i}") for i in range(3)]

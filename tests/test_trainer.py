@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -5,8 +7,11 @@ import numpy as np
 import pytest
 
 from racekit import trainer
-from racekit.policy import PolicyConfig, TENSOR_ORDER, encode_inputs, forward, init_params
-from racekit.scenario import EpisodeRecord, Outcome
+from racekit.policy import (PolicyConfig, TENSOR_ORDER, encode_inputs, forward, init_params,
+                            save_checkpoint_file)
+from racekit.scenario import (EpisodeFile, EpisodeRecord, Outcome, load_manifest_dataset,
+                              save_dataset)
+from racekit.seeding import rng_for
 from racekit.trainer import (
     EmptyDatasetError,
     TrainerConfig,
@@ -211,7 +216,7 @@ class TestAdam:
     def test_zero_grad_no_move(self):
         cfg = TrainerConfig()
         params = init_params(TINY, np.random.default_rng(0))
-        before = params.copy()
+        before = init_params(TINY, np.random.default_rng(0))
         state = TrainState.fresh(params, cfg)
         zero = {k: np.zeros_like(t) for k, t in params.tensors().items()}
         adam_update(state, zero, cfg)
@@ -222,7 +227,7 @@ class TestAdam:
     def test_first_step_closed_form(self):
         cfg = TrainerConfig(lr0=0.01)
         params = init_params(TINY, np.random.default_rng(2))
-        before = params.copy()
+        before = init_params(TINY, np.random.default_rng(2))
         state = TrainState.fresh(params, cfg)
         grads = {k: np.random.default_rng(5).normal(size=t.shape)
                  for k, t in params.tensors().items()}
@@ -256,17 +261,15 @@ class TestAdam:
             got = getattr(state.params, name)
             assert got.tobytes() == want[name].tobytes(), name
 
-    def test_deterministic(self):
-        def run():
+    def test_deterministic(self, tmp_path):
+        def run(path):
             cfg = TrainerConfig(epochs=3, batch_size=2, seed=77)
             eps = [tiny_episode(T=4, seed=i) for i in range(5)]
-            best, curve = train(eps, TINY, cfg)
-            return best, curve
-        p1, c1 = run()
-        p2, c2 = run()
+            return train(eps, TINY, cfg, path)
+        c1 = run(tmp_path / "1.ckpt")
+        c2 = run(tmp_path / "2.ckpt")
         assert c1 == c2
-        for name in TENSOR_ORDER:
-            assert np.array_equal(getattr(p1, name), getattr(p2, name))
+        assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
 
 
 class TestSchedule:
@@ -303,37 +306,99 @@ class TestSchedule:
 
 
 class TestTrain:
-    def test_overfit_single_episode(self):
+    def test_overfit_single_episode(self, tmp_path):
         # rate sized for 500 single-episode Adam steps; the production
         # default 1e-3 cannot traverse the needed distance in that budget
         cfg = TrainerConfig(epochs=500, batch_size=1, mask_p=0.0, seed=1,
                             lr0=0.05, sched_threshold=1e-7, sched_patience=30)
         ep = tiny_episode(T=10, seed=42)
-        best, curve = train([ep], TINY, cfg)
+        curve = train([ep], TINY, cfg, tmp_path / "policy.ckpt")
         losses = [row[1] for row in curve]
         assert min(losses) < 1e-4
         assert losses[-1] < 0.01 * losses[0]
         assert all(np.isfinite(l) for l in losses)
 
-    def test_masking_changes_training(self):
+    def test_masking_changes_training(self, tmp_path):
         eps = [tiny_episode(T=6, seed=i) for i in range(4)]
-        c0 = train(eps, TINY, TrainerConfig(epochs=3, mask_p=0.0, seed=5))[1]
-        c1 = train(eps, TINY, TrainerConfig(epochs=3, mask_p=0.5, seed=5))[1]
+        c0 = train(eps, TINY, TrainerConfig(epochs=3, mask_p=0.0, seed=5), tmp_path / "0.ckpt")
+        c1 = train(eps, TINY, TrainerConfig(epochs=3, mask_p=0.5, seed=5), tmp_path / "1.ckpt")
         assert c0 != c1
 
-    def test_empty_dataset_raises(self):
+    def test_empty_dataset_raises(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
-            train([], TINY, TrainerConfig(epochs=1))
+            train([], TINY, TrainerConfig(epochs=1), tmp_path / "policy.ckpt")
+        assert not tmp_path.joinpath("policy.ckpt").exists()
 
-    def test_zero_frame_episode_raises(self):
+    def test_zero_frame_episode_raises(self, tmp_path):
         with pytest.raises(EmptyEpisode, match="tiny:1"):
-            train([tiny_episode(T=4), tiny_episode(T=0, seed=1)], TINY, TrainerConfig(epochs=1))
+            train([tiny_episode(T=4), tiny_episode(T=0, seed=1)], TINY, TrainerConfig(epochs=1),
+                  tmp_path / "policy.ckpt")
 
     def test_loss_curve_csv(self, tmp_path):
         eps = [tiny_episode(T=4, seed=1)]
-        best, curve = train(eps, TINY, TrainerConfig(epochs=3, seed=0))
+        curve = train(eps, TINY, TrainerConfig(epochs=3, seed=0), tmp_path / "policy.ckpt")
         path = tmp_path / "curve.csv"
         write_loss_curve_csv(curve, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,mean_loss,lr"
         assert len(lines) == 4
+
+    def test_episode_files_train_as_records_do(self, tmp_path):
+        """Episodes opened from a dataset, read a batch at a time, give the
+        loss curve and checkpoint bytes of the same records in memory."""
+        eps = [tiny_episode(T=4 + i, seed=i) for i in range(5)]
+        save_dataset(tmp_path, [(f"ep_{i}.bin", ep) for i, ep in enumerate(eps)])
+        files = load_manifest_dataset(tmp_path / "dataset.json")
+        assert all(isinstance(ep, EpisodeFile) for ep in files)
+        cfg = TrainerConfig(epochs=2, batch_size=2, seed=3)
+        assert train(files, TINY, cfg, tmp_path / "f.ckpt") == train(eps, TINY, cfg,
+                                                                     tmp_path / "r.ckpt")
+        assert (tmp_path / "f.ckpt").read_bytes() == (tmp_path / "r.ckpt").read_bytes()
+
+    def test_slow_checkpoint_write_still_holds_its_epoch(self, tmp_path, monkeypatch):
+        """A write still running when the next epoch reaches its Adam step
+        is waited for: with every write delayed past the next epoch's
+        compute, and the interpreter switching threads every microsecond,
+        the checkpoint of a run whose best epoch is not its last keeps the
+        bytes of undelayed writes."""
+        eps = [tiny_episode(T=6, seed=i) for i in range(4)]
+        cfg = TrainerConfig(epochs=8, batch_size=2, lr0=0.5, seed=1)
+        train(eps, TINY, cfg, tmp_path / "prompt.ckpt")
+        real_save = trainer.save_checkpoint_file
+
+        def slow_save(*args):
+            time.sleep(0.05)
+            real_save(*args)
+
+        monkeypatch.setattr(trainer, "save_checkpoint_file", slow_save)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            losses = [row[1] for row in train(eps, TINY, cfg, tmp_path / "slow.ckpt")]
+        finally:
+            sys.setswitchinterval(interval)
+        assert int(np.argmin(losses)) + 1 < cfg.epochs
+        assert (tmp_path / "slow.ckpt").read_bytes() == (tmp_path / "prompt.ckpt").read_bytes()
+
+    def test_no_improving_epoch_writes_the_initial_parameters(self, tmp_path, monkeypatch):
+        """Epoch losses that are never below infinity leave the initial
+        parameters in the checkpoint, though Adam moved the parameters."""
+        def nan_losses(params, cfg, episodes, draws, speed_weight):
+            grads = {k: np.ones_like(t) for k, t in params.tensors().items()}
+            return grads, np.full(len(episodes), np.nan)
+
+        monkeypatch.setattr(trainer, "backward", nan_losses)
+        cfg = TrainerConfig(epochs=2, seed=4)
+        train([tiny_episode(T=3)], TINY, cfg, tmp_path / "policy.ckpt")
+        save_checkpoint_file(init_params(TINY, rng_for(cfg.seed, "train:init")), TINY,
+                             tmp_path / "init.ckpt")
+        assert (tmp_path / "policy.ckpt").read_bytes() == (tmp_path / "init.ckpt").read_bytes()
+
+    def test_checkpoint_write_error_is_raised(self, tmp_path, monkeypatch):
+        """A write that fails on the background thread fails the run."""
+        def failing_save(params, cfg, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(trainer, "save_checkpoint_file", failing_save)
+        with pytest.raises(OSError, match="No space"):
+            train([tiny_episode(T=3)], TINY, TrainerConfig(epochs=3), tmp_path / "policy.ckpt")
