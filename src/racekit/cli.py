@@ -234,7 +234,7 @@ def cmd_eval(args, cfg: KitConfig) -> int:
     try:
         if random_init:
             pol_cfg = cfg.policy
-            params = init_params(pol_cfg, rng_for(cfg.seed, "latency-init"))
+            params = init_params(pol_cfg, rng_for(cfg.seed, "latency-init"), dtype)
         else:
             params, pol_cfg = load_checkpoint_file(cfg.paths.checkpoint, dtype)
     except (OSError, PolicyError) as exc:

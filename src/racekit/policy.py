@@ -26,9 +26,9 @@ writes the header and then each block from its tensor's memory;
 in the new tensors. Neither holds the file as one `bytes` nor makes a
 temporary the size of a tensor, so a save or a load holds the weights
 once, and `save_checkpoint_file` and `load_checkpoint_file` only open the
-file. A load can cast each block to single precision as it reads it, for
-the float32 inference session. Everything else is plain numpy in double
-precision.
+file. A load can cast each block to single precision as it reads it, and
+`init_params` each block as it draws it, for the float32 inference
+session. Everything else is plain numpy in double precision.
 """
 
 from __future__ import annotations
@@ -167,13 +167,29 @@ def layout_blocks(tensors: dict[str, np.ndarray]) -> list[tuple[str, np.ndarray]
     return blocks
 
 
-def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> PolicyParameters:
+def init_params(cfg: PolicyConfig, rng: np.random.Generator,
+                dtype=np.float64) -> PolicyParameters:
     """Uniform init in [-1/sqrt(hidden_dim), +1/sqrt(hidden_dim)] for every
-    tensor, drawn block by block in checkpoint order (deterministic per seed)."""
+    tensor, drawn block by block in checkpoint order (deterministic per
+    seed). Each draw is in double precision, the floats of
+    `rng.uniform(low, high)`, and a piece at a time is cast into tensors
+    of dtype, as `load_checkpoint` casts, so a float32 set is drawn
+    without holding the float64 one."""
     bound = 1.0 / np.sqrt(cfg.hidden_dim)
-    tensors = {name: np.empty(shape) for name, shape in _tensor_shapes(cfg).items()}
+    low, high = -bound, bound
+    dtype = np.dtype(dtype)
+    tensors = {name: np.empty(shape, dtype) for name, shape in _tensor_shapes(cfg).items()}
+    scratch = None if dtype == np.dtype(np.float64) else np.empty(_PIECE)
     for _, block in layout_blocks(tensors):
-        block[...] = rng.uniform(-bound, bound, size=block.shape)
+        flat = block.reshape(-1)   # a block is contiguous: a view
+        for lo in range(0, flat.size, _PIECE):
+            piece = flat[lo:lo + _PIECE]
+            draw = piece if scratch is None else scratch[:len(piece)]
+            rng.random(out=draw)
+            draw *= high - low
+            draw += low
+            if draw is not piece:
+                piece[...] = draw
     return PolicyParameters(**tensors)
 
 
@@ -198,14 +214,17 @@ def embed_speed(v, params: PolicyParameters, masked=False) -> np.ndarray:
 
 
 def encode_inputs(scan, v, params: PolicyParameters, cfg: PolicyConfig,
-                  masked=False) -> np.ndarray:
+                  masked=False, out=None) -> np.ndarray:
     """Observations -> GRU inputs x (..., I): pressure tokens, then the speed
     embedding unless the policy is LiDAR-only, joined in double precision
-    (the tokens are computed in it)."""
+    (the tokens are computed in it), into out if given."""
     tokens = normalize_scan(scan, cfg.sigmoid_k)
-    if not cfg.use_speed_input:
+    if cfg.use_speed_input:
+        return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1, out=out)
+    if out is None:
         return tokens
-    return np.concatenate([tokens, embed_speed(v, params, masked)], axis=-1)
+    out[...] = tokens
+    return out
 
 
 def _logistic(x, out=None):

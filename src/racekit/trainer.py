@@ -21,24 +21,31 @@ packed w_x in one GEMM before the time loop, then runs `policy.gru_cell`
 once per step, which writes each step's gate activations over its slice
 of that projection, and decodes all frames at once through
 `policy.decode`. Backpropagation mirrors the packed layout: one GEMM
-with u_h per step for the hidden-state gradient, one each for the w_x
-and u_h gradients, and Adam steps each whole tensor in cache-sized
-tiles; only `policy` knows the checkpoint's per-gate layout.
+with u_h per step for the hidden-state gradient, then the w_x and u_h
+gradients one gate-row block at a time, and Adam steps each tensor, or
+block of rows, in cache-sized tiles; only `policy` knows the
+checkpoint's per-gate layout.
 
-Every large array is held once. Backpropagation writes each frame's
-gate gradients da over that frame's gate activations, once it has read
-them, and the candidate's pre-activation gradient over the frame's m, so
-da reuses the gate cache; it drops the decoder caches as soon as nothing
-reads them. A run drops each batch's gradients after its Adam step. It
-holds one parameter set: an epoch whose loss is the lowest yet is written
-to the checkpoint file on a background thread while the next epoch's
-first forward and backward passes compute, and the write is joined before
-the Adam step that changes those parameters. The float operations, and
-so the bytes, are those of separate arrays.
+Every large array is held once, and the run holds no gradient set.
+Backpropagation writes each frame's gate gradients da over that frame's
+gate activations, once it has read them, the candidate's pre-activation
+gradient over the frame's m, and the decoder's hidden-state gradient over
+the decoder's input, and it hands each gradient to Adam as soon as it is
+computed and its tensor is read for the last time (LOMO's fusion of the
+gradient and the update, Lv et al. 2023): at its peak a batch holds the
+forward caches and one gradient block, a third of u_h's gradient. These
+arrays are one `Workspace`, allocated once per run and reused by every
+batch, so the resident set does not climb batch over batch. A run holds
+one parameter set: an epoch whose loss is the lowest yet is written to
+the checkpoint file on a background thread while the next epoch's first
+forward and backward passes compute, and the write is joined before the
+first gradient changes those parameters. The float operations, and so
+the bytes, are those of separate arrays and whole-tensor steps.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,20 +144,61 @@ def _pack_batch(episodes: Sequence[Episode], mask_draws, cfg: PolicyConfig):
     return scans, speeds, labels, masked, active
 
 
-def _forward_batch(params: PolicyParameters, cfg: PolicyConfig, scans, speeds, masked):
-    """Roll the batch; returns predictions and the caches backward needs."""
+class Workspace:
+    """BPTT's large per-batch arrays, allocated once for batches of up to
+    `rows` padded frames (B x T) and reused by every batch; a batch takes
+    views of their first B x T rows. Freed and allocated again each
+    batch, arrays of this size come back from the allocator's heap rather
+    than from fresh pages, and the resident set climbs batch over batch.
+
+    - gates: the gate activations (B, T, 3H), then da;
+    - m: m (B, T, H), then the candidate's pre-activation gradient a_n;
+    - h_prev: the hidden state each frame starts from (B, T, H), zero at
+      t = 0, so that the u_h gradient reads it as one contiguous matrix;
+    - x: the GRU inputs (B, T, I);
+    - scratch: the hidden state each frame ends in (B, T, H), which the
+      decoder reads and dh_dec then overwrites, beside dec_w1's gradient;
+      then each u_h gate block's gradient and w_x's gradient in turn.
+    """
+
+    def __init__(self, cfg: PolicyConfig, rows: int):
+        H, I, M = cfg.hidden_dim, cfg.input_dim, cfg.mlp_hidden_dim
+        self.gates = np.empty(rows * 3 * H)
+        self.m = np.empty(rows * H)
+        self.h_prev = np.empty(rows * H)
+        self.x = np.empty(rows * I)
+        self.scratch = np.empty(max((rows + M) * H, H * H, 3 * H * I))
+
+
+def _view(buf: np.ndarray, *shape: int, at: int = 0) -> np.ndarray:
+    """A C-contiguous view of `shape` on the flat buf, from element at."""
+    return buf[at:at + math.prod(shape)].reshape(shape)
+
+
+def _forward_batch(params: PolicyParameters, cfg: PolicyConfig, scans, speeds, masked,
+                   work: Workspace | None = None):
+    """Roll the batch; returns predictions and the caches backward needs,
+    which are views of work (a Workspace of its own size if None)."""
     B, T, _ = scans.shape
     H = cfg.hidden_dim
-    x = encode_inputs(scans, speeds, params, cfg, masked)   # (B, T, I)
-    gates = x.reshape(B * T, -1) @ params.w_x.T              # px, then [u | r | n]
+    if work is None:
+        work = Workspace(cfg, B * T)
+    x = encode_inputs(scans, speeds, params, cfg, masked,
+                      out=_view(work.x, B, T, cfg.input_dim))
+    gates = np.matmul(x.reshape(B * T, -1), params.w_x.T,   # px, then [u | r | n]
+                      out=_view(work.gates, B * T, 3 * H))
     gates += params.b_x
     gates = gates.reshape(B, T, 3 * H)
-    hs = np.zeros((B, T + 1, H))
-    m = np.empty((B, T, H))   # u_cand @ h_prev + b_cand_h
+    h_prev = _view(work.h_prev, B, T, H)
+    h_next = _view(work.scratch, B, T, H)
+    m = _view(work.m, B, T, H)   # u_cand @ h_prev + b_cand_h
+    h_prev[:, 0] = 0.0
     for t in range(T):
-        hs[:, t + 1], gates[:, t], m[:, t] = gru_cell(gates[:, t], hs[:, t], params)
-    preds, relu1 = decode(hs[:, 1:].reshape(B * T, H), params)   # (B*T, 2), (B*T, M)
-    caches = dict(x=x, hs=hs, gates=gates, m=m, relu1=relu1)
+        h_next[:, t], gates[:, t], m[:, t] = gru_cell(gates[:, t], h_prev[:, t], params)
+        if t + 1 < T:
+            h_prev[:, t + 1] = h_next[:, t]
+    preds, relu1 = decode(h_next.reshape(B * T, H), params)   # (B*T, 2), (B*T, M)
+    caches = dict(x=x, h_prev=h_prev, h_next=h_next, gates=gates, m=m, relu1=relu1)
     return preds.reshape(B, T, 2), caches
 
 
@@ -165,15 +213,26 @@ def _episode_losses(preds, labels, active, speed_weight):
 
 def backward(params: PolicyParameters, cfg: PolicyConfig,
              episodes: Sequence[Episode], mask_draws: list[np.ndarray],
-             speed_weight: float = 0.05):
-    """Exact gradients of the batch-mean sequence loss for every tensor.
+             consume, speed_weight: float = 0.05, work: Workspace | None = None):
+    """Exact gradients of the batch-mean sequence loss; returns the
+    per-episode losses.
 
-    Returns (grads dict, per-episode losses array)."""
+    Each gradient goes to consume(name, grad, rows) as soon as it is
+    computed and the pass has read its tensor for the last time, so the
+    consumer may change that tensor at once: dec_w2 and dec_w1 (with
+    their biases) after dh_dec, u_h in its three gate-row blocks
+    (rows = slice(g * H, (g + 1) * H)) and b_cand_h after the time loop,
+    the rest after demb, w_x last; rows is slice(None) for a whole tensor.
+    Every tensor is delivered once per batch. A large grad is a view of
+    work (a Workspace of the batch's size if None) that the next gradient
+    overwrites: a consumer that keeps it copies it."""
     if not episodes:
         raise TrainerError("empty batch")
     scans, speeds, labels, masked, active = _pack_batch(episodes, mask_draws, cfg)
     B, T, _ = scans.shape
-    preds, caches = _forward_batch(params, cfg, scans, speeds, masked)
+    if work is None:
+        work = Workspace(cfg, B * T)
+    preds, caches = _forward_batch(params, cfg, scans, speeds, masked, work)
     del scans
     losses, err, counts = _episode_losses(preds, labels, active, speed_weight)
 
@@ -182,19 +241,29 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
     dpred[..., 0] = 2.0 * speed_weight * err[..., 0] / counts[:, None] / B
     dpred[..., 1] = 2.0 * err[..., 1] / counts[:, None] / B
 
-    x, hs, gates, m_all, relu = (caches.pop(k) for k in ("x", "hs", "gates", "m", "relu1"))
+    x, h_prev, h_next, gates, m_all, relu = (
+        caches.pop(k) for k in ("x", "h_prev", "h_next", "gates", "m", "relu1"))
     H = cfg.hidden_dim
+    whole = slice(None)
 
-    # decoder backward (batched over all frames at once)
+    # decoder backward (batched over all frames at once); dh_dec is written
+    # over the decoder's input once dec_w1's gradient has read it
     flat_dpred = dpred.reshape(B * T, 2)
     g_dec_w2 = flat_dpred.T @ relu
     g_dec_b2 = flat_dpred.sum(axis=0)
-    dz1 = (flat_dpred @ params.dec_w2) * (relu > 0)
+    dz1 = flat_dpred @ params.dec_w2
+    dz1 *= relu > 0
     del relu
-    g_dec_w1 = dz1.T @ hs[:, 1:].reshape(B * T, H)
+    consume("dec_w2", g_dec_w2, whole)
+    consume("dec_b2", g_dec_b2, whole)
+    flat_h_next = h_next.reshape(B * T, H)
+    g_dec_w1 = np.matmul(dz1.T, flat_h_next,
+                         out=_view(work.scratch, len(params.dec_w1), H, at=B * T * H))
     g_dec_b1 = dz1.sum(axis=0)
-    dh_dec = (dz1 @ params.dec_w1).reshape(B, T, H)
+    dh_dec = np.matmul(dz1, params.dec_w1, out=flat_h_next).reshape(B, T, H)
     del dz1
+    consume("dec_w1", g_dec_w1, whole)
+    consume("dec_b1", g_dec_b1, whole)
 
     # Step t reads the gate activations and m of frame t, then writes over
     # them: da = [a_u | a_r | dm], the gradients that reach u_h, over the
@@ -206,7 +275,7 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
         u, r, n = g[:, :H], g[:, H:2 * H], g[:, 2 * H:]
         a_n = dh * (1.0 - u) * (1.0 - n * n)
         carry = dh * u
-        a_u = dh * (hs[:, t] - n) * u * (1.0 - u)
+        a_u = dh * (h_prev[:, t] - n) * u * (1.0 - u)
         a_r = a_n * m_all[:, t] * r * (1.0 - r)
         dm = a_n * r
         g[:, :H], g[:, H:2 * H], g[:, 2 * H:] = a_u, a_r, dm
@@ -214,35 +283,37 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
         dh_next = carry + g @ params.u_h
     del dh_dec
 
+    # The weight gradients are GEMMs of one gate block of da at a time: a
+    # block's product has the bits of those rows of the whole product, on
+    # every OpenBLAS core and thread count tried, and OpenBLAS touches less
+    # of its buffers for it. u_h's blocks share one block of scratch.
     da_flat = gates.reshape(B * T, 3 * H)
-    grads = {
-        "u_h": da_flat.T @ hs[:, :-1].reshape(B * T, H),
-        "b_cand_h": da_flat[:, 2 * H:].sum(axis=0),
-        "dec_w1": g_dec_w1, "dec_b1": g_dec_b1,
-        "dec_w2": g_dec_w2, "dec_b2": g_dec_b2,
-    }
-    # a_n replaces dm for the input-side gradients; hs and m are not read
-    # again, so they go before those gradients are allocated
+    gate_rows = [slice(gate * H, (gate + 1) * H) for gate in range(3)]
+    flat_h_prev = h_prev.reshape(B * T, H)
+    block = _view(work.scratch, H, H)
+    for rows in gate_rows:
+        consume("u_h", np.matmul(da_flat[:, rows].T, flat_h_prev, out=block), rows)
+    consume("b_cand_h", da_flat[:, 2 * H:].sum(axis=0), whole)
+    # a_n replaces dm for the input-side gradients
     da_flat[:, 2 * H:] = m_all.reshape(B * T, H)
-    del hs, m_all
-    grads["w_x"] = da_flat.T @ x.reshape(B * T, -1)
-    grads["b_x"] = da_flat.sum(axis=0)
+    flat_x = x.reshape(B * T, -1)
+    g_w_x = _view(work.scratch, 3 * H, flat_x.shape[1])
+    for rows in gate_rows:
+        np.matmul(da_flat[:, rows].T, flat_x, out=g_w_x[rows])
+    consume("b_x", da_flat.sum(axis=0), whole)
     if cfg.use_speed_input:
         demb = da_flat @ params.w_x[:, cfg.n_beams:]        # (B*T, E)
         masked_flat = masked.reshape(B * T)
         unmasked = ~masked_flat
         v_flat = speeds.reshape(B * T)
-        grads["speed_w"] = (demb[unmasked] * v_flat[unmasked, None]).sum(axis=0)
-        grads["speed_b"] = demb[unmasked].sum(axis=0)
-        grads["mask_embed"] = demb[masked_flat].sum(axis=0)
+        consume("speed_w", (demb[unmasked] * v_flat[unmasked, None]).sum(axis=0), whole)
+        consume("speed_b", demb[unmasked].sum(axis=0), whole)
+        consume("mask_embed", demb[masked_flat].sum(axis=0), whole)
     else:
-        grads["speed_w"] = np.zeros_like(params.speed_w)
-        grads["speed_b"] = np.zeros_like(params.speed_b)
-        grads["mask_embed"] = np.zeros_like(params.mask_embed)
-    for name, g in grads.items():
-        if not all_finite(g):
-            raise NonFiniteGradient(f"gradient for {name} is not finite")
-    return grads, losses
+        for name in ("speed_w", "speed_b", "mask_embed"):
+            consume(name, np.zeros_like(getattr(params, name)), whole)
+    consume("w_x", g_w_x, whole)
+    return losses
 
 
 # Adam works through each parameter tensor in tiles of this many elements:
@@ -252,41 +323,40 @@ def backward(params: PolicyParameters, cfg: PolicyConfig,
 _ADAM_TILE = 32768
 
 
-def adam_update(state: TrainState, grads: dict[str, np.ndarray],
-                cfg: TrainerConfig) -> TrainState:
-    """Standard bias-corrected Adam step over every parameter tensor, in
-    place, one tensor and one tile of it at a time. Two tile-sized scratch
-    arrays hold the temporaries, and every element sees
-    the float operations of m = b1*m + g*(1-b1), v = b2*v + (g*(1-b2))*g
-    and tensor -= (m/c1)*lr / (sqrt(v/c2) + eps) in that order."""
-    state.step += 1
+def adam_update(state: TrainState, name: str, grad: np.ndarray, cfg: TrainerConfig,
+                rows: slice = slice(None)) -> None:
+    """Standard bias-corrected Adam step, at step state.step, of the rows
+    `rows` of the parameter tensor `name` from their gradient grad, in
+    place, one tile at a time. Two tile-sized scratch arrays hold the
+    temporaries, and every element sees the float operations of
+    m = b1*m + g*(1-b1), v = b2*v + (g*(1-b2))*g and
+    tensor -= (m/c1)*lr / (sqrt(v/c2) + eps) in that order, so a tensor
+    stepped a block of rows at a time gets the bits of one whole step."""
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     scratch = np.empty((2, _ADAM_TILE))
-    for name, tensor in state.params.tensors().items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        if not (tensor.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise TrainerError("Adam updates C-contiguous parameter tensors in place")
-        tensor, g, m, v = (a.reshape(-1) for a in (tensor, g, m, v))
-        for lo in range(0, len(g), _ADAM_TILE):
-            tile = slice(lo, lo + _ADAM_TILE)
-            pt, gt, mt, vt = tensor[tile], g[tile], m[tile], v[tile]
-            step, denom = scratch[:, :len(gt)]
-            mt *= b1
-            mt += np.multiply(gt, 1 - b1, out=step)
-            vt *= b2
-            np.multiply(gt, 1 - b2, out=step)
-            vt += np.multiply(step, gt, out=step)
-            np.divide(mt, c1, out=step)
-            step *= state.lr
-            np.divide(vt, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += cfg.eps
-            step /= denom
-            pt -= step
-    return state
+    tensor, m, v = (a[rows] for a in (getattr(state.params, name), state.m[name], state.v[name]))
+    if not (tensor.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        raise TrainerError("Adam updates C-contiguous parameter tensors in place")
+    tensor, g, m, v = (a.reshape(-1) for a in (tensor, grad, m, v))
+    for lo in range(0, len(g), _ADAM_TILE):
+        tile = slice(lo, lo + _ADAM_TILE)
+        pt, gt, mt, vt = tensor[tile], g[tile], m[tile], v[tile]
+        step, denom = scratch[:, :len(gt)]
+        mt *= b1
+        mt += np.multiply(gt, 1 - b1, out=step)
+        vt *= b2
+        np.multiply(gt, 1 - b2, out=step)
+        vt += np.multiply(step, gt, out=step)
+        np.divide(mt, c1, out=step)
+        step *= state.lr
+        np.divide(vt, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step /= denom
+        pt -= step
 
 
 def lr_schedule_step(state: TrainState, epoch_loss: float, cfg: TrainerConfig) -> TrainState:
@@ -312,13 +382,20 @@ def train(episodes: Sequence[Episode], policy_cfg: PolicyConfig,
     """Full behavior-cloning run on recorded episodes; returns the loss
     curve rows (epoch, mean_loss, lr).
 
+    Each batch is one Adam step: `backward` hands over each gradient as
+    soon as it is computed, and the run checks it finite, applies Adam to
+    its tensor (or block of rows) and drops it, so no batch holds its
+    whole gradient set. A gradient that is not finite raises
+    NonFiniteGradient from the middle of the step: the tensors delivered
+    before it in that batch have already moved, in memory only.
+
     The checkpoint file at checkpoint_path always holds the lowest-loss
     epoch so far: each epoch that improves on it is written there, through
     atomic_open, on one background thread. The write overlaps the next
     epoch's first forward and backward passes and is joined before its
-    first Adam step, and before the run returns; an error in it is raised
-    there. If no epoch's loss is below infinity, the file holds the
-    initial parameters, drawn again from the seed."""
+    first gradient is applied, and before the run returns; an error in it
+    is raised there. If no epoch's loss is below infinity, the file holds
+    the initial parameters, drawn again from the seed."""
     if not episodes:
         raise EmptyDatasetError("no episodes to train on")
     for ep in episodes:
@@ -332,27 +409,35 @@ def train(episodes: Sequence[Episode], policy_cfg: PolicyConfig,
     mask_rng = rng_for(trainer_cfg.seed, "train:mask")
     state = TrainState.fresh(init_params(policy_cfg, rng_for(trainer_cfg.seed, "train:init")),
                              trainer_cfg)
+    work = Workspace(policy_cfg,
+                     min(n, trainer_cfg.batch_size) * max(ep.n_frames for ep in episodes))
     best_epoch_loss = float("inf")
     curve = []
+    snapshot = None   # the pending write of the best epoch's parameters
+
+    def apply(name, grad, rows):
+        nonlocal snapshot
+        if snapshot is not None:   # the update below changes what it writes
+            snapshot.result()
+            snapshot = None
+        if not all_finite(grad):
+            raise NonFiniteGradient(f"gradient for {name} is not finite")
+        adam_update(state, name, grad, trainer_cfg, rows)
+
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint") as writer:
-        snapshot = None   # the pending write of the best epoch's parameters
         for epoch in range(1, trainer_cfg.epochs + 1):
             order = shuffle_rng.permutation(n)
             total = 0.0
             for start in range(0, n, trainer_cfg.batch_size):
                 batch = [episodes[i] for i in order[start:start + trainer_cfg.batch_size]]
                 draws = [mask_rng.random(ep.n_frames) < trainer_cfg.mask_p for ep in batch]
-                grads, losses = backward(state.params, policy_cfg, batch, draws,
-                                         trainer_cfg.speed_loss_weight)
-                if snapshot is not None:   # the step below changes what it writes
-                    snapshot.result()
-                    snapshot = None
-                state = adam_update(state, grads, trainer_cfg)
-                del grads   # freed before the next backward allocates its own
+                state.step += 1
+                losses = backward(state.params, policy_cfg, batch, draws, apply,
+                                  trainer_cfg.speed_loss_weight, work)
                 total += float(losses.sum())
             epoch_loss = total / n
             curve.append((epoch, epoch_loss, state.lr))
-            state = lr_schedule_step(state, epoch_loss, trainer_cfg)
+            lr_schedule_step(state, epoch_loss, trainer_cfg)
             if epoch_loss < best_epoch_loss:
                 best_epoch_loss = epoch_loss
                 snapshot = writer.submit(save_checkpoint_file, state.params, policy_cfg,

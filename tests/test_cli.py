@@ -17,6 +17,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 from racekit import cli
 from racekit import config as rconfig
 from racekit import scenario as rscn
+from racekit import trainer as rtrain
 from racekit.config import KitConfig, config_hash, load_config
 from racekit.policy import PolicyConfig, init_params, load_checkpoint_file, save_checkpoint_file
 from racekit.scenario import EpisodeRecord, Outcome, load_episode, save_dataset
@@ -57,6 +58,23 @@ def dataset_digest(out: Path) -> str:
         digest.update(f.encode())
         digest.update((out / f).read_bytes())
     return digest.hexdigest()
+
+
+def cli_peak_mb(*argv) -> float:
+    """Run the CLI in a fresh interpreter, which must exit 0, and return
+    its peak resident set in MB. The child reads its own high-water mark,
+    VmHWM: its ru_maxrss starts at the forking test process's resident
+    set."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import re, sys; from racekit import cli; "
+         "code = cli.main(sys.argv[1:]); status = open('/proc/self/status').read(); "
+         "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])", *argv],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    code, peak_kb = child.stdout.split()[-2:]
+    assert code == "0"
+    return int(peak_kb) / 1024
 
 
 def default_config_text() -> str:
@@ -417,13 +435,44 @@ class TestTrain:
         assert (out / "policy.ckpt").read_bytes() == first
         assert sorted(p.name for p in out.iterdir()) == ["policy.ckpt"]
 
+    def test_late_non_finite_gradient_keeps_the_best_checkpoint(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """A w_x gradient that is not finite in the second epoch's batch,
+        delivered after the decoder's and u_h's gradients were applied,
+        fails the run with NonFiniteGradient (exit 4), and policy.ckpt keeps
+        the bytes of the first epoch, the best so far."""
+        dataset = self.small_dataset(tmp_path)
+        assert run_cli("--out", str(tmp_path / "one"), "--seed", "3", "train",
+                       "--dataset", str(dataset), "--epochs", "1") == 0
+        real_backward, batches, applied = rtrain.backward, [], []
+
+        def poisoned(params, cfg, episodes, draws, consume, *rest):
+            batches.append(len(episodes))
+
+            def consume_or_poison(name, grad, rows):
+                if len(batches) == 2 and name == "w_x":
+                    grad = np.full_like(grad, np.nan)
+                consume(name, grad, rows)
+                if len(batches) == 2:
+                    applied.append(name)
+
+            return real_backward(params, cfg, episodes, draws, consume_or_poison, *rest)
+
+        monkeypatch.setattr(rtrain, "backward", poisoned)
+        out = tmp_path / "two"
+        assert run_cli("--out", str(out), "--seed", "3", "train",
+                       "--dataset", str(dataset), "--epochs", "3") == 4
+        assert batches == [6, 6]
+        assert {"dec_w1", "u_h"} <= set(applied) and "w_x" not in applied
+        assert "gradient for w_x is not finite" in capsys.readouterr().err
+        assert (out / "policy.ckpt").read_bytes() == (tmp_path / "one" / "policy.ckpt").read_bytes()
+        assert not (out / "loss_curve.csv").exists()
+
     def test_peak_memory_does_not_grow_with_the_dataset(self, tmp_path):
         """`train --epochs 1` on 20 and on 400 episodes of 80 frames at 360
         beams (hidden_multiplier 1), each in a fresh interpreter: the peak
         resident sets differ by less than 8 MB, where holding the episodes
-        would add 44 MB. The child reads its own high-water mark, VmHWM:
-        its ru_maxrss starts at the forking test process's resident set.
-        About 5 s on a 2-vCPU host."""
+        would add 44 MB. About 5 s on a 2-vCPU host."""
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[policy]\nhidden_multiplier = 1\n")
         rng = np.random.default_rng(0)
@@ -432,23 +481,14 @@ class TestTrain:
             ego_v=rng.uniform(0.0, 7.0, 80).astype(np.float32),
             actions=rng.uniform(-0.4, 7.0, (80, 2)).astype(np.float32),
             outcome=Outcome.OVERTAKING, duration_actual=8.0)
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         peaks = []
         for n in (20, 400):
             data = tmp_path / f"d{n}"
             data.mkdir()
             save_dataset(data, [(f"ep_{i}.bin", record) for i in range(n)])
-            child = subprocess.run(
-                [sys.executable, "-c", "import re, sys; from racekit import cli; "
-                 "code = cli.main(sys.argv[1:]); status = open('/proc/self/status').read(); "
-                 "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])",
-                 "--config", str(cfgfile), "--out", str(tmp_path / f"o{n}"), "train",
-                 "--dataset", str(data / "dataset.json"), "--epochs", "1"],
-                env=env, check=True, capture_output=True, text=True, timeout=120)
-            code, peak_kb = child.stdout.split()[-2:]
-            assert code == "0"
-            peaks.append(int(peak_kb) / 1024)
+            peaks.append(cli_peak_mb("--config", str(cfgfile), "--out", str(tmp_path / f"o{n}"),
+                                     "train", "--dataset", str(data / "dataset.json"),
+                                     "--epochs", "1"))
         assert peaks[1] - peaks[0] < 8, peaks
 
     def test_lidar_only_ablation_flag(self, tmp_path, collected):
@@ -627,6 +667,20 @@ class TestEval:
                        "--samples", "10") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["random_init"] is not with_checkpoint
+
+    def test_random_init_float32_latency_never_holds_the_float64_set(self, tmp_path):
+        """`eval latency` at float32 and the default policy (H = 1504) peaks
+        within 8 MB of the same command on a checkpoint file, which is cast
+        as it is read: the random-init parameters are drawn into float32
+        tensors, where a float64 set beside them would add 72 MB. Each
+        command runs in a fresh interpreter; about 3 s on a 2-vCPU host."""
+        ckpt = tmp_path / "policy.ckpt"
+        save_checkpoint_file(init_params(PolicyConfig(), np.random.default_rng(0)),
+                             PolicyConfig(), ckpt)
+        peaks = [cli_peak_mb("--out", str(tmp_path / name), "eval", "latency",
+                             "--checkpoint", str(path), "--samples", "50")
+                 for name, path in (("random", tmp_path / "missing.ckpt"), ("file", ckpt))]
+        assert peaks[0] < peaks[1] + 8, peaks
 
     def test_latency_tiny(self, tmp_path, capsys):
         out = tmp_path / "lat"
@@ -809,6 +863,14 @@ class TestConfig:
         assert (cfg.policy.n_beams, cfg.scenario.seed, cfg.trainer.seed) == (8, 7, 7)
         cfg = load_config(path, {"seed": "3"})
         assert (cfg.scenario.seed, cfg.trainer.seed) == (3, 3)
+
+    def test_no_scenario_positions_exits_6(self, tmp_path, capsys, track_dir):
+        # --scenarios would override the key, so the config file alone sets it
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\nk_positions = 0\n")
+        assert run_cli("--config", str(path), "--out", str(tmp_path / "o"), "collect",
+                       "--track", str(track_dir / "track_stadium.csv")) == 6
+        assert "k_positions must be >= 1" in capsys.readouterr().err
 
     def test_config_error_exits_6(self, tmp_path, capsys):
         # 6, not the 2 of track errors and argparse usage errors

@@ -57,6 +57,19 @@ def tiny_episode(T=5, seed=0, n_beams=8):
         outcome=Outcome.OVERTAKING, duration_actual=T / 10.0)
 
 
+def collect_grads(params, cfg, episodes, draws, speed_weight=0.05):
+    """backward's gradients gathered into one dict, each delivered block
+    copied into place (a block is a view that the next one overwrites);
+    an entry no delivery reaches stays NaN. Returns (grads, losses)."""
+    grads = {k: np.full_like(t, np.nan) for k, t in params.tensors().items()}
+
+    def keep(name, grad, rows):
+        grads[name][rows] = grad
+
+    losses = backward(params, cfg, episodes, draws, keep, speed_weight)
+    return grads, losses
+
+
 def finite_difference_grads(params, cfg, episodes, draws, speed_weight, step=1e-6):
     """Central differences of the batch-mean loss wrt every tensor entry."""
     def batch_loss():
@@ -142,7 +155,7 @@ class TestBackward:
         params = init_params(TINY, np.random.default_rng(7))
         episodes = [tiny_episode(T=5, seed=11)]
         draws = [np.array([True, False, True, False, False])]
-        grads, _ = backward(params, TINY, episodes, draws)
+        grads, _ = collect_grads(params, TINY, episodes, draws)
         fd = finite_difference_grads(params, TINY, episodes, draws, 0.05)
         # 1e-9 absolute floor = 10x the central-difference roundoff
         # (eps * loss / step); below it relative error is unmeasurable
@@ -157,7 +170,7 @@ class TestBackward:
         episodes = [tiny_episode(T=5, seed=1), tiny_episode(T=3, seed=2)]
         draws = [np.array([False, True, False, False, True]),
                  np.array([True, False, False])]
-        grads, _ = backward(params, TINY, episodes, draws)
+        grads, _ = collect_grads(params, TINY, episodes, draws)
         fd = finite_difference_grads(params, TINY, episodes, draws, 0.05)
         for name in TENSOR_ORDER:
             a, n = grads[name], fd[name]
@@ -171,7 +184,7 @@ class TestBackward:
         scans, speeds, labels, masked, active = _pack_batch([ep], [draws], TINY)
         preds, _ = _forward_batch(params, TINY, scans, speeds, masked)
         ep.actions = preds[0]
-        grads, losses = backward(params, TINY, [ep], [draws])
+        grads, losses = collect_grads(params, TINY, [ep], [draws])
         assert losses[0] == pytest.approx(0.0, abs=1e-24)
         for name in TENSOR_ORDER:
             assert np.allclose(grads[name], 0.0, atol=1e-18), name
@@ -179,35 +192,67 @@ class TestBackward:
     def test_mask_embed_grad_zero_when_unmasked(self):
         params = init_params(TINY, np.random.default_rng(1))
         ep = tiny_episode(T=6, seed=3)
-        grads, _ = backward(params, TINY, [ep], [np.zeros(6, bool)])
+        grads, _ = collect_grads(params, TINY, [ep], [np.zeros(6, bool)])
         assert np.array_equal(grads["mask_embed"], np.zeros_like(params.mask_embed))
 
     def test_peak_memory_holds_the_caches_once(self):
-        """One backward holds the forward caches (gates, hs, m, x), the
-        gradients and one copy of hs for the u_h GEMM at its peak, plus 10%
-        for the smaller arrays: da is written over the gate cache and a_n
-        over m, so a separate da (as large as the gates) cannot fit."""
-        cfg = PolicyConfig(n_beams=32, embed_dim=4, hidden_multiplier=2)
+        """One backward holds the forward caches (gates, the hidden states
+        each frame starts and ends in, m, x) and the largest gradient block
+        at its peak, plus 10% for the smaller arrays: da is written over the
+        gate cache, a_n over m and dh_dec over the decoder's input, and the
+        gradients are handed over a block at a time, so neither a separate
+        da (as large as the gates) nor u_h's whole gradient can fit."""
+        cfg = PolicyConfig(n_beams=32, embed_dim=4, hidden_multiplier=8)
         params = init_params(cfg, np.random.default_rng(0))
         B, T = 4, 60
         episodes = [tiny_episode(T=T, seed=i, n_beams=32) for i in range(B)]
         draws = [np.zeros(T, bool) for _ in range(B)]
-        I, H = cfg.input_dim, cfg.hidden_dim
-        caches = 8 * (B * T * 3 * H + B * (T + 1) * H + B * T * H + B * T * I)
-        grads = sum(t.nbytes for t in params.tensors().values())
-        hs_copy = 8 * B * T * H
+        I, H, M = cfg.input_dim, cfg.hidden_dim, cfg.mlp_hidden_dim
+        caches = 8 * B * T * (3 * H + 2 * H + H + I)
+        largest_block = 8 * max(H * H, 3 * H * I, M * H)
         tracemalloc.start()
         try:
-            backward(params, cfg, episodes, draws)
+            backward(params, cfg, episodes, draws, lambda name, grad, rows: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert caches < peak < 1.1 * (caches + grads + hs_copy)
+        assert caches < peak < 1.1 * (caches + largest_block)
+
+    def test_each_gradient_follows_the_last_read_of_its_tensor(self):
+        """A consumer that overwrites each tensor's delivered rows with NaN
+        at once still gathers every entry of every gradient exactly once,
+        with the bits of a consumer that changes nothing: no tensor is read
+        after its gradient is handed over, and u_h comes in its three
+        gate-row blocks."""
+        cfg = PolicyConfig(n_beams=8, embed_dim=2, hidden_multiplier=2)
+        episodes = [tiny_episode(T=5, seed=1), tiny_episode(T=3, seed=2)]
+        draws = [np.array([False, True, False, False, True]), np.array([True, False, False])]
+        want, want_losses = collect_grads(init_params(cfg, np.random.default_rng(9)), cfg,
+                                          episodes, draws)
+        params = init_params(cfg, np.random.default_rng(9))
+        got = {k: np.zeros_like(t) for k, t in params.tensors().items()}
+        hits = {k: np.zeros(t.shape, int) for k, t in params.tensors().items()}
+        delivered = []
+
+        def poison(name, grad, rows):
+            got[name][rows] = grad
+            hits[name][rows] += 1
+            getattr(params, name)[rows] = np.nan
+            delivered.append((name, rows))
+
+        losses = backward(params, cfg, episodes, draws, poison)
+        assert losses.tobytes() == want_losses.tobytes()
+        H = cfg.hidden_dim
+        assert [rows for name, rows in delivered if name == "u_h"] == [
+            slice(0, H), slice(H, 2 * H), slice(2 * H, 3 * H)]
+        for name in TENSOR_ORDER:
+            assert np.all(hits[name] == 1), name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_speed_grads_zero_when_fully_masked(self):
         params = init_params(TINY, np.random.default_rng(1))
         ep = tiny_episode(T=6, seed=3)
-        grads, _ = backward(params, TINY, [ep], [np.ones(6, bool)])
+        grads, _ = collect_grads(params, TINY, [ep], [np.ones(6, bool)])
         assert np.array_equal(grads["speed_w"], np.zeros_like(params.speed_w))
         assert np.array_equal(grads["speed_b"], np.zeros_like(params.speed_b))
 
@@ -218,8 +263,9 @@ class TestAdam:
         params = init_params(TINY, np.random.default_rng(0))
         before = init_params(TINY, np.random.default_rng(0))
         state = TrainState.fresh(params, cfg)
-        zero = {k: np.zeros_like(t) for k, t in params.tensors().items()}
-        adam_update(state, zero, cfg)
+        state.step += 1
+        for name, t in params.tensors().items():
+            adam_update(state, name, np.zeros_like(t), cfg)
         for name in TENSOR_ORDER:
             assert np.array_equal(getattr(state.params, name), getattr(before, name))
         assert state.step == 1
@@ -231,7 +277,9 @@ class TestAdam:
         state = TrainState.fresh(params, cfg)
         grads = {k: np.random.default_rng(5).normal(size=t.shape)
                  for k, t in params.tensors().items()}
-        adam_update(state, grads, cfg)
+        state.step += 1
+        for name, g in grads.items():
+            adam_update(state, name, g, cfg)
         for name in TENSOR_ORDER:
             g = grads[name]
             expected = getattr(before, name) - 0.01 * g / (np.abs(g) + cfg.eps)
@@ -240,7 +288,8 @@ class TestAdam:
     @pytest.mark.parametrize("tile", [7, 64, 32768])
     def test_tiles_match_the_whole_tensor_update(self, monkeypatch, tile):
         """Three steps in tiles of any size, partial last tiles included,
-        give the bits of the same expressions over whole tensors."""
+        and with u_h stepped a gate-row block at a time, give the bits of
+        the same expressions over whole tensors."""
         monkeypatch.setattr(trainer, "_ADAM_TILE", tile)
         cfg = TrainerConfig(lr0=0.01)
         params = init_params(TINY, np.random.default_rng(2))
@@ -251,7 +300,11 @@ class TestAdam:
         rng = np.random.default_rng(5)
         for step in range(1, 4):
             grads = {k: rng.normal(size=t.shape) for k, t in want.items()}
-            adam_update(state, grads, cfg)
+            state.step += 1
+            for name, g in grads.items():
+                for rows in np.array_split(np.arange(len(g)), 3 if name == "u_h" else 1):
+                    rows = slice(rows[0], rows[-1] + 1)
+                    adam_update(state, name, g[rows], cfg, rows)
             c1, c2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
             for k, g in grads.items():
                 m[k] = m[k] * cfg.beta1 + (1 - cfg.beta1) * g
@@ -383,9 +436,10 @@ class TestTrain:
     def test_no_improving_epoch_writes_the_initial_parameters(self, tmp_path, monkeypatch):
         """Epoch losses that are never below infinity leave the initial
         parameters in the checkpoint, though Adam moved the parameters."""
-        def nan_losses(params, cfg, episodes, draws, speed_weight):
-            grads = {k: np.ones_like(t) for k, t in params.tensors().items()}
-            return grads, np.full(len(episodes), np.nan)
+        def nan_losses(params, cfg, episodes, draws, consume, speed_weight, work):
+            for k, t in params.tensors().items():
+                consume(k, np.ones_like(t), slice(None))
+            return np.full(len(episodes), np.nan)
 
         monkeypatch.setattr(trainer, "backward", nan_losses)
         cfg = TrainerConfig(epochs=2, seed=4)
