@@ -8,9 +8,10 @@ The per-step and per-build kernels prune work with an exact broad phase:
 they skip only pairs that provably cannot meet and run the unchanged
 narrow-phase arithmetic on the rest, so they return what the all-pairs
 computation returns. ray_hits tests each segment only against the beams
-inside the angular interval it subtends from the sensor;
-polyline_self_intersects tests only segment pairs whose midpoints are
-within the longest segment length of each other.
+inside the angular interval it subtends from the sensor, reading the
+sensor-free constants of its segments from a ray_table that its owner
+derives once; polyline_self_intersects tests only segment pairs whose
+midpoints are within the longest segment length of each other.
 
 segment_distances, the one projection kernel, reads a polyline's
 segment_table (start point, edge, floored squared length, start arc and
@@ -62,10 +63,51 @@ def _runs(counts):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.ndarray:
+def ray_table(segments) -> np.ndarray:
+    """The constants of a segment soup (..., 2, 2) that ray_hits reads and
+    that do not depend on the sensor, derived once per soup: a (7, ...)
+    array whose rows are the start x and y, the end x and y, the edge x
+    and y and the edge length of each segment."""
+    segs = np.asarray(segments, dtype=float)
+    ax, ay, bx, by = np.moveaxis(segs.reshape(segs.shape[:-2] + (4,)), -1, 0)
+    ex, ey = bx - ax, by - ay
+    return np.stack([ax, ay, bx, by, ex, ey, np.hypot(ex, ey)])
+
+
+def _beam_cones(aox, aoy, box, boy, le, t_num, h, n_beams: int):
+    """First beam and beam count (B, M) of the widened cone each segment
+    subtends from its row's sensor, all beams where the bound fails: the
+    broad phase of ray_hits, whose temporaries are freed before the pairs
+    are formed. The segments' ends and edge cross product are relative to
+    the sensor; h (B, 1) is the heading."""
+    step = 2.0 * np.pi / n_beams
+    # the cone from the origin: start angle and CCW extent in [0, pi]
+    phi_a = np.arctan2(aoy, aox)
+    phi_b = np.arctan2(boy, box)
+    sweep = wrap_angle(phi_b - phi_a)
+    start = np.where(sweep >= 0.0, phi_a, phi_b)
+    span = np.abs(sweep)
+    la, lb = np.hypot(aox, aoy), np.hypot(box, boy)
+    # conditioning: of the cone edges as seen from the origin, and of the
+    # beam angles (their rounding grows with their size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = _ANGLE_SLACK * ((la + lb + le) / np.minimum(la, lb) + np.abs(h) + 4.0 * np.pi)
+    full = (~(slack <= 0.5 * step)                          # near an endpoint (or NaN)
+            | (span > np.pi - step)                         # nearly pi: origin beside the segment
+            | (np.abs(t_num) <= _ANGLE_SLACK * la * le))    # on or near the segment's line
+    rel = np.mod(start - h, 2.0 * np.pi)
+    # the beams in the widened cone; 1e-9 of a beam covers the divisions
+    first = np.ceil((rel - slack) / step - 1e-9)
+    last = np.floor((rel + span + slack) / step + 1e-9)
+    first = np.where(full, 0, first).astype(np.int64)
+    counts = np.where(full, n_beams, np.minimum(last - first + 1, n_beams)).astype(np.int64)
+    return first, counts
+
+
+def ray_hits(origins, headings, n_beams: int, table, max_range: float) -> np.ndarray:
     """Minimum hit distance per beam of a batch of sensors, each against
-    its own segment soup: origins (B, 2), headings (B,) and segments
-    (B, M, 2, 2) give (B, n_beams). Beam i of a sensor points at its
+    its own segment soup: origins (B, 2), headings (B,) and the soups'
+    ray_table (7, B, M) give (B, n_beams). Beam i of a sensor points at its
     heading + i * (2*pi / n_beams). Beams that miss every segment report
     max_range. Beams exactly parallel to a segment are treated as misses.
 
@@ -80,8 +122,8 @@ def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.
     an endpoint - are tested against every beam. Each pair tested goes
     through the all-pairs arithmetic unchanged and a pair skipped has no
     valid hit, so the result equals the all-pairs minimum; only the sign of
-    a zero distance (the sensor exactly on a segment) may differ. The
-    per-segment cone arithmetic runs over the segments of all rows at once,
+    a zero distance (the sensor exactly on a segment) may differ. The cone
+    arithmetic (_beam_cones) runs over the segments of all rows at once,
     the pairs row by row; a row's result does not depend on the other rows.
     """
     o = np.asarray(origins, dtype=float)
@@ -89,49 +131,27 @@ def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.
     step = 2.0 * np.pi / n_beams
     angles = heading[:, None] + np.arange(n_beams) * step       # (B, n_beams)
     out = np.full(angles.shape, float(max_range))
-    n_seg = segments.shape[1]
+    n_seg = table.shape[-1]
     if n_seg == 0:
         return out
-    segs = segments.reshape(-1, 4)                          # (B*M,): ax, ay, bx, by
-    row = np.repeat(np.arange(len(o)), n_seg)
-    h = heading[row]
-    ex, ey = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
-    aox, aoy = segs[:, 0] - o[row, 0], segs[:, 1] - o[row, 1]
-    box, boy = segs[:, 2] - o[row, 0], segs[:, 3] - o[row, 1]
+    ax, ay, end_x, end_y, ex, ey, le = table                # each (B, M)
+    aox, aoy = ax - o[:, :1], ay - o[:, 1:]
     t_num = aox * ey - aoy * ex
+    first, counts = _beam_cones(aox, aoy, end_x - o[:, :1], end_y - o[:, 1:], le, t_num,
+                                heading[:, None], n_beams)
 
-    # the cone from the origin: start angle and CCW extent in [0, pi]
-    phi_a = np.arctan2(aoy, aox)
-    phi_b = np.arctan2(boy, box)
-    sweep = wrap_angle(phi_b - phi_a)
-    start = np.where(sweep >= 0.0, phi_a, phi_b)
-    span = np.abs(sweep)
-    la, lb, le = np.hypot(aox, aoy), np.hypot(box, boy), np.hypot(ex, ey)
-    # conditioning: of the cone edges as seen from the origin, and of the
-    # beam angles (their rounding grows with their size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack = _ANGLE_SLACK * ((la + lb + le) / np.minimum(la, lb) + np.abs(h) + 4.0 * np.pi)
-    full = (~(slack <= 0.5 * step)                          # near an endpoint (or NaN)
-            | (span > np.pi - step)                         # nearly pi: origin beside the segment
-            | (np.abs(t_num) <= _ANGLE_SLACK * la * le))    # on or near the segment's line
-    rel = np.mod(start - h, 2.0 * np.pi)
-    # the beams in the widened cone; 1e-9 of a beam covers the divisions
-    first = np.ceil((rel - slack) / step - 1e-9)
-    last = np.floor((rel + span + slack) / step + 1e-9)
-    first = np.where(full, 0, first).astype(np.int64)
-    counts = np.where(full, n_beams, np.minimum(last - first + 1, n_beams)).astype(np.int64)
-
-    # the (beam, segment) pairs, one row at a time: a row's pair arrays
-    # stay small enough to be cache- and heap-resident, which concatenated
-    # pairs of several rows are not
+    # the (segment, beam) pairs, one row at a time: a row's pair arrays
+    # fit the heap space its cone arithmetic has just freed, where the pair
+    # arrays of all rows at once make the allocator trim and regrow the
+    # heap, a page fault per 4 KiB, every frame
     cos_b, sin_b = np.cos(angles), np.sin(angles)
     for b in range(len(o)):
-        seg, beam = _runs(counts[b * n_seg:(b + 1) * n_seg])
-        seg += b * n_seg
-        beam += first.take(seg)
+        seg, beam = _runs(counts[b])
+        beam += first[b].take(seg)
         beam %= n_beams
         bx, by = cos_b[b].take(beam), sin_b[b].take(beam)
-        ex_s, ey_s, aox_s, aoy_s = ex.take(seg), ey.take(seg), aox.take(seg), aoy.take(seg)
+        ex_s, ey_s = ex[b].take(seg), ey[b].take(seg)
+        aox_s, aoy_s = aox[b].take(seg), aoy[b].take(seg)
         # in place where an operand is spent
         denom = bx * ey_s
         ex_s *= by
@@ -140,7 +160,7 @@ def ray_hits(origins, headings, n_beams: int, segments, max_range: float) -> np.
         aoy_s *= bx
         aox_s -= aoy_s                                      # u_num = aox * by - aoy * bx
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = t_num.take(seg)
+            t = t_num[b].take(seg)
             t /= denom
             aox_s /= denom                                  # u
         valid = np.abs(denom) > _EPS
@@ -216,11 +236,26 @@ def segment_distances(px, py, cols):
     projected point and their squared length, of points (px, py) against
     segment_table columns cols, broadcast: the one projection kernel."""
     ax, ay, ex, ey, ee = cols[:5]
+    # each result is one broadcast array that the steps write in place:
+    # the floats of the plain expressions, without their temporaries
+    t = np.subtract(px, ax)
+    t *= ex
+    dy = np.subtract(py, ay)
+    dy *= ey
+    t += dy
+    t /= ee
     # maximum(0, t) keeps a -0.0 as np.clip(t, 0, 1) does; maximum(t, 0) would not
-    t = np.minimum(np.maximum(0.0, ((px - ax) * ex + (py - ay) * ey) / ee), 1.0)
-    dx = px - (ax + t * ex)
-    dy = py - (ay + t * ey)
-    return t, dx, dy, dx * dx + dy * dy
+    np.maximum(0.0, t, out=t)
+    np.minimum(t, 1.0, out=t)
+    dx = np.multiply(t, ex)
+    dx += ax
+    np.subtract(px, dx, out=dx)                 # px - (ax + t * ex)
+    np.multiply(t, ey, out=dy)
+    dy += ay
+    np.subtract(py, dy, out=dy)                 # py - (ay + t * ey)
+    dist2 = np.multiply(dx, dx)
+    dist2 += np.square(dy)
+    return t, dx, dy, dist2
 
 
 def project_to_polyline(points, table):

@@ -16,15 +16,15 @@ Both roles work on pose rows (x, y, theta, v, delta) of a lockstep batch
 of worlds on one raceline (`ego_commands`, `leader_commands`). The
 lattices of all rows are built together (`sample_lattices`): their speed
 profiles integrate as one (rows, speed scales) array (one v_ref lookup
-per coarse step, located through the raceline's cached segment table);
-the raceline's pose, free space and curvature are interpolated from one
-location of the (rows, speed, time) arc grid; containment is one (rows,
-speed, offset) mask; and the candidates' points come out of one
-broadcast and are scored as one array, with the floats a per-candidate
-loop would give. `_mean_rewards` (the composite reward over
-any broadcast grid of candidates) and `_best` (argmax with its tie rules)
-are the only scoring and selection; selection and pure pursuit run per
-row.
+per coarse step, over the raceline's cached v_ref_table) and are
+resampled together; the raceline's pose, free space and curvature are
+interpolated from one location of the (rows, speed, time) arc grid;
+containment is one (rows, speed, offset) mask; and the candidates'
+points come out of one broadcast per coordinate and are scored as one
+array, with the floats a per-candidate loop would give. `_mean_rewards`
+(the composite reward over any broadcast grid of candidates) and `_best`
+(argmax with its tie rules) are the only scoring and selection;
+selection and pure pursuit run per row.
 """
 
 from __future__ import annotations
@@ -102,7 +102,17 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
     n_lateral x n_speed candidates blending from the current offset to
     each target offset over the horizon. Candidates that would leave the
     track (minus safety_margin) are not kept, and a row more than
-    PROJECTION_RADIUS off the raceline keeps none."""
+    PROJECTION_RADIUS off the raceline keeps none.
+
+    The speed profiles of every (row, speed scale) pair integrate together
+    on a grid of every fifth sim step: each coarse step advances the arc by
+    the speed, looks the reference speed up at the new arc with v_ref_at's
+    floats (Raceline.v_ref_table holds the segment starts, the floored
+    lengths, v_ref and its next-vertex copy, so the step wraps, locates
+    and interpolates with a fixed handful of ufunc calls into scratch
+    arrays, whatever the number of rows) and moves the speed toward the
+    scaled reference within the acceleration limits, floored at v_floor.
+    The profiles are then resampled onto the sim-rate grid."""
     n = len(states)
     s0, d0 = raceline.project_many(states[:, :2])
     far = np.abs(d0) > PROJECTION_RADIUS
@@ -118,38 +128,66 @@ def sample_lattices(states: np.ndarray, raceline: Raceline, cfg: ExpertConfig,
     sub = 5
     dt_int = sim.dt * sub
     n_int = (n_steps - 1) // sub + 2
-    s_coarse = np.empty((n_int, n, cfg.n_speed))
-    v_coarse = np.empty((n_int, n, cfg.n_speed))
+    coarse = np.empty((2, n_int, n, cfg.n_speed))
+    s_coarse, v_coarse = coarse                            # the arcs and the speeds
     s_coarse[0] = s0[:, None]
     v_coarse[0] = np.array([max(v, cfg.v_floor) for v in states[:, 3].tolist()]).reshape(n, 1)
-    dv_lo, dv_hi = sim.a_min * dt_int, sim.a_max * dt_int
+    # scratch arrays and 0-d array constants: a Python float operand costs
+    # a ufunc call more than its work, and a coarse step is sixteen numpy
+    # calls on small arrays, whatever the number of rows
+    table = raceline.v_ref_table
+    seg_starts = table[0, 1:]                              # column idx holds segment idx - 1
+    dt_c, length, one, floor = map(np.array, (dt_int, raceline.length, 1.0, cfg.v_floor))
+    dv = np.array([sim.a_min * dt_int, sim.a_max * dt_int]).reshape(2, 1, 1)
+    at, frac, lerp = (np.empty((n, cfg.n_speed)) for _ in range(3))
+    bounds = np.empty((2, n, cfg.n_speed))
     for k in range(n_int - 1):
         s, v = s_coarse[k], v_coarse[k]
-        s_next = np.add(s, v * dt_int, out=s_coarse[k + 1])
-        # v_ref_at's lookup, called directly: racebench's tracer wraps every
-        # public call, and this one runs ~40 times per lattice
-        target = scales * raceline._lerp(raceline.v_ref, raceline._at(s_next))
-        v_next = np.minimum(np.maximum(target, v + dv_lo), v + dv_hi, out=v_coarse[k + 1])
-        np.maximum(v_next, cfg.v_floor, out=v_next)
+        s_next = np.add(s, np.multiply(v, dt_c, out=at), out=s_coarse[k + 1])
+        np.mod(s_next, length, out=at)
+        start, seg_len, v0, v1 = table.take(seg_starts.searchsorted(at, "right"), axis=1)
+        np.subtract(at, start, out=frac)
+        np.divide(frac, seg_len, out=frac)
+        np.subtract(one, frac, out=at)
+        np.multiply(v0, at, out=lerp)                      # v0 * (1 - frac) + v1 * frac
+        np.multiply(frac, v1, out=frac)
+        np.add(lerp, frac, out=lerp)
+        np.multiply(lerp, scales, out=lerp)                # the target speed
+        lo, hi = np.add(v, dv, out=bounds)                 # v + a_min * dt, v + a_max * dt
+        v_next = np.maximum(lerp, lo, out=v_coarse[k + 1])
+        np.minimum(v_next, hi, out=v_next)
+        np.maximum(v_next, floor, out=v_next)
+    # resampled onto the sim-rate grid with np.interp's floats, all lanes
+    # at once: its interval of each sample, its slope dy / dx and its knot
+    # rule (a sample on a knot takes the knot's value)
     tau_coarse = np.arange(n_int) * dt_int
-    shape = (n, cfg.n_speed, 1, n_steps)
-    s_fine = np.array([np.interp(tau, tau_coarse, lane)
-                       for lane in s_coarse.reshape(n_int, -1).T]).reshape(shape)
-    v_fine = np.array([np.interp(tau, tau_coarse, lane)
-                       for lane in v_coarse.reshape(n_int, -1).T]).reshape(shape)
+    j = tau_coarse.searchsorted(tau, "right") - 1
+    seg = np.minimum(j, n_int - 2)
+    lanes = coarse.reshape(2, n_int, -1).transpose(0, 2, 1)     # (2, n * n_speed, n_int)
+    slopes = np.diff(lanes, axis=2) / np.diff(tau_coarse)
+    fine = slopes[..., seg] * (tau - tau_coarse[seg]) + lanes[..., seg]
+    fine = np.where(tau == tau_coarse[j], lanes[..., j], fine)
+    s_fine, v_fine = fine.reshape(2, n, cfg.n_speed, 1, n_steps)
 
     # one location of the (row, speed, time) arc grid serves the base
     # points, normals, free space and curvature
     loc = raceline._at(s_fine)
-    base = raceline._lerp(raceline.xy, loc)                        # (n, S, 1, K, 2)
-    normals = normal_of(raceline._lerp(raceline.heading, loc, angular=True))
+    base_x, base_y = (raceline._lerp(raceline.xy[:, c], loc) for c in (0, 1))   # (n, S, 1, K)
+    normal_x, normal_y = np.moveaxis(normal_of(raceline._lerp(raceline.heading, loc,
+                                                              angular=True)), -1, 0)
     avail_l = raceline._lerp(raceline.w_left_avail, loc) - cfg.safety_margin
     avail_r = raceline._lerp(raceline.w_right_avail, loc) - cfg.safety_margin
     d0 = d0[:, None, None]
     d_path = (d0 + (offsets[:, None] - d0) * beta)[:, None]        # (n, 1, L, K)
     kept = ~(np.any(d_path > avail_l, axis=3) | np.any(-d_path > avail_r, axis=3))   # (n, S, L)
     kept[far] = False
-    return Lattice(offsets=offsets, xy=base + d_path[..., None] * normals, v=v_fine,
+    # the candidates' points base + d * normal, a coordinate at a time so
+    # that the loops run along the samples
+    xy = np.empty((n, cfg.n_speed, cfg.n_lateral, n_steps, 2))
+    for c, (base_c, normal_c) in enumerate(((base_x, normal_x), (base_y, normal_y))):
+        np.multiply(d_path, normal_c, out=xy[..., c])
+        xy[..., c] += base_c
+    return Lattice(offsets=offsets, xy=xy, v=v_fine,
                    kappa=raceline._lerp(raceline.kappa, loc), d=d_path, kept=kept)
 
 
@@ -170,18 +208,34 @@ def _mean_rewards(V, XY, d, kappa, opponent_pred, cfg: ExpertConfig) -> np.ndarr
     together, against opponent predictions (..., >=K, 2) or none:
     lambda_v * ln(v) - lambda_p * |d| - lambda_kappa * |kappa| * v
     - lambda_d * exp(-d_l / d_scale), with d_l the distance to the
-    time-aligned opponent prediction (no proximity term without one)."""
+    time-aligned opponent prediction (no proximity term without one; with
+    one, the speeds, deviations and curvatures broadcast into the points'
+    grid)."""
     n_k = V.shape[-1]
-    term = cfg.lambda_v * np.log(V) - cfg.lambda_p * np.abs(d) \
-        - cfg.lambda_kappa * np.abs(kappa) * V
-    if opponent_pred is not None:
-        if opponent_pred.shape[-2] < n_k:
-            raise ExpertError("opponent prediction shorter than the candidate horizon")
-        gap = XY - opponent_pred[..., :n_k, :]
-        # the Euclidean norm as np.linalg.norm sums it, without its
-        # reduction over a length-2 axis
-        d_l = np.sqrt(gap[..., 0] * gap[..., 0] + gap[..., 1] * gap[..., 1])
-        term = term - cfg.lambda_d * np.exp(-d_l / cfg.d_scale)
+    log_speed = cfg.lambda_v * np.log(V)
+    deviation = cfg.lambda_p * np.abs(d)
+    curvature = cfg.lambda_kappa * np.abs(kappa) * V
+    if opponent_pred is None:
+        return (log_speed - deviation - curvature).mean(axis=-1)
+    if opponent_pred.shape[-2] < n_k:
+        raise ExpertError("opponent prediction shorter than the candidate horizon")
+    pred = opponent_pred[..., :n_k, :]
+    # two grid-sized arrays, written in place where an operand is spent,
+    # with the plain expressions' floats; the Euclidean norm sums as
+    # np.linalg.norm does, without its reduction over a length-2 axis
+    d_l = np.subtract(XY[..., 0], pred[..., 0])
+    d_l *= d_l
+    term = np.subtract(XY[..., 1], pred[..., 1])
+    term *= term
+    d_l += term
+    np.sqrt(d_l, out=d_l)
+    proximity = np.negative(d_l, out=d_l)
+    proximity /= cfg.d_scale
+    np.exp(proximity, out=proximity)
+    proximity *= cfg.lambda_d                       # lambda_d * exp(-d_l / d_scale)
+    np.subtract(log_speed, deviation, out=term)
+    term -= curvature
+    term -= proximity
     return term.mean(axis=-1)
 
 

@@ -224,24 +224,57 @@ def track_progress(track: TrackModel, progress: np.ndarray, x: np.ndarray,
     by the projected arc's shortest signed distance around the loop: what
     a one-step call gives, whatever the other points. All steps are
     projected at once onto windows PROGRESS_MARGIN wider, and each step
-    picks among the columns inside its own window (_geom.in_arc_windows);
-    once a point has moved the margin less a millimetre, they are rebuilt."""
+    picks among the columns inside its own window (_geom.in_arc_windows).
+
+    The steps are resolved together. A guess of every step's pick (first
+    the first minimum over the wide window) fixes the progress after every
+    step, unwrapped along the steps; a pass then windows every step by the
+    progress before it and picks again: the wide window's first minimum,
+    unless that column lies outside the step's own window, then the first
+    minimum among the columns inside. A pass picks right up to one step past the first step
+    its guess got wrong, so taking its picks as the next guess reaches a
+    pass that reproduces its guess after at most S + 1 passes, and after
+    one when every first minimum lies inside its window. Once a point has
+    moved the margin less a millimetre, the wide windows are rebuilt from
+    that step on."""
     shape, progress = np.shape(x), np.ravel(progress)
     x, y = np.reshape(x, (len(x), -1)), np.reshape(y, (len(y), -1))
+    n_points = len(progress)
     wide = _geom.arc_windows(track.arc_table, progress, PROGRESS_WINDOW + PROGRESS_MARGIN)
+    n_cols = wide.shape[1]
     cols = track.segment_table.take(wide, axis=1)
     t, _, _, dist2 = _geom.segment_distances(x[..., None], y[..., None], cols)   # (S, N, M)
-    s, out, length = cols[5] + t * cols[6], np.empty(x.shape), track.total_length
-    points, last = np.arange(len(progress)), progress
-    for j in range(len(out)):
-        if (np.abs(last - progress) > PROGRESS_MARGIN - 1e-3).any():
-            out[j:] = track_progress(track, last, x[j:], y[j:])
+    # one row per (step, point); a pick is a flat column of cols, and of t
+    t, dist2 = t.reshape(-1, n_cols), dist2.reshape(-1, n_cols)
+    point_cols = np.tile(np.arange(n_points) * n_cols, len(x))
+    step_cols = np.arange(len(dist2)) * n_cols
+    nearest = dist2.argmin(axis=1)                  # first minimum over the wide window
+    nearest_seg = wide.take(point_cols + nearest)[:, None]
+    length = track.total_length
+    best = nearest
+    while True:
+        pick = point_cols + best
+        arcs = cols[5].take(pick) + t.take(step_cols + best) * cols[6].take(pick)
+        # the unwrap chains each step's floats on the step before: a few
+        # calls per step, on all points at once
+        after, last = arcs.reshape(-1, n_points), progress
+        for j, arc in enumerate(after):
+            delta = np.mod(arc - last, length)
+            last = after[j] = last + np.where(delta > length / 2, delta - length, delta)
+        before = np.concatenate([progress, after[:-1].reshape(-1)])
+        guess, best = best, nearest.copy()
+        redo = np.flatnonzero(~_geom.in_arc_windows(track.arc_table, before, PROGRESS_WINDOW,
+                                                    nearest_seg)[:, 0])
+        inside = _geom.in_arc_windows(track.arc_table, before[redo], PROGRESS_WINDOW,
+                                      wide[redo % n_points])
+        best[redo] = np.where(inside, dist2[redo], np.inf).argmin(axis=1)
+        if np.array_equal(best, guess):
             break
-        inside = _geom.in_arc_windows(track.arc_table, last, PROGRESS_WINDOW, wide)
-        best = np.where(inside, dist2[j], np.inf).argmin(axis=1)     # first minimum
-        delta = np.mod(s[j, points, best] - last, length)
-        last = out[j] = last + np.where(delta > length / 2, delta - length, delta)
-    return out.reshape(shape)
+    moved = (np.abs(after[:-1] - progress) > PROGRESS_MARGIN - 1e-3).any(axis=1)
+    if moved.any():
+        j = int(moved.argmax()) + 1
+        after[j:] = track_progress(track, after[j - 1], x[j:], y[j:])
+    return after.reshape(shape)
 
 
 def enumerate_scenarios(cfg: ScenarioConfig, env: RaceEnvironment) -> tuple[list[Scenario], int]:
@@ -376,9 +409,10 @@ def rollout_batch(scenarios: list[Scenario], source: ActionSource, env: RaceEnvi
         running = poses[active]
         scans = rsim.scan_batch(track, running, 0, sim_cfg)
         ego = np.asarray(source.act(active, running, scans), dtype=float)
-        speeds = running[:, 0, 3].astype(np.float32)
-        for k, b in enumerate(active):
-            frames[b].append((scans[k].astype(np.float32), speeds[k], ego[k].astype(np.float32)))
+        recorded = zip(scans.astype(np.float32), running[:, 0, 3].astype(np.float32),
+                       ego.astype(np.float32))
+        for b, frame in zip(active.tolist(), recorded):
+            frames[b].append(frame)
         cmds = np.empty((len(active), n_agents, 2))
         cmds[:, 0] = ego
         if n_agents > 1:

@@ -202,16 +202,17 @@ def scan_batch(track: TrackModel, poses: np.ndarray, agent: int, cfg: SimConfig)
     the other agent's rectangle, capped at lidar_range_max. The raycast
     tests each segment only against the beams of the angular interval it
     subtends from the sensor (_geom.ray_hits), with the same floats as an
-    all-pairs test.
+    all-pairs test; the boundaries' segment constants are the track's
+    cached ray_table, and only the cars' rectangles are derived per scan.
     """
-    segs = track.boundary_segments
-    soup = np.broadcast_to(segs, (len(poses),) + segs.shape)
+    boundary = track.ray_table
+    table = np.broadcast_to(boundary[:, None], (len(boundary), len(poses), boundary.shape[1]))
     if poses.shape[1] > 1:
         other = 1 - agent
         opp = np.array([_corners(p[other], cfg) for p in poses.tolist()])    # (B, 4, 2)
         opp_segs = np.stack([opp, np.roll(opp, -1, axis=1)], axis=2)
-        soup = np.concatenate([soup, opp_segs], axis=1)
-    return _geom.ray_hits(poses[:, agent, :2], poses[:, agent, 2], cfg.n_beams, soup,
+        table = np.concatenate([table, _geom.ray_table(opp_segs)], axis=2)
+    return _geom.ray_hits(poses[:, agent, :2], poses[:, agent, 2], cfg.n_beams, table,
                           cfg.lidar_range_max)
 
 

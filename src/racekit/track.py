@@ -85,7 +85,7 @@ class TrackModel:
     normals: np.ndarray       # (N, 2) unit left normals of the centerline
     boundary_segments: np.ndarray = field(repr=False)  # (M, 2, 2) both boundaries
 
-    # Collision broad-phase and centerline projection constants, derived
+    # Collision broad-phase, LiDAR and centerline projection constants, derived
     # once per track on first use. cached_property stores them in the
     # instance __dict__, so they travel with the model when it is pickled
     # into pool workers.
@@ -93,6 +93,13 @@ class TrackModel:
     def segment_table(self) -> np.ndarray:
         """Centerline segment constants for _geom.project_to_polyline."""
         return _geom.segment_table(self.xy, self.arc_table)
+
+    @cached_property
+    def ray_table(self) -> np.ndarray:
+        """Boundary segment constants for _geom.ray_hits."""
+        table = _geom.ray_table(self.boundary_segments)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def segment_midpoints(self) -> np.ndarray:
@@ -306,6 +313,19 @@ class Raceline:
         """Segment constants for _geom.project_to_polyline; its arc rows
         also locate every *_at lookup."""
         return _geom.segment_table(self.xy, self.arc_table)
+
+    @cached_property
+    def v_ref_table(self) -> np.ndarray:
+        """(4, N + 1) rows of v_ref_at's lookup, for the lattice speed ODE:
+        each segment's start arc, its arc length floored as _locate floors
+        it, and v_ref at its start and at its end vertex. Column i holds
+        segment i - 1 (column 0 the closing segment), so that an arc's
+        insertion index among the starts of columns 1..N is its column."""
+        table = np.stack([self.segment_table[-2], np.maximum(self.segment_table[-1], 1e-300),
+                          self.v_ref, np.roll(self.v_ref, -1)])
+        table = np.concatenate([table[:, -1:], table], axis=1)
+        table.setflags(write=False)
+        return table
 
     def project_many(self, points):
         """(s, d) of points (P, 2) on the raceline, each (P,)."""

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from racekit import cli
+from racekit import _atomic, cli
 from racekit import evaluator as reval
 from racekit import policy as rpolicy
 from racekit import track as rtrack
@@ -48,6 +48,41 @@ class TestAtomicOpen:
             fh.write("a\r\nb\n")
         assert target.read_bytes() == b"a\r\nb\n"
         assert leftovers(tmp_path, "out.csv") == []
+
+    def test_failing_close_removes_the_temporary(self, tmp_path, monkeypatch):
+        class FailingClose:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                return self._fh.write(data)
+
+            def close(self):
+                self._fh.close()
+                raise OSError("no space left on device")
+
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        monkeypatch.setattr(_atomic, "open", lambda *a, **k: FailingClose(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            with atomic_open(target) as fh:
+                fh.write("new\n")
+        assert target.read_text() == "old\n"
+        assert leftovers(tmp_path, "out.txt") == []
+
+    def test_failing_replace_removes_the_temporary(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        monkeypatch.setattr(_atomic.os, "replace", failing_replace)
+        with pytest.raises(PermissionError, match="cannot replace"):
+            with atomic_open(target) as fh:
+                fh.write("new\n")
+        assert target.read_text() == "old\n"
+        assert leftovers(tmp_path, "out.txt") == []
 
 
 class TestWritersAreAtomic:

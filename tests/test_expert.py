@@ -279,6 +279,12 @@ class TestExpertAction:
         s_proj, _ = reference_project(rl, pose[0, :2])
         assert v_cmd == pytest.approx(0.6 * rl.v_ref_at(s_proj), abs=1e-9)
 
+    def test_leader_far_from_raceline_raises(self):
+        rl = straight_raceline()
+        poses = np.array([[10.0, 0.5, 0.0, 3.0, 0.0], [20.0, 12.0, 0.0, 3.0, 0.0]])
+        with pytest.raises(FarFromRaceline, match=r"point \(20\.0, 12\.0\) is 12\.00 m"):
+            leader_commands(poses, rl, ExpertConfig(), SIM)
+
     def test_leader_nonreactive(self, stadium):
         # the leader drives the same path whatever the ego behind it does
         env = RaceEnvironment.build(stadium)

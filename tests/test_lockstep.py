@@ -379,19 +379,21 @@ class TestSensing:
 
     @given(name=st.sampled_from(["room", "stadium", "serpentine"]),
            rows=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
-                                   st.floats(-20.0, 20.0)), min_size=1, max_size=5),
+                                   st.floats(-20.0, 20.0)), min_size=1, max_size=16),
            n_beams=st.sampled_from([8, 90, 360]))
     @settings(max_examples=100, deadline=None)
     def test_ray_hits_rows_match_single_sensors(self, name, rows, n_beams):
         segs = kernel_track(name).boundary_segments
         origins = np.array([r[:2] for r in rows])
         headings = np.array([r[2] for r in rows])
-        soups = np.broadcast_to(segs, (len(rows),) + segs.shape)
-        got = _geom.ray_hits(origins, headings, n_beams, soups, 30.0)
+        table = _geom.ray_table(np.broadcast_to(segs, (len(rows),) + segs.shape))
+        with mock.patch.object(_geom, "_beam_cones", wraps=_geom._beam_cones) as cones:
+            got = _geom.ray_hits(origins, headings, n_beams, table, 30.0)
+        assert cones.call_count == 1         # the broad phase of all rows in one pass
         for b in range(len(rows)):
             one = slice(b, b + 1)
             assert_same_bits(got[b], _geom.ray_hits(origins[one], headings[one], n_beams,
-                                                    soups[one], 30.0)[0])
+                                                    table[:, one], 30.0)[0])
             assert_same_bits(got[b], reference_ray_hits(origins[b], float(headings[b]), n_beams,
                                                         segs, 30.0))
 
@@ -403,16 +405,20 @@ class TestSensing:
 class TestProgress:
     @given(name=st.sampled_from(["stadium", "serpentine"]),
            points=st.lists(st.tuples(st.floats(-200.0, 200.0), st.floats(-3.0, 3.0),
-                                     st.floats(-2.0, 2.0)), min_size=1, max_size=9))
+                                     st.floats(-2.0, 2.0)), min_size=1, max_size=16))
     @settings(max_examples=200, deadline=None)
     def test_rows_match_one_point_trackers(self, name, points):
         """One step (S = 1) of N points."""
         track = kernel_track(name)
         hints = np.array([p[0] for p in points])
         xy = np.array([track_xy(track, s + ds, off) for s, ds, off in points])
-        got = track_progress(track, hints, xy[None, :, 0], xy[None, :, 1])[0]
+        with mock.patch.object(_geom, "in_arc_windows", wraps=_geom.in_arc_windows) as rows:
+            got = track_progress(track, hints, xy[None, :, 0], xy[None, :, 1])[0]
         for g, (hint, _, _), (x, y) in zip(got, points, xy):
-            one = track_progress(track, np.array([hint]), np.array([[x]]), np.array([[y]]))[0, 0]
+            with mock.patch.object(_geom, "in_arc_windows", wraps=_geom.in_arc_windows) as one_row:
+                one = track_progress(track, np.array([hint]), np.array([[x]]),
+                                     np.array([[y]]))[0, 0]
+            assert rows.call_count == one_row.call_count
             assert_same_bits(g, np.float64(one))
             assert_same_bits(g, np.float64(ReferenceProgressTracker(track, hint).update(x, y)))
 
@@ -448,6 +454,26 @@ class TestProgress:
         for i, hint in enumerate(hints):
             reference = ReferenceProgressTracker(track, hint)
             assert_same_bits(got[:, i], np.array([reference.update(x, y) for x, y in path[:, i]]))
+
+    @pytest.mark.parametrize("name", ["stadium", "serpentine"])
+    def test_passes_do_not_grow_with_steps_or_rows(self, name):
+        """Points driving forward along the centerline inside one lap, less
+        than the margin in all: every first minimum lies in its window, so
+        one pass (two window masks) resolves the steps however many steps
+        and points there are."""
+        track = kernel_track(name)
+        calls = set()
+        for n_steps in (2, 10, 20):
+            for n in (1, 4, 16):
+                hints = 10.0 + 0.3 * np.arange(n)
+                arcs = hints + 0.1 * np.arange(1, n_steps + 1)[:, None]
+                path = np.array([[track_xy(track, s, 0.0) for s in row] for row in arcs])
+                with mock.patch.object(_geom, "in_arc_windows",
+                                       wraps=_geom.in_arc_windows) as windows:
+                    got = track_progress(track, hints, path[..., 0], path[..., 1])
+                calls.add(windows.call_count)
+                assert (np.diff(got, axis=0) > 0).all()
+        assert calls == {2}
 
     @given(start=st.floats(0.0, 14.0),
            steps=st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(2.5, 3.5)), min_size=1,

@@ -17,6 +17,7 @@ from racekit.scenario import (
     EmptyDataset,
     EpisodeRecord,
     ExpertSource,
+    NoValidSpawn,
     Outcome,
     RaceEnvironment,
     ScenarioConfig,
@@ -31,7 +32,7 @@ from racekit.scenario import (
     track_progress,
     write_manifest,
 )
-from racekit.simulator import Trace
+from racekit.simulator import SimConfig, Trace
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,11 @@ class TestEnumerate:
         assert combos == {("left", "center"), ("left", "right"),
                           ("right", "center"), ("right", "right")}
         assert len(scenarios) == 8
+
+    def test_every_spawn_in_contact_raises(self, stadium):
+        wide_cars = RaceEnvironment.build(stadium, SimConfig(veh_width=4.0))
+        with pytest.raises(NoValidSpawn, match="all 3 spawn candidates collide at t=0"):
+            enumerate_scenarios(ScenarioConfig(k_positions=3), wide_cars)
 
     def test_seeds_distinct_and_deterministic(self, env):
         cfg = ScenarioConfig(k_positions=5, seed=99)

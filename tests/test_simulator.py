@@ -234,7 +234,7 @@ class TestBinnedRaycast:
 
     def test_empty_soup_reports_max_range(self):
         out = _geom.ray_hits(np.zeros((2, 2)), np.array([0.3, -1.0]), 16,
-                             np.zeros((2, 0, 2, 2)), 30.0)
+                             _geom.ray_table(np.zeros((2, 0, 2, 2))), 30.0)
         assert np.array_equal(out, np.full((2, 16), 30.0))
 
 
