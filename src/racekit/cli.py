@@ -37,6 +37,15 @@ malformed `render --trace` file), 6 config errors (an unreadable --config
 file, an unknown key, or a value its field cannot hold, such as a float
 that is not finite, or that its section rejects); argparse usage errors also exit 2, among them a count below 1
 or a length, width or timeout that is not a finite positive number.
+
+Each command imports only what it runs. Importing this module loads the
+config's sections (and with them the track, simulator, expert, scenario,
+policy and trainer modules), but not `evaluator`: `track gen`, `eval` and
+`render` import it as they start, and `render_episode` imports
+`xml.etree`. `numpy.random` loads on a command's first draw (`eval` and
+`train` draw, `collect` and `track` do not), and `multiprocessing` only
+when a scenario pool starts (`collect`, `eval h2h` and `eval noise`'s
+head-to-head suite at `--workers` 2 or more).
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import evaluator as reval
 from . import scenario as rscn
 from . import simulator as rsim
 from . import track as rtrack
@@ -146,6 +154,7 @@ def _load_track(cfg: KitConfig) -> rtrack.TrackModel:
 
 
 def cmd_track_gen(args, cfg: KitConfig) -> int:
+    from . import evaluator as reval
     track = rtrack.make_track(args.shape, length=args.length, width=args.width)
     run = _Outputs(args.out)
     run.write(f"track_{args.shape}.csv", partial(rtrack.write_track_csv, track))
@@ -226,6 +235,7 @@ def cmd_train(args, cfg: KitConfig) -> int:
 
 
 def cmd_eval(args, cfg: KitConfig) -> int:
+    from . import evaluator as reval
     run = _Outputs(args.out)
     # latency depends only on the architecture; without a checkpoint a fresh init suffices
     random_init = args.suite == "latency" and not Path(cfg.paths.checkpoint).exists()
@@ -306,6 +316,7 @@ def cmd_eval(args, cfg: KitConfig) -> int:
 
 
 def cmd_render(args, cfg: KitConfig) -> int:
+    from . import evaluator as reval
     try:
         trace = rsim.read_trace_csv(args.trace)
         if not trace.times:

@@ -16,7 +16,8 @@ in lockstep. The policy steps each chunk as one batch through
 `InferenceSession.step` also runs: a chunk's rows are the rows of one
 GEMM per product, and a chunk of one (a single-agent run, or a pool's
 lone last scenario) computes what a float64 session step does, bit for
-bit. `render_episode` draws a trace's poses, or the bare track. Reports
+bit. `render_episode` draws a trace's poses, or the bare track, and is
+the one caller of `xml.etree`, which it imports itself. Reports
 serialize to JSON and CSV with stable formatting so equal-seed runs are
 byte-identical.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import time
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -272,6 +272,8 @@ def render_episode(trace: Trace | None, track, outcome: str | None = None,
     (sim_cfg's vehicle size) every 0.5 s and the outcome label into a
     standalone SVG document 900 px wide. Without a trace only the
     boundaries are drawn."""
+    import xml.etree.ElementTree as ET   # only the commands that draw load it
+
     if trace is not None and not trace.times:
         raise ValueError("empty trace")
     allpts = np.vstack([track.inner_boundary, track.outer_boundary])

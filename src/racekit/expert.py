@@ -217,8 +217,6 @@ def _mean_rewards(V, XY, d, kappa, opponent_pred, cfg: ExpertConfig) -> np.ndarr
     curvature = cfg.lambda_kappa * np.abs(kappa) * V
     if opponent_pred is None:
         return (log_speed - deviation - curvature).mean(axis=-1)
-    if opponent_pred.shape[-2] < n_k:
-        raise ExpertError("opponent prediction shorter than the candidate horizon")
     pred = opponent_pred[..., :n_k, :]
     # two grid-sized arrays, written in place where an operand is spent,
     # with the plain expressions' floats; the Euclidean norm sums as

@@ -27,20 +27,23 @@ progress, through the track's cached segment table
 (`TrackModel.segment_table`). `rollout_many` is the one pooled runner:
 it hands out chunks of CHUNK scenarios in scenario order,
 in-process or one chunk per worker task, and yields their records as the
-chunks end; neither `collect` nor `eval` holds a pool's records. A lap
-harness is `rollout` with a `LapTimer`. Episode files and the dataset
-manifest are written atomically; `save_dataset` (behind `collect`) writes
-each episode as it arrives, then the manifest, which lists collision
-episodes as excluded. `load_manifest_dataset` opens the kept ones as
-`EpisodeFile`s: every header is read and every file size checked, and
-the frames stay on disk until `EpisodeFile.read` reads them.
+chunks end; neither `collect` nor `eval` holds a pool's records. Only
+its pooled branch imports `ProcessPoolExecutor`, so a command on one
+worker never loads `multiprocessing` (nor the `socket` and `subprocess`
+modules it pulls in), and a pool's forked workers inherit only what the
+parent loaded. A lap harness is `rollout` with a `LapTimer`. Episode
+files and the dataset manifest are written atomically; `save_dataset`
+(behind `collect`) writes each episode as it arrives, then the manifest,
+which lists collision episodes as excluded. `load_manifest_dataset` opens
+the kept ones as `EpisodeFile`s: every header is read and every file
+size checked, and the frames stay on disk until `EpisodeFile.read` reads
+them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
@@ -487,6 +490,8 @@ def rollout_many(scenarios: list[Scenario], source: ActionSource, env: RaceEnvir
         for chunk in chunks:
             yield from rollout_batch(chunk, source, env, duration)
         return
+    # only a pool loads multiprocessing (and its socket, subprocess, ...)
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(source, env, duration)) as pool:
         for records in pool.map(_rollout_chunk_in_worker, chunks):

@@ -3,7 +3,12 @@
 Every random stream in the kit is derived from one global seed plus a
 stage name, so reruns with the same seed reproduce byte-identical output
 while distinct stages (collection, masking, noise, ...) stay decorrelated.
+The annotations stay unevaluated, so importing this module does not load
+`numpy.random`: a command that draws nothing (`collect`, `track`) never
+does, and one that draws loads it on its first `rng_for`.
 """
+
+from __future__ import annotations
 
 import hashlib
 

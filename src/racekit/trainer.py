@@ -114,10 +114,11 @@ class TrainState:
 
     @classmethod
     def fresh(cls, params: PolicyParameters, cfg: TrainerConfig) -> "TrainState":
-        zeros = {k: np.zeros_like(t) for k, t in params.tensors().items()}
-        return cls(params=params, m=zeros,
-                   v={k: np.zeros_like(t) for k, t in params.tensors().items()},
-                   lr=cfg.lr0)
+        # np.zeros, not zeros_like: the pages come zeroed from the
+        # allocator instead of through a memset of every moment
+        tensors = params.tensors()
+        return cls(params=params, m={k: np.zeros(t.shape, t.dtype) for k, t in tensors.items()},
+                   v={k: np.zeros(t.shape, t.dtype) for k, t in tensors.items()}, lr=cfg.lr0)
 
 
 def _pack_batch(episodes: Sequence[Episode], mask_draws, cfg: PolicyConfig):

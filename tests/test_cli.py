@@ -60,21 +60,40 @@ def dataset_digest(out: Path) -> str:
     return digest.hexdigest()
 
 
+def src_env(**extra: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports racekit from
+    this tree: os.environ plus `extra`, with src/ first on PYTHONPATH."""
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+
 def cli_peak_mb(*argv) -> float:
     """Run the CLI in a fresh interpreter, which must exit 0, and return
     its peak resident set in MB. The child reads its own high-water mark,
     VmHWM: its ru_maxrss starts at the forking test process's resident
     set."""
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run(
         [sys.executable, "-c", "import re, sys; from racekit import cli; "
          "code = cli.main(sys.argv[1:]); status = open('/proc/self/status').read(); "
          "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])", *argv],
-        env=env, check=True, capture_output=True, text=True, timeout=120)
+        env=src_env(), check=True, capture_output=True, text=True, timeout=120)
     code, peak_kb = child.stdout.split()[-2:]
     assert code == "0"
     return int(peak_kb) / 1024
+
+
+def cli_modules(*argv) -> set[str]:
+    """Run the CLI in a fresh interpreter, which must exit 0, and return
+    the names in its sys.modules at the end; with no argv the child only
+    imports racekit.cli."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from racekit import cli; "
+         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+         "print(code, *sys.modules)", *argv],
+        env=src_env(), check=True, capture_output=True, text=True, timeout=120)
+    code, *names = child.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return set(names)
 
 
 def default_config_text() -> str:
@@ -527,8 +546,7 @@ class TestTrain:
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-m", "racekit.cli", "--config", str(cfgfile),
                             "--out", str(out), "train", "--dataset",
                             str(tmp_path / "dataset.json"), "--epochs", "1"],
@@ -809,6 +827,52 @@ class TestCounts:
         assert exc.value.code == 2
         assert f"{argv[-2]}: {argv[-1]} is not a finite positive number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestCommandImports:
+    """Each command imports only what it runs, read from a fresh
+    interpreter's sys.modules after the command: a pool's workers fork from
+    the parent, so a module the parent never needed counts in each of them
+    too."""
+
+    EVAL = "racekit.evaluator"       # eval, renders and their reports
+    RANDOM = "numpy.random"          # the first random draw
+    SVG = "xml.etree"                # rendering
+    POOL = "multiprocessing"         # a scenario pool
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory, track_dir):
+        """sys.modules after a tiny collect, train and eval h2h, each on
+        one worker, each run on the previous one's output."""
+        base = tmp_path_factory.mktemp("imports")
+        cfgfile = base / "tiny.ini"
+        cfgfile.write_text("[sim]\nn_beams = 16\n[scenario]\nduration = 1.0\n"
+                           "[policy]\nhidden_multiplier = 1\n")
+        common = ("--config", str(cfgfile), "--workers", "1")
+        track = str(track_dir / "track_stadium.csv")
+        return {
+            "collect": cli_modules(*common, "--out", str(base / "collect"), "collect",
+                                   "--track", track, "--scenarios", "2"),
+            "train": cli_modules(*common, "--out", str(base / "train"), "train",
+                                 "--dataset", str(base / "collect" / "dataset.json"),
+                                 "--epochs", "1"),
+            "h2h": cli_modules(*common, "--out", str(base / "h2h"), "eval", "h2h",
+                               "--checkpoint", str(base / "train" / "policy.ckpt"),
+                               "--track", track, "--scenarios", "2"),
+        }
+
+    def test_importing_the_cli_loads_no_command_machinery(self):
+        loaded = cli_modules()
+        assert "racekit.scenario" in loaded
+        assert sorted(loaded & {self.EVAL, self.RANDOM, self.SVG, self.POOL}) == []
+
+    def test_serial_collect_draws_nothing_and_starts_no_pool(self, pipeline):
+        assert sorted(pipeline["collect"] & {self.EVAL, self.RANDOM, self.POOL}) == []
+
+    @pytest.mark.parametrize("command", ["train", "h2h"])
+    def test_serial_train_and_h2h_start_no_pool_and_render_nothing(self, pipeline, command):
+        assert self.RANDOM in pipeline[command]   # the run did draw
+        assert sorted(pipeline[command] & {self.POOL, self.SVG}) == []
 
 
 class TestConfig:

@@ -71,6 +71,23 @@ class TestRunners:
         assert report.mean_laptime is None
         assert trace is not None and len(trace.times) > 1
 
+    def test_single_agent_default_timeout_covers_the_laps(self, env, rand_policy,
+                                                          monkeypatch):
+        # without timeout_s a run may last laps_target track lengths at
+        # 1 m/s plus a minute; a stub reads the duration handed to rollout
+        # and steps one frame instead of simulating it
+        params, cfg = rand_policy
+        durations = []
+
+        def one_frame(scenario, source, env, duration, observers):
+            durations.append(duration)
+            return rollout(scenario, source, env, duration=0.1, observers=observers)
+
+        monkeypatch.setattr("racekit.evaluator.rollout", one_frame)
+        report = run_single_agent(params, cfg, env, laps_target=3, seed=0)
+        assert durations == [3 * env.track.total_length + 60.0]
+        assert report.laps_completed < 1.0
+
     def test_expert_reference_run_completes_laps(self, env):
         # harness sanity: the expert source, driven through the same loop
         # machinery, finishes laps with lap stats populated
